@@ -56,11 +56,12 @@ class RunConfig:
     threads: int = 1
 
     def workers(self) -> int:
+        """--threads, capped by POMPEIU_THREADS when that is set."""
+        threads = max(1, self.threads)
         cap = os.environ.get("POMPEIU_THREADS")
         if cap is not None:
-            return max(1, min(self.threads, int(cap))) if self.threads > 1 \
-                else max(1, int(cap))
-        return max(1, self.threads)
+            return max(1, min(threads, int(cap)))
+        return threads
 
 
 def _dump_json(payload: dict, path: str | None) -> None:

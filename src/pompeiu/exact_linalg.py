@@ -44,11 +44,6 @@ def row_echelon(matrix: Iterable[Sequence]) -> tuple[Matrix, List[int]]:
     return m, pivots
 
 
-def rank(matrix: Iterable[Sequence]) -> int:
-    """Exact rank over the rationals."""
-    return len(row_echelon(matrix)[1])
-
-
 def nullspace(matrix: Iterable[Sequence]) -> List[Vector]:
     """Basis of the rational kernel (one vector per free column)."""
     m = _to_matrix(matrix)
@@ -67,8 +62,10 @@ def nullspace(matrix: Iterable[Sequence]) -> List[Vector]:
     return basis
 
 
-def mat_vec(matrix: Iterable[Sequence], vec: Sequence) -> Vector:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
+# mat_mul, char_poly, poly_eval and integer_roots have no caller in the
+# package since the spherical functions come from float diagonalisation.
+# perfbench/tracer.py patches char_poly and integer_roots by name, so they
+# stay until the benchmark drops those spans.
 
 
 def mat_mul(a: Iterable[Sequence], b: Iterable[Sequence]) -> Matrix:

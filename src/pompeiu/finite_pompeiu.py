@@ -174,7 +174,6 @@ class _DecisionCache:
 
     def __init__(self, space: CosetSpace):
         from .hecke import hecke_structure
-        self.space = space
         self.funcs = spherical_functions(space)
         self.exact = all(f.exact for f in self.funcs)
         st = hecke_structure(space)
@@ -189,15 +188,8 @@ class _DecisionCache:
         self.class_of = class_of
 
 
-_decision_caches: dict[int, _DecisionCache] = {}
-
-
 def _cache(space: CosetSpace) -> _DecisionCache:
-    c = _decision_caches.get(id(space))
-    if c is None or c.space is not space:
-        c = _DecisionCache(space)
-        _decision_caches[id(space)] = c
-    return c
+    return space.cached("decision", _DecisionCache)
 
 
 def _generator_rows(inst: PompeiuInstance) -> np.ndarray:
@@ -464,12 +456,10 @@ def recheck_witness(space_or_instance, subset, report: DecisionReport | None = N
         return False
     space = inst.space
     if "kernel" in report.witness:
-        h = report.witness["kernel"]
-        for t in space.transversal:
-            total = sum(h[int(space.action[t, c])] for c in inst.subset)
-            if abs(total) > 1e-9 * (1 + len(inst.subset)):
-                return False
-        return True
+        # one constraint per translate gE, over every g in G
+        h = np.asarray(report.witness["kernel"], dtype=float)
+        totals = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
+        return bool(np.all(np.abs(totals) <= 1e-9 * (1 + len(inst.subset))))
     idx = report.witness["spherical_index"]
     funcs = spherical_functions(space)
     return _annihilates(space, funcs[idx], lift_set(space, inst.subset))

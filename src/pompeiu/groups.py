@@ -115,9 +115,10 @@ class FiniteGroup:
         if not np.all(mul[np.arange(n), self.inv] == e):
             raise GroupSpecError("inverse table inconsistent")
         if n <= 256:
-            # (ab)c == a(bc), checked exhaustively
-            if not np.array_equal(mul[mul, :], mul[:, mul]):
-                raise GroupSpecError("multiplication table is not associative")
+            # (ab)c == a(bc), checked exhaustively one a at a time
+            for a in range(n):
+                if not np.array_equal(mul[mul[a], :], mul[a][mul]):
+                    raise GroupSpecError("multiplication table is not associative")
         else:
             rng = np.random.default_rng(0)
             a, b, c = rng.integers(0, n, size=(3, 10_000))
@@ -177,6 +178,7 @@ class CosetSpace:
         self.action.setflags(write=False)
         self.name = name or f"{group.name}/{self.subgroup_label()}"
         self._double_cosets: DoubleCosetPartition | None = None
+        self._cache: dict = {}
 
     def subgroup_label(self) -> str:
         gens = [g for g in self.k_members if g != self.group.identity]
@@ -189,6 +191,14 @@ class CosetSpace:
         if self._double_cosets is None:
             self._double_cosets = self._compute_double_cosets()
         return self._double_cosets
+
+    def cached(self, key: str, build):
+        """Per-space data, built by build(self) on first use and kept on the
+        space, so that it is released together with the space."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build(self)
+        return value
 
     def _compute_double_cosets(self) -> DoubleCosetPartition:
         mul = self.group.mul

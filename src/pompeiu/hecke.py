@@ -8,20 +8,25 @@ identity), and that measure is idempotent under convolution.
 
 Spherical functions are the normalized joint eigenfunctions of the
 commuting convolution operators given by the class-indicator basis; they
-satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They are
-computed exactly (rationals) whenever every basis operator has an all-
-integer spectrum, in floating point otherwise.
+satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
+from one pipeline: float, then certified exact.  The operators are jointly
+diagonalised in floating point.  When every eigenvalue rounds to an
+integer, the rounded eigenvalues give every value as a rational, and that
+table is kept (marked exact) only if it satisfies the functional equation
+exactly, in scaled integers, on double-coset representatives.  Otherwise
+the float table is kept, after the same check against
+SPHERICAL_RESIDUAL_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from . import exact_linalg as xla
 from .groups import CosetSpace
 
 SPHERICAL_RESIDUAL_TOL = 1e-10
@@ -35,7 +40,6 @@ __all__ = [
     "unit_measure",
     "class_indicator",
     "delta_sharp",
-    "normalized_subgroup_indicator",
     "measure_from_function",
     "project_biinvariant",
     "convolve",
@@ -107,7 +111,8 @@ class SphericalFunction:
 
 
 class _HeckeStructure:
-    """Cached per-space data: operator matrices, commutativity, sphericals."""
+    """Per-space data, kept on the space: operator matrices, commutativity,
+    sphericals."""
 
     def __init__(self, space: CosetSpace):
         self.space = space
@@ -148,22 +153,88 @@ class _HeckeStructure:
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
         if self._sphericals is None:
-            vectors, exact = _joint_eigenvectors(self.op)
-            funcs = []
-            for v in vectors:
-                eigs = tuple(_apply_row0(self.op[j], v) for j in range(self.d))
-                funcs.append(SphericalFunction(self.space, tuple(v), eigs, exact))
+            vectors = _joint_eigenvectors_float(self.op)
+            # (op[j] @ v)[0] for every j and v at once
+            lam = np.asarray(vectors) @ self.op[:, 0, :].T.astype(complex)
+            funcs = self._certified_exact(lam)
+            if funcs is None:
+                funcs = self._checked_float(vectors, lam)
             funcs.sort(key=lambda f: tuple(
                 (round(float(complex(e).real), 9), round(float(complex(e).imag), 9))
                 for e in f.eigenvalue_tuple))
-            for f in funcs:
-                res = check_spherical(self.space, f.on_group())
-                if res > SPHERICAL_RESIDUAL_TOL:
-                    raise RuntimeError(
-                        f"spherical candidate failed functional equation "
-                        f"(residual {res:.3e}) on {self.space.name}")
             self._sphericals = funcs
         return self._sphericals
+
+    def _certified_exact(self, lam: np.ndarray) -> list[SphericalFunction] | None:
+        """Rational sphericals from integer eigenvalues, or None.
+
+        Convolving with the indicator of class j and reading off the
+        identity class gives lambda_j = |C_j| f(inverse of class j), so an
+        all-integer spectrum fixes every value as a fraction.  The table is
+        kept only when it satisfies the functional equation exactly."""
+        tol = EIG_CLUSTER_TOL * (1.0 + np.abs(self.op).sum(axis=2).max(axis=1))
+        rounded = np.rint(lam.real)
+        if np.any(np.abs(lam - rounded) > tol):
+            return None
+        eig_rows = rounded.astype(np.int64).tolist()
+        values = []
+        for row in eig_rows:
+            v = [Fraction(0)] * self.d
+            for j, (num, size) in enumerate(zip(row, self.class_sizes)):
+                v[self.inverse_class[j]] = Fraction(num, size)
+            values.append(tuple(v))
+        if len(set(values)) != len(values) or not self._certify_exact(values):
+            return None
+        return [SphericalFunction(self.space, v, tuple(Fraction(num) for num in row), True)
+                for v, row in zip(values, eig_rows)]
+
+    def _certify_exact(self, values) -> bool:
+        """True when every rational class-value table in values satisfies the
+        functional equation exactly, checked on double-coset representatives."""
+        dcp = self.space.double_cosets
+        table, scale = _scaled_integers(values, self.space.k_size)
+        return _equation_excess(self.space, table[:, dcp.class_of],
+                                dcp.representatives, scale) == 0
+
+    def _checked_float(self, vectors, lam: np.ndarray) -> list[SphericalFunction]:
+        table = np.asarray(vectors, dtype=complex)[:, self.space.double_cosets.class_of]
+        reps = self.space.double_cosets.representatives
+        res = _equation_excess(self.space, table, reps) / self.space.k_size
+        if res > SPHERICAL_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"spherical candidate failed functional equation "
+                f"(residual {res:.3e}) on {self.space.name}")
+        return [SphericalFunction(self.space, v, tuple(complex(e) for e in row), False)
+                for v, row in zip(vectors, lam)]
+
+
+def _scaled_integers(rows, k_size: int) -> tuple[np.ndarray, int]:
+    """Rows of rationals as (integer table, scale) with table = scale * rows,
+    scale the lcm of the denominators.  The table holds Python ints when
+    the functional-equation terms could overflow int64."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    top = max(abs(x) for row in ints for x in row)
+    dtype = np.int64 if k_size * top * (top + scale) < 2 ** 62 else object
+    return np.asarray(ints, dtype=dtype), scale
+
+
+def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
+    """max over x, y in points of |scale * sum_{k in K} t(xky) - |K| t(x) t(y)|
+    over the rows t of table (values on the group).
+
+    A table t = scale * f turns the functional equation of f into this
+    integer identity, so the check is exact for integer tables.  For a
+    biinvariant f the double-coset representatives are enough as points:
+    f(k1 a k2 k k3 b k4) averages over k to the value at a, b."""
+    mul = space.group.mul
+    points = np.asarray(points, dtype=np.intp)
+    acc = np.zeros(table.shape[:-1] + (len(points), len(points)), dtype=table.dtype)
+    for k in space.k_members:
+        acc += table[..., mul[mul[points, k][:, None], points[None, :]]]
+    at = table[..., points]
+    excess = scale * acc - space.k_size * at[..., :, None] * at[..., None, :]
+    return np.abs(excess).max()
 
 
 def _apply_row0(matrix, v):
@@ -171,79 +242,6 @@ def _apply_row0(matrix, v):
     if any(isinstance(x, Fraction) for x in v):
         return sum((Fraction(int(a)) * x for a, x in zip(matrix[0], v)), Fraction(0))
     return complex(np.asarray(matrix[0], dtype=complex) @ np.asarray(v, dtype=complex))
-
-
-def _joint_eigenvectors(op: np.ndarray):
-    """Common eigenvectors of the commuting integer matrices op[1..d-1],
-    normalized to first coordinate 1.  Exact rationals when every operator
-    has an all-integer spectrum, complex floats otherwise."""
-    exact = _joint_eigenvectors_exact(op)
-    if exact is not None:
-        return exact, True
-    return _joint_eigenvectors_float(op), False
-
-
-def _joint_eigenvectors_exact(op: np.ndarray):
-    d = op.shape[0]
-    spectra = []
-    for j in range(d):
-        coeffs = xla.char_poly(op[j].tolist())
-        bound = int(max(abs(op[j]).sum(axis=1).max(), 1))
-        roots = xla.integer_roots(coeffs, bound)
-        if roots is None:
-            return None
-        spectra.append(sorted(set(roots)))
-    # start from the full space, spanned by the standard basis
-    subspaces = [[_unit_vec(d, i) for i in range(d)]]
-    for j in range(d):
-        if all(len(s) == 1 for s in subspaces):
-            break
-        refined = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                refined.append(basis)
-                continue
-            pieces = []
-            for lam in spectra[j]:
-                piece = _restricted_kernel(op[j], lam, basis)
-                if piece:
-                    pieces.append(piece)
-            if sum(len(p) for p in pieces) != len(basis):
-                return None
-            refined.extend(pieces)
-        subspaces = refined
-    if any(len(s) != 1 for s in subspaces):
-        return None
-    out = []
-    for (v,) in subspaces:
-        if v[0] == 0:
-            return None
-        out.append(tuple(x / v[0] for x in v))
-    return out
-
-
-def _unit_vec(d, i):
-    v = [Fraction(0)] * d
-    v[i] = Fraction(1)
-    return v
-
-
-def _restricted_kernel(matrix, lam, basis):
-    """Basis of ker(matrix - lam) intersected with span(basis), exact."""
-    d = len(basis[0])
-    m = len(basis)
-    a = [[Fraction(0)] * m for _ in range(d)]
-    for col, vec in enumerate(basis):
-        img = [sum((Fraction(int(matrix[r][s])) * vec[s] for s in range(d)), Fraction(0))
-               - Fraction(lam) * vec[r] for r in range(d)]
-        for r in range(d):
-            a[r][col] = img[r]
-    kernel = xla.nullspace(a)
-    out = []
-    for c in kernel:
-        v = [sum((c[i] * basis[i][r] for i in range(m)), Fraction(0)) for r in range(d)]
-        out.append(v)
-    return out
 
 
 def _joint_eigenvectors_float(op: np.ndarray):
@@ -288,16 +286,8 @@ def _joint_eigenvectors_float(op: np.ndarray):
     return out
 
 
-_structures: dict[int, _HeckeStructure] = {}
-
-
 def hecke_structure(space: CosetSpace) -> _HeckeStructure:
-    key = id(space)
-    st = _structures.get(key)
-    if st is None or st.space is not space:
-        st = _HeckeStructure(space)
-        _structures[key] = st
-    return st
+    return space.cached("hecke", _HeckeStructure)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +299,6 @@ def unit_measure(space: CosetSpace) -> BiinvariantMeasure:
     coeffs = [Fraction(0)] * space.double_cosets.num_classes
     coeffs[int(space.double_cosets.class_of[space.group.identity])] = Fraction(1, space.k_size)
     return BiinvariantMeasure(space, tuple(coeffs))
-
-
-def normalized_subgroup_indicator(space: CosetSpace) -> BiinvariantMeasure:
-    """chi_K / |K|; identical to the unit and idempotent under convolution."""
-    return unit_measure(space)
 
 
 def class_indicator(space: CosetSpace, class_index: int) -> BiinvariantMeasure:
@@ -421,31 +406,18 @@ def spherical_functions(space: CosetSpace) -> list[SphericalFunction]:
 
 
 def check_spherical(space: CosetSpace, f: Sequence) -> float:
-    """Max over x, y of |avg_K f(xky) - f(x) f(y)| for a value table on G."""
+    """Max over x, y of |avg_K f(xky) - f(x) f(y)| for a value table on G.
+
+    Exact (then rounded to float) when the values are ints/Fractions."""
     if len(f) != space.group.order:
         raise ValueError("value table length != group order")
+    points = np.arange(space.group.order)
     if all(isinstance(x, (int, Fraction)) for x in f):
-        return _check_spherical_exact(space, f)
-    mul = space.group.mul
-    vals = np.asarray([complex(x) for x in f])
-    acc = np.zeros((space.group.order, space.group.order), dtype=complex)
-    for k in space.k_members:
-        acc += vals[mul[mul[:, k], :]]
-    acc /= space.k_size
-    return float(np.abs(acc - np.outer(vals, vals)).max())
-
-
-def _check_spherical_exact(space: CosetSpace, f: Sequence) -> float:
-    mul = space.group.mul
-    n = space.group.order
-    worst = Fraction(0)
-    fs = [Fraction(x) for x in f]
-    for x in range(n):
-        rows = [mul[mul[x, k], :] for k in space.k_members]
-        for y in range(n):
-            avg = sum((fs[int(r[y])] for r in rows), Fraction(0)) / space.k_size
-            worst = max(worst, abs(avg - fs[x] * fs[y]))
-    return float(worst)
+        table, scale = _scaled_integers([[Fraction(x) for x in f]], space.k_size)
+        excess = _equation_excess(space, table[0], points, scale)
+        return float(Fraction(int(excess), space.k_size * scale * scale))
+    table = np.asarray([complex(x) for x in f])
+    return float(_equation_excess(space, table, points) / space.k_size)
 
 
 def phi_hom(f: SphericalFunction, mu: BiinvariantMeasure):

@@ -37,13 +37,6 @@ def integrate_over(shape, integrand, tol: float = DEFAULT_TOL,
         f"{abs(cur - prev):.3e})")
 
 
-def circle_average(f, n: int = 512) -> complex:
-    """Average of f(theta) over the circle by the equispaced trapezoid rule
-    (spectrally accurate for periodic analytic integrands)."""
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return complex(np.mean(f(theta)))
-
-
 def sphere_average(f, n: int = 64) -> complex:
     """Average of f over the unit 2-sphere: Gauss-Legendre in the polar
     cosine, equispaced trapezoid in azimuth."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pompeiu.cli import main
+from pompeiu.cli import RunConfig, main
 
 
 @pytest.fixture
@@ -110,6 +110,18 @@ def test_finite_sweep_byte_identical(z8_file, tmp_path):
                      "--summary", str(summary)]) == 0
         outs.append((out.read_bytes(), summary.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_threads_env_caps_width(monkeypatch):
+    monkeypatch.delenv("POMPEIU_THREADS", raising=False)
+    assert RunConfig("finite-sweep", threads=4).workers() == 4
+    assert RunConfig("finite-sweep", threads=0).workers() == 1
+    monkeypatch.setenv("POMPEIU_THREADS", "16")
+    assert RunConfig("finite-sweep").workers() == 1
+    assert RunConfig("finite-sweep", threads=4).workers() == 4
+    assert RunConfig("finite-sweep", threads=32).workers() == 16
+    monkeypatch.setenv("POMPEIU_THREADS", "0")
+    assert RunConfig("finite-sweep", threads=4).workers() == 1
 
 
 def test_euclid_decide_disk(disk_file, tmp_path):

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu.finite_pompeiu import (EmptySetError, PompeiuInstance,
-                                    enumerate_all, ideal_generators,
-                                    pompeiu_convolution, pompeiu_oracle,
-                                    pompeiu_spectral, radial_shortcut,
-                                    recheck_witness, zero_set, zero_set_ideal)
+from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
+                                    PompeiuInstance, enumerate_all,
+                                    ideal_generators, pompeiu_convolution,
+                                    pompeiu_oracle, pompeiu_spectral,
+                                    radial_shortcut, recheck_witness,
+                                    zero_set, zero_set_ideal)
 from pompeiu.groups import lift_set
 from pompeiu.hecke import (BiinvariantMeasure, convolve, phi_hom,
                            spherical_functions, unit_measure)
 
-from conftest import cyclic_space, dihedral_space
+from conftest import cyclic_space, dihedral_space, symmetric_space
 
 
 def _dft_pompeiu(n, subset):
@@ -286,6 +287,26 @@ def test_witnesses_reverify(z8_space, s3_space, d6_space):
                 oracle = pompeiu_oracle(inst)
                 assert oracle.verdict == "NotPompeiu"
                 assert recheck_witness(inst, oracle)
+
+
+def test_kernel_witness_rechecked_against_every_translate():
+    """On S4/S3 with E = {1} the transversal moves coset 1 only to cosets 0
+    and 1, so a unit vector on coset 2 or 3 is orthogonal to those
+    translates. Other group elements move coset 1 there, so neither vector
+    is a witness."""
+    space = symmetric_space(4, fixed_point=0)
+    inst = PompeiuInstance(space, frozenset({1}))
+    reached = {int(space.action[t, 1]) for t in space.transversal}
+    outside = [c for c in range(space.num_cosets) if c not in reached]
+    assert outside == [2, 3]
+    for c in outside:
+        h = [0.0] * space.num_cosets
+        h[c] = 1.0
+        residual = max(abs(h[int(space.action[g, 1])])
+                       for g in range(space.group.order))
+        assert residual == 1.0
+        report = DecisionReport("NotPompeiu", "oracle", {"kernel": h})
+        assert not recheck_witness(inst, report)
 
 
 def test_zero_set_ideal_examples(z8_space, s3_space):

@@ -1,4 +1,6 @@
 import cmath
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pompeiu import exact_linalg
+from pompeiu.finite_pompeiu import pompeiu_convolution, pompeiu_spectral
+from pompeiu.groups import build_coset_space
 from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            check_spherical, class_indicator, convolve,
-                           delta_sharp, gelfand_witness, is_gelfand_pair,
-                           measure_from_function, phi_hom,
+                           delta_sharp, gelfand_witness, hecke_structure,
+                           is_gelfand_pair, measure_from_function, phi_hom,
                            project_biinvariant, reverse_function,
                            reverse_measure, spherical_functions,
                            spherical_table_csv, unit_measure)
 
-from conftest import cyclic_space, dihedral_space, symmetric_space
+from conftest import (acceptance_suite, cyclic_space, dihedral_space,
+                      symmetric_space)
 
 
 def _pair(f, u):
@@ -190,6 +196,14 @@ def test_check_spherical_trivial_cases(s3_space):
     assert all(complex(f.values[0]) == 1 for f in spherical_functions(s3_space))
 
 
+def test_check_spherical_exact_beyond_int64(s3_space):
+    """A constant c gives |c - c^2| exactly, also when c's denominator
+    squared overflows 64-bit integers."""
+    n = s3_space.group.order
+    for c in (Fraction(1, 3), Fraction(1, 10 ** 12), Fraction(10 ** 12 + 1, 10 ** 12)):
+        assert check_spherical(s3_space, [c] * n) == float(abs(c - c * c))
+
+
 def test_phi_unit_is_one(d6_space):
     unit = unit_measure(d6_space)
     for f in spherical_functions(d6_space):
@@ -286,3 +300,75 @@ def test_space_mismatch_raises(s3_space, d6_space):
     f = spherical_functions(s3_space)[0]
     with pytest.raises(ValueError, match="different spaces"):
         phi_hom(f, unit_measure(d6_space))
+
+
+# ---------------------------------------------------------------------------
+# the spherical pipeline: float diagonalisation, exact certification
+
+
+def _larger_pairs():
+    """S5/S4, S5/(S3 x S2), D24 with a reflection, Z20 and Z24."""
+    s5 = symmetric_space(5)
+    young = [i for i, p in enumerate(s5.group._perms) if set(p[:3]) == {0, 1, 2}]
+    return [symmetric_space(5, fixed_point=4),
+            build_coset_space(s5.group, young),
+            dihedral_space(24), cyclic_space(20), cyclic_space(24)]
+
+
+def test_representative_certification_holds_on_whole_group():
+    for space in acceptance_suite() + _larger_pairs():
+        st = hecke_structure(space)
+        funcs = spherical_functions(space)
+        assert len(funcs) == space.double_cosets.num_classes
+        if funcs[0].exact:
+            assert st._certify_exact([f.values for f in funcs])
+        for f in funcs:
+            res = check_spherical(space, f.on_group())
+            if f.exact:
+                assert res == 0
+            else:
+                assert res < 1e-12
+    exact = [spherical_functions(s)[0].exact for s in _larger_pairs()]
+    assert exact == [True, True, False, False, False]
+
+
+def test_certification_rejects_shifted_value():
+    for space in (symmetric_space(4, fixed_point=3), _larger_pairs()[1]):
+        funcs = spherical_functions(space)
+        st = hecke_structure(space)
+        n = space.group.order
+        for i in range(len(funcs)):
+            for c in range(space.double_cosets.num_classes):
+                values = [list(f.values) for f in funcs]
+                values[i][c] += Fraction(1, n)
+                assert not st._certify_exact(values)
+                shifted = [values[i][k] for k in space.double_cosets.class_of]
+                assert check_spherical(space, shifted) > 0
+
+
+def test_exact_and_float_paths_skip_char_poly(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("characteristic polynomial computed")
+    monkeypatch.setattr(exact_linalg, "char_poly", forbidden)
+    monkeypatch.setattr(exact_linalg, "integer_roots", forbidden)
+    s6 = symmetric_space(6, fixed_point=5)
+    funcs = spherical_functions(s6)
+    assert [f.values for f in funcs] == [(1, Fraction(-1, 5)), (1, 1)]
+    assert all(f.exact for f in funcs)
+    z64 = cyclic_space(64)
+    funcs = spherical_functions(z64)
+    assert len(funcs) == 64
+    assert not any(f.exact for f in funcs)
+
+
+def test_spaces_release_their_caches():
+    refs = []
+    for _ in range(200):
+        space = cyclic_space(6)
+        spherical_functions(space)
+        pompeiu_spectral(space, {0, 3})
+        pompeiu_convolution(space, {0, 3})
+        refs.append(weakref.ref(space))
+    del space
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
