@@ -20,16 +20,14 @@ from conftest import acceptance_suite
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     print(f"{'space':<22} {'subsets':>8} {'pompeiu':>8} {'fails':>7} "
           f"{'disagree':>9} {'secs':>7}")
     total_disagreements = 0
     t0 = time.perf_counter()
     for space in acceptance_suite():
-        result = enumerate_all(space, workers=args.workers)
+        result = enumerate_all(space)
         s = result.summary()
         total_disagreements += s["disagreements"]
         print(f"{s['space']:<22} {s['subsets']:>8} {s['pompeiu']:>8} "

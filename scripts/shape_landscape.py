@@ -31,7 +31,6 @@ def main() -> int:
     parser.add_argument("--out-dir", default="landscapes")
     parser.add_argument("--lambda-max", type=float, default=20.0)
     parser.add_argument("--grid", type=float, default=0.05)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -39,7 +38,7 @@ def main() -> int:
     print(f"{'shape':<10} {'verdict':<22} witnesses")
     for name, shape in SHAPES.items():
         report = euclid_decide(shape, (0.0, args.lambda_max), grid=args.grid,
-                               collect_landscape=True, workers=args.workers)
+                               collect_landscape=True)
         path = out_dir / f"{name}.csv"
         _write_csv(str(path), ["lambda", "orbit_max"],
                    [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,11 +302,22 @@ def find_failure_lambdas(shape: EuclideanSet, lam_range: tuple,
     rotation orbit."""
     if not shape.is_radial:
         raise ValueError("failure-frequency search requires a radial shape")
+    xs, vals = _profile_on_grid(shape, lam_range, grid)
+    return _bracketed_roots(shape, xs, [v.real for v in vals], count)
+
+
+def _profile_on_grid(shape, lam_range: tuple, grid: float):
+    """The search grid of the range and the complex radial profile on it;
+    lambda = 0 is excluded, since profile(0) is the volume."""
     lo, hi = float(lam_range[0]), float(lam_range[1])
-    start = max(lo, grid)           # lambda = 0 excluded: profile(0) = volume
-    xs = np.arange(start, hi + grid / 2, grid)
+    xs = np.arange(max(lo, grid), hi + grid / 2, grid)
+    return xs, [radial_profile(shape, x) for x in xs]
+
+
+def _bracketed_roots(shape, xs, vals, count: int | None) -> list[float]:
+    """Roots from sign changes of the real profile values vals on the grid
+    xs, each refined by bisection and checked on the rotation orbit."""
     profile = _real_profile(shape)
-    vals = [profile(x) for x in xs]
     roots: list[float] = []
     for i in range(len(xs) - 1):
         a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
@@ -454,6 +464,8 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     Other shapes: rotation-orbit vanishing scan over the frequency grid,
     with any candidate confirmed by the convolution test.  A verdict of
     NoFailureFoundInRange is deliberately weaker than "has the property".
+    workers is accepted and ignored: the scan runs in one thread, which
+    measured faster than a thread pool at every width above 1.
     """
     t0 = time.perf_counter()
     count = rotation_samples or ROTATION_SAMPLES[shape.dim]
@@ -462,25 +474,16 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     landscape = [] if collect_landscape else None
     witnesses: list = []
     if shape.is_radial:
+        xs, vals = _profile_on_grid(shape, lam_range, grid)
         witnesses = [float(x) for x in
-                     find_failure_lambdas(shape, lam_range, grid=grid)]
+                     _bracketed_roots(shape, xs, [v.real for v in vals], None)]
         if collect_landscape:
-            lo, hi = float(lam_range[0]), float(lam_range[1])
-            for x in np.arange(max(lo, grid), hi + grid / 2, grid):
-                landscape.append((float(x), abs(radial_profile(shape, float(x)))))
+            landscape.extend((float(x), abs(v)) for x, v in zip(xs, vals))
     else:
         lo, hi = float(lam_range[0]), float(lam_range[1])
-        xs = [float(x) for x in np.arange(max(lo, grid), hi + grid / 2, grid)]
-
-        def scan(x: float):
-            return complex_sphere_vanishes(shape, x, count, vanish_tol)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                checks = list(pool.map(scan, xs))
-        else:
-            checks = [scan(x) for x in xs]
-        for x, check in zip(xs, checks):
+        for x in np.arange(max(lo, grid), hi + grid / 2, grid):
+            x = float(x)
+            check = complex_sphere_vanishes(shape, x, count, vanish_tol)
             if collect_landscape:
                 landscape.append((x, check.max_magnitude))
             if check.vanishes and _confirm_candidate(shape, x, quad_tol, vanish_tol):

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals for small dense matrices.
 
-Everything here works on plain nested lists of ``fractions.Fraction`` (or
-ints, which are promoted).  Matrices are small (a few dozen rows at most),
-so straightforward Gaussian elimination is plenty.
+`nullspace` works on integer numpy arrays: fraction-free Gauss-Jordan
+elimination (Bareiss 1968) keeps every entry an integer minor of the input,
+so the rank and the kernel come out of one exact integer pass.  The
+remaining routines work on plain nested lists of ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, List, Sequence
+
+import numpy as np
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -18,46 +21,58 @@ def _to_matrix(rows: Iterable[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def row_echelon(matrix: Iterable[Sequence]) -> tuple[Matrix, List[int]]:
-    """Reduce to row echelon form; returns (echelon matrix, pivot columns)."""
-    m = _to_matrix(matrix)
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+def _integer_array(matrix: Iterable[Sequence[int]]) -> np.ndarray:
+    """The matrix as int64 when Hadamard's bound shows that no product of
+    two of its minors, nor their difference, can overflow; else as Python
+    ints (object dtype)."""
+    m = np.asarray(matrix, dtype=object)
+    n_cols = m.shape[1]
+    top = int(np.abs(m).max(initial=0))
+    # every minor is at most (sqrt(n) top)^n in absolute value
+    fits = 2 * (n_cols * top * top) ** n_cols < 2 ** 63
+    return m.astype(np.int64) if fits else m
 
 
-def nullspace(matrix: Iterable[Sequence]) -> List[Vector]:
-    """Basis of the rational kernel (one vector per free column)."""
-    m = _to_matrix(matrix)
-    if not m:
+def nullspace(matrix: Iterable[Sequence[int]]) -> List[Vector]:
+    """Basis of the rational kernel of an integer matrix, one vector per
+    free column: the free column's entry is 1, the other free entries are 0
+    (the basis read off the reduced row echelon form).
+
+    Fraction-free Gauss-Jordan: each step multiplies every other row by the
+    new pivot, subtracts the pivot row times that row's entry in the pivot
+    column and divides exactly by the previous pivot.  At the end every pivot entry equals the last pivot d and the
+    pivot rows are d times the reduced row echelon form."""
+    matrix = list(matrix)
+    if not matrix:
         return []
-    n_cols = len(m[0])
-    reduced, pivots = row_echelon(m)
-    free = [c for c in range(n_cols) if c not in pivots]
+    m = _integer_array(matrix)
+    n_rows, n_cols = m.shape
+    pivots: List[int] = []
+    prev = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        nonzero = m[r:, c].nonzero()[0]
+        if nonzero.size == 0:
+            continue
+        p = r + int(nonzero[0])
+        row = m[p].copy()
+        m[p] = m[r]
+        m[r] = row
+        pivot = row[c]
+        # the pivot row itself comes out as zero and is put back
+        m = (pivot * m - m[:, c, None] * row) // prev
+        m[r] = row
+        prev = pivot
+        pivots.append(c)
+        if len(pivots) == n_rows:
+            break
+    d = int(prev)
     basis: List[Vector] = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+            v[pc] = Fraction(-int(m[r, fc]), d)
         basis.append(v)
     return basis
 

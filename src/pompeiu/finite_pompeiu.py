@@ -16,8 +16,8 @@ disagreement is a bug, never silently resolved.
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,8 +26,9 @@ import numpy as np
 
 from . import exact_linalg as xla
 from .groups import CosetSpace, check_function_invariance, lift_set
-from .hecke import (BiinvariantMeasure, SphericalFunction,
-                    measure_from_function, phi_hom, spherical_functions)
+from .hecke import (BiinvariantMeasure, SphericalFunction, _scaled_integers,
+                    hecke_structure, measure_from_function, phi_hom,
+                    spherical_functions)
 
 PHI_ZERO_TOL = 1e-9
 CONV_ZERO_TOL = 1e-9
@@ -95,9 +96,6 @@ def _instance(space_or_instance, subset=None) -> PompeiuInstance:
 # ---------------------------------------------------------------------------
 # oracle
 
-_MOD_P = 1_000_000_007
-
-
 def translate_matrix(inst: PompeiuInstance) -> list[list[int]]:
     """0/1 constraint rows, one per distinct translate gE over all g in G.
 
@@ -120,48 +118,23 @@ def translate_matrix(inst: PompeiuInstance) -> list[list[int]]:
     return rows
 
 
-def _rank_mod_p(rows: list[list[int]], p: int = _MOD_P) -> int:
-    m = np.asarray(rows, dtype=np.int64) % p
-    n_rows, n_cols = m.shape
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        mask = m[r + 1:, c] != 0
-        if mask.any():
-            m[r + 1:][mask] = (m[r + 1:][mask] - np.outer(m[r + 1:, c][mask], m[r])) % p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel (exact rational rank)."""
+    translate matrix has trivial kernel.  One fraction-free integer
+    elimination gives the exact rational kernel; the rank is the coset
+    count minus its dimension."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     t0 = time.perf_counter()
     matrix = translate_matrix(inst)
-    # full rank mod a large prime certifies full rational rank
-    if _rank_mod_p(matrix) == inst.space.num_cosets:
-        return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
     kernel = xla.nullspace(matrix)
     if not kernel:
-        # rank collapsed mod p only; rational rank is authoritative
         return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
     h = kernel[0]
-    for row in matrix:
-        if sum((Fraction(r) * x for r, x in zip(row, h)), Fraction(0)) != 0:
-            raise RuntimeError("oracle kernel witness failed recheck")
+    scale = math.lcm(*(x.denominator for x in h))
+    scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h], dtype=object)
+    if np.any(np.asarray(matrix, dtype=object) @ scaled):
+        raise RuntimeError("oracle kernel witness failed recheck")
     witness = {"kernel": [float(x) for x in h]}
     return DecisionReport("NotPompeiu", "oracle", witness, time.perf_counter() - t0)
 
@@ -170,22 +143,37 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
 # ideal machinery
 
 class _DecisionCache:
-    """Per-space tables for the spectral and convolution deciders."""
+    """Per-space tables for the spectral and convolution deciders: integer
+    tables on an exact space, complex ones otherwise."""
 
     def __init__(self, space: CosetSpace):
-        from .hecke import hecke_structure
         self.funcs = spherical_functions(space)
         self.exact = all(f.exact for f in self.funcs)
         st = hecke_structure(space)
         class_of = space.double_cosets.class_of
         self.reps = np.asarray(space.double_cosets.representatives, dtype=np.int32)
         self.sizes = np.asarray(st.class_sizes, dtype=np.float64)
-        values = np.asarray([[complex(v) for v in f.values] for f in self.funcs])
-        inv_class = np.asarray(st.inverse_class, dtype=np.int32)
         # Phi_i(mu) = sum_c coeff_c |C_c| f_i(inverse class of c)
-        self.phi_matrix = values[:, inv_class] * self.sizes[None, :]
+        if self.exact:
+            # |C_c| f_i(inverse class of c) is the integer eigenvalue lambda_{i,c}
+            self.phi_matrix = np.asarray(
+                [[int(e) for e in f.eigenvalue_tuple] for f in self.funcs], dtype=np.int64)
+            values, _ = _scaled_integers([f.values for f in self.funcs], space.k_size)
+        else:
+            values = np.asarray([[complex(v) for v in f.values] for f in self.funcs])
+            inv_class = np.asarray(st.inverse_class, dtype=np.int32)
+            self.phi_matrix = values[:, inv_class] * self.sizes[None, :]
+        # value tables on the group, scaled to integers on an exact space
         self.on_group = values[:, class_of]
         self.class_of = class_of
+
+
+def _vanishing(values: np.ndarray, tol) -> np.ndarray:
+    """Elementwise zero test: exact on integer tables, below tol on
+    complex ones."""
+    if values.dtype.kind in "iO":
+        return values == 0
+    return np.abs(values) < tol
 
 
 def _cache(space: CosetSpace) -> _DecisionCache:
@@ -246,22 +234,10 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     cache = _cache(inst.space)
-    if cache.exact:
-        funcs = cache.funcs
-        common = frozenset(range(len(funcs)))
-        for mu in ideal_generators(inst):
-            common = common & zero_set(mu, funcs)
-            if not common:
-                break
-        return common
     rows = _generator_rows(inst)
-    alive = np.ones(len(cache.funcs), dtype=bool)
-    for row in rows:
-        phi = cache.phi_matrix @ row.astype(np.float64)
-        one_norm = float((np.abs(row) * cache.sizes).sum())
-        alive &= np.abs(phi) < PHI_ZERO_TOL * (1.0 + one_norm)
-        if not alive.any():
-            break
+    phi = cache.phi_matrix @ rows.T             # one column per generator
+    tol = PHI_ZERO_TOL * (1.0 + (np.abs(rows) * cache.sizes).sum(axis=1))
+    alive = _vanishing(phi, tol).all(axis=1)
     return frozenset(int(i) for i in np.nonzero(alive)[0])
 
 
@@ -284,21 +260,13 @@ def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
 # convolution criterion
 
 
-def _annihilates(space: CosetSpace, f: SphericalFunction, lifted: frozenset) -> bool:
-    """True when  x -> sum_{z in lifted} f(xz)  vanishes identically."""
+def _annihilating(table: np.ndarray, space: CosetSpace, lifted) -> np.ndarray:
+    """For each row f of table (values on G): whether x -> sum_{z in lifted}
+    f(xz) vanishes identically."""
     lifted_list = sorted(lifted)
-    if f.exact:
-        table = f.on_group()
-        mul = space.group.mul
-        for x in range(space.group.order):
-            total = sum((table[int(mul[x, z])] for z in lifted_list), Fraction(0))
-            if total != 0:
-                return False
-        return True
-    table = np.asarray([complex(v) for v in f.on_group()])
-    idx = space.group.mul[:, lifted_list]
-    conv = table[idx].sum(axis=1)
-    return bool(np.abs(conv).max() < CONV_ZERO_TOL * (1 + len(lifted_list)))
+    conv = table[:, space.group.mul[:, lifted_list]].sum(axis=2)
+    tol = CONV_ZERO_TOL * (1 + len(lifted_list))
+    return _vanishing(conv, tol).all(axis=1)
 
 
 def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
@@ -309,21 +277,8 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     t0 = time.perf_counter()
     space = inst.space
     cache = _cache(space)
-    lifted_list = sorted(lift_set(space, inst.subset))
-    if cache.exact:
-        for i, f in enumerate(cache.funcs):
-            if _annihilates(space, f, frozenset(lifted_list)):
-                witness = {"spherical_index": i,
-                           "values": [_c2pair(v) for v in f.values]}
-                return DecisionReport("NotPompeiu", "convolution", witness,
-                                      time.perf_counter() - t0)
-        return DecisionReport("Pompeiu", "convolution", None,
-                              time.perf_counter() - t0)
-    idx = space.group.mul[:, lifted_list]
-    conv = cache.on_group[:, idx].sum(axis=2)
-    row_max = np.abs(conv).max(axis=1)
-    tol = CONV_ZERO_TOL * (1 + len(lifted_list))
-    hits = np.nonzero(row_max < tol)[0]
+    hits = np.nonzero(_annihilating(cache.on_group, space,
+                                    lift_set(space, inst.subset)))[0]
     if hits.size == 0:
         return DecisionReport("Pompeiu", "convolution", None,
                               time.perf_counter() - t0)
@@ -425,7 +380,10 @@ def _decide_row(space: CosetSpace, bitmask: int) -> SweepRow:
 def enumerate_all(space: CosetSpace, max_size: int | None = None,
                   workers: int = 1) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
-    (optionally bounded in size) and tabulate agreement."""
+    (optionally bounded in size) and tabulate agreement.
+
+    workers is accepted and ignored: the sweep runs in one thread, which
+    measured faster than a thread pool at every width above 1."""
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
@@ -433,11 +391,7 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
     spherical_functions(space)          # raises NotGelfandPairError up front
     masks = [m for m in range(1, 1 << space.num_cosets)
              if max_size is None or bin(m).count("1") <= max_size]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda m: _decide_row(space, m), masks))
-    else:
-        rows = [_decide_row(space, m) for m in masks]
+    rows = [_decide_row(space, m) for m in masks]
     return SweepResult(space.name, rows, time.perf_counter() - t0)
 
 
@@ -461,8 +415,8 @@ def recheck_witness(space_or_instance, subset, report: DecisionReport | None = N
         totals = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
         return bool(np.all(np.abs(totals) <= 1e-9 * (1 + len(inst.subset))))
     idx = report.witness["spherical_index"]
-    funcs = spherical_functions(space)
-    return _annihilates(space, funcs[idx], lift_set(space, inst.subset))
+    table = _cache(space).on_group[idx:idx + 1]
+    return bool(_annihilating(table, space, lift_set(space, inst.subset))[0])
 
 
 def _c2pair(v) -> list:

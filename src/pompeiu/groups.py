@@ -78,6 +78,10 @@ def cycle_label(p: Sequence[int]) -> str:
 class FiniteGroup:
     """Multiplication-table group; immutable after construction."""
 
+    # one-line images of the elements, in element order, for a group built
+    # from permutations; None otherwise
+    perms: tuple | None = None
+
     def __init__(self, mul: np.ndarray, name: str = "G",
                  element_labels: Sequence[str] | None = None):
         mul = np.asarray(mul, dtype=np.int32)
@@ -238,7 +242,7 @@ def _table_from_perms(perms: list[tuple], name: str) -> FiniteGroup:
         mul[a] = order[np.searchsorted(sorted_keys, prod_keys)]
     labels = [cycle_label(p) for p in perms]
     group = FiniteGroup(mul, name=name, element_labels=labels)
-    group._perms = tuple(perms)
+    group.perms = tuple(perms)
     return group
 
 
@@ -417,27 +421,14 @@ def load_group_spec(source) -> tuple[FiniteGroup, list[int]]:
     if spec.get("family") == "cyclic":
         for r in sub:
             k_gens.append(int(r) % group.order)
-    else:
-        lookup = None
+    elif sub:
+        if group.perms is None:
+            raise GroupSpecError("subgroup generators by permutation require a "
+                                 "permutation-constructed group")
+        lookup = {p: i for i, p in enumerate(group.perms)}
         for p in sub:
             t = tuple(int(x) for x in p)
-            if lookup is None:
-                lookup = {}
-                for idx in range(group.order):
-                    lookup[_label_to_key(group, idx)] = idx
-            key = t
-            if key not in lookup:
+            if t not in lookup:
                 raise GroupSpecError(f"subgroup generator {p} not in group")
-            k_gens.append(lookup[key])
+            k_gens.append(lookup[t])
     return group, k_gens
-
-
-def _label_to_key(group: FiniteGroup, idx: int):
-    # groups built from permutations keep one-line images recoverable from
-    # their construction order; rebuild the image from the action on cosets
-    # of the trivial subgroup is overkill, so store via attribute when built
-    perms = getattr(group, "_perms", None)
-    if perms is not None:
-        return perms[idx]
-    raise GroupSpecError("subgroup generators by permutation require a "
-                         "permutation-constructed group")

@@ -12,7 +12,7 @@ def symmetric_space(n, fixed_point=None):
     g = build_group({"family": "symmetric", "n": n})
     if fixed_point is None:
         return build_coset_space(g, [])
-    gens = [i for i, p in enumerate(g._perms)
+    gens = [i for i, p in enumerate(g.perms)
             if p[fixed_point] == fixed_point]
     return build_coset_space(g, gens)
 
@@ -21,7 +21,7 @@ def dihedral_space(n):
     """D_n (order 2n) with K generated by one reflection."""
     g = build_group({"family": "dihedral", "n": n})
     reflection = tuple((-i) % n for i in range(n))
-    idx = g._perms.index(reflection)
+    idx = g.perms.index(reflection)
     return build_coset_space(g, [idx])
 
 

@@ -435,6 +435,31 @@ def test_decide_workers_deterministic():
     assert serial.lambda_witnesses == threaded.lambda_witnesses
 
 
+def test_landscape_reuses_the_radial_profile(monkeypatch):
+    """The landscape of a radial shape is read off the profile values of
+    the root search, not evaluated a second time."""
+    import pompeiu.euclidean as euclidean
+    rings = DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)])
+    calls = []
+
+    def counted(shape, lam):
+        calls.append(lam)
+        return radial_profile(shape, lam)
+
+    monkeypatch.setattr(euclidean, "radial_profile", counted)
+    plain = euclid_decide(rings, (0, 10), grid=0.1)
+    n_plain = len(calls)
+    calls.clear()
+    with_landscape = euclid_decide(rings, (0, 10), grid=0.1,
+                                   collect_landscape=True)
+    assert len(calls) == n_plain
+    assert with_landscape.lambda_witnesses == plain.lambda_witnesses
+    assert [lam for lam, _ in with_landscape.landscape] == pytest.approx(
+        np.arange(0.1, 10.05, 0.1))
+    for lam, mag in with_landscape.landscape:
+        assert mag == abs(radial_profile(rings, lam))
+
+
 def test_decide_extra_candidates():
     report = euclid_decide(DISK, (0, 2), extra_lambdas=[J1_1])
     assert report.verdict == "NotPompeiu"

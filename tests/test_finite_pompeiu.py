@@ -184,6 +184,21 @@ def test_convolution_witness_z8(z8_space):
     assert max(abs(v) for v in conv) < 1e-9
 
 
+def test_exact_spaces_decide_on_integer_tables():
+    """No exact verdict passes through a float tolerance: the spectral and
+    convolution tables of an exact space hold integers."""
+    from pompeiu.finite_pompeiu import _cache
+    from conftest import acceptance_suite
+    kinds = set()
+    for space in acceptance_suite():
+        cache = _cache(space)
+        kind = "iO" if cache.exact else "c"
+        assert cache.phi_matrix.dtype.kind in kind
+        assert cache.on_group.dtype.kind in kind
+        kinds.add(cache.exact)
+    assert kinds == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # shortcut
 

@@ -309,7 +309,7 @@ def test_space_mismatch_raises(s3_space, d6_space):
 def _larger_pairs():
     """S5/S4, S5/(S3 x S2), D24 with a reflection, Z20 and Z24."""
     s5 = symmetric_space(5)
-    young = [i for i, p in enumerate(s5.group._perms) if set(p[:3]) == {0, 1, 2}]
+    young = [i for i, p in enumerate(s5.group.perms) if set(p[:3]) == {0, 1, 2}]
     return [symmetric_space(5, fixed_point=4),
             build_coset_space(s5.group, young),
             dihedral_space(24), cyclic_space(20), cyclic_space(24)]
