@@ -278,7 +278,7 @@ def complex_sphere_vanishes(shape: EuclideanSet, lam: complex,
     if lam == 0:
         raise ValueError("lambda = 0 is never a failure frequency for a set "
                          "of positive volume")
-    count = rotation_samples or ROTATION_SAMPLES[shape.dim]
+    count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
     dirs = rotation_directions(shape.dim, count)
     threshold = tol * shape.volume
     worst_mag, worst_dir = -1.0, None
@@ -467,8 +467,14 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     workers is accepted and ignored: the scan runs in one thread, which
     measured faster than a thread pool at every width above 1.
     """
+    if not (math.isfinite(grid) and grid > 0):
+        raise ValueError(f"grid step must be finite and positive, got {grid}")
+    if not float(lam_range[0]) < float(lam_range[1]):
+        raise ValueError(f"empty frequency range {lam_range[0]}:{lam_range[1]}")
+    if rotation_samples is not None and rotation_samples < 1:
+        raise ValueError(f"rotation samples must be >= 1, got {rotation_samples}")
     t0 = time.perf_counter()
-    count = rotation_samples or ROTATION_SAMPLES[shape.dim]
+    count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
     tolerances = {"vanish": vanish_tol, "quadrature": quad_tol,
                   "bisect": BISECT_TOL}
     landscape = [] if collect_landscape else None

@@ -96,26 +96,21 @@ def _instance(space_or_instance, subset=None) -> PompeiuInstance:
 # ---------------------------------------------------------------------------
 # oracle
 
-def translate_matrix(inst: PompeiuInstance) -> list[list[int]]:
-    """0/1 constraint rows, one per distinct translate gE over all g in G.
+def translate_matrix(inst: PompeiuInstance) -> np.ndarray:
+    """0/1 constraint rows, one per group element g: row g is the indicator
+    of the translate gE, since c lies in gE exactly when g^{-1}c lies in E.
 
     The integral of a coset function over gE genuinely depends on g, not
     just on the coset gK (the rows collapse to the transversal only when
     the lifted indicator of E is biinvariant), so every group element
-    contributes a row; duplicates are dropped.
+    contributes a row.  Repeated rows are kept: neither they nor the row
+    order change the kernel or the reduced row echelon basis that
+    `nullspace` returns, and removing them cost more than it saved.
     """
     space = inst.space
-    subset = sorted(inst.subset)
-    seen = set()
-    rows = []
-    for g in range(space.group.order):
-        translated = frozenset(int(space.action[g, c]) for c in subset)
-        if translated in seen:
-            continue
-        seen.add(translated)
-        rows.append([1 if c in translated else 0 for c in range(space.num_cosets)])
-    rows.sort(reverse=True)
-    return rows
+    indicator = np.zeros(space.num_cosets, dtype=np.int64)
+    indicator[sorted(inst.subset)] = 1
+    return indicator[space.action[space.group.inv]]
 
 
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
@@ -144,12 +139,21 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
 
 class _DecisionCache:
     """Per-space tables for the spectral and convolution deciders: integer
-    tables on an exact space, complex ones otherwise."""
+    tables on an exact space, complex ones otherwise.
+
+    generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
+    ideal generator of coset c for the identity, on the double-coset
+    representatives.  Translating by t^{-1} carries the generator of coset c
+    for the transversal element t onto that of coset t^{-1}c for the
+    identity; shift[r, c] is the coset t_r^{-1}c.  Every row is checked
+    biinvariant on the whole group here, once, which covers its translates
+    and every sum of rows, so no subset is checked again."""
 
     def __init__(self, space: CosetSpace):
         self.funcs = spherical_functions(space)
         self.exact = all(f.exact for f in self.funcs)
         st = hecke_structure(space)
+        group, n = space.group, space.group.order
         class_of = space.double_cosets.class_of
         self.reps = np.asarray(space.double_cosets.representatives, dtype=np.int32)
         self.sizes = np.asarray(st.class_sizes, dtype=np.float64)
@@ -165,7 +169,15 @@ class _DecisionCache:
             self.phi_matrix = values[:, inv_class] * self.sizes[None, :]
         # value tables on the group, scaled to integers on an exact space
         self.on_group = values[:, class_of]
-        self.class_of = class_of
+        # density[c, x] = #{k in K : k x^{-1} lies in coset c}
+        k_arr = np.asarray(space.k_members, dtype=np.int32)
+        cosets = space.coset_of[group.mul[np.ix_(k_arr, group.inv)]]
+        density = np.bincount((cosets * n + np.arange(n)).ravel(),
+                              minlength=space.num_cosets * n).reshape(-1, n)
+        if not np.array_equal(density, density[:, self.reps[class_of]]):
+            raise RuntimeError("ideal generator is not biinvariant")
+        self.generators = density[:, self.reps]
+        self.shift = space.action[group.inv[list(space.transversal)]]
 
 
 def _vanishing(values: np.ndarray, tol) -> np.ndarray:
@@ -182,24 +194,9 @@ def _cache(space: CosetSpace) -> _DecisionCache:
 
 def _generator_rows(inst: PompeiuInstance) -> np.ndarray:
     """Class-coefficient rows of the ideal generators, one per transversal
-    element; integer densities, verified constant on double cosets."""
-    space = inst.space
-    group = space.group
-    lifted = lift_set(space, inst.subset)
-    mask = np.zeros(group.order, dtype=np.int64)
-    mask[sorted(lifted)] = 1
-    k_arr = np.asarray(space.k_members, dtype=np.int32)
-    cache = _cache(space)
-    rows = np.empty((len(space.transversal), len(cache.reps)), dtype=np.int64)
-    for r, t in enumerate(space.transversal):
-        coset_members = group.mul[t, k_arr]
-        # density at x: #{ y in tK : y x^{-1} in lifted }
-        w = group.mul[np.ix_(coset_members, group.inv)]
-        density = mask[w].sum(axis=0)
-        if not np.array_equal(density, density[cache.reps][cache.class_of]):
-            raise RuntimeError("ideal generator is not biinvariant")
-        rows[r] = density[cache.reps]
-    return rows
+    element t: the sum over c in E of the generator of coset t^{-1}c."""
+    cache = _cache(inst.space)
+    return cache.generators[cache.shift[:, sorted(inst.subset)]].sum(axis=1)
 
 
 def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]:
@@ -387,6 +384,8 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max subset size must be >= 1, got {max_size}")
     t0 = time.perf_counter()
     spherical_functions(space)          # raises NotGelfandPairError up front
     masks = [m for m in range(1, 1 << space.num_cosets)

@@ -321,13 +321,12 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
 def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build from a spec dict: {"family": ..., "n": ..., "generators": ...}."""
     family = spec.get("family")
-    if family == "cyclic":
-        return cyclic_group(int(spec["n"]))
-    if family == "dihedral":
-        g = dihedral_group(int(spec["n"]))
-        if g.order > order_cap:
-            raise GroupSpecError(f"order {g.order} exceeds cap {order_cap}")
-        return g
+    if family in ("cyclic", "dihedral"):
+        n = int(spec["n"])
+        order = n if family == "cyclic" else 2 * n
+        if order > order_cap:
+            raise GroupSpecError(f"order {order} exceeds cap {order_cap}")
+        return cyclic_group(n) if family == "cyclic" else dihedral_group(n)
     if family == "symmetric":
         return symmetric_group(int(spec["n"]), order_cap=order_cap)
     if family == "permutations":

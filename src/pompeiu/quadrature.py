@@ -13,28 +13,35 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 _START_ORDER = 8
 _MAX_ORDER = 512
+# most nodes in a rule: the 3-D radial rule of order 128 (2^22 nodes) fits,
+# the next one (2^25) does not
+_NODE_BUDGET = 2 ** 23
 
 
 class QuadratureError(RuntimeError):
     """Adaptive order doubling failed to reach the requested tolerance."""
 
 
-def integrate_over(shape, integrand, tol: float = DEFAULT_TOL,
-                   start_order: int = _START_ORDER) -> complex:
-    """Integral over the shape of a vectorized integrand on N x dim points."""
-    order = start_order
+def integrate_over(shape, integrand, tol: float = DEFAULT_TOL) -> complex:
+    """Integral over the shape of a vectorized integrand on N x dim points.
+
+    Doubling the order multiplies the node count by about 2^dim; a rule
+    past order _MAX_ORDER or _NODE_BUDGET nodes is never built."""
+    order = _START_ORDER
     pts, wts = shape.quad_nodes(order)
     prev = complex(np.dot(wts.astype(complex), integrand(pts)))
-    while order <= _MAX_ORDER:
+    delta = float("inf")
+    while 2 * order <= _MAX_ORDER and len(pts) * 2 ** shape.dim <= _NODE_BUDGET:
         order *= 2
         pts, wts = shape.quad_nodes(order)
         cur = complex(np.dot(wts.astype(complex), integrand(pts)))
-        if abs(cur - prev) < tol:
+        delta = abs(cur - prev)
+        if delta < tol:
             return cur
         prev = cur
     raise QuadratureError(
-        f"no convergence to {tol:g} at order {_MAX_ORDER} (last delta "
-        f"{abs(cur - prev):.3e})")
+        f"no convergence to {tol:g} by order {order} ({len(pts)} nodes, "
+        f"last delta {delta:.3e})")
 
 
 def sphere_average(f, n: int = 64) -> complex:

@@ -182,6 +182,33 @@ def test_euclid_residuals_csv(disk_file, tmp_path):
         assert float(residual) < 1e-6
 
 
+@pytest.fixture
+def square_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "dim": 2, "shape": "polytope",
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("shape,args", [
+    ("disk", ["--grid", "0"]),
+    ("disk", ["--grid", "-0.5"]),
+    ("disk", ["--grid", "nan"]),
+    ("disk", ["--lambda-range", "5:1"]),
+    ("disk", ["--lambda-range", "3:3"]),
+    ("square", ["--rotations", "-3"]),
+    ("square", ["--rotations", "0"]),
+])
+def test_euclid_malformed_parameters_exit_2(shape, args, disk_file,
+                                            square_file, tmp_path, capsys):
+    spec = disk_file if shape == "disk" else square_file
+    argv = ["euclid", "decide", "--set", spec, "--lambda-range", "0:1",
+            "--grid", "0.5", *args, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_euclid_bad_spec(tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps({"dim": 2, "shape": "klein-bottle"}))

@@ -12,7 +12,7 @@ from pompeiu.euclidean import (ComplexVector, RigidMotion,
                                pompeiu_integral_check, radial_profile,
                                random_motions, rotation_directions,
                                spherical_phi)
-from pompeiu.quadrature import integrate_over
+from pompeiu.quadrature import QuadratureError, integrate_over
 from pompeiu.shapes import Annulus, Ball, DisjointUnion, Polytope
 
 J1_1 = 3.8317059702075123
@@ -139,6 +139,31 @@ def test_transform_at_zero_is_volume():
 def test_square_closed_form_value():
     val = fourier_laplace(SQUARE, [math.pi, math.pi])
     assert abs(val - (-4.0 / math.pi ** 2)) < 1e-14
+
+
+class _UnconvergingShape:
+    """A rule of order q has q^dim zero-width nodes, and the estimate never
+    settles.  A rule past order 512 or 2^23 nodes fails the test instead of
+    being allocated."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.orders = []
+
+    def quad_nodes(self, order):
+        nodes = order ** self.dim
+        assert order <= 512 and nodes <= 2 ** 23, \
+            f"built a rule of order {order} with {nodes} nodes"
+        self.orders.append(order)
+        return np.empty((nodes, 0)), np.ones(nodes)
+
+
+@pytest.mark.parametrize("dim,last_order", [(2, 512), (3, 128)])
+def test_quadrature_stops_at_order_cap_and_node_budget(dim, last_order):
+    shape = _UnconvergingShape(dim)
+    with pytest.raises(QuadratureError, match=f"by order {last_order} "):
+        integrate_over(shape, lambda p: np.full(len(p), float(len(p))))
+    assert shape.orders[-1] == last_order
 
 
 def test_disk_transform_value_and_quadrature():

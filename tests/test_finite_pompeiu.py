@@ -199,6 +199,52 @@ def test_exact_spaces_decide_on_integer_tables():
     assert kinds == {True, False}
 
 
+def _sampled_instances(per_space=12):
+    """Seeded subsets of every acceptance-suite space and of S5/S4, D24 with
+    a reflection and Z20."""
+    from conftest import acceptance_suite
+    rng = np.random.default_rng(5)
+    spaces = acceptance_suite() + [symmetric_space(5, fixed_point=4),
+                                   dihedral_space(24), cyclic_space(20)]
+    for space in spaces:
+        for _ in range(per_space):
+            mask = rng.random(space.num_cosets) < 0.5
+            mask[rng.integers(space.num_cosets)] = True
+            yield PompeiuInstance(space, frozenset(np.flatnonzero(mask).tolist()))
+
+
+def test_generator_rows_match_direct_densities():
+    """Summed per-coset rows equal the density #{y in tK : y x^{-1} in E~}
+    at the double-coset representatives, counted per subset."""
+    from pompeiu.finite_pompeiu import _generator_rows
+    for inst in _sampled_instances():
+        space = inst.space
+        mul, inv = space.group.mul, space.group.inv
+        lifted = lift_set(space, inst.subset)
+        expected = [[sum(int(mul[mul[t, k], inv[x]]) in lifted
+                         for k in space.k_members)
+                     for x in space.double_cosets.representatives]
+                    for t in space.transversal]
+        assert _generator_rows(inst).tolist() == expected
+
+
+def test_translate_matrix_keeps_every_translate_and_the_kernel():
+    """Row g is the indicator of gE, and the kernel basis is the one of the
+    distinct rows in descending order."""
+    from pompeiu.exact_linalg import nullspace
+    from pompeiu.finite_pompeiu import translate_matrix
+    for inst in _sampled_instances():
+        space = inst.space
+        matrix = translate_matrix(inst)
+        assert matrix.shape == (space.group.order, space.num_cosets)
+        for g in range(space.group.order):
+            translate = {int(space.action[g, c]) for c in inst.subset}
+            assert set(np.flatnonzero(matrix[g]).tolist()) == translate
+        distinct = sorted({tuple(int(v) for v in row) for row in matrix},
+                          reverse=True)
+        assert nullspace(matrix) == nullspace(distinct)
+
+
 # ---------------------------------------------------------------------------
 # shortcut
 
@@ -259,6 +305,8 @@ def test_sweep_max_size(d6_space):
     result = enumerate_all(d6_space, max_size=2)
     assert all(len(r.subset) <= 2 for r in result.rows)
     assert len(result.rows) == 6 + 15
+    with pytest.raises(ValueError, match="max subset size"):
+        enumerate_all(d6_space, max_size=0)
 
 
 def test_sweep_workers_deterministic(d6_space):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pompeiu import groups
 from pompeiu.groups import (GroupSpecError, build_coset_space, build_group,
                             check_function_invariance, cycle_label,
                             double_cosets, lift_set, load_group_spec,
@@ -40,6 +41,27 @@ def test_generated_order_cap():
     with pytest.raises(GroupSpecError, match="cap"):
         build_group({"family": "permutations",
                      "generators": [[1, 2, 3, 4, 0]]}, order_cap=3)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cyclic", "n": 5041},
+    {"family": "dihedral", "n": 2521},
+])
+def test_order_cap_checked_before_building(spec, monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"built a group past the cap for n={n}")
+    monkeypatch.setattr(groups, "cyclic_group", no_table)
+    monkeypatch.setattr(groups, "dihedral_group", no_table)
+    with pytest.raises(GroupSpecError, match="exceeds cap 5040"):
+        build_group(spec)
+
+
+def test_order_cap_boundary():
+    assert build_group({"family": "cyclic", "n": 10}, order_cap=10).order == 10
+    assert build_group({"family": "dihedral", "n": 5}, order_cap=10).order == 10
+    for spec in ({"family": "cyclic", "n": 11}, {"family": "dihedral", "n": 6}):
+        with pytest.raises(GroupSpecError, match="cap 10"):
+            build_group(spec, order_cap=10)
 
 
 def test_generators_must_share_domain():
