@@ -24,13 +24,25 @@ def _to_matrix(rows: Iterable[Sequence]) -> Matrix:
 def _integer_array(matrix: Iterable[Sequence[int]]) -> np.ndarray:
     """The matrix as int64 when Hadamard's bound shows that no product of
     two of its minors, nor their difference, can overflow; else as Python
-    ints (object dtype)."""
-    m = np.asarray(matrix, dtype=object)
+    ints (object dtype).
+
+    With n columns and entries at most top in absolute value, every minor
+    is at most (sqrt(n) top)^n.  When every entry is 0 or 1 the sharper
+    bound for 0/1 matrices applies: a k x k minor is at most
+    (k+1)^((k+1)/2) / 2^k, so the elimination stays in int64 up to 22
+    columns (the general bound allows 15)."""
+    m = np.asarray(matrix)
+    if m.dtype.kind not in "iu":
+        # Python ints past int64 come back as object or float64
+        m = np.asarray(matrix, dtype=object)
     n_cols = m.shape[1]
-    top = int(np.abs(m).max(initial=0))
-    # every minor is at most (sqrt(n) top)^n in absolute value
-    fits = 2 * (n_cols * top * top) ** n_cols < 2 ** 63
-    return m.astype(np.int64) if fits else m
+    if ((m == 0) | (m == 1)).all():
+        # 2 B^2 < 2^63 with B^2 = (n+1)^(n+1) / 4^n
+        fits = 2 * (n_cols + 1) ** (n_cols + 1) < 2 ** 63 * 4 ** n_cols
+    else:
+        top = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+        fits = 2 * (n_cols * top * top) ** n_cols < 2 ** 63
+    return m.astype(np.int64) if fits else m.astype(object)
 
 
 def nullspace(matrix: Iterable[Sequence[int]]) -> List[Vector]:

@@ -209,6 +209,16 @@ def test_euclid_malformed_parameters_exit_2(shape, args, disk_file,
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_euclid_grid_cap_exit_2(tmp_path, capsys):
+    spec = tmp_path / "ball3.json"
+    spec.write_text(json.dumps({"dim": 3, "shape": "ball", "radius": 1.0}))
+    assert main(["euclid", "decide", "--set", str(spec), "--grid", "1e-15",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
+    assert "Traceback" not in err
+
+
 def test_euclid_bad_spec(tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps({"dim": 2, "shape": "klein-bottle"}))

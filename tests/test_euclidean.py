@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
 
+import pompeiu.euclidean as euclidean
 from pompeiu.euclidean import (ComplexVector, RigidMotion,
                                complex_sphere_vanishes, convolution_test,
                                euclid_decide, exp_divided_difference,
@@ -127,6 +129,197 @@ def test_divided_difference_branch_consistency():
         lhs = exp_divided_difference([x + shift for x in nodes])
         rhs = np.exp(shift) * exp_divided_difference(nodes)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+
+
+def _mp_divided_difference(nodes):
+    """exp[x_0, ..., x_k] at 50 digits: the Lagrange form for distinct nodes,
+    the corner of the exponential of the bidiagonal matrix otherwise."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpc(complex(v)) for v in nodes]
+        m = len(xs)
+        if len(set(complex(v) for v in nodes)) == m:
+            total = mpmath.mpc(0)
+            for i in range(m):
+                denom = mpmath.mpc(1)
+                for j in range(m):
+                    if j != i:
+                        denom *= xs[i] - xs[j]
+                total += mpmath.exp(xs[i]) / denom
+            return complex(total)
+        a = mpmath.matrix(m, m)
+        for i in range(m):
+            a[i, i] = xs[i]
+            if i + 1 < m:
+                a[i, i + 1] = 1
+        return complex(mpmath.expm(a)[0, m - 1])
+
+
+def _regime(x):
+    """The regime the kernel documents for one row of nodes."""
+    if np.abs(x - x.mean()).max() <= 0.8:
+        return "series"
+    gaps = [abs(a - b) for i, a in enumerate(x) for b in x[i + 1:]]
+    return "lagrange" if min(gaps) >= 0.5 else "matrix"
+
+
+def _node_rows(m, kind, rng):
+    """Rows of m nodes of one kind (purely imaginary, real or complex):
+    clustered, well spread, exactly confluent and near-confluent pairs."""
+    unit = {"imag": 1j, "real": 1.0, "complex": (1 + 1j) / math.sqrt(2)}[kind]
+    rows = []
+    for scale in (0.05, 0.3, 2.0, 12.0, 45.0):
+        for pair in (None, 0.0, 1e-9, 1e-5, 0.3):
+            t = rng.uniform(-scale, scale, m)
+            if kind == "complex":
+                x = t + 1j * rng.uniform(-scale, scale, m)
+            else:
+                x = t * unit
+            if pair is not None:
+                x[1] = x[0] + pair * unit
+            rows.append(x)
+    rows.append(np.full(m, 3.0 * unit))              # fully confluent
+    rows.append(np.array([0.0, 0.0] + [5.0] * (m - 2)) * unit)
+    return np.asarray(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("kind", ["imag", "real", "complex"])
+def test_divided_difference_batch_matches_mpmath(m, kind):
+    rows = _node_rows(m, kind, np.random.default_rng(10 * m + len(kind)))
+    got = exp_divided_difference(rows)
+    assert got.shape == (len(rows),)
+    assert {_regime(x) for x in rows} == {"series", "lagrange", "matrix"}
+    for x, value in zip(rows, got):
+        ref = _mp_divided_difference(x)
+        assert abs(value - ref) <= 1e-12 * abs(ref), (x, value, ref)
+        assert exp_divided_difference(x) == pytest.approx(value, rel=1e-14)
+
+
+MOVED_SQUARE = Polytope(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ _rot2(0.7).T
+                        + [0.4, -1.1])
+
+
+@pytest.mark.parametrize("shape", [
+    MOVED_SQUARE,
+    DisjointUnion([TRIANGLE, Polytope([[2, 2], [3, 2], [2.5, 3], [2, 3]])]),
+    DISK,
+], ids=["polytope", "polytope-union", "disk"])
+def test_batched_transform_equals_row_by_row(shape):
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-15, 15, (300, 2)) + 1j * rng.uniform(-2, 2, (300, 2))
+    batch = fourier_laplace(shape, z)
+    assert batch.shape == (300,)
+    rows = np.array([fourier_laplace(shape, row) for row in z])
+    np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=1e-13 * shape.volume)
+
+
+def _box_orbit_max(lams, rotation, count):
+    """Closed-form orbit maxima of R [0,1]^d + t: the transform's modulus
+    is prod |sinc(w / 2)| at w = lam R^T u."""
+    dirs = rotation_directions(rotation.shape[0], count)
+    w = np.asarray(lams)[:, None, None] * (dirs @ rotation)[None]
+    return np.abs(np.sinc(w / (2.0 * np.pi))).prod(axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("dim,lam_hi,samples", [(2, 18.5, 64), (3, 7.4, 200)])
+def test_polytope_landscape_matches_moved_box_across_chunks(dim, lam_hi, samples,
+                                                            monkeypatch):
+    """37 frequencies: a grid that is not a multiple of the block in either
+    dimension; with 200 directions the cube's orbit also spans two blocks.
+    No block holds more than SCAN_CHUNK (frequency, direction, simplex)
+    triples."""
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rot = q * np.sign(np.linalg.det(q))
+    unit = np.array([[(k >> i) & 1 for i in range(dim)] for k in range(2 ** dim)])
+    box = Polytope(unit @ rot.T + rng.uniform(-1, 1, dim))
+    grid = lam_hi / 37
+    triples = samples * len(box.simplices())
+    assert 37 * triples % euclidean.SCAN_CHUNK != 0
+    assert (triples > euclidean.SCAN_CHUNK) == (dim == 3)
+    blocks = []
+
+    def recorded(shape, z):
+        blocks.append(len(z) * len(box.simplices()))
+        return fourier_laplace(shape, z)
+
+    monkeypatch.setattr(euclidean, "fourier_laplace", recorded)
+    report = euclid_decide(box, (0.0, lam_hi), grid=grid,
+                           rotation_samples=samples, collect_landscape=True)
+    assert sum(blocks) == 37 * triples
+    assert max(blocks) <= euclidean.SCAN_CHUNK
+    monkeypatch.undo()
+    lams, mags = np.array(report.landscape).T
+    assert len(lams) == 37
+    ref = _box_orbit_max(lams, rot, samples)
+    assert np.abs(mags - ref).max() <= 1e-12 * ref.min()
+    for lam, mag in report.landscape[::9]:
+        check = complex_sphere_vanishes(box, lam, samples)
+        assert check.max_magnitude == pytest.approx(mag, rel=1e-13)
+
+
+def test_orbit_maximum_keeps_the_first_direction_across_blocks(monkeypatch):
+    """With blocks of 8 directions, a maximum shared by directions 13 and
+    21 (in the second and third blocks) and a constant orbit both report
+    the first direction reaching the maximum."""
+    monkeypatch.setattr(euclidean, "SCAN_CHUNK", 8)
+    dirs = rotation_directions(2, 30)
+    values = np.zeros(30)
+    values[[13, 21]] = 5.0
+
+    def by_direction(shape, z):
+        angle = np.arctan2(z[:, 1].real, z[:, 0].real) % (2 * np.pi)
+        return values[np.rint(angle / (2 * np.pi / 30)).astype(int) % 30] + 0j
+
+    monkeypatch.setattr(euclidean, "fourier_laplace", by_direction)
+    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=30)
+    assert check.max_magnitude == 5.0
+    assert check.worst_direction == tuple(dirs[13])
+    values[:] = 2.0
+    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=30)
+    assert check.worst_direction == tuple(dirs[0])
+
+
+def test_orbit_maximum_passes_over_nan(monkeypatch):
+    """A NaN value never becomes the maximum; an orbit of NaN values only
+    reports NaN, which does not count as vanishing."""
+    monkeypatch.setattr(euclidean, "fourier_laplace", lambda shape, z: np.where(
+        np.arange(len(z)) % 2 == 0, np.nan, 3.0 + 0j))
+    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=6)
+    assert check.max_magnitude == 3.0
+    assert check.worst_direction == tuple(rotation_directions(2, 6)[1])
+    monkeypatch.setattr(euclidean, "fourier_laplace",
+                        lambda shape, z: np.full(len(z), np.nan + 0j))
+    check = complex_sphere_vanishes(TRIANGLE, 1.5)
+    assert math.isnan(check.max_magnitude) and not check.vanishes
+
+
+def test_complex_extra_lambda_past_imag_cap_raises():
+    with pytest.raises(ValueError, match="cap"):
+        euclid_decide(SQUARE, (0, 1), grid=0.5, extra_lambdas=[2.0 + 60.0j])
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shape,scan", [(BALL3, "radial_profile"),
+                                        (SQUARE, "_orbit_maxima")])
+def test_grid_cap_boundary(shape, scan, monkeypatch):
+    """(hi - lo) / grid = 10^6 passes the cap and reaches the scan (stubbed
+    out here); one more step is refused before anything is allocated."""
+    assert euclidean.MAX_GRID_POINTS == 10 ** 6
+
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(euclidean, scan, reached)
+    with pytest.raises(_Reached):
+        euclid_decide(shape, (0.0, 500000.0), grid=0.5)
+    with pytest.raises(ValueError, match="cap"):
+        euclid_decide(shape, (0.0, 500000.5), grid=0.5)
+    with pytest.raises(ValueError, match="cap"):
+        euclid_decide(shape, (0.0, 20.0), grid=1e-15)
 
 
 def test_transform_at_zero_is_volume():
