@@ -1,7 +1,10 @@
 """Bessel functions J0 and J1 for real and complex arguments.
 
 Power series inside |z| <= 12, large-argument (Hankel) expansion outside.
-Both branches accept numpy arrays.  The splitting radius keeps the series
+Both branches accept numpy arrays.  Every kernel here keeps the dtype of
+its input: a real scalar or array is evaluated in real arithmetic and
+gives float values, a complex one gives complex values, by the same code
+(ints count as real).  The splitting radius keeps the series
 cancellation below ~1e-12 while the asymptotic remainder at |z| = 12 is
 already below 1e-13, so the two branches agree well inside the 1e-10
 tolerances used elsewhere.  Arguments in the left half plane are reflected
@@ -16,14 +19,22 @@ SERIES_RADIUS = 12.0
 _SERIES_TERMS = 48
 _ASYMPTOTIC_TERMS = 19
 
+# Two rules keep every entry of an array bit-identical to the same argument
+# evaluated alone, and the real path bit-identical to the real part of the
+# complex one in the series: a product of two complex arrays is never
+# formed in place (numpy's in-place complex multiply rounds a one-element
+# array differently), and a division by a real constant is a product with
+# its reciprocal (numpy divides a complex number by one that way).
+
 
 def _series_j0(z: np.ndarray) -> np.ndarray:
     q = -(z * z) / 4.0
     term = np.ones_like(q)
     acc = np.ones_like(q)
     for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * k)
-        acc = acc + term
+        term = term * q
+        term *= 1.0 / (k * k)
+        acc += term
     return acc
 
 
@@ -33,8 +44,9 @@ def _series_j1(z: np.ndarray) -> np.ndarray:
     term = np.ones_like(q)
     acc = np.ones_like(q)
     for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * (k + 1))
-        acc = acc + term
+        term = term * q
+        term *= 1.0 / (k * (k + 1))
+        acc += term
     return acc * z / 2.0
 
 
@@ -43,33 +55,57 @@ def _asymptotic(nu: int, z: np.ndarray) -> np.ndarray:
     p = np.ones_like(z)
     q = np.zeros_like(z)
     term = np.ones_like(z)
-    sign_cycle = (1.0, 1.0, -1.0, -1.0)       # signs of the k-th term in (P, Q)
     for k in range(1, _ASYMPTOTIC_TERMS):
-        term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0) / z
-        s = sign_cycle[k % 4]
-        if k % 2 == 0:
-            p = p + s * term
+        term *= mu - (2 * k - 1) ** 2
+        term *= 1.0 / (k * 8.0)
+        term /= z
+        # the k-th term goes to P (k even) or Q (k odd), added when k % 4 < 2
+        acc = p if k % 2 == 0 else q
+        if k % 4 < 2:
+            acc += term
         else:
-            q = q + s * term
+            acc -= term
     omega = z - (nu / 2.0 + 0.25) * np.pi
     return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
 
 
-def _eval(nu: int, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
+def _as_array(z) -> np.ndarray:
+    """z as a float or complex array, whichever holds it without loss."""
+    z = np.asarray(z)
+    return np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
+
+
+def _kernel(z, inside, f_in, f_out):
+    """f_in on the entries of z where inside(z) holds, f_out on the rest,
+    for z a scalar or an array, in the dtype of z.  A branch that covers
+    every entry runs on z itself, with no gather or scatter."""
+    z = _as_array(z)
     scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
-    flip = z.real < 0
-    z[flip] = -z[flip]
-    out = np.empty_like(z)
-    small = np.abs(z) <= SERIES_RADIUS
-    if small.any():
-        out[small] = (_series_j0 if nu == 0 else _series_j1)(z[small])
-    if (~small).any():
-        out[~small] = _asymptotic(nu, z[~small])
-    if nu == 1:
-        out[flip] = -out[flip]
+    z = np.atleast_1d(z)
+    mask = inside(z)
+    if mask.all():
+        out = f_in(z)
+    elif not mask.any():
+        out = f_out(z)
+    else:
+        out = np.empty_like(z)
+        out[mask] = f_in(z[mask])
+        out[~mask] = f_out(z[~mask])
     return out[0] if scalar else out
+
+
+def _eval(nu: int, z):
+    # reflect the left half plane: J0(-z) = J0(z), J1(-z) = -J1(z)
+    z = _as_array(z)
+    flip = z.real < 0
+    if flip.any():
+        z = np.where(flip, -z, z)
+    out = _kernel(z, lambda z: np.abs(z) <= SERIES_RADIUS,
+                  _series_j0 if nu == 0 else _series_j1,
+                  lambda z: _asymptotic(nu, z))
+    if nu == 1 and flip.any():
+        out = np.where(flip, -out, out)[()]
+    return out
 
 
 def besselj0(z):
@@ -84,33 +120,18 @@ def besselj1(z):
 
 def j1_over_z(z):
     """J1(z)/z, an even entire function with value 1/2 at z = 0."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    tiny = np.abs(z) < 1e-8
-    if tiny.any():
-        out[tiny] = 0.5 - z[tiny] ** 2 / 16.0
-    rest = ~tiny
-    if rest.any():
-        out[rest] = besselj1(z[rest]) / z[rest]
-    return out[0] if scalar else out
+    return _kernel(z, lambda z: np.abs(z) < 1e-8,
+                   lambda z: 0.5 - z ** 2 / 16.0,
+                   lambda z: besselj1(z) / z)
 
 
 def sinc(z):
-    """sin(z)/z with the removable singularity filled in; complex-safe."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    tiny = np.abs(z) < 1e-6
-    if tiny.any():
-        t2 = z[tiny] ** 2
-        out[tiny] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    rest = ~tiny
-    if rest.any():
-        out[rest] = np.sin(z[rest]) / z[rest]
-    return out[0] if scalar else out
+    """sin(z)/z with the removable singularity filled in."""
+    def series(z):
+        t2 = z ** 2
+        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    return _kernel(z, lambda z: np.abs(z) < 1e-6, series,
+                   lambda z: np.sin(z) / z)
 
 
 def ball3_profile(z):
@@ -119,22 +140,14 @@ def ball3_profile(z):
     This is the radial transform profile of the unit ball in three
     dimensions up to the 4*pi factor.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    if small.any():
-        u2 = z[small] ** 2
+    def series(z):
+        u2 = z ** 2
         # sum_{k>=1} (-1)^{k+1} 2k u^{2k-2} / (2k+1)!
         term = np.full_like(u2, 1.0 / 3.0)
         acc = term.copy()
         for k in range(2, 12):
             term = term * (-u2) * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
             acc = acc + term
-        out[small] = acc
-    rest = ~small
-    if rest.any():
-        zr = z[rest]
-        out[rest] = (np.sin(zr) - zr * np.cos(zr)) / zr ** 3
-    return out[0] if scalar else out
+        return acc
+    return _kernel(z, lambda z: np.abs(z) < 0.5, series,
+                   lambda z: (np.sin(z) - z * np.cos(z)) / z ** 3)

@@ -1,10 +1,10 @@
 """Batch front end: group/shape specs in, decision reports out.
 
-Exit codes: 0 success, 2 malformed spec, parameter or size cap, 3 method
-disagreement (a bug trap, never expected), 4 not a Gelfand pair, 5
-quadrature failure.  Reports are byte-stable for a fixed config and seed.  --threads and
-POMPEIU_THREADS are still accepted but no longer change anything: every
-command runs in one thread.
+Exit codes: 0 success, 2 malformed spec, parameter, size cap or work
+budget, 3 method disagreement (a bug trap, never expected), 4 not a
+Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a fixed
+config and seed.  --threads and POMPEIU_THREADS are still accepted but no
+longer change anything: every command runs in one thread.
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ frequency grid x orbit directions x simplices in blocks of at most
 SCAN_CHUNK triples and keeps a running maximum per frequency, so its
 memory stays flat whatever the grid.  A search range of more than
 MAX_GRID_POINTS grid steps is refused with ValueError.
+
+The radial search is in arrays too: one `radial_profile` call covers the
+whole grid (each entry bit-identical to a scalar call, so witnesses do not
+depend on how the grid is cut), and all sign-change brackets are bisected
+together, one call per step.  The convolution residual of a witness
+integrates phi_lam(x + y) for every sample point x in one adaptive
+integration on shared rules, in real arithmetic when lam is real.
 """
 
 from __future__ import annotations
@@ -115,12 +122,18 @@ class RigidMotion:
 def spherical_phi(lam: complex, x, dim: int):
     """Average of exp(i lam x.w) over unit directions w: J0(lam |x|) in the
     plane, sinc(lam |x|) in 3-space.  x may be one point or an N x dim
-    batch; lam may be complex."""
+    batch; lam may be complex.  A real lam is evaluated in real arithmetic
+    and gives real values."""
     if dim not in (2, 3):
         raise ValueError(f"unsupported dimension {dim}")
     pts = np.asarray(x, dtype=float)
-    r = np.linalg.norm(pts, axis=-1)
-    arg = complex(lam) * r
+    # |x| summed column by column: the values of np.linalg.norm, at less cost
+    sq = pts[..., 0] * pts[..., 0]
+    for i in range(1, pts.shape[-1]):
+        sq += pts[..., i] * pts[..., i]
+    r = np.sqrt(sq)
+    lam = complex(lam)
+    arg = (lam if lam.imag else lam.real) * r
     return besselj0(arg) if dim == 2 else sinc(arg)
 
 
@@ -247,12 +260,16 @@ def _radial_profile_w(shape, w):
     raise ValueError("shape is not radial")
 
 
-def radial_profile(shape, lam) -> complex:
+def radial_profile(shape, lam):
     """fourier_laplace of a radial shape at any frequency vector of
-    bilinear square lam^2."""
+    bilinear square lam^2: one complex for a scalar lam, a complex array
+    for an array of them.  Each entry of an array is bit-identical to the
+    scalar call at that lam."""
     if not shape.is_radial:
         raise ValueError("shape is not radial")
-    return complex(_radial_profile_w(shape, complex(lam)))
+    w = np.asarray(lam, dtype=complex)
+    vals = _radial_profile_w(shape, w)
+    return complex(vals) if w.ndim == 0 else vals
 
 
 def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
@@ -386,7 +403,7 @@ def find_failure_lambdas(shape: EuclideanSet, lam_range: tuple,
     if not shape.is_radial:
         raise ValueError("failure-frequency search requires a radial shape")
     xs, vals = _profile_on_grid(shape, lam_range, grid)
-    return _bracketed_roots(shape, xs, [v.real for v in vals], count)
+    return _bracketed_roots(shape, xs, vals.real, count)
 
 
 def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
@@ -403,26 +420,35 @@ def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
 
 
 def _profile_on_grid(shape, lam_range: tuple, grid: float):
-    """The search grid of the range and the complex radial profile on it."""
+    """The search grid of the range and the complex radial profile on it,
+    from one array call."""
     xs = _frequency_grid(lam_range, grid)
-    return xs, [radial_profile(shape, x) for x in xs]
+    return xs, radial_profile(shape, xs)
 
 
-def _bracketed_roots(shape, xs, vals, count: int | None) -> list[float]:
-    """Roots from sign changes of the real profile values vals on the grid
-    xs, each refined by bisection and checked on the rotation orbit."""
-    profile = _real_profile(shape)
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            roots.append(_bisect(profile, float(a), float(b)))
-        if count is not None and len(roots) >= count:
-            break
-    if vals and vals[-1] == 0.0 and (count is None or len(roots) < count):
+def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
+                     count: int | None) -> list[float]:
+    """Roots from the real profile values vals on the grid xs, in grid
+    order: a grid point where the profile is exactly 0, or a sign change
+    refined by bisection.  With a count, the search stops at the first
+    grid point past the count with a nonzero value; the last grid point
+    counts if its value is 0 and the count is not reached.  Every root is
+    checked on the rotation orbit."""
+    zero = vals[:-1] == 0.0
+    bracket = ~zero & (vals[:-1] * vals[1:] < 0)
+    hit = zero | bracket
+    if count is not None:
+        stop = np.nonzero(~zero & (np.cumsum(hit) >= count))[0]
+        if stop.size:
+            hit[stop[0] + 1:] = False
+    idx = np.nonzero(hit)[0]
+    found = xs[idx].astype(float)
+    on_bracket = bracket[idx]
+    found[on_bracket] = _bisect_brackets(shape, xs[idx[on_bracket]],
+                                         xs[idx[on_bracket] + 1],
+                                         vals[idx[on_bracket]])
+    roots = found.tolist()
+    if len(vals) and vals[-1] == 0.0 and (count is None or len(roots) < count):
         roots.append(float(xs[-1]))
     for lam in roots:
         check = complex_sphere_vanishes(shape, lam)
@@ -432,25 +458,30 @@ def _bracketed_roots(shape, xs, vals, count: int | None) -> list[float]:
     return roots
 
 
-def _real_profile(shape):
-    def profile(lam: float) -> float:
-        val = radial_profile(shape, lam)
-        return val.real
-    return profile
-
-
-def _bisect(f, a: float, b: float) -> float:
-    fa = f(a)
-    while b - a > BISECT_TOL:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
+                     fa: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [a, b] of the real profile at once, fa the
+    profile at a: one profile call per step on the midpoints of the
+    brackets still open.  Each bracket takes its own steps: it halves
+    while b - a > BISECT_TOL, ends at a midpoint where the profile is
+    exactly 0, and otherwise ends at its final midpoint."""
+    a, b, fa = a.astype(float), b.astype(float), fa.astype(float)
+    roots = 0.5 * (a + b)
+    live = np.nonzero(b - a > BISECT_TOL)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        fm = radial_profile(shape, m).real
+        exact = fm == 0.0
+        roots[live[exact]] = m[exact]
+        left = fa[live] * fm < 0
+        b[live[left]] = m[left]
+        right = ~left & ~exact
+        a[live[right]] = m[right]
+        fa[live[right]] = fm[right]
+        live = live[~exact]
+        roots[live] = 0.5 * (a[live] + b[live])
+        live = live[b[live] - a[live] > BISECT_TOL]
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +491,16 @@ def _bisect(f, a: float, b: float) -> float:
 def convolution_test(shape: EuclideanSet, lam: complex, sample_points,
                      tol: float = DEFAULT_TOL) -> float:
     """Max over the sample points x of |integral over the shape of
-    phi_lam(x + y) dy|; zero exactly at failure frequencies."""
+    phi_lam(x + y) dy|; zero exactly at failure frequencies.  One adaptive
+    integration serves all sample points, on shared rules; a real lam
+    integrates in real arithmetic."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
-        val = integrate_over(
-            shape, lambda pts: spherical_phi(lam, pts + x, shape.dim), tol)
-        worst = max(worst, abs(val))
-    return worst
+    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    vals = integrate_over(
+        shape, [lambda p, x=x: spherical_phi(lam, p + x, shape.dim) for x in pts],
+        tol)
+    return max([0.0] + [abs(v) for v in vals])
 
 
 def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
@@ -478,7 +510,8 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
                            tol: float = DEFAULT_TOL) -> float:
     """Max over rigid motions of |integral of f over the moved shape| for
     both test functions: the spherical average phi_lam and the plane wave
-    exp(i lam x_1)."""
+    exp(i lam x_1).  One adaptive integration serves every motion and
+    test function, on shared rules."""
     if motions is None:
         if count is None:
             raise ValueError("give either motions or a seeded count")
@@ -486,14 +519,12 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
             raise ValueError("random motions require a seed")
         motions = random_motions(shape.dim, count, seed, translation_scale)
     lam = complex(lam)
-    worst = 0.0
-    for motion in motions:
-        for f in (lambda p: spherical_phi(lam, p, shape.dim),
-                  lambda p: np.exp(1j * lam * p[:, 0])):
-            val = integrate_over(
-                shape, lambda pts, fn=f: fn(motion.apply(pts)), tol)
-            worst = max(worst, abs(val))
-    return worst
+    tests = (lambda p: spherical_phi(lam, p, shape.dim),
+             lambda p: np.exp(1j * lam * p[:, 0]))
+    vals = integrate_over(
+        shape, [lambda p, m=m, f=f: f(m.apply(p)) for m in motions for f in tests],
+        tol)
+    return max([0.0] + [abs(v) for v in vals])
 
 
 def random_motions(dim: int, count: int, seed: int,
@@ -575,10 +606,9 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     witnesses: list = []
     if shape.is_radial:
         xs, vals = _profile_on_grid(shape, lam_range, grid)
-        witnesses = [float(x) for x in
-                     _bracketed_roots(shape, xs, [v.real for v in vals], None)]
+        witnesses = _bracketed_roots(shape, xs, vals.real, None)
         if collect_landscape:
-            landscape.extend((float(x), abs(v)) for x, v in zip(xs, vals))
+            landscape.extend(zip(xs.tolist(), np.abs(vals).tolist()))
     else:
         xs = _frequency_grid(lam_range, grid)
         maxima, _ = _orbit_maxima(shape, xs, rotation_directions(shape.dim, count))

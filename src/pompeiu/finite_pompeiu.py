@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exact_linalg as xla
-from .groups import CosetSpace, check_function_invariance, lift_set
+from .groups import CosetSpace, check_work_budget, lift_set
 from .hecke import (BiinvariantMeasure, SphericalFunction, _scaled_integers,
                     hecke_structure, measure_from_function, phi_hom,
                     spherical_functions)
@@ -120,6 +120,10 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     count minus its dimension."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
+    space = inst.space
+    check_work_budget(space.group.order * space.num_cosets ** 2,
+                      f"{space.group.name} with {space.num_cosets} cosets: "
+                      "the oracle's elimination")
     t0 = time.perf_counter()
     matrix = translate_matrix(inst)
     kernel = xla.nullspace(matrix)
@@ -290,19 +294,30 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
 # shortcut for biinvariant lifted indicators
 
 
+def _biinvariant_lift(space: CosetSpace, subset) -> np.ndarray | None:
+    """The indicator of E on the cosets when E is a union of K-orbits, else
+    None.  The lifted indicator of E is always right K-invariant; it is
+    left K-invariant exactly when k.c lies in E for every k in K and c in
+    E, which is one gather on the action table."""
+    inside = np.zeros(space.num_cosets, dtype=bool)
+    inside[sorted(subset)] = True
+    k_arr = np.asarray(space.k_members, dtype=np.intp)
+    if not inside[space.action[np.ix_(k_arr, np.nonzero(inside)[0])]].all():
+        return None
+    return inside
+
+
 def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
     """Single-measure decision, available when the lifted indicator is
     already biinvariant; returns None when not applicable."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     space = inst.space
-    lifted = lift_set(space, inst.subset)
-    indicator = [1 if g in lifted else 0 for g in range(space.group.order)]
-    if not check_function_invariance(space, indicator, "bi"):
+    inside = _biinvariant_lift(space, inst.subset)
+    if inside is None:
         return None
     t0 = time.perf_counter()
-    inv = space.group.inv
-    reversed_vals = [Fraction(indicator[int(inv[x])]) for x in range(space.group.order)]
+    reversed_vals = [Fraction(int(v)) for v in inside[space.coset_of[space.group.inv]]]
     mu = measure_from_function(space, reversed_vals)
     zs = zero_set(mu)
     if not zs:

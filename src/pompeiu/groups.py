@@ -18,12 +18,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_ORDER_CAP = 5040
+# Largest d^3 array (d the number of double-coset classes) and largest
+# elimination (group order x cosets^2 entry updates) that the finite
+# deciders will start.  With K = {e} both are n^3 for Z_n: Z_215 decides,
+# Z_216 is refused, long before the 5040-element order cap.  Z_200 peaks
+# at about 0.5 GB.
+WORK_BUDGET = 10 ** 7
 
 __all__ = [
     "FiniteGroup",
     "CosetSpace",
     "DoubleCosetPartition",
     "GroupSpecError",
+    "WORK_BUDGET",
+    "check_work_budget",
     "build_group",
     "build_coset_space",
     "double_cosets",
@@ -36,6 +44,14 @@ __all__ = [
 
 class GroupSpecError(ValueError):
     """Raised for malformed group specifications or cap violations."""
+
+
+def check_work_budget(size: int, what: str) -> None:
+    """Raise GroupSpecError when size, the entries of an array or the steps
+    of an elimination about to be started, exceeds WORK_BUDGET."""
+    if size > WORK_BUDGET:
+        raise GroupSpecError(f"{what} has size {size}, over the work budget "
+                             f"of {WORK_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +110,7 @@ class FiniteGroup:
         self.name = name
         if element_labels is not None and len(element_labels) != self.order:
             raise GroupSpecError("element_labels length != order")
-        self.element_labels = tuple(element_labels) if element_labels else tuple(
-            str(i) for i in range(self.order))
+        self._labels = tuple(element_labels) if element_labels else None
         self.inv = self._build_inverse_table()
         self.inv.setflags(write=False)
         self._validate()
@@ -129,7 +144,18 @@ class FiniteGroup:
             if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
                 raise GroupSpecError("multiplication table is not associative")
 
+    @property
+    def element_labels(self) -> tuple:
+        """One label per element: the given labels, else the cycle notation
+        of a group built from permutations, else the index."""
+        if self._labels is None:
+            self._labels = tuple(cycle_label(p) for p in self.perms) \
+                if self.perms is not None else tuple(str(i) for i in range(self.order))
+        return self._labels
+
     def label(self, g: int) -> str:
+        if self._labels is None and self.perms is not None:
+            return cycle_label(self.perms[g])
         return self.element_labels[g]
 
     def __repr__(self) -> str:
@@ -228,20 +254,33 @@ class CosetSpace:
 
 
 def _table_from_perms(perms: list[tuple], name: str) -> FiniteGroup:
+    """The table of a group of permutations, with the cycle notation of each
+    element as its label (written out on first use).
+
+    An element is known by its images of a base, the shortest run of
+    leading points whose images tell all elements apart (2 points for a
+    dihedral group, n - 1 for S_n), keyed as digits base npts.  A key that
+    wraps int64 is only a hash, but one that is injective on the group
+    (checked) is all the lookup needs, since every product is an element."""
     n = len(perms)
     npts = len(perms[0])
     arr = np.asarray(perms, dtype=np.int64)
     weights = (npts ** np.arange(npts)).astype(np.int64)
-    keys = arr @ weights
+    keys = np.zeros(n, dtype=np.int64)
+    for m in range(1, npts + 1):
+        keys += arr[:, m - 1] * weights[m - 1]
+        if np.unique(keys).size == n:
+            break
+    else:
+        raise GroupSpecError("repeated permutations in a group table")
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    base = np.ascontiguousarray(arr[:, :m])
     mul = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        prod = arr[a][arr]                     # row a composed with every b
-        prod_keys = prod @ weights
+        prod_keys = arr[a][base] @ weights[:m]   # row a composed with every b
         mul[a] = order[np.searchsorted(sorted_keys, prod_keys)]
-    labels = [cycle_label(p) for p in perms]
-    group = FiniteGroup(mul, name=name, element_labels=labels)
+    group = FiniteGroup(mul, name=name)
     group.perms = tuple(perms)
     return group
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import CosetSpace
+from .groups import CosetSpace, check_work_budget
 
 SPHERICAL_RESIDUAL_TOL = 1e-10
 EIG_CLUSTER_TOL = 1e-8
@@ -119,6 +119,8 @@ class _HeckeStructure:
         dcp = space.double_cosets
         self.d = dcp.num_classes
         group = space.group
+        check_work_budget(self.d ** 3, f"{group.name} with {self.d} double cosets: "
+                                       "the Hecke operator tensor")
         mul, inv = group.mul, group.inv
         class_of = dcp.class_of
         reps = np.asarray(dcp.representatives, dtype=np.int32)
@@ -229,6 +231,8 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     f(k1 a k2 k k3 b k4) averages over k to the value at a, b."""
     mul = space.group.mul
     points = np.asarray(points, dtype=np.intp)
+    check_work_budget(math.prod(table.shape[:-1]) * len(points) ** 2,
+                      f"{space.group.name}: the functional-equation check")
     acc = np.zeros(table.shape[:-1] + (len(points), len(points)), dtype=table.dtype)
     for k in space.k_members:
         acc += table[..., mul[mul[points, k][:, None], points[None, :]]]

@@ -115,3 +115,30 @@ def test_j1_zeros_by_independent_bisection():
             else:
                 a, fa = m, fm
         assert abs(0.5 * (a + b) - root) < 1e-10
+
+
+KERNELS = [besselj0, besselj1, j1_over_z, sinc, ball3_profile]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+def test_real_input_is_evaluated_in_real_arithmetic(kernel):
+    """A float argument gives float values matching the real part of the
+    complex evaluation to 1e-14 relative, on both sides of SERIES_RADIUS,
+    at the branch points and at negative arguments; complex stays complex,
+    and a scalar equals the same argument in an array."""
+    from pompeiu.bessel import SERIES_RADIUS
+    xs = np.concatenate([np.linspace(-30.0, 30.0, 6001),
+                         [SERIES_RADIUS, -SERIES_RADIUS, 11.999999, 12.000001,
+                          0.0, 1e-9, 5e-7, 0.49, 0.51]])
+    real = kernel(xs)
+    assert real.dtype == np.float64
+    ref = kernel(xs.astype(complex))
+    assert ref.dtype == np.complex128
+    # near a zero of the kernel both sides carry an absolute rounding error
+    # of about 1e-17, so values below 1e-3 are compared at the scale 1e-3
+    scale = np.maximum(np.abs(ref.real), 1e-3)
+    assert np.all(np.abs(real - ref.real) <= 1e-14 * scale)
+    for x in (2.0, -13.5, 3):
+        assert isinstance(kernel(x), np.floating)
+        assert isinstance(kernel(complex(x)), np.complexfloating)
+        assert kernel(x) == kernel(np.array([x]))[0]

@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import pompeiu
 from pompeiu.cli import RunConfig, main
 
 
@@ -240,3 +245,52 @@ def test_stdout_default(z8_file, capsys):
     assert main(["finite", "check", "--group", z8_file, "--set", "0,1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "NotPompeiu"
+
+
+def _run_limited(args, tmp_path, memory_mb=2500, timeout=60):
+    """Run `python -m pompeiu.cli ARGS` in a child whose address space alone
+    is capped at memory_mb, with the package under test first on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pompeiu.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    limit = memory_mb * 1024 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # one BLAS thread, so that the limit does not depend on the core count
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "pompeiu.cli", *args], env=env,
+                          cwd=tmp_path, preexec_fn=cap, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cyclic", "n": 400, "subgroup_generators": []},
+    {"family": "cyclic", "n": 5040, "subgroup_generators": []},
+    {"family": "dihedral", "n": 2520,
+     "subgroup_generators": [[(-i) % 2520 for i in range(2520)]]},
+], ids=["Z400", "Z5040", "D2520-reflection"])
+def test_finite_check_past_the_work_budget_exits_2(spec, tmp_path):
+    """Spaces whose oracle elimination or Hecke tensor exceeds the work
+    budget stop with exit 2 and a typed message, within seconds and under a
+    2.5 GB address-space limit, instead of a MemoryError or a long run."""
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(spec))
+    proc = _run_limited(["finite", "check", "--group", str(group), "--set", "0,1"],
+                        tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "over the work budget of 10000000" in proc.stderr
+    assert "MemoryError" not in proc.stderr
+
+
+def test_finite_check_z200_still_decides(tmp_path):
+    group = tmp_path / "z200.json"
+    group.write_text(json.dumps({"family": "cyclic", "n": 200,
+                                 "subgroup_generators": []}))
+    out = tmp_path / "report.json"
+    proc = _run_limited(["finite", "check", "--group", str(group), "--set", "0,100",
+                         "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["agreement"] and report["verdict"] == "NotPompeiu"

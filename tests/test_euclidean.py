@@ -684,3 +684,194 @@ def test_decide_extra_candidates():
     assert any(abs(w - J1_1) < 1e-9 for w in report.lambda_witnesses)
     benign = euclid_decide(DISK, (0, 2), extra_lambdas=[1.0 + 0.5j])
     assert benign.verdict == "NoFailureFoundInRange"
+
+
+# ---------------------------------------------------------------------------
+# array radial search and shared quadrature rules
+
+
+RINGS = DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)])
+# the radial shapes and ranges of the euclid-radial-witnesses benchmark
+RADIAL_WORKLOAD = [(DISK, 20.0), (BALL3, 20.0), (Annulus(1.0, 2.0, 2), 20.0),
+                   (RINGS, 10.0), (Annulus(2.0, 3.0, 3), 6.0)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("shape,hi", RADIAL_WORKLOAD)
+def test_array_radial_profile_is_bit_identical_to_scalar_calls(shape, hi):
+    xs = euclidean._frequency_grid((0.0, hi), euclidean.DEFAULT_GRID)
+    batch = radial_profile(shape, xs)
+    assert batch.dtype == np.complex128 and batch.shape == xs.shape
+    scalar = [radial_profile(shape, float(x)) for x in xs]
+    assert all(type(v) is complex for v in scalar)
+    assert np.array_equal(_bits(batch), _bits(scalar))
+
+
+def _scalar_roots(profile, lam_range, grid, count=None):
+    """The search one value at a time: each grid value, then each bracket
+    bisected on its own until it is shorter than BISECT_TOL or meets an
+    exact zero at a midpoint."""
+    def f(lam):
+        return profile(lam).real
+    xs = euclidean._frequency_grid(lam_range, grid)
+    vals = [f(float(x)) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        a, b, fa, fb = float(xs[i]), float(xs[i + 1]), vals[i], vals[i + 1]
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if fa * fb < 0:
+            fa = f(a)
+            while b - a > euclidean.BISECT_TOL:
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fm == 0.0:
+                    break
+                if fa * fm < 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            else:
+                m = 0.5 * (a + b)
+            roots.append(m)
+        if count is not None and len(roots) >= count:
+            break
+    if vals and vals[-1] == 0.0 and (count is None or len(roots) < count):
+        roots.append(float(xs[-1]))
+    return roots
+
+
+@pytest.mark.parametrize("shape,hi", RADIAL_WORKLOAD)
+def test_all_at_once_bisection_equals_scalar_reference(shape, hi):
+    def profile(lam):
+        return radial_profile(shape, lam)
+    for count in (None, 1, 3):
+        got = find_failure_lambdas(shape, (0.0, hi), count=count)
+        assert got == _scalar_roots(profile, (0.0, hi), euclidean.DEFAULT_GRID, count)
+        assert all(type(r) is float for r in got)
+
+
+def test_bisection_takes_exact_zeros_on_the_grid_and_at_midpoints(monkeypatch):
+    """A stub profile with exact zeros at a grid point, at the first
+    midpoint of a bracket and at the last grid point, next to an ordinary
+    root: the array search and the scalar reference agree bit for bit."""
+    xs = euclidean._frequency_grid((0.0, 3.0), 0.1)
+    zeros = [xs[5], 0.5 * (xs[12] + xs[13]), xs[20] + 0.0123, xs[-1]]
+
+    def stub(shape, lam):
+        out = 1.0
+        for z in zeros:
+            out = out * (lam - z)
+        return out + 0j
+
+    monkeypatch.setattr(euclidean, "radial_profile", stub)
+    monkeypatch.setattr(euclidean, "complex_sphere_vanishes",
+                        lambda shape, lam: euclidean.OrbitCheck(True, 0.0, (), 0.0))
+    for count in (None, 1, 2, 3, 4, 5):
+        got = find_failure_lambdas(DISK, (0.0, 3.0), count=count, grid=0.1)
+        want = _scalar_roots(lambda lam: stub(None, lam), (0.0, 3.0), 0.1, count)
+        assert got == want
+    full = find_failure_lambdas(DISK, (0.0, 3.0), grid=0.1)
+    assert full[0] == xs[5] and full[1] == zeros[1] and full[-1] == xs[-1]
+    assert abs(full[2] - zeros[2]) < 1e-10
+
+
+def test_integrate_over_list_matches_one_call_per_integrand():
+    fns = [lambda p: np.exp(-2j * p[:, 0]),
+           lambda p: np.cos(3.0 * p[:, 1]),
+           lambda p: spherical_phi(3.0, p + np.array([0.5, -0.2]), 2)]
+    for shape in (DISK, SQUARE, Annulus(1.0, 2.0, 2)):
+        together = integrate_over(shape, fns, 1e-10)
+        assert isinstance(together, list) and len(together) == 3
+        for f, val in zip(fns, together):
+            single = integrate_over(shape, f, 1e-10)
+            assert type(single) is complex
+            assert abs(val - single) < 1e-10
+
+
+class _CountingShape:
+    """A one-point rule of weight 1 per order; the integrands see the order
+    through the number of points, len(p) = order."""
+
+    dim = 1
+
+    def quad_nodes(self, order):
+        return np.zeros((order, 1)), np.full(order, 1.0 / order)
+
+
+def test_integrate_over_list_raises_when_one_integrand_never_settles():
+    calls = {"flat": 0, "growing": 0, "settles": 0}
+
+    def flat(p):
+        calls["flat"] += 1
+        return np.ones(len(p))
+
+    def growing(p):
+        calls["growing"] += 1
+        return np.full(len(p), float(len(p)))
+
+    def settles(p):
+        calls["settles"] += 1
+        return np.full(len(p), 1.0 + 1.0 / len(p) ** 2)
+
+    with pytest.raises(QuadratureError, match="1 of 3 integrands"):
+        integrate_over(_CountingShape(), [flat, growing, settles], 1e-3)
+    # each settled integrand stops being evaluated at its own order
+    assert calls["flat"] == 2
+    assert calls["settles"] < calls["growing"]
+    assert calls["growing"] == 7            # orders 8, 16, ..., 512
+
+
+def test_convolution_test_complex_lambda_stays_complex(monkeypatch):
+    pts = _sample_ring(5, 1.5)
+    lam = 1.0 + 0.5j
+    seen = []
+    orig = euclidean.besselj0
+
+    def recording(z):
+        seen.append(np.asarray(z).dtype)
+        return orig(z)
+
+    monkeypatch.setattr(euclidean, "besselj0", recording)
+    val = convolution_test(DISK, lam, pts, 1e-10)
+    assert seen and all(d == np.complex128 for d in seen)
+    ref = max(abs(integrate_over(
+        DISK, lambda p, x=x: orig(lam * np.linalg.norm(p + x, axis=1)), 1e-10))
+        for x in pts)
+    assert abs(val - ref) < 1e-9
+    seen.clear()
+    assert convolution_test(DISK, J1_1, pts) < 1e-6
+    assert seen and all(d == np.float64 for d in seen)
+
+
+def test_spherical_phi_real_lambda_is_real_and_same_radius():
+    rng = np.random.default_rng(3)
+    for dim, kernel in ((2, euclidean.besselj0), (3, euclidean.sinc)):
+        p = rng.uniform(-4.0, 4.0, (1000, dim))
+        val = spherical_phi(2.5, p, dim)
+        assert val.dtype == np.float64
+        assert np.array_equal(val, kernel(2.5 * np.linalg.norm(p, axis=-1)))
+
+
+def test_integral_check_is_one_integration(monkeypatch):
+    seen = []
+    orig = euclidean.integrate_over
+
+    def counting(shape, integrands, tol):
+        seen.append(len(integrands))
+        return orig(shape, integrands, tol)
+
+    monkeypatch.setattr(euclidean, "integrate_over", counting)
+    motions = random_motions(2, 4, seed=3)
+    val = pompeiu_integral_check(DISK, 3.0, motions=motions)
+    assert seen == [8]
+    lam = 3.0
+    ref = max(abs(orig(DISK, lambda p, m=m, f=f: f(m.apply(p))))
+              for m in motions
+              for f in (lambda p: spherical_phi(lam, p, 2),
+                        lambda p: np.exp(1j * lam * p[:, 0])))
+    assert abs(val - ref) < 1e-8

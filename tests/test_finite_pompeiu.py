@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pompeiu import groups
 from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
-                                    PompeiuInstance, enumerate_all,
-                                    ideal_generators, pompeiu_convolution,
-                                    pompeiu_oracle, pompeiu_spectral,
-                                    radial_shortcut, recheck_witness,
-                                    zero_set, zero_set_ideal)
-from pompeiu.groups import lift_set
-from pompeiu.hecke import (BiinvariantMeasure, convolve, phi_hom,
-                           spherical_functions, unit_measure)
+                                    PompeiuInstance, _biinvariant_lift,
+                                    enumerate_all, ideal_generators,
+                                    pompeiu_convolution, pompeiu_oracle,
+                                    pompeiu_spectral, radial_shortcut,
+                                    recheck_witness, zero_set, zero_set_ideal)
+from pompeiu.groups import GroupSpecError, check_function_invariance, lift_set
+from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
+                           phi_hom, spherical_functions, unit_measure)
 
-from conftest import cyclic_space, dihedral_space, symmetric_space
+from conftest import (acceptance_suite, cyclic_space, dihedral_space,
+                      symmetric_space)
 
 
 def _dft_pompeiu(n, subset):
@@ -387,3 +389,66 @@ def test_verdict_not_monotone_in_subset():
     assert pompeiu_spectral(space, {0}).verdict == "Pompeiu"
     assert pompeiu_spectral(space, {0, 2}).verdict == "NotPompeiu"
     assert pompeiu_spectral(space, {0, 1, 2}).verdict == "Pompeiu"
+
+
+# ---------------------------------------------------------------------------
+# work budget
+
+
+def _fresh_z6():
+    return cyclic_space(6)      # |G| = n = d = 6: every size is 6^3 = 216
+
+
+@pytest.mark.parametrize("decide", [pompeiu_oracle, pompeiu_spectral,
+                                    pompeiu_convolution])
+def test_work_budget_boundary(decide, monkeypatch):
+    """A size exactly at the budget runs; a size one past it raises the
+    typed GroupSpecError before anything is allocated (the oracle's
+    elimination, the Hecke operator tensor)."""
+    monkeypatch.setattr(groups, "WORK_BUDGET", 216)
+    assert decide(_fresh_z6(), {0, 3}).verdict == "NotPompeiu"
+    monkeypatch.setattr(groups, "WORK_BUDGET", 215)
+    with pytest.raises(GroupSpecError, match="over the work budget of 215"):
+        decide(_fresh_z6(), {0, 3})
+
+
+def test_work_budget_oracle_counts_every_translate(monkeypatch):
+    """The oracle's matrix has one row per group element: S3/S2 has 6 rows
+    and 3 cosets, so 6 * 3^2 = 54 entry updates, while d^3 = 8."""
+    monkeypatch.setattr(groups, "WORK_BUDGET", 54)
+    assert pompeiu_oracle(symmetric_space(3, fixed_point=2), {0}).verdict
+    monkeypatch.setattr(groups, "WORK_BUDGET", 53)
+    space = symmetric_space(3, fixed_point=2)
+    with pytest.raises(GroupSpecError, match="oracle"):
+        pompeiu_oracle(space, {0})
+    assert pompeiu_spectral(space, {0}).verdict == "Pompeiu"
+
+
+def test_work_budget_functional_equation_check(monkeypatch):
+    """check_spherical on all |G| points accumulates |G|^2 entries."""
+    space = _fresh_z6()
+    ones = [1] * 6
+    monkeypatch.setattr(groups, "WORK_BUDGET", 36)
+    assert check_spherical(space, ones) == 0.0
+    monkeypatch.setattr(groups, "WORK_BUDGET", 35)
+    with pytest.raises(GroupSpecError, match="functional-equation"):
+        check_spherical(space, ones)
+
+
+def test_biinvariance_gather_matches_reference():
+    """The shortcut's one-gather test (E a union of K-orbits on the cosets)
+    equals the element-by-element biinvariance of the lifted indicator, on
+    every subset of every acceptance-suite space."""
+    applicable = 0
+    for space in acceptance_suite():
+        for bitmask in range(1, 1 << space.num_cosets):
+            subset = [c for c in range(space.num_cosets) if bitmask >> c & 1]
+            lifted = lift_set(space, subset)
+            indicator = [1 if g in lifted else 0 for g in range(space.group.order)]
+            expected = check_function_invariance(space, indicator, "bi")
+            inside = _biinvariant_lift(space, subset)
+            assert (inside is not None) == expected, (space.name, subset)
+            if inside is not None:
+                applicable += 1
+                assert np.flatnonzero(inside).tolist() == subset
+    assert 4000 < applicable < 8315     # K = {e} always applies, D_n not

@@ -257,3 +257,35 @@ def test_load_group_spec_rejects_stranger():
     with pytest.raises(GroupSpecError):
         load_group_spec({"family": "symmetric", "n": 3,
                          "subgroup_generators": [[1, 0, 3, 2]]})
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "dihedral", "n": 17},
+    {"family": "dihedral", "n": 40},
+    {"family": "symmetric", "n": 5},
+    {"family": "permutations",
+     "generators": [list(range(1, 18)) + [0], [(-i) % 18 for i in range(18)]]},
+], ids=["D17", "D40", "S5", "perm18"])
+def test_table_from_perms_matches_composition(spec):
+    """Each product is looked up by its images of a base of leading points;
+    on 17 or more points the keys wrap int64, and the table must still be
+    the composition of the permutations."""
+    g = build_group(spec)
+    index = {p: i for i, p in enumerate(g.perms)}
+    rng = np.random.default_rng(1)
+    for a, b in rng.integers(0, g.order, size=(2000, 2)):
+        pa, pb = g.perms[a], g.perms[b]
+        assert g.mul[a, b] == index[tuple(pa[j] for j in pb)]
+
+
+def test_labels_are_written_on_first_use():
+    g = build_group({"family": "dihedral", "n": 5})
+    assert g._labels is None
+    assert g.label(5) == "(2 5)(3 4)"
+    assert g._labels is None
+    assert g.element_labels[5] == "(2 5)(3 4)" and g.element_labels[0] == "e"
+
+
+def test_repeated_permutations_are_refused():
+    with pytest.raises(GroupSpecError, match="repeated"):
+        groups._table_from_perms([(0, 1, 2), (1, 0, 2), (0, 1, 2)], "bad")
