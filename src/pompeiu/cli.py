@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 malformed spec, parameter, size cap or work
 budget, 3 method disagreement (a bug trap, never expected), 4 not a
 Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a fixed
-config and seed.  --threads and POMPEIU_THREADS are still accepted but no
-longer change anything: every command runs in one thread.
+config and seed.  Every command runs in one thread: --threads and the
+POMPEIU_THREADS environment variable are accepted for old scripts and
+ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -54,15 +54,6 @@ class RunConfig:
     quad_tol: float = 1e-8
     max_size: int | None = None
     seed: int | None = None
-    threads: int = 1
-
-    def workers(self) -> int:
-        """--threads, capped by POMPEIU_THREADS when that is set."""
-        threads = max(1, self.threads)
-        cap = os.environ.get("POMPEIU_THREADS")
-        if cap is not None:
-            return max(1, min(threads, int(cap)))
-        return threads
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
@@ -119,8 +110,7 @@ def cmd_finite_check(config: RunConfig) -> int:
 def cmd_finite_sweep(config: RunConfig) -> int:
     group, k_gens = load_group_spec(config.group_path)
     space = CosetSpace(group, k_gens)
-    result = enumerate_all(space, max_size=config.max_size,
-                           workers=config.workers())
+    result = enumerate_all(space, max_size=config.max_size)
     if config.out:
         rows = [[r.bitmask, "|".join(map(str, r.subset)),
                  str(r.oracle).lower(), str(r.spectral).lower(),
@@ -145,8 +135,7 @@ def cmd_euclid(config: RunConfig) -> int:
         shape, config.lam_range, grid=config.grid,
         rotation_samples=config.rotations, vanish_tol=config.vanish_tol,
         quad_tol=config.quad_tol,
-        collect_landscape=config.landscape is not None,
-        workers=config.workers())
+        collect_landscape=config.landscape is not None)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "euclid-decide",
@@ -250,18 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run's settings; --threads is accepted and dropped here."""
     if args.domain == "finite" and args.action == "check":
         return RunConfig("finite-check", group_path=args.group,
                          subset=args.set, out=args.out)
     if args.domain == "finite" and args.action == "sweep":
         return RunConfig("finite-sweep", group_path=args.group, out=args.out,
-                         summary=args.summary, max_size=args.max_size,
-                         threads=args.threads)
+                         summary=args.summary, max_size=args.max_size)
     return RunConfig("euclid-decide", set_path=args.set,
                      lam_range=args.lambda_range, grid=args.grid,
                      rotations=args.rotations, vanish_tol=args.vanish_tol,
-                     quad_tol=args.quad_tol, seed=args.seed,
-                     threads=args.threads, out=args.out,
+                     quad_tol=args.quad_tol, seed=args.seed, out=args.out,
                      landscape=args.landscape, residuals=args.residuals)
 
 

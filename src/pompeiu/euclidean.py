@@ -581,16 +581,14 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
                   vanish_tol: float = DEFAULT_VANISH_TOL,
                   quad_tol: float = DEFAULT_TOL,
                   extra_lambdas=(),
-                  collect_landscape: bool = False,
-                  workers: int = 1) -> EuclidReport:
+                  collect_landscape: bool = False) -> EuclidReport:
     """Search the range for failure frequencies.
 
     Radial shapes: bracketed root finding on the closed-form profile.
     Other shapes: rotation-orbit vanishing scan over the frequency grid,
     with any candidate confirmed by the convolution test.  A verdict of
     NoFailureFoundInRange is deliberately weaker than "has the property".
-    workers is accepted and ignored: the scan runs in one thread, which
-    measured faster than a thread pool at every width above 1.
+    The scan runs in one thread.
     """
     if not (math.isfinite(grid) and grid > 0):
         raise ValueError(f"grid step must be finite and positive, got {grid}")

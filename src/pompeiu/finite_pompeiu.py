@@ -25,9 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exact_linalg as xla
-from .groups import CosetSpace, check_work_budget, lift_set
-from .hecke import (BiinvariantMeasure, SphericalFunction, _scaled_integers,
-                    hecke_structure, measure_from_function, phi_hom,
+from .groups import CosetSpace, check_work_budget
+from .hecke import (BiinvariantMeasure, SphericalFunction, hecke_structure,
                     spherical_functions)
 
 PHI_ZERO_TOL = 1e-9
@@ -65,10 +64,6 @@ class PompeiuInstance:
         for c in self.subset:
             if not 0 <= int(c) < self.space.num_cosets:
                 raise ValueError(f"coset index {c} out of range")
-
-    @property
-    def sorted_subset(self) -> tuple:
-        return tuple(sorted(int(c) for c in self.subset))
 
     def require_nonempty(self):
         if not self.subset:
@@ -142,8 +137,9 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
 # ideal machinery
 
 class _DecisionCache:
-    """Per-space tables for the spectral and convolution deciders: integer
-    tables on an exact space, complex ones otherwise.
+    """The per-space tables that only the spectral and convolution deciders
+    use; both read the Phi table and the value tables on G from the Hecke
+    structure (`hecke.hecke_structure`).
 
     generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
     ideal generator of coset c for the identity, on the double-coset
@@ -154,33 +150,18 @@ class _DecisionCache:
     and every sum of rows, so no subset is checked again."""
 
     def __init__(self, space: CosetSpace):
-        self.funcs = spherical_functions(space)
-        self.exact = all(f.exact for f in self.funcs)
-        st = hecke_structure(space)
+        spherical_functions(space)      # raises NotGelfandPairError up front
         group, n = space.group, space.group.order
+        reps = np.asarray(space.double_cosets.representatives, dtype=np.int32)
         class_of = space.double_cosets.class_of
-        self.reps = np.asarray(space.double_cosets.representatives, dtype=np.int32)
-        self.sizes = np.asarray(st.class_sizes, dtype=np.float64)
-        # Phi_i(mu) = sum_c coeff_c |C_c| f_i(inverse class of c)
-        if self.exact:
-            # |C_c| f_i(inverse class of c) is the integer eigenvalue lambda_{i,c}
-            self.phi_matrix = np.asarray(
-                [[int(e) for e in f.eigenvalue_tuple] for f in self.funcs], dtype=np.int64)
-            values, _ = _scaled_integers([f.values for f in self.funcs], space.k_size)
-        else:
-            values = np.asarray([[complex(v) for v in f.values] for f in self.funcs])
-            inv_class = np.asarray(st.inverse_class, dtype=np.int32)
-            self.phi_matrix = values[:, inv_class] * self.sizes[None, :]
-        # value tables on the group, scaled to integers on an exact space
-        self.on_group = values[:, class_of]
         # density[c, x] = #{k in K : k x^{-1} lies in coset c}
         k_arr = np.asarray(space.k_members, dtype=np.int32)
         cosets = space.coset_of[group.mul[np.ix_(k_arr, group.inv)]]
         density = np.bincount((cosets * n + np.arange(n)).ravel(),
                               minlength=space.num_cosets * n).reshape(-1, n)
-        if not np.array_equal(density, density[:, self.reps[class_of]]):
+        if not np.array_equal(density, density[:, reps[class_of]]):
             raise RuntimeError("ideal generator is not biinvariant")
-        self.generators = density[:, self.reps]
+        self.generators = density[:, reps]
         self.shift = space.action[group.inv[list(space.transversal)]]
 
 
@@ -218,15 +199,19 @@ def zero_set(mu: BiinvariantMeasure,
     """Indices of spherical functions whose homomorphism kills mu."""
     if funcs is None:
         funcs = spherical_functions(mu.space)
-    exact = mu.is_exact()
-    tol = PHI_ZERO_TOL * (1.0 + mu.one_norm())
-    hits = set()
-    for i, f in enumerate(funcs):
-        val = phi_hom(f, mu)
-        if (exact and f.exact and val == 0) or \
-                (not (exact and f.exact) and abs(complex(val)) < tol):
-            hits.add(i)
-    return frozenset(hits)
+    phi = hecke_structure(mu.space).phi(funcs, mu)
+    hits = _vanishing(phi, PHI_ZERO_TOL * (1.0 + mu.one_norm()))
+    return frozenset(int(i) for i in np.nonzero(hits)[0])
+
+
+def _common_zeros(space: CosetSpace, rows: np.ndarray) -> frozenset:
+    """Indices of the spherical functions whose homomorphism kills every
+    measure with class coefficients in rows, one measure per row."""
+    st = hecke_structure(space)
+    phi = st.phi_matrix @ rows.T                # one column per measure
+    tol = PHI_ZERO_TOL * (1.0 + (np.abs(rows) * st.class_sizes).sum(axis=1))
+    alive = _vanishing(phi, tol).all(axis=1)
+    return frozenset(int(i) for i in np.nonzero(alive)[0])
 
 
 def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
@@ -234,12 +219,7 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     homomorphisms are multiplicative, so the generators suffice)."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    cache = _cache(inst.space)
-    rows = _generator_rows(inst)
-    phi = cache.phi_matrix @ rows.T             # one column per generator
-    tol = PHI_ZERO_TOL * (1.0 + (np.abs(rows) * cache.sizes).sum(axis=1))
-    alive = _vanishing(phi, tol).all(axis=1)
-    return frozenset(int(i) for i in np.nonzero(alive)[0])
+    return _common_zeros(inst.space, _generator_rows(inst))
 
 
 def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
@@ -261,12 +241,15 @@ def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
 # convolution criterion
 
 
-def _annihilating(table: np.ndarray, space: CosetSpace, lifted) -> np.ndarray:
+def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
     """For each row f of table (values on G): whether x -> sum_{z in lifted}
-    f(xz) vanishes identically."""
-    lifted_list = sorted(lifted)
-    conv = table[:, space.group.mul[:, lifted_list]].sum(axis=2)
-    tol = CONV_ZERO_TOL * (1 + len(lifted_list))
+    f(xz) vanishes identically, lifted the elements whose coset is in
+    subset."""
+    indicator = np.zeros(space.num_cosets, dtype=bool)
+    indicator[sorted(subset)] = True
+    lifted = np.nonzero(indicator[space.coset_of])[0]
+    conv = table[:, space.group.mul[:, lifted]].sum(axis=2)
+    tol = CONV_ZERO_TOL * (1 + len(lifted))
     return _vanishing(conv, tol).all(axis=1)
 
 
@@ -277,15 +260,14 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     inst.require_nonempty()
     t0 = time.perf_counter()
     space = inst.space
-    cache = _cache(space)
-    hits = np.nonzero(_annihilating(cache.on_group, space,
-                                    lift_set(space, inst.subset)))[0]
+    hits = np.nonzero(_annihilating(hecke_structure(space).on_group, space,
+                                    inst.subset))[0]
     if hits.size == 0:
         return DecisionReport("Pompeiu", "convolution", None,
                               time.perf_counter() - t0)
     i = int(hits[0])
     witness = {"spherical_index": i,
-               "values": [_c2pair(v) for v in cache.funcs[i].values]}
+               "values": [_c2pair(v) for v in spherical_functions(space)[i].values]}
     return DecisionReport("NotPompeiu", "convolution", witness,
                           time.perf_counter() - t0)
 
@@ -317,9 +299,10 @@ def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
     if inside is None:
         return None
     t0 = time.perf_counter()
-    reversed_vals = [Fraction(int(v)) for v in inside[space.coset_of[space.group.inv]]]
-    mu = measure_from_function(space, reversed_vals)
-    zs = zero_set(mu)
+    # class coefficients of the reversed indicator x -> [x^{-1} lies in E~]
+    reps = np.asarray(space.double_cosets.representatives)
+    coeffs = inside[space.coset_of[space.group.inv[reps]]].astype(np.int64)
+    zs = _common_zeros(space, coeffs[None, :])
     if not zs:
         return DecisionReport("Pompeiu", "radial-shortcut", None,
                               time.perf_counter() - t0)
@@ -389,13 +372,10 @@ def _decide_row(space: CosetSpace, bitmask: int) -> SweepRow:
                     spectral.has_property, conv.has_property, wit)
 
 
-def enumerate_all(space: CosetSpace, max_size: int | None = None,
-                  workers: int = 1) -> SweepResult:
+def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
-    (optionally bounded in size) and tabulate agreement.
-
-    workers is accepted and ignored: the sweep runs in one thread, which
-    measured faster than a thread pool at every width above 1."""
+    (optionally bounded in size), one after another in one thread, and
+    tabulate agreement."""
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
@@ -429,8 +409,8 @@ def recheck_witness(space_or_instance, subset, report: DecisionReport | None = N
         totals = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
         return bool(np.all(np.abs(totals) <= 1e-9 * (1 + len(inst.subset))))
     idx = report.witness["spherical_index"]
-    table = _cache(space).on_group[idx:idx + 1]
-    return bool(_annihilating(table, space, lift_set(space, inst.subset))[0])
+    table = hecke_structure(space).on_group[idx:idx + 1]
+    return bool(_annihilating(table, space, inst.subset)[0])
 
 
 def _c2pair(v) -> list:

@@ -16,12 +16,23 @@ table is kept (marked exact) only if it satisfies the functional equation
 exactly, in scaled integers, on double-coset representatives.  Otherwise
 the float table is kept, after the same check against
 SPHERICAL_RESIDUAL_TOL.
+
+The per-space Hecke structure also holds the spherical data as arrays, for
+every caller: `phi_matrix`, the table of the homomorphisms
+Phi_f(mu) = sum_x f(x^{-1}) mu(x) on the class indicators (row i, column c:
+|C_c| f_i(c^{-1}), the integer eigenvalue on an exact space, complex
+otherwise), and `on_group`, the value tables on G (scaled to integers on an
+exact space).  Its `phi_rows` is the one formula behind the table,
+`phi_hom` and `finite_pompeiu.zero_set`.  The measure-algebra operations
+compute in one dtype, picked by `_algebra_arrays`: Fractions in an object
+array when every input is exact, complex otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -77,11 +88,6 @@ class BiinvariantMeasure:
     def __post_init__(self):
         if len(self.coeffs) != self.space.double_cosets.num_classes:
             raise ValueError("coefficient count != double-coset class count")
-
-    def density(self) -> np.ndarray:
-        """Per-element densities expanded to a vector on the whole group."""
-        dcp = self.space.double_cosets
-        return np.asarray([complex(self.coeffs[c]) for c in dcp.class_of])
 
     def one_norm(self) -> float:
         dcp = self.space.double_cosets
@@ -150,6 +156,40 @@ class _HeckeStructure:
     @property
     def commutative(self) -> bool:
         return self._witness is None
+
+    @property
+    def exact(self) -> bool:
+        return all(f.exact for f in self.sphericals())
+
+    @cached_property
+    def phi_matrix(self) -> np.ndarray:
+        """The Phi table: phi_matrix[i, c] = |C_c| f_i(c^{-1}), the value of
+        the homomorphism of f_i at the indicator of class c.  int64 on an
+        exact space, where it is the eigenvalue lambda_{i,c}; complex
+        otherwise."""
+        values, = _algebra_arrays([f.values for f in self.sphericals()])
+        phi = self.phi_rows(values)
+        return phi.astype(np.int64) if self.exact else phi
+
+    @cached_property
+    def on_group(self) -> np.ndarray:
+        """Value tables of the sphericals on G, one row each: scaled to
+        integers on an exact space, complex otherwise."""
+        rows = [f.values for f in self.sphericals()]
+        if self.exact:
+            table, _ = _scaled_integers(rows, self.space.k_size)
+        else:
+            table, = _algebra_arrays(rows)
+        return table[:, self.space.double_cosets.class_of]
+
+    def phi_rows(self, values: np.ndarray) -> np.ndarray:
+        """Phi rows of class-value tables, one row per function."""
+        return values[:, list(self.inverse_class)] * np.asarray(self.class_sizes)
+
+    def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
+        """Phi_f(mu) for every f in funcs, in the algebra's dtype."""
+        values, coeffs = _algebra_arrays([f.values for f in funcs], mu.coeffs)
+        return self.phi_rows(values) @ coeffs
 
     def sphericals(self) -> list[SphericalFunction]:
         if self._witness is not None:
@@ -241,13 +281,6 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     return np.abs(excess).max()
 
 
-def _apply_row0(matrix, v):
-    """(matrix @ v)[0]; v is normalized so this is the eigenvalue."""
-    if any(isinstance(x, Fraction) for x in v):
-        return sum((Fraction(int(a)) * x for a, x in zip(matrix[0], v)), Fraction(0))
-    return complex(np.asarray(matrix[0], dtype=complex) @ np.asarray(v, dtype=complex))
-
-
 def _joint_eigenvectors_float(op: np.ndarray):
     d = op.shape[0]
     subspaces = [np.eye(d, dtype=complex)]
@@ -294,6 +327,17 @@ def hecke_structure(space: CosetSpace) -> _HeckeStructure:
     return space.cached("hecke", _HeckeStructure)
 
 
+def _algebra_arrays(*tables) -> list[np.ndarray]:
+    """The tables as arrays of the measure algebra's one dtype: Fractions in
+    an object array when every entry is an int or a Fraction, complex
+    otherwise."""
+    arrays = [np.asarray(t, dtype=object) for t in tables]
+    if all(isinstance(x, (int, Fraction)) for a in arrays for x in a.flat):
+        to_fraction = np.frompyfunc(Fraction, 1, 1)
+        return [to_fraction(a) for a in arrays]
+    return [a.astype(complex) for a in arrays]
+
+
 # ---------------------------------------------------------------------------
 # measure constructors
 
@@ -327,18 +371,13 @@ def measure_from_function(space: CosetSpace, values: Sequence,
     Raises ValueError if the table is not constant on double cosets
     (to within tol; default exact)."""
     dcp = space.double_cosets
-    coeffs = []
-    for j, rep in enumerate(dcp.representatives):
-        ref = values[rep]
-        for x in np.nonzero(dcp.class_of == j)[0]:
-            if tol == 0.0:
-                ok = values[int(x)] == ref
-            else:
-                ok = abs(complex(values[int(x)]) - complex(ref)) <= tol
-            if not ok:
-                raise ValueError("density not constant on double cosets")
-        coeffs.append(ref)
-    return BiinvariantMeasure(space, tuple(coeffs))
+    table, = _algebra_arrays(values)
+    reps = np.asarray(dcp.representatives)
+    ref = table[reps[dcp.class_of]]
+    ok = table == ref if tol == 0.0 else np.abs(table - ref) <= tol
+    if not np.all(ok):
+        raise ValueError("density not constant on double cosets")
+    return BiinvariantMeasure(space, tuple(table[reps]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,48 +387,22 @@ def measure_from_function(space: CosetSpace, values: Sequence,
 def project_biinvariant(space: CosetSpace, f: Sequence) -> list:
     """Average f over K on both sides: x -> avg_{l,k} f(l x k).
 
-    Exact when the input values are ints/Fractions."""
+    Exact (Fractions) when the input values are ints/Fractions, complex
+    otherwise."""
     mul = space.group.mul
-    n = space.group.order
-    k_members = space.k_members
-    k_size = space.k_size
-    right = [_avg(f[mul[x, k]] for k in k_members) for x in range(n)]
-    return [_avg(right[mul[k, x]] for k in k_members) for x in range(n)]
-
-
-def _avg(items):
-    items = list(items)
-    total = items[0]
-    for x in items[1:]:
-        total = total + x
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, len(items)) if isinstance(total, int) \
-            else total / len(items)
-    return total / len(items)
+    k = np.asarray(space.k_members)
+    table, = _algebra_arrays(f)
+    right = table[mul[:, k]].sum(axis=1) / space.k_size
+    return list(right[mul[k, :]].sum(axis=0) / space.k_size)
 
 
 def convolve(mu: BiinvariantMeasure, nu: BiinvariantMeasure) -> BiinvariantMeasure:
-    """Convolution of biinvariant measures via the class structure constants."""
+    """Convolution of biinvariant measures via the class structure constants:
+    out[k] = sum_{i,j} mu_i nu_j op[j, k, i]."""
     if mu.space is not nu.space:
         raise ValueError("measures live on different spaces")
-    st = hecke_structure(mu.space)
-    d = st.d
-    a, b = mu.coeffs, nu.coeffs
-    exact = mu.is_exact() and nu.is_exact()
-    zero = Fraction(0) if exact else 0j
-    out = [zero] * d
-    for i in range(d):
-        if a[i] == 0:
-            continue
-        for j in range(d):
-            if b[j] == 0:
-                continue
-            w = a[i] * b[j]
-            col = st.op[j, :, i]
-            for k in range(d):
-                if col[k]:
-                    out[k] = out[k] + w * int(col[k])
-    return BiinvariantMeasure(mu.space, tuple(out))
+    a, b = _algebra_arrays(mu.coeffs, nu.coeffs)
+    return BiinvariantMeasure(mu.space, tuple(b @ (hecke_structure(mu.space).op @ a)))
 
 
 def gelfand_witness(space: CosetSpace):
@@ -429,15 +442,7 @@ def phi_hom(f: SphericalFunction, mu: BiinvariantMeasure):
     of f with the reversed measure, sum_x f(x^{-1}) d mu(x)."""
     if f.space is not mu.space:
         raise ValueError("function and measure live on different spaces")
-    st = hecke_structure(f.space)
-    exact = f.exact and mu.is_exact()
-    total = Fraction(0) if exact else 0j
-    for i in range(st.d):
-        if mu.coeffs[i] == 0:
-            continue
-        term = mu.coeffs[i] * st.class_sizes[i] * f.values[st.inverse_class[i]]
-        total = total + term
-    return total
+    return hecke_structure(f.space).phi([f], mu)[0]
 
 
 def reverse_measure(mu: BiinvariantMeasure) -> BiinvariantMeasure:
@@ -450,9 +455,10 @@ def reverse_measure(mu: BiinvariantMeasure) -> BiinvariantMeasure:
 def reverse_function(f: SphericalFunction) -> SphericalFunction:
     """x -> f(x^{-1}); spherical whenever f is."""
     st = hecke_structure(f.space)
-    values = tuple(f.values[st.inverse_class[i]] for i in range(st.d))
-    eigs = tuple(_apply_row0(st.op[j], values) for j in range(st.d))
-    return SphericalFunction(f.space, values, eigs, f.exact)
+    values = tuple(f.values[c] for c in st.inverse_class)
+    table, = _algebra_arrays(values)
+    # (op[j] @ values)[0] for every j: values is 1 at the identity class
+    return SphericalFunction(f.space, values, tuple(st.op[:, 0, :] @ table), f.exact)
 
 
 def spherical_table_csv(space: CosetSpace) -> str:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import pompeiu
-from pompeiu.cli import RunConfig, main
+from pompeiu.cli import main
 
 
 @pytest.fixture
@@ -115,18 +115,6 @@ def test_finite_sweep_byte_identical(z8_file, tmp_path):
                      "--summary", str(summary)]) == 0
         outs.append((out.read_bytes(), summary.read_bytes()))
     assert outs[0] == outs[1]
-
-
-def test_threads_env_caps_width(monkeypatch):
-    monkeypatch.delenv("POMPEIU_THREADS", raising=False)
-    assert RunConfig("finite-sweep", threads=4).workers() == 4
-    assert RunConfig("finite-sweep", threads=0).workers() == 1
-    monkeypatch.setenv("POMPEIU_THREADS", "16")
-    assert RunConfig("finite-sweep").workers() == 1
-    assert RunConfig("finite-sweep", threads=4).workers() == 4
-    assert RunConfig("finite-sweep", threads=32).workers() == 16
-    monkeypatch.setenv("POMPEIU_THREADS", "0")
-    assert RunConfig("finite-sweep", threads=4).workers() == 1
 
 
 def test_euclid_decide_disk(disk_file, tmp_path):

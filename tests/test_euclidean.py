@@ -645,14 +645,6 @@ def test_decide_annulus():
     assert len(report.lambda_witnesses) >= 4
 
 
-def test_decide_workers_deterministic():
-    serial = euclid_decide(SQUARE, (0, 6), grid=0.5, collect_landscape=True)
-    threaded = euclid_decide(SQUARE, (0, 6), grid=0.5, collect_landscape=True,
-                             workers=4)
-    assert serial.landscape == threaded.landscape
-    assert serial.lambda_witnesses == threaded.lambda_witnesses
-
-
 def test_landscape_reuses_the_radial_profile(monkeypatch):
     """The landscape of a radial shape is read off the profile values of
     the root search, not evaluated a second time."""

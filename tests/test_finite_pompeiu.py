@@ -14,7 +14,8 @@ from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
                                     recheck_witness, zero_set, zero_set_ideal)
 from pompeiu.groups import GroupSpecError, check_function_invariance, lift_set
 from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
-                           phi_hom, spherical_functions, unit_measure)
+                           hecke_structure, phi_hom, spherical_functions,
+                           unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       symmetric_space)
@@ -189,15 +190,14 @@ def test_convolution_witness_z8(z8_space):
 def test_exact_spaces_decide_on_integer_tables():
     """No exact verdict passes through a float tolerance: the spectral and
     convolution tables of an exact space hold integers."""
-    from pompeiu.finite_pompeiu import _cache
     from conftest import acceptance_suite
     kinds = set()
     for space in acceptance_suite():
-        cache = _cache(space)
-        kind = "iO" if cache.exact else "c"
-        assert cache.phi_matrix.dtype.kind in kind
-        assert cache.on_group.dtype.kind in kind
-        kinds.add(cache.exact)
+        tables = hecke_structure(space)
+        kind = "iO" if tables.exact else "c"
+        assert tables.phi_matrix.dtype.kind in kind
+        assert tables.on_group.dtype.kind in kind
+        kinds.add(tables.exact)
     assert kinds == {True, False}
 
 
@@ -268,6 +268,85 @@ def test_shortcut_not_applicable(s3_space):
     assert radial_shortcut(s3_space, {1}) is None
 
 
+def _shortcut_reference(space):
+    """The shortcut decided element by element, as a function of the subset:
+    None unless the lifted indicator is biinvariant, else the smallest index
+    of a spherical function f with sum_c mu_c |C_c| f(c^{-1}) = 0, mu the
+    reversed lifted indicator, summed per class in Fraction or complex;
+    -1 when there is none."""
+    group, dcp = space.group, space.double_cosets
+    funcs = spherical_functions(space)
+    inverse_class = [int(dcp.class_of[group.inv[rep]]) for rep in dcp.representatives]
+    terms = [[size * f.values[inverse_class[c]] for c, size in enumerate(dcp.class_sizes)]
+             for f in funcs]
+
+    def decide(subset):
+        lifted = lift_set(space, subset)
+        indicator = [1 if g in lifted else 0 for g in range(group.order)]
+        if not check_function_invariance(space, indicator, "bi"):
+            return None
+        reversed_values = [indicator[group.inv[x]] for x in range(group.order)]
+        mu = [reversed_values[rep] for rep in dcp.representatives]
+        assert all(reversed_values[x] == mu[dcp.class_of[x]] for x in range(group.order))
+        tol = 1e-9 * (1 + sum(m * s for m, s in zip(mu, dcp.class_sizes)))
+        for i, f in enumerate(funcs):
+            total = Fraction(0) if f.exact else 0j
+            for c, m in enumerate(mu):
+                if m:
+                    total += terms[i][c]
+            if (f.exact and total == 0) or (not f.exact and abs(total) < tol):
+                return i
+        return -1
+
+    return decide
+
+
+def _shortcut_instances():
+    """Every subset of every acceptance-suite space, then 200 seeded subsets
+    each of S5/S4, D24 with a reflection and Z20: every other one a union of
+    K-orbits, where the shortcut applies, the rest any subset."""
+    for space in acceptance_suite():
+        for bitmask in range(1, 1 << space.num_cosets):
+            yield space, [c for c in range(space.num_cosets) if bitmask >> c & 1]
+    rng = np.random.default_rng(8)
+    for space in (symmetric_space(5, fixed_point=4), dihedral_space(24),
+                  cyclic_space(20)):
+        orbits = {frozenset(space.action[space.k_members, c].tolist())
+                  for c in range(space.num_cosets)}
+        orbits = sorted(sorted(o) for o in orbits)
+        for draw in range(200):
+            if draw % 2:
+                picked = rng.random(len(orbits)) < 0.5
+                picked[rng.integers(len(orbits))] = True
+                yield space, sorted(c for o, p in zip(orbits, picked) if p for c in o)
+            else:
+                mask = rng.random(space.num_cosets) < 0.5
+                mask[rng.integers(space.num_cosets)] = True
+                yield space, np.flatnonzero(mask).tolist()
+
+
+def test_shortcut_matches_elementwise_reference():
+    """Verdict and witness index of the shortcut, read off the Phi table,
+    equal the per-class sums over the element-by-element measure."""
+    applicable = 0
+    references = {}
+    for space, subset in _shortcut_instances():
+        if space not in references:
+            references[space] = _shortcut_reference(space)
+        expected = references[space](subset)
+        report = radial_shortcut(space, subset)
+        if expected is None:
+            assert report is None, (space.name, subset)
+            continue
+        applicable += 1
+        if expected < 0:
+            assert report.verdict == "Pompeiu", (space.name, subset)
+        else:
+            assert report.verdict == "NotPompeiu", (space.name, subset)
+            assert report.witness["spherical_index"] == expected
+    assert applicable > 4500
+
+
 # ---------------------------------------------------------------------------
 # sweeps and agreement
 
@@ -309,14 +388,6 @@ def test_sweep_max_size(d6_space):
     assert len(result.rows) == 6 + 15
     with pytest.raises(ValueError, match="max subset size"):
         enumerate_all(d6_space, max_size=0)
-
-
-def test_sweep_workers_deterministic(d6_space):
-    serial = enumerate_all(d6_space)
-    threaded = enumerate_all(d6_space, workers=4)
-    assert [r.bitmask for r in serial.rows] == [r.bitmask for r in threaded.rows]
-    assert [(r.oracle, r.spectral, r.convolution, r.witness) for r in serial.rows] \
-        == [(r.oracle, r.spectral, r.convolution, r.witness) for r in threaded.rows]
 
 
 def test_sweep_size_cap():

@@ -102,6 +102,7 @@ def test_convolution_associative_small_bases():
         for a in basis:
             for b in basis:
                 ab = convolve(a, b)
+                assert all(type(x) is Fraction for x in ab.coeffs)
                 for c in basis:
                     assert convolve(ab, c).coeffs == convolve(a, convolve(b, c)).coeffs
 
@@ -224,6 +225,19 @@ def test_phi_multiplicative(d6_space):
             lhs = complex(phi_hom(f, conv))
             rhs = complex(phi_hom(f, mu)) * complex(phi_hom(f, nu))
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
+    # exact inputs stay exact: Fraction coefficients and values, equal
+    assert all(f.exact for f in funcs)
+    for _ in range(5):
+        mu, nu = (BiinvariantMeasure(d6_space, tuple(
+            Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, d),
+                                                     rng.integers(1, 10, d))))
+            for _ in range(2))
+        conv = convolve(mu, nu)
+        assert all(type(x) is Fraction for x in conv.coeffs)
+        for f in funcs:
+            lhs = phi_hom(f, conv)
+            assert type(lhs) is Fraction
+            assert lhs == phi_hom(f, mu) * phi_hom(f, nu)
 
 
 def test_phi_sign_convention_pinned(z8_space):
@@ -313,6 +327,30 @@ def _larger_pairs():
     return [symmetric_space(5, fixed_point=4),
             build_coset_space(s5.group, young),
             dihedral_space(24), cyclic_space(20), cyclic_space(24)]
+
+
+def test_phi_table_entries_are_phi_hom_of_class_indicators():
+    """phi_matrix[i, c] = phi_hom(f_i, indicator of class c): exactly and as
+    a Fraction on exact spaces, to 1e-12 on the others.  Both equal the
+    eigenvalue of f_i under the class-c operator, which the diagonalisation
+    reads off op, apart from the values."""
+    spaces = acceptance_suite() + [symmetric_space(5, fixed_point=4),
+                                   dihedral_space(24), cyclic_space(20)]
+    for space in spaces:
+        st = hecke_structure(space)
+        funcs = spherical_functions(space)
+        d = space.double_cosets.num_classes
+        assert st.phi_matrix.shape == (len(funcs), d)
+        for c in range(d):
+            indicator = class_indicator(space, c)
+            for i, f in enumerate(funcs):
+                value = phi_hom(f, indicator)
+                if st.exact:
+                    assert type(value) is Fraction
+                    assert value == int(st.phi_matrix[i, c]) == f.eigenvalue_tuple[c]
+                else:
+                    assert abs(complex(value) - st.phi_matrix[i, c]) < 1e-12
+                    assert abs(st.phi_matrix[i, c] - f.eigenvalue_tuple[c]) < 1e-9
 
 
 def test_representative_certification_holds_on_whole_group():
