@@ -93,7 +93,7 @@ def cmd_finite_check(config: RunConfig) -> int:
         "command": "finite-check",
         "group": group.name,
         "subgroup": space.subgroup_label(),
-        "E": sorted(int(c) for c in config.subset),
+        "E": sorted(inst.subset),
         "verdicts": {
             "oracle": oracle.has_property,
             "spectral": spectral.has_property,

@@ -10,6 +10,17 @@ space G/K, three independent ways:
 * convolution -- E fails exactly when some spherical function f satisfies
   f * (reversed lifted indicator) = 0 identically on G.
 
+Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
+row per subset: `enumerate_all` runs the kernels over chunks of bitmasks,
+and the single-subset functions (`pompeiu_oracle`, `pompeiu_spectral`,
+`pompeiu_convolution`, `ideal_generators`) run them with B = 1.  The
+oracle first certifies full rank in bulk: the Gram matrix of the
+translates has small integer entries, and a nonzero pivot at every step of
+its elimination modulo the prime GRAM_PRIME proves its determinant nonzero
+over the integers.  Only the subsets this certificate does not settle go
+through the exact integer kernel (`exact_linalg.nullspace`), whose witness
+is rechecked against every translate.
+
 The three verdicts must agree on every Gelfand-pair instance; any
 disagreement is a bug, never silently resolved.
 """
@@ -32,6 +43,12 @@ from .hecke import (BiinvariantMeasure, SphericalFunction, hecke_structure,
 PHI_ZERO_TOL = 1e-9
 CONV_ZERO_TOL = 1e-9
 SWEEP_COSET_CAP = 20
+# Elements in the largest array of one chunk of a sweep, the B x |G| x n
+# translate matrices.  Larger chunks raise peak memory with no gain in rate.
+SCAN_CHUNK = 1 << 17
+# Every product in the modular elimination of a Gram matrix stays below
+# GRAM_PRIME^2 < 2^62, so each step fits int64.
+GRAM_PRIME = 2 ** 31 - 1
 
 __all__ = [
     "EmptySetError",
@@ -88,12 +105,31 @@ def _instance(space_or_instance, subset=None) -> PompeiuInstance:
     return PompeiuInstance(space_or_instance, frozenset(int(c) for c in subset))
 
 
+def _bits(inst: PompeiuInstance) -> np.ndarray:
+    """The subset as a 1 x n 0/1 matrix, the kernels' input with B = 1."""
+    bits = np.zeros((1, inst.space.num_cosets), dtype=np.int64)
+    bits[0, sorted(inst.subset)] = 1
+    return bits
+
+
+def _support(bits: np.ndarray) -> np.ndarray:
+    """The cosets that lie in at least one of the subsets."""
+    return np.flatnonzero(bits.any(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
+def _translates(space: CosetSpace) -> np.ndarray:
+    """Gather index of the translate matrices: bits[:, _translates(space)]
+    holds, for each subset E, the 0/1 matrix whose row g is the indicator
+    of gE, since c lies in gE exactly when g^{-1}c lies in E."""
+    return space.action[space.group.inv]
+
+
 def translate_matrix(inst: PompeiuInstance) -> np.ndarray:
     """0/1 constraint rows, one per group element g: row g is the indicator
-    of the translate gE, since c lies in gE exactly when g^{-1}c lies in E.
+    of the translate gE.
 
     The integral of a coset function over gE genuinely depends on g, not
     just on the coset gK (the rows collapse to the transversal only when
@@ -102,33 +138,93 @@ def translate_matrix(inst: PompeiuInstance) -> np.ndarray:
     order change the kernel or the reduced row echelon basis that
     `nullspace` returns, and removing them cost more than it saved.
     """
-    space = inst.space
-    indicator = np.zeros(space.num_cosets, dtype=np.int64)
-    indicator[sorted(inst.subset)] = 1
-    return indicator[space.action[space.group.inv]]
+    return _bits(inst)[0, _translates(inst.space)]
+
+
+def _check_oracle_budget(space: CosetSpace) -> None:
+    check_work_budget(space.group.order * space.num_cosets ** 2,
+                      f"{space.group.name} with {space.num_cosets} cosets: "
+                      "the oracle's elimination")
+
+
+def _gram_certified(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """One flag per subset: True when the translates certainly have full
+    column rank.
+
+    The Gram matrix S = M^T M of the translate matrix M has integer entries
+    at most |G|, so it is exact in float64.  Its elimination modulo the
+    prime p = GRAM_PRIME needs no division: each step replaces every row
+    below the pivot row by pivot * row - entry * pivot_row (mod p), which
+    multiplies the trailing block by the nonzero pivot and so keeps its
+    rank over Z/p.  A nonzero pivot at every step means det S is nonzero
+    mod p, hence nonzero over Z, so M has full column rank.  A False flag
+    proves nothing: the subset goes to the exact kernel."""
+    p = GRAM_PRIME
+    matrices = bits.astype(np.float64)[:, _translates(space)]
+    gram = matrices.transpose(0, 2, 1) @ matrices
+    del matrices
+    a = _mod(gram.astype(np.int64), p)
+    del gram
+    full = np.ones(len(a), dtype=bool)
+    batch = np.arange(len(a))
+    while a.shape[1]:
+        nonzero = a[:, :, 0] != 0
+        full &= nonzero.any(axis=1)
+        pick = nonzero.argmax(axis=1)
+        pivot_row = a[batch, pick]
+        a[batch, pick] = a[:, 0]        # rows 1.. are now the other rows
+        rest = a[:, 1:, 1:] * pivot_row[:, :1, None]
+        rest -= a[:, 1:, :1] * pivot_row[:, None, 1:]
+        a = _mod(rest, p)
+    return full
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p in place.  numpy divides by a scalar several times faster
+    than it takes the remainder, so this is a - (a // p) * p."""
+    q = a // p
+    q *= p
+    a -= q
+    return a
+
+
+def _kernel_witnesses(space: CosetSpace, bits: np.ndarray) -> list:
+    """The oracle kernel: per subset, None when the translate matrix has
+    trivial rational kernel, else the first vector of its kernel basis (a
+    list of Fractions), rechecked in integers against every translate.
+
+    The Gram certificate settles the full-rank subsets in bulk; each of
+    the others gets one fraction-free integer elimination."""
+    witnesses = [None] * len(bits)
+    translates = _translates(space)
+    for b in np.flatnonzero(~_gram_certified(space, bits)):
+        matrix = bits[b, translates]
+        kernel = xla.nullspace(matrix)
+        if not kernel:
+            continue
+        h = kernel[0]
+        scale = math.lcm(*(x.denominator for x in h))
+        scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
+                            dtype=object)
+        if np.any(np.asarray(matrix, dtype=object) @ scaled):
+            raise RuntimeError("oracle kernel witness failed recheck")
+        witnesses[b] = h
+    return witnesses
 
 
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel.  One fraction-free integer
-    elimination gives the exact rational kernel; the rank is the coset
-    count minus its dimension."""
+    translate matrix has trivial kernel.  The modular Gram certificate
+    settles full column rank; otherwise one fraction-free integer
+    elimination gives the exact rational kernel, whose first basis vector
+    is the witness."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    space = inst.space
-    check_work_budget(space.group.order * space.num_cosets ** 2,
-                      f"{space.group.name} with {space.num_cosets} cosets: "
-                      "the oracle's elimination")
+    _check_oracle_budget(inst.space)
     t0 = time.perf_counter()
-    matrix = translate_matrix(inst)
-    kernel = xla.nullspace(matrix)
-    if not kernel:
+    h = _kernel_witnesses(inst.space, _bits(inst))[0]
+    if h is None:
         return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
-    h = kernel[0]
-    scale = math.lcm(*(x.denominator for x in h))
-    scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h], dtype=object)
-    if np.any(np.asarray(matrix, dtype=object) @ scaled):
-        raise RuntimeError("oracle kernel witness failed recheck")
     witness = {"kernel": [float(x) for x in h]}
     return DecisionReport("NotPompeiu", "oracle", witness, time.perf_counter() - t0)
 
@@ -137,9 +233,9 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
 # ideal machinery
 
 class _DecisionCache:
-    """The per-space tables that only the spectral and convolution deciders
-    use; both read the Phi table and the value tables on G from the Hecke
-    structure (`hecke.hecke_structure`).
+    """The per-space tables of the spectral decider and the radial
+    shortcut: the Phi table of the Hecke structure
+    (`hecke.hecke_structure`) in product form, and the ideal generators.
 
     generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
     ideal generator of coset c for the identity, on the double-coset
@@ -163,6 +259,15 @@ class _DecisionCache:
             raise RuntimeError("ideal generator is not biinvariant")
         self.generators = density[:, reps]
         self.shift = space.action[group.inv[list(space.transversal)]]
+        self.class_sizes = np.asarray(space.double_cosets.class_sizes)
+        # The Phi table, transposed.  A complex one is kept as interleaved
+        # real and imaginary columns: real rows times it, viewed as
+        # complex, give the complex product, which numpy would hand to
+        # several BLAS threads at a sweep chunk's size.
+        phi = hecke_structure(space).phi_matrix.T
+        if phi.dtype.kind == "c":
+            phi = np.stack([phi.real, phi.imag], axis=2).reshape(len(phi), -1)
+        self.phi_table = phi
 
 
 def _vanishing(values: np.ndarray, tol) -> np.ndarray:
@@ -177,11 +282,15 @@ def _cache(space: CosetSpace) -> _DecisionCache:
     return space.cached("decision", _DecisionCache)
 
 
-def _generator_rows(inst: PompeiuInstance) -> np.ndarray:
-    """Class-coefficient rows of the ideal generators, one per transversal
-    element t: the sum over c in E of the generator of coset t^{-1}c."""
-    cache = _cache(inst.space)
-    return cache.generators[cache.shift[:, sorted(inst.subset)]].sum(axis=1)
+def _generator_rows(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """Class-coefficient rows of the ideal generators, B x |transversal| x
+    classes: row r of subset E is the sum over c in E of the generator of
+    coset t_r^{-1}c.  One product over the cosets of the support, so the
+    table it gathers covers those cosets only: at most 20 in a sweep, |E|
+    when B = 1."""
+    cache = _cache(space)
+    support = _support(bits)
+    return (bits[:, support] @ cache.generators[cache.shift[:, support]]).transpose(1, 0, 2)
 
 
 def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]:
@@ -189,7 +298,7 @@ def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]
     lifted indicator of E convolved with the indicator of the coset gK."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    rows = _generator_rows(inst)
+    rows = _generator_rows(inst.space, _bits(inst))[0]
     return [BiinvariantMeasure(inst.space, tuple(Fraction(int(v)) for v in row))
             for row in rows]
 
@@ -204,14 +313,30 @@ def zero_set(mu: BiinvariantMeasure,
     return frozenset(int(i) for i in np.nonzero(hits)[0])
 
 
-def _common_zeros(space: CosetSpace, rows: np.ndarray) -> frozenset:
-    """Indices of the spherical functions whose homomorphism kills every
-    measure with class coefficients in rows, one measure per row."""
-    st = hecke_structure(space)
-    phi = st.phi_matrix @ rows.T                # one column per measure
-    tol = PHI_ZERO_TOL * (1.0 + (np.abs(rows) * st.class_sizes).sum(axis=1))
-    alive = _vanishing(phi, tol).all(axis=1)
-    return frozenset(int(i) for i in np.nonzero(alive)[0])
+def _common_zeros(space: CosetSpace, rows: np.ndarray) -> np.ndarray:
+    """B x spherical functions: whether the homomorphism of f_i kills every
+    measure of batch b, one measure per row of rows[b] (class
+    coefficients), each tested against its own tolerance.
+
+    The measures go through the Phi table in blocks of at most SCAN_CHUNK
+    multiply-adds, so that the tables stay small and each product runs on
+    one BLAS thread."""
+    cache = _cache(space)
+    flat = rows.reshape(-1, rows.shape[2])
+    tol = PHI_ZERO_TOL * (1.0 + (np.abs(flat) * cache.class_sizes).sum(axis=1))
+    table = cache.phi_table
+    step = max(1, SCAN_CHUNK // table.size)
+    zeros = []
+    for i in range(0, len(flat), step):
+        phi = flat[i:i + step] @ table
+        if table.dtype.kind == "f":
+            phi = phi.view(complex)
+        zeros.append(_vanishing(phi, tol[i:i + step, None]))
+    return np.concatenate(zeros).reshape(rows.shape[0], rows.shape[1], -1).all(axis=1)
+
+
+def _indices(flags: np.ndarray) -> frozenset:
+    return frozenset(int(i) for i in np.flatnonzero(flags))
 
 
 def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
@@ -219,7 +344,13 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     homomorphisms are multiplicative, so the generators suffice)."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    return _common_zeros(inst.space, _generator_rows(inst))
+    return _indices(_common_zeros(inst.space,
+                                  _generator_rows(inst.space, _bits(inst)))[0])
+
+
+def _spherical_witness(space: CosetSpace, idx: int) -> dict:
+    return {"spherical_index": idx,
+            "values": [_c2pair(v) for v in spherical_functions(space)[idx].values]}
 
 
 def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
@@ -230,10 +361,7 @@ def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
     zs = zero_set_ideal(inst)
     if not zs:
         return DecisionReport("Pompeiu", "spectral", None, time.perf_counter() - t0)
-    funcs = spherical_functions(inst.space)
-    idx = min(zs)
-    witness = {"spherical_index": idx,
-               "values": [_c2pair(v) for v in funcs[idx].values]}
+    witness = _spherical_witness(inst.space, min(zs))
     return DecisionReport("NotPompeiu", "spectral", witness, time.perf_counter() - t0)
 
 
@@ -244,7 +372,8 @@ def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
 def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
     """For each row f of table (values on G): whether x -> sum_{z in lifted}
     f(xz) vanishes identically, lifted the elements whose coset is in
-    subset."""
+    subset.  The definition, element by element; `recheck_witness` holds
+    the deciders to it."""
     indicator = np.zeros(space.num_cosets, dtype=bool)
     indicator[sorted(subset)] = True
     lifted = np.nonzero(indicator[space.coset_of])[0]
@@ -253,21 +382,36 @@ def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
     return _vanishing(conv, tol).all(axis=1)
 
 
+def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """B x spherical functions: whether f_i convolves the reversed lifted
+    indicator of subset b to zero on all of G.
+
+    The convolution sum_{z in lifted E} f(xz) is grouped by coset: conv[b]
+    is the sum over c in E of the table S_c[i, x] = sum_{z in tc K}
+    f_i(xz), built for one coset of the support at a time."""
+    on_group = hecke_structure(space).on_group
+    mul = space.group.mul
+    # the elements of each coset, ascending: row c lists the lift of coset c
+    members = np.argsort(space.coset_of, kind="stable").reshape(space.num_cosets, -1)
+    conv = np.zeros((len(bits),) + on_group.shape, dtype=on_group.dtype)
+    for c in _support(bits):
+        np.add(conv, on_group[:, mul[:, members[c]]].sum(axis=2), out=conv,
+               where=bits[:, c, None, None] == 1)
+    tol = CONV_ZERO_TOL * (1 + bits.sum(axis=1) * space.k_size)
+    return _vanishing(conv, tol[:, None, None]).all(axis=2)
+
+
 def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function convolves the reversed
     lifted indicator to zero; checked exhaustively on the group."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     t0 = time.perf_counter()
-    space = inst.space
-    hits = np.nonzero(_annihilating(hecke_structure(space).on_group, space,
-                                    inst.subset))[0]
+    hits = np.flatnonzero(_convolution_zeros(inst.space, _bits(inst))[0])
     if hits.size == 0:
         return DecisionReport("Pompeiu", "convolution", None,
                               time.perf_counter() - t0)
-    i = int(hits[0])
-    witness = {"spherical_index": i,
-               "values": [_c2pair(v) for v in spherical_functions(space)[i].values]}
+    witness = _spherical_witness(inst.space, int(hits[0]))
     return DecisionReport("NotPompeiu", "convolution", witness,
                           time.perf_counter() - t0)
 
@@ -302,15 +446,12 @@ def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
     # class coefficients of the reversed indicator x -> [x^{-1} lies in E~]
     reps = np.asarray(space.double_cosets.representatives)
     coeffs = inside[space.coset_of[space.group.inv[reps]]].astype(np.int64)
-    zs = _common_zeros(space, coeffs[None, :])
+    zs = _indices(_common_zeros(space, coeffs[None, None, :])[0])
     if not zs:
         return DecisionReport("Pompeiu", "radial-shortcut", None,
                               time.perf_counter() - t0)
-    funcs = spherical_functions(space)
-    idx = min(zs)
-    witness = {"spherical_index": idx,
-               "values": [_c2pair(v) for v in funcs[idx].values]}
-    return DecisionReport("NotPompeiu", "radial-shortcut", witness,
+    return DecisionReport("NotPompeiu", "radial-shortcut",
+                          _spherical_witness(space, min(zs)),
                           time.perf_counter() - t0)
 
 
@@ -356,36 +497,64 @@ class SweepResult:
         }
 
 
-def _decide_row(space: CosetSpace, bitmask: int) -> SweepRow:
-    subset = frozenset(c for c in range(space.num_cosets) if bitmask >> c & 1)
-    inst = PompeiuInstance(space, subset)
-    oracle = pompeiu_oracle(inst)
-    spectral = pompeiu_spectral(inst)
-    conv = pompeiu_convolution(inst)
-    if spectral.witness is not None:
-        wit = f"spherical:{spectral.witness['spherical_index']}"
-    elif oracle.witness is not None:
-        wit = "kernel"
-    else:
-        wit = ""
-    return SweepRow(bitmask, tuple(sorted(subset)), oracle.has_property,
-                    spectral.has_property, conv.has_property, wit)
+def _mask_chunks(n: int, max_size: int | None, per_chunk: int):
+    """The bitmasks 1 .. 2^n - 1 in increasing order, those with more than
+    max_size bits dropped, as (masks, B x n 0/1 matrix) chunks of at most
+    per_chunk masks; bit c of a mask is coset c."""
+    shifts = np.arange(n, dtype=np.int64)
+    for start in range(1, 1 << n, per_chunk):
+        masks = np.arange(start, min(start + per_chunk, 1 << n), dtype=np.int64)
+        bits = (masks[:, None] >> shifts) & 1
+        if max_size is not None:
+            keep = bits.sum(axis=1) <= max_size
+            masks, bits = masks[keep], bits[keep]
+        if len(masks):
+            yield masks, bits
+
+
+def _first_index(flags: np.ndarray) -> list:
+    """Per row, the index of the first True entry, or -1 when none is."""
+    return np.where(flags.any(axis=1), flags.argmax(axis=1), -1).tolist()
 
 
 def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
-    (optionally bounded in size), one after another in one thread, and
-    tabulate agreement."""
+    (optionally bounded in size), in one thread, and tabulate agreement.
+
+    The subsets go through the deciders' array kernels in chunks of
+    bitmasks, sized so that the largest array of a chunk, the translate
+    matrices, holds at most SCAN_CHUNK elements (at least one subset per
+    chunk); no array grows with 2^n, only the list of rows.  The oracle's
+    Gram certificate settles the full-rank subsets of a chunk at once; the
+    others reach the exact kernel one by one."""
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max subset size must be >= 1, got {max_size}")
     t0 = time.perf_counter()
-    spherical_functions(space)          # raises NotGelfandPairError up front
-    masks = [m for m in range(1, 1 << space.num_cosets)
-             if max_size is None or bin(m).count("1") <= max_size]
-    rows = [_decide_row(space, m) for m in masks]
+    n = space.num_cosets
+    labels = [f"spherical:{i}" for i in range(len(spherical_functions(space)))]
+    _check_oracle_budget(space)
+    per_chunk = max(1, SCAN_CHUNK // (space.group.order * n))
+    rows = []
+    for masks, bits in _mask_chunks(n, max_size, per_chunk):
+        kernels = _kernel_witnesses(space, bits)
+        spectral = _first_index(_common_zeros(space, _generator_rows(space, bits)))
+        conv = _first_index(_convolution_zeros(space, bits))
+        cosets = np.nonzero(bits)[1].tolist()
+        ends = np.cumsum(bits.sum(axis=1)).tolist()
+        start = 0
+        for mask, end, h, sp, cv in zip(masks.tolist(), ends, kernels, spectral, conv):
+            if sp >= 0:
+                wit = labels[sp]
+            elif h is not None:
+                wit = "kernel"
+            else:
+                wit = ""
+            rows.append(SweepRow(mask, tuple(cosets[start:end]), h is None,
+                                 sp < 0, cv < 0, wit))
+            start = end
     return SweepResult(space.name, rows, time.perf_counter() - t0)
 
 

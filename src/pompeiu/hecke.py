@@ -187,9 +187,11 @@ class _HeckeStructure:
         return values[:, list(self.inverse_class)] * np.asarray(self.class_sizes)
 
     def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
-        """Phi_f(mu) for every f in funcs, in the algebra's dtype."""
+        """Phi_f(mu) for every f in funcs, in the algebra's dtype, summed
+        over the nonzero coefficients of mu only."""
         values, coeffs = _algebra_arrays([f.values for f in funcs], mu.coeffs)
-        return self.phi_rows(values) @ coeffs
+        ic = _nonzero(coeffs)
+        return self.phi_rows(values)[:, ic] @ coeffs[ic]
 
     def sphericals(self) -> list[SphericalFunction]:
         if self._witness is not None:
@@ -327,6 +329,15 @@ def hecke_structure(space: CosetSpace) -> _HeckeStructure:
     return space.cached("hecke", _HeckeStructure)
 
 
+def _nonzero(coeffs: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero coefficients; [0] when there is none, so that
+    a contraction over them never runs empty and keeps the algebra's dtype.
+    Contracting over these alone spares a sparse exact measure a Fraction
+    product for every zero."""
+    idx = np.flatnonzero(coeffs != 0)
+    return idx if idx.size else np.zeros(1, dtype=np.intp)
+
+
 def _algebra_arrays(*tables) -> list[np.ndarray]:
     """The tables as arrays of the measure algebra's one dtype: Fractions in
     an object array when every entry is an int or a Fraction, complex
@@ -402,7 +413,9 @@ def convolve(mu: BiinvariantMeasure, nu: BiinvariantMeasure) -> BiinvariantMeasu
     if mu.space is not nu.space:
         raise ValueError("measures live on different spaces")
     a, b = _algebra_arrays(mu.coeffs, nu.coeffs)
-    return BiinvariantMeasure(mu.space, tuple(b @ (hecke_structure(mu.space).op @ a)))
+    ia, ib = _nonzero(a), _nonzero(b)
+    left = hecke_structure(mu.space).op[:, :, ia] @ a[ia]       # [j, k]
+    return BiinvariantMeasure(mu.space, tuple(b[ib] @ left[ib]))
 
 
 def gelfand_witness(space: CosetSpace):

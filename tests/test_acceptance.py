@@ -185,21 +185,24 @@ def test_criterion_7_zero_frequency_excluded():
                 complex_sphere_vanishes(shape, 0.0)
 
 
-def _run_cli(args, width):
-    """Run `python -m pompeiu.cli ARGS` with POMPEIU_THREADS=`width`.
-
-    The child gets the directory holding the imported `pompeiu` package,
-    made absolute, first on its PYTHONPATH, so it runs the code under test
-    whatever the caller's working directory and whether or not the package
-    is installed; the caller's own PYTHONPATH entries follow it."""
+def _child_env(**extra):
+    """The environment of a child Python process: the directory holding the
+    imported `pompeiu` package, made absolute, comes first on its
+    PYTHONPATH, so the child runs the code under test whatever the caller's
+    working directory and whether or not the package is installed; the
+    caller's own PYTHONPATH entries follow it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pompeiu.__file__)))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                     if p]
-    env = dict(os.environ, POMPEIU_THREADS=width,
-               PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def _run_cli(args, width):
+    """Run `python -m pompeiu.cli ARGS` with POMPEIU_THREADS=`width`."""
     proc = subprocess.run(
         [sys.executable, "-m", "pompeiu.cli", *args],
-        env=env, cwd=os.path.dirname(__file__), capture_output=True, text=True)
+        env=_child_env(POMPEIU_THREADS=width), cwd=os.path.dirname(__file__),
+        capture_output=True, text=True)
     assert proc.returncode == 0, (
         f"pompeiu.cli {' '.join(args[:2])} at width {width} exited "
         f"{proc.returncode}:\n{proc.stderr}")
@@ -231,3 +234,15 @@ def test_criterion_8_deterministic_outputs(tmp_path):
             blobs.append((sweep.read_bytes(), summary.read_bytes(),
                           report.read_bytes(), land.read_bytes()))
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_run_finite_suite_script():
+    """scripts/run_finite_suite.py sweeps the whole acceptance suite and
+    exits 0 with no disagreement."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "run_finite_suite.py")
+    proc = subprocess.run([sys.executable, script], env=_child_env(),
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "total disagreements: 0" in proc.stdout

@@ -83,6 +83,19 @@ def test_finite_check_empty_set(z8_file):
     assert main(["finite", "check", "--group", z8_file, "--set", ""]) == 2
 
 
+def test_finite_check_reports_the_decided_subset(z8_file, tmp_path):
+    """A repeated index is decided once, and the report names the subset
+    that was decided: --set 1,1,3 gives the report of --set 1,3."""
+    reports = []
+    for text in ("1,1,3", "1,3"):
+        out = tmp_path / "report.json"
+        assert main(["finite", "check", "--group", z8_file, "--set", text,
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["E"] == [1, 3]
+    assert reports[0] == reports[1]
+
+
 def test_finite_sweep(s3_file, tmp_path):
     out = tmp_path / "sweep.csv"
     summary = tmp_path / "summary.json"

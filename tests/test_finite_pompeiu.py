@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu import groups
+from pompeiu import exact_linalg, groups
+from pompeiu import finite_pompeiu as fp
+from pompeiu.exact_linalg import nullspace
 from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
-                                    PompeiuInstance, _biinvariant_lift,
+                                    PompeiuInstance, SweepRow, _biinvariant_lift,
                                     enumerate_all, ideal_generators,
                                     pompeiu_convolution, pompeiu_oracle,
                                     pompeiu_spectral, radial_shortcut,
@@ -218,7 +221,7 @@ def _sampled_instances(per_space=12):
 def test_generator_rows_match_direct_densities():
     """Summed per-coset rows equal the density #{y in tK : y x^{-1} in E~}
     at the double-coset representatives, counted per subset."""
-    from pompeiu.finite_pompeiu import _generator_rows
+    from pompeiu.finite_pompeiu import _bits, _generator_rows
     for inst in _sampled_instances():
         space = inst.space
         mul, inv = space.group.mul, space.group.inv
@@ -227,7 +230,7 @@ def test_generator_rows_match_direct_densities():
                          for k in space.k_members)
                      for x in space.double_cosets.representatives]
                     for t in space.transversal]
-        assert _generator_rows(inst).tolist() == expected
+        assert _generator_rows(space, _bits(inst))[0].tolist() == expected
 
 
 def test_translate_matrix_keeps_every_translate_and_the_kernel():
@@ -394,6 +397,156 @@ def test_sweep_size_cap():
     space = cyclic_space(21)
     with pytest.raises(ValueError, match="cap"):
         enumerate_all(space)
+
+
+# ---------------------------------------------------------------------------
+# batched sweep against a per-subset reference
+
+
+def _reference_rows(space):
+    """The sweep's rows decided one subset at a time, by the per-subset
+    formulas: the exact kernel of the translate matrix (row g the
+    indicator of gE), the ideal generator rows summed over E against the
+    Phi table, and the convolution with the lifted indicator summed element
+    by element on G."""
+    structure, cache = hecke_structure(space), fp._cache(space)
+    mul, inv = space.group.mul, space.group.inv
+    sizes = np.asarray(space.double_cosets.class_sizes)
+
+    def zero(values, tol):
+        return values == 0 if structure.exact else np.abs(values) < tol
+
+    rows = []
+    for mask in range(1, 1 << space.num_cosets):
+        subset = [c for c in range(space.num_cosets) if mask >> c & 1]
+        indicator = np.zeros(space.num_cosets, dtype=np.int64)
+        indicator[subset] = 1
+        kernel = nullspace(indicator[space.action[inv]])
+        gens = cache.generators[cache.shift[:, subset]].sum(axis=1)
+        tol = fp.PHI_ZERO_TOL * (1 + (gens * sizes).sum(axis=1))
+        spectral = np.flatnonzero(zero(structure.phi_matrix @ gens.T, tol).all(axis=1))
+        lifted = np.flatnonzero(indicator[space.coset_of])
+        conv = structure.on_group[:, mul[:, lifted]].sum(axis=2)
+        conv_zero = zero(conv, fp.CONV_ZERO_TOL * (1 + len(lifted))).all(axis=1)
+        witness = (f"spherical:{spectral[0]}" if spectral.size
+                   else "kernel" if kernel else "")
+        rows.append(SweepRow(mask, tuple(subset), not kernel, not spectral.size,
+                             not conv_zero.any(), witness))
+    return rows
+
+
+@functools.cache
+def _reference_sweeps():
+    """(space, reference rows) for every acceptance-suite space, D8 with a
+    reflection and Z13."""
+    spaces = acceptance_suite() + [dihedral_space(8), cyclic_space(13)]
+    return [(space, _reference_rows(space)) for space in spaces]
+
+
+def _counting_nullspace(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return nullspace(matrix)
+    monkeypatch.setattr(exact_linalg, "nullspace", counted)
+    return calls
+
+
+def test_sweep_rows_match_per_subset_reference(monkeypatch):
+    """Every row (three verdicts and the witness column) of every subset of
+    every acceptance-suite space, of D8 and of Z13 equals the per-subset
+    reference. Z13 spans several chunks. On these spaces the Gram
+    certificate settles every full-rank subset, so only the rank-deficient
+    ones reach the exact kernel."""
+    z13 = cyclic_space(13)
+    assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
+    for space, expected in _reference_sweeps():
+        calls = _counting_nullspace(monkeypatch)
+        assert enumerate_all(space).rows == expected, space.name
+        assert len(calls) == sum(1 for r in expected if not r.oracle), space.name
+
+
+def test_certificate_fallback_keeps_rows(monkeypatch):
+    """With the prime patched to 2 the certificate settles fewer subsets:
+    more of them reach the exact kernel, and every row stays the same."""
+    checked = 0
+    for space, expected in _reference_sweeps()[:-1]:
+        calls = _counting_nullspace(monkeypatch)
+        enumerate_all(space)
+        at_default = len(calls)
+        monkeypatch.setattr(fp, "GRAM_PRIME", 2)
+        calls.clear()
+        assert enumerate_all(space).rows == expected, space.name
+        assert len(calls) >= at_default
+        checked += len(calls) > at_default
+        monkeypatch.setattr(fp, "GRAM_PRIME", 2 ** 31 - 1)
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5, 97])
+def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
+    """With a small element budget the masks split into many chunks (one or
+    five subsets each on the spaces of at most 8 cosets, 97 on the larger
+    ones), no chunk's translate matrices exceed the budget, and the rows,
+    also under a size bound, stay the same."""
+    sizes = []
+    kernel = fp._kernel_witnesses
+
+    def recorded(space, bits):
+        sizes.append(bits.size * space.group.order)
+        return kernel(space, bits)
+    monkeypatch.setattr(fp, "_kernel_witnesses", recorded)
+    for space, expected in _reference_sweeps():
+        if (space.num_cosets > 8) != (per_chunk == 97):
+            continue
+        per_subset = space.group.order * space.num_cosets
+        budget = per_chunk * per_subset + per_subset // 2
+        monkeypatch.setattr(fp, "SCAN_CHUNK", budget)
+        sizes.clear()
+        assert enumerate_all(space).rows == expected, space.name
+        assert len(sizes) == -(-len(expected) // per_chunk)
+        assert max(sizes) <= budget
+        sizes.clear()
+        assert enumerate_all(space, max_size=2).rows == [
+            r for r in expected if len(r.subset) <= 2]
+        assert max(sizes) <= budget
+    monkeypatch.setattr(fp, "SCAN_CHUNK", 1)
+    sizes.clear()
+    assert len(enumerate_all(cyclic_space(5)).rows) == 31
+    assert sizes == [25] * 31          # at least one subset per chunk
+
+
+def _raise_on_call(matrix):
+    raise AssertionError("nullspace called on a certified subset")
+
+
+def test_full_rank_check_skips_the_exact_kernel(monkeypatch):
+    """A full-rank subset is settled by the Gram certificate alone, also on
+    D24 with a reflection, whose 24 columns are past the int64 bound of the
+    exact kernel."""
+    monkeypatch.setattr(exact_linalg, "nullspace", _raise_on_call)
+    cases = [(dihedral_space(24), {0}), (dihedral_space(24), {0, 1, 3}),
+             (dihedral_space(24), {0, 5, 7, 11}), (cyclic_space(20), {0, 1, 2}),
+             (symmetric_space(5, fixed_point=4), {0, 1})]
+    for space, subset in cases:
+        assert pompeiu_oracle(space, subset).verdict == "Pompeiu"
+
+
+def test_rank_deficient_check_returns_the_kernel_witness():
+    """A rank-deficient subset gets the first vector of the exact kernel
+    basis of its translate matrix, and recheck_witness accepts it."""
+    from pompeiu.finite_pompeiu import translate_matrix
+    cases = [(dihedral_space(24), {0, 12}), (dihedral_space(24), set(range(24))),
+             (dihedral_space(24), {1, 2, 3, 4}), (cyclic_space(20), {0, 10}),
+             (cyclic_space(20), {0, 4, 8, 12, 16}), (dihedral_space(6), {0, 3})]
+    for space, subset in cases:
+        inst = PompeiuInstance(space, frozenset(subset))
+        report = pompeiu_oracle(inst)
+        assert report.verdict == "NotPompeiu"
+        expected = nullspace(translate_matrix(inst))[0]
+        assert report.witness["kernel"] == [float(x) for x in expected]
+        assert recheck_witness(inst, report)
 
 
 # ---------------------------------------------------------------------------

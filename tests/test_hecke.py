@@ -107,6 +107,29 @@ def test_convolution_associative_small_bases():
                     assert convolve(ab, c).coeffs == convolve(a, convolve(b, c)).coeffs
 
 
+def test_sparse_convolution_matches_dense_and_stays_exact():
+    """convolve and phi_hom contract over nonzero coefficients only; the
+    result equals the dense contraction, and exact inputs, the zero measure
+    included, still give Fractions."""
+    space = cyclic_space(12)
+    structure = hecke_structure(space)
+    d = space.double_cosets.num_classes
+    zero = BiinvariantMeasure(space, tuple(Fraction(0) for _ in range(d)))
+    measures = [zero, class_indicator(space, 3),
+                BiinvariantMeasure(space, tuple(Fraction(j % 3, 2) for j in range(d)))]
+    f = spherical_functions(space)[1]
+    for a in measures:
+        for b in measures:
+            out = convolve(a, b).coeffs
+            dense = np.asarray(b.coeffs, dtype=object) @ (
+                structure.op @ np.asarray(a.coeffs, dtype=object))
+            assert out == tuple(dense)
+            assert all(type(x) is Fraction for x in out)
+        assert abs(complex(phi_hom(f, a)) - sum(
+            complex(f.values[structure.inverse_class[c]]) * size * complex(m)
+            for c, (m, size) in enumerate(zip(a.coeffs, structure.class_sizes)))) < 1e-12
+
+
 def test_gelfand_pairs():
     for n in (3, 5, 8):
         assert is_gelfand_pair(cyclic_space(n))
