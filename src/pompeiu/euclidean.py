@@ -592,6 +592,9 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     """
     if not (math.isfinite(grid) and grid > 0):
         raise ValueError(f"grid step must be finite and positive, got {grid}")
+    for name, tol in (("vanishing", vanish_tol), ("quadrature", quad_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} tolerance must be finite and positive, got {tol}")
     if not float(lam_range[0]) < float(lam_range[1]):
         raise ValueError(f"empty frequency range {lam_range[0]}:{lam_range[1]}")
     if rotation_samples is not None and rotation_samples < 1:

@@ -14,12 +14,12 @@ Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset: `enumerate_all` runs the kernels over chunks of bitmasks,
 and the single-subset functions (`pompeiu_oracle`, `pompeiu_spectral`,
 `pompeiu_convolution`, `ideal_generators`) run them with B = 1.  The
-oracle first certifies full rank in bulk: the Gram matrix of the
-translates has small integer entries, and a nonzero pivot at every step of
-its elimination modulo the prime GRAM_PRIME proves its determinant nonzero
-over the integers.  Only the subsets this certificate does not settle go
-through the exact integer kernel (`exact_linalg.nullspace`), whose witness
-is rechecked against every translate.
+oracle eliminates the Gram matrices of the translates modulo the primes
+GRAM_PRIMES: a nonzero pivot at every step modulo one prime proves full
+rank, a zero pivot modulo primes whose product exceeds Hadamard's bound
+proves a rank deficiency, so a sweep computes no kernel.  `pompeiu_oracle`
+takes a witness from the exact kernel (`exact_linalg.nullspace`) and
+rechecks it against every translate.
 
 The three verdicts must agree on every Gelfand-pair instance; any
 disagreement is a bug, never silently resolved.
@@ -46,9 +46,10 @@ SWEEP_COSET_CAP = 20
 # Elements in the largest array of one chunk of a sweep, the B x |G| x n
 # translate matrices.  Larger chunks raise peak memory with no gain in rate.
 SCAN_CHUNK = 1 << 17
-# Every product in the modular elimination of a Gram matrix stays below
-# GRAM_PRIME^2 < 2^62, so each step fits int64.
-GRAM_PRIME = 2 ** 31 - 1
+# The ten largest primes below 2^31: each product of the modular eliminations
+# fits int64, and theirs exceeds every sweep's Hadamard bound (below 2^293).
+GRAM_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+               2147483549, 2147483543, 2147483497, 2147483489, 2147483477)
 
 __all__ = [
     "EmptySetError",
@@ -147,24 +148,38 @@ def _check_oracle_budget(space: CosetSpace) -> None:
                       "the oracle's elimination")
 
 
-def _gram_certified(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
-    """One flag per subset: True when the translates certainly have full
-    column rank.
+def _rank_rounds(space: CosetSpace, bits: np.ndarray):
+    """The oracle's certificate, one round per prime of GRAM_PRIMES while a
+    subset is open, each yielding per subset (full, settled): whether the
+    translates have full column rank, and whether that is proven.
 
     The Gram matrix S = M^T M of the translate matrix M has integer entries
-    at most |G|, so it is exact in float64.  Its elimination modulo the
-    prime p = GRAM_PRIME needs no division: each step replaces every row
-    below the pivot row by pivot * row - entry * pivot_row (mod p), which
-    multiplies the trailing block by the nonzero pivot and so keeps its
-    rank over Z/p.  A nonzero pivot at every step means det S is nonzero
-    mod p, hence nonzero over Z, so M has full column rank.  A False flag
-    proves nothing: the subset goes to the exact kernel."""
-    p = GRAM_PRIME
+    at most |G| (exact in float64); it is invertible modulo some prime iff
+    M has full column rank.  S is positive semidefinite with diagonal
+    |E| |K|, so 0 <= det S <= (|E| |K|)^n (Hadamard): singular modulo primes
+    whose product exceeds that, det S = 0.  Only past SWEEP_COSET_CAP can
+    the primes run out and leave a subset unsettled."""
     matrices = bits.astype(np.float64)[:, _translates(space)]
-    gram = matrices.transpose(0, 2, 1) @ matrices
+    gram = (matrices.transpose(0, 2, 1) @ matrices).astype(np.int64)
     del matrices
-    a = _mod(gram.astype(np.int64), p)
-    del gram
+    n, sizes = space.num_cosets, bits.sum(axis=1)
+    full, settled = np.zeros((2, len(bits)), dtype=bool)
+    product = 1
+    for p in GRAM_PRIMES:
+        full[~settled] = _full_rank_mod(gram[~settled], p)
+        product *= p
+        covered = [product > (size * space.k_size) ** n for size in range(n + 1)]
+        settled |= full | np.asarray(covered)[sizes]
+        yield full, settled
+        if settled.all():
+            return
+
+
+def _full_rank_mod(gram: np.ndarray, p: int) -> np.ndarray:
+    """Per matrix of a fresh int64 stack: whether it is invertible mod p.
+    No division: each step sets every row below the pivot row to pivot *
+    row - entry * pivot_row (mod p), scaling it by the nonzero pivot."""
+    a = _mod(gram, p)
     full = np.ones(len(a), dtype=bool)
     batch = np.arange(len(a))
     while a.shape[1]:
@@ -188,43 +203,32 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _kernel_witnesses(space: CosetSpace, bits: np.ndarray) -> list:
-    """The oracle kernel: per subset, None when the translate matrix has
-    trivial rational kernel, else the first vector of its kernel basis (a
-    list of Fractions), rechecked in integers against every translate.
-
-    The Gram certificate settles the full-rank subsets in bulk; each of
-    the others gets one fraction-free integer elimination."""
-    witnesses = [None] * len(bits)
-    translates = _translates(space)
-    for b in np.flatnonzero(~_gram_certified(space, bits)):
-        matrix = bits[b, translates]
-        kernel = xla.nullspace(matrix)
-        if not kernel:
-            continue
-        h = kernel[0]
-        scale = math.lcm(*(x.denominator for x in h))
-        scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
-                            dtype=object)
-        if np.any(np.asarray(matrix, dtype=object) @ scaled):
-            raise RuntimeError("oracle kernel witness failed recheck")
-        witnesses[b] = h
-    return witnesses
-
-
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel.  The modular Gram certificate
-    settles full column rank; otherwise one fraction-free integer
-    elimination gives the exact rational kernel, whose first basis vector
-    is the witness."""
+    translate matrix has trivial kernel.  A first certificate round proves
+    full rank, else the exact kernel decides: its first vector, rechecked
+    in integers against every translate, is the witness, and a trivial one
+    must not meet a rank deficiency proven by the rest of the certificate."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     _check_oracle_budget(inst.space)
     t0 = time.perf_counter()
-    h = _kernel_witnesses(inst.space, _bits(inst))[0]
-    if h is None:
+    rounds = _rank_rounds(inst.space, _bits(inst))
+    full, settled = next(rounds)
+    matrix = translate_matrix(inst)
+    kernel = [] if full[0] else xla.nullspace(matrix)
+    if not kernel:
+        for full, settled in rounds:
+            pass
+        if settled[0] and not full[0]:
+            raise RuntimeError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
+    h = kernel[0]
+    scale = math.lcm(*(x.denominator for x in h))
+    scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
+                        dtype=object)
+    if np.any(np.asarray(matrix, dtype=object) @ scaled):
+        raise RuntimeError("oracle kernel witness failed recheck")
     witness = {"kernel": [float(x) for x in h]}
     return DecisionReport("NotPompeiu", "oracle", witness, time.perf_counter() - t0)
 
@@ -525,8 +529,7 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult
     bitmasks, sized so that the largest array of a chunk, the translate
     matrices, holds at most SCAN_CHUNK elements (at least one subset per
     chunk); no array grows with 2^n, only the list of rows.  The oracle's
-    Gram certificate settles the full-rank subsets of a chunk at once; the
-    others reach the exact kernel one by one."""
+    Gram certificate settles every subset of a chunk, with no kernel."""
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
@@ -539,21 +542,18 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult
     per_chunk = max(1, SCAN_CHUNK // (space.group.order * n))
     rows = []
     for masks, bits in _mask_chunks(n, max_size, per_chunk):
-        kernels = _kernel_witnesses(space, bits)
+        *_, (full, settled) = _rank_rounds(space, bits)
+        if not settled.all():
+            raise RuntimeError("GRAM_PRIMES do not cover Hadamard's bound")
         spectral = _first_index(_common_zeros(space, _generator_rows(space, bits)))
         conv = _first_index(_convolution_zeros(space, bits))
         cosets = np.nonzero(bits)[1].tolist()
         ends = np.cumsum(bits.sum(axis=1)).tolist()
         start = 0
-        for mask, end, h, sp, cv in zip(masks.tolist(), ends, kernels, spectral, conv):
-            if sp >= 0:
-                wit = labels[sp]
-            elif h is not None:
-                wit = "kernel"
-            else:
-                wit = ""
-            rows.append(SweepRow(mask, tuple(cosets[start:end]), h is None,
-                                 sp < 0, cv < 0, wit))
+        for mask, end, ok, sp, cv in zip(masks.tolist(), ends, full.tolist(),
+                                         spectral, conv):
+            wit = labels[sp] if sp >= 0 else "" if ok else "kernel"
+            rows.append(SweepRow(mask, tuple(cosets[start:end]), ok, sp < 0, cv < 0, wit))
             start = end
     return SweepResult(space.name, rows, time.perf_counter() - t0)
 

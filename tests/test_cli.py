@@ -119,6 +119,21 @@ def test_finite_sweep_size_cap(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_finite_sweep_d16_reflection_counts(tmp_path):
+    """The full sweep of D16 with K = one reflection: 16 cosets, every
+    subset settled by the Gram certificate, the counts of the per-subset
+    kernel sweep it replaced."""
+    path = tmp_path / "d16.json"
+    path.write_text(json.dumps({"family": "dihedral", "n": 16,
+                                "subgroup_generators": [[(-i) % 16 for i in range(16)]]}))
+    summary = tmp_path / "summary.json"
+    assert main(["finite", "sweep", "--group", str(path), "--out",
+                 str(tmp_path / "sweep.csv"), "--summary", str(summary)]) == 0
+    info = json.loads(summary.read_text())
+    assert (info["subsets"], info["pompeiu"], info["not_pompeiu"],
+            info["disagreements"]) == (65535, 48640, 16895, 0)
+
+
 def test_finite_sweep_byte_identical(z8_file, tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -213,6 +228,23 @@ def test_euclid_malformed_parameters_exit_2(shape, args, disk_file,
             "--grid", "0.5", *args, "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--quad-tol", "-1"], ["--quad-tol", "0"], ["--quad-tol", "nan"],
+    ["--vanish-tol", "-1"], ["--vanish-tol", "0"], ["--vanish-tol", "nan"],
+])
+def test_euclid_bad_tolerances_exit_2(args, disk_file, tmp_path, capsys):
+    """A tolerance that is not finite and positive is a malformed parameter:
+    it is rejected before the search, not carried into the quadrature
+    ladder or the report."""
+    out = tmp_path / "r.json"
+    argv = ["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5",
+            "--seed", "1", "--residuals", str(tmp_path / "res.csv"),
+            *args, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_euclid_grid_cap_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -453,35 +454,49 @@ def _counting_nullspace(monkeypatch):
     return calls
 
 
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _recorded_rounds(monkeypatch):
+    """(prime, number of Gram matrices) for every modular elimination."""
+    rounds = []
+    eliminate = fp._full_rank_mod
+
+    def recorded(gram, p):
+        rounds.append((p, len(gram)))
+        return eliminate(gram, p)
+    monkeypatch.setattr(fp, "_full_rank_mod", recorded)
+    return rounds
+
+
 def test_sweep_rows_match_per_subset_reference(monkeypatch):
     """Every row (three verdicts and the witness column) of every subset of
     every acceptance-suite space, of D8 and of Z13 equals the per-subset
-    reference. Z13 spans several chunks. On these spaces the Gram
-    certificate settles every full-rank subset, so only the rank-deficient
-    ones reach the exact kernel."""
+    reference. Z13 spans several chunks. The Gram certificate settles every
+    subset, so the sweep computes no kernel."""
     z13 = cyclic_space(13)
     assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
     for space, expected in _reference_sweeps():
         calls = _counting_nullspace(monkeypatch)
         assert enumerate_all(space).rows == expected, space.name
-        assert len(calls) == sum(1 for r in expected if not r.oracle), space.name
+        assert calls == [], space.name
 
 
 def test_certificate_fallback_keeps_rows(monkeypatch):
-    """With the prime patched to 2 the certificate settles fewer subsets:
-    more of them reach the exact kernel, and every row stays the same."""
-    checked = 0
-    for space, expected in _reference_sweeps()[:-1]:
-        calls = _counting_nullspace(monkeypatch)
-        enumerate_all(space)
-        at_default = len(calls)
-        monkeypatch.setattr(fp, "GRAM_PRIME", 2)
-        calls.clear()
+    """With GRAM_PRIMES patched to the primes up to 47, whose product (about
+    6e17) exceeds every Hadamard bound here, many subsets need several
+    rounds; every row stays the same, and no kernel is computed. The full
+    sets of Z12 and Z13 (bounds 12^12 and 13^13) are the last to settle:
+    their bounds lie between the products of the primes up to 37 and up to
+    41."""
+    monkeypatch.setattr(fp, "GRAM_PRIMES", SMALL_PRIMES)
+    rounds = _recorded_rounds(monkeypatch)
+    calls = _counting_nullspace(monkeypatch)
+    for space, expected in _reference_sweeps():
         assert enumerate_all(space).rows == expected, space.name
-        assert len(calls) >= at_default
-        checked += len(calls) > at_default
-        monkeypatch.setattr(fp, "GRAM_PRIME", 2 ** 31 - 1)
-    assert checked >= 10
+    assert calls == []
+    assert sum(count for p, count in rounds if p != 2) >= 5000
+    assert [(p, count) for p, count in rounds if p >= 41] == [(41, 1), (41, 1)]
 
 
 @pytest.mark.parametrize("per_chunk", [1, 5, 97])
@@ -491,12 +506,12 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
     ones), no chunk's translate matrices exceed the budget, and the rows,
     also under a size bound, stay the same."""
     sizes = []
-    kernel = fp._kernel_witnesses
+    certificate = fp._rank_rounds
 
     def recorded(space, bits):
         sizes.append(bits.size * space.group.order)
-        return kernel(space, bits)
-    monkeypatch.setattr(fp, "_kernel_witnesses", recorded)
+        return certificate(space, bits)
+    monkeypatch.setattr(fp, "_rank_rounds", recorded)
     for space, expected in _reference_sweeps():
         if (space.num_cosets > 8) != (per_chunk == 97):
             continue
@@ -515,6 +530,64 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
     sizes.clear()
     assert len(enumerate_all(cyclic_space(5)).rows) == 31
     assert sizes == [25] * 31          # at least one subset per chunk
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_gram_primes_are_distinct_primes_below_2_31():
+    assert len(set(fp.GRAM_PRIMES)) == len(fp.GRAM_PRIMES)
+    for p in fp.GRAM_PRIMES:
+        assert p < 2 ** 31 and _is_prime(p), p
+
+
+def test_gram_primes_cover_every_sweep_bound():
+    """Hadamard's bound (|E| |K|)^n is at most |G|^n, and the work budget
+    keeps |G| n^2 within WORK_BUDGET: the worst sweep has 20 cosets and a
+    bound of 293 bits, below the 310 bits of the primes' product."""
+    worst = max((groups.WORK_BUDGET // n ** 2) ** n
+                for n in range(1, fp.SWEEP_COSET_CAP + 1))
+    assert worst.bit_length() == 293
+    assert math.prod(fp.GRAM_PRIMES) > worst
+
+
+def test_z20_rank_deficiency_needs_a_second_prime(monkeypatch):
+    """On Z20 a subset of four cosets has Hadamard bound 4^20 > 2^31, so a
+    rank deficiency such as (1 + x)(1 + x^10) = {0, 1, 10, 11} is proven
+    only after a second prime. (No triple of Z20 is rank-deficient: three
+    20th roots of unity never sum to zero.) The oracle column equals the
+    emptiness of each subset's exact kernel."""
+    space = cyclic_space(20)
+    rounds = _recorded_rounds(monkeypatch)
+    rows = enumerate_all(space, max_size=4).rows
+    assert len(rows) == 20 + 190 + 1140 + 4845
+    assert {p for p, _ in rounds} == set(fp.GRAM_PRIMES[:2])
+    translates = space.action[space.group.inv]
+    for row in rows:
+        indicator = np.zeros(space.num_cosets, dtype=np.int64)
+        indicator[list(row.subset)] = 1
+        assert row.oracle == (not nullspace(indicator[translates])), row.subset
+    assert not next(r for r in rows if r.subset == (0, 1, 10, 11)).oracle
+
+
+def test_too_few_primes_raise(monkeypatch):
+    """With one prime the bound of {0, 1, 10, 11} on Z20 is not covered:
+    the sweep raises instead of returning an unproven verdict, and the
+    single-subset oracle lets the exact kernel decide."""
+    monkeypatch.setattr(fp, "GRAM_PRIMES", fp.GRAM_PRIMES[:1])
+    with pytest.raises(RuntimeError, match="Hadamard"):
+        enumerate_all(cyclic_space(20), max_size=4)
+    report = pompeiu_oracle(cyclic_space(20), {0, 1, 10, 11})
+    assert report.verdict == "NotPompeiu" and report.witness["kernel"]
+
+
+def test_certified_deficiency_with_trivial_kernel_raises(monkeypatch):
+    """A certified rank deficiency whose exact kernel comes back empty is a
+    bug, never a Pompeiu verdict."""
+    monkeypatch.setattr(exact_linalg, "nullspace", lambda matrix: [])
+    with pytest.raises(RuntimeError, match="certified rank deficiency"):
+        pompeiu_oracle(cyclic_space(8), {0, 4})
 
 
 def _raise_on_call(matrix):
