@@ -1,8 +1,9 @@
 """Batch front end: group/shape specs in, decision reports out.
 
 Exit codes: 0 success, 2 malformed spec, parameter, size cap or work
-budget, 3 method disagreement (a bug trap, never expected), 4 not a
-Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a fixed
+budget, 3 a bug trap (a method disagreement, a witness that fails its
+recheck or a failed internal check; never expected), 4 not a Gelfand
+pair, 5 quadrature failure.  Reports are byte-stable for a fixed
 config and seed.  Every command runs in one thread: --threads and the
 POMPEIU_THREADS environment variable are accepted for old scripts and
 ignored.
@@ -11,18 +12,18 @@ ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .euclidean import EuclidReport, convolution_test, euclid_decide
-from .finite_pompeiu import (EmptySetError, PompeiuInstance, enumerate_all,
-                             pompeiu_convolution, pompeiu_oracle,
-                             pompeiu_spectral)
+from .finite_pompeiu import (BugTrapError, EmptySetError, PompeiuInstance,
+                             enumerate_all, pompeiu_convolution,
+                             pompeiu_oracle, pompeiu_spectral, recheck_witness)
 from .groups import CosetSpace, GroupSpecError, load_group_spec
 from .hecke import NotGelfandPairError
 from .quadrature import QuadratureError
@@ -37,25 +38,6 @@ EXIT_NOT_GELFAND = 4
 EXIT_QUADRATURE = 5
 
 
-@dataclass
-class RunConfig:
-    command: str
-    group_path: str | None = None
-    set_path: str | None = None
-    subset: tuple = ()
-    out: str | None = None
-    summary: str | None = None
-    landscape: str | None = None
-    residuals: str | None = None
-    lam_range: tuple = (0.0, 20.0)
-    grid: float = 0.05
-    rotations: int | None = None
-    vanish_tol: float = 1e-6
-    quad_tol: float = 1e-8
-    max_size: int | None = None
-    seed: int | None = None
-
-
 def _dump_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is None or path == "-":
@@ -65,29 +47,33 @@ def _dump_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+@contextlib.contextmanager
+def _csv_writer(path: str, header: list):
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    with _csv_writer(path, header) as writer:
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # finite commands
 
 
-def cmd_finite_check(config: RunConfig) -> int:
-    group, k_gens = load_group_spec(config.group_path)
+def cmd_finite_check(args: argparse.Namespace) -> int:
+    group, k_gens = load_group_spec(args.group)
     space = CosetSpace(group, k_gens)
-    inst = PompeiuInstance(space, frozenset(config.subset))
+    inst = PompeiuInstance(space, frozenset(args.set))
     oracle = pompeiu_oracle(inst)
     spectral = pompeiu_spectral(inst)
     conv = pompeiu_convolution(inst)
     agreement = oracle.verdict == spectral.verdict == conv.verdict
-    witness = spectral.witness if spectral.witness is not None else oracle.witness
+    shown = spectral if spectral.witness is not None else oracle
+    witness = shown.witness
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "finite-check",
@@ -103,25 +89,50 @@ def cmd_finite_check(config: RunConfig) -> int:
         "verdict": oracle.verdict,
         "witness": witness,
     }
-    _dump_json(payload, config.out)
+    _dump_json(payload, args.out)
+    if witness is not None and not recheck_witness(inst, shown):
+        raise BugTrapError(f"the {shown.method} witness failed its recheck")
     return EXIT_OK if agreement else EXIT_DISAGREE
 
 
-def cmd_finite_sweep(config: RunConfig) -> int:
-    group, k_gens = load_group_spec(config.group_path)
+SWEEP_HEADER = ["bitmask", "subset", "oracle", "spectral", "convolution",
+                "agree", "witness"]
+_TEXT = {False: "false", True: "true"}
+
+
+@functools.cache
+def _verdict_fields(verdicts: tuple) -> tuple:
+    oracle, spectral, conv, witness = verdicts
+    return (_TEXT[oracle], _TEXT[spectral], _TEXT[conv],
+            _TEXT[oracle == spectral == conv], witness)
+
+
+def _subset_text(n: int):
+    """mask -> its cosets joined by "|", read from two tables over the low
+    and the high half of its n bits."""
+    h = n // 2
+    low, high = (["|".join(str(c + shift) for c in range(width) if m >> c & 1)
+                  for m in range(1 << width)] for shift, width in ((0, h), (h, n - h)))
+    return lambda mask: "|".join(filter(None, (low[mask & (1 << h) - 1], high[mask >> h])))
+
+
+def cmd_finite_sweep(args: argparse.Namespace) -> int:
+    group, k_gens = load_group_spec(args.group)
     space = CosetSpace(group, k_gens)
-    result = enumerate_all(space, max_size=config.max_size)
-    if config.out:
-        rows = [[r.bitmask, "|".join(map(str, r.subset)),
-                 str(r.oracle).lower(), str(r.spectral).lower(),
-                 str(r.convolution).lower(), str(r.agree).lower(), r.witness]
-                for r in result.rows]
-        _write_csv(config.out,
-                   ["bitmask", "subset", "oracle", "spectral", "convolution",
-                    "agree", "witness"], rows)
+    text = _subset_text(space.num_cosets)
+    with contextlib.ExitStack() as files:
+        writers = []
+
+        def write(rows):
+            # opened at the first rows: a sweep refused up front keeps the old file
+            if not writers:
+                writers.append(files.enter_context(_csv_writer(args.out, SWEEP_HEADER)))
+            writers[0].writerows([(row[0], text(row[0])) + _verdict_fields(row[1:])
+                                  for row in rows])
+        result = enumerate_all(space, args.max_size, write)
     summary = {"schema_version": SCHEMA_VERSION,
                "command": "finite-sweep", **result.summary()}
-    _dump_json(summary, config.summary)
+    _dump_json(summary, args.summary)
     return EXIT_OK if result.disagreements == 0 else EXIT_DISAGREE
 
 
@@ -129,13 +140,13 @@ def cmd_finite_sweep(config: RunConfig) -> int:
 # euclidean command
 
 
-def cmd_euclid(config: RunConfig) -> int:
-    shape = load_set_spec(config.set_path)
+def cmd_euclid(args: argparse.Namespace) -> int:
+    shape = load_set_spec(args.set)
     report: EuclidReport = euclid_decide(
-        shape, config.lam_range, grid=config.grid,
-        rotation_samples=config.rotations, vanish_tol=config.vanish_tol,
-        quad_tol=config.quad_tol,
-        collect_landscape=config.landscape is not None)
+        shape, args.lambda_range, grid=args.grid,
+        rotation_samples=args.rotations, vanish_tol=args.vanish_tol,
+        quad_tol=args.quad_tol,
+        collect_landscape=args.landscape is not None)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "euclid-decide",
@@ -146,7 +157,7 @@ def cmd_euclid(config: RunConfig) -> int:
         "searched_range": list(report.searched_range),
         "grid": report.grid,
         "rotation_samples": report.rotation_samples,
-        "seed": config.seed,
+        "seed": args.seed,
         "tolerances": report.tolerances,
         "caveat": report.caveat,
     }
@@ -154,23 +165,23 @@ def cmd_euclid(config: RunConfig) -> int:
                     for w in report.lambda_witnesses if complex(w).imag != 0]
     if complex_wits:
         payload["complex_witnesses"] = complex_wits
-    _dump_json(payload, config.out)
-    if config.landscape:
-        _write_csv(config.landscape, ["lambda", "orbit_max"],
+    _dump_json(payload, args.out)
+    if args.landscape:
+        _write_csv(args.landscape, ["lambda", "orbit_max"],
                    [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])
-    if config.residuals:
-        if config.seed is None:
+    if args.residuals:
+        if args.seed is None:
             raise ValueError("--residuals draws random sample points and "
                              "requires --seed")
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(args.seed)
         lo, hi = shape.bounding_box()
         span = float(np.linalg.norm(hi - lo))
         pts = rng.uniform(-span, span, size=(16, shape.dim))
         rows = []
         for w in report.lambda_witnesses:
-            res = convolution_test(shape, w, pts, config.quad_tol)
+            res = convolution_test(shape, w, pts, args.quad_tol)
             rows.append([f"{float(complex(w).real):.10g}", f"{res:.12e}"])
-        _write_csv(config.residuals, ["lambda", "conv_residual"], rows)
+        _write_csv(args.residuals, ["lambda", "conv_residual"], rows)
     return EXIT_OK
 
 
@@ -210,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--set", required=True, type=_parse_subset,
                        help="comma-separated coset indices")
     check.add_argument("--out", default=None, help="report JSON (default stdout)")
+    check.set_defaults(run=cmd_finite_check)
 
     sweep = fsub.add_parser("sweep", help="exhaustive subset sweep")
     sweep.add_argument("--group", required=True)
@@ -217,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--summary", default=None,
                        help="summary JSON (default stdout)")
     sweep.add_argument("--max-size", type=int, default=None)
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1)     # ignored
+    sweep.set_defaults(run=cmd_finite_sweep)
 
     euclid = sub.add_parser("euclid", help="Euclidean shapes")
     esub = euclid.add_subparsers(dest="action", required=True)
@@ -229,44 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--vanish-tol", type=float, default=1e-6)
     decide.add_argument("--quad-tol", type=float, default=1e-8)
     decide.add_argument("--seed", type=int, default=None)
-    decide.add_argument("--threads", type=int, default=1)
+    decide.add_argument("--threads", type=int, default=1)    # ignored
     decide.add_argument("--out", default=None)
     decide.add_argument("--landscape", default=None,
                         help="CSV of (lambda, orbit max) rows")
     decide.add_argument("--residuals", default=None,
                         help="CSV of convolution residuals at the witnesses")
+    decide.set_defaults(run=cmd_euclid)
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    """The run's settings; --threads is accepted and dropped here."""
-    if args.domain == "finite" and args.action == "check":
-        return RunConfig("finite-check", group_path=args.group,
-                         subset=args.set, out=args.out)
-    if args.domain == "finite" and args.action == "sweep":
-        return RunConfig("finite-sweep", group_path=args.group, out=args.out,
-                         summary=args.summary, max_size=args.max_size)
-    return RunConfig("euclid-decide", set_path=args.set,
-                     lam_range=args.lambda_range, grid=args.grid,
-                     rotations=args.rotations, vanish_tol=args.vanish_tol,
-                     quad_tol=args.quad_tol, seed=args.seed, out=args.out,
-                     landscape=args.landscape, residuals=args.residuals)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    handlers = {"finite-check": cmd_finite_check,
-                "finite-sweep": cmd_finite_sweep,
-                "euclid-decide": cmd_euclid}
     try:
-        return handlers[config.command](config)
+        return args.run(args)
     except NotGelfandPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GELFAND
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except BugTrapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
     except (GroupSpecError, EmptySetError, ValueError, KeyError,
             json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

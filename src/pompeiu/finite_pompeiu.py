@@ -11,18 +11,23 @@ space G/K, three independent ways:
   f * (reversed lifted indicator) = 0 identically on G.
 
 Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
-row per subset: `enumerate_all` runs the kernels over chunks of bitmasks,
-and the single-subset functions (`pompeiu_oracle`, `pompeiu_spectral`,
-`pompeiu_convolution`, `ideal_generators`) run them with B = 1.  The
-oracle eliminates the Gram matrices of the translates modulo the primes
-GRAM_PRIMES: a nonzero pivot at every step modulo one prime proves full
-rank, a zero pivot modulo primes whose product exceeds Hadamard's bound
-proves a rank deficiency, so a sweep computes no kernel.  `pompeiu_oracle`
-takes a witness from the exact kernel (`exact_linalg.nullspace`) and
-rechecks it against every translate.
+row per subset; the single-subset functions (`pompeiu_oracle`,
+`pompeiu_spectral`, `pompeiu_convolution`, `ideal_generators`) run them
+with B = 1.  The oracle eliminates the Gram matrices of the translates
+modulo the primes GRAM_PRIMES: a nonzero pivot at every step modulo one
+prime proves full rank, a zero pivot modulo primes whose product exceeds
+Hadamard's bound proves a rank deficiency, so a sweep computes no kernel.
+`pompeiu_oracle` takes a witness from the exact kernel
+(`exact_linalg.nullspace`) and rechecks it against every translate.
+
+`enumerate_all` sweeps the bitmasks in chunks.  The three criteria are
+invariant under translation, so it decides only the least mask of each
+G-orbit, copies the verdicts and witness to the rest of the orbit, and
+hands each chunk's rows to a sink as soon as the chunk is done.
 
 The three verdicts must agree on every Gelfand-pair instance; any
-disagreement is a bug, never silently resolved.
+disagreement, like any failed internal check (`BugTrapError`), is a bug,
+never silently resolved.
 """
 
 from __future__ import annotations
@@ -53,9 +58,9 @@ GRAM_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
 
 __all__ = [
     "EmptySetError",
+    "BugTrapError",
     "PompeiuInstance",
     "DecisionReport",
-    "SweepRow",
     "SweepResult",
     "pompeiu_oracle",
     "ideal_generators",
@@ -71,6 +76,10 @@ __all__ = [
 
 class EmptySetError(ValueError):
     """Decision procedures require a nonempty subset."""
+
+
+class BugTrapError(RuntimeError):
+    """An internal check failed: a bug, never a verdict."""
 
 
 @dataclass(frozen=True)
@@ -218,17 +227,16 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     matrix = translate_matrix(inst)
     kernel = [] if full[0] else xla.nullspace(matrix)
     if not kernel:
-        for full, settled in rounds:
-            pass
+        *_, (full, settled) = [(full, settled), *rounds]
         if settled[0] and not full[0]:
-            raise RuntimeError("exact kernel is trivial on a certified rank deficiency")
+            raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
     h = kernel[0]
     scale = math.lcm(*(x.denominator for x in h))
     scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
                         dtype=object)
     if np.any(np.asarray(matrix, dtype=object) @ scaled):
-        raise RuntimeError("oracle kernel witness failed recheck")
+        raise BugTrapError("oracle kernel witness failed recheck")
     witness = {"kernel": [float(x) for x in h]}
     return DecisionReport("NotPompeiu", "oracle", witness, time.perf_counter() - t0)
 
@@ -260,7 +268,7 @@ class _DecisionCache:
         density = np.bincount((cosets * n + np.arange(n)).ravel(),
                               minlength=space.num_cosets * n).reshape(-1, n)
         if not np.array_equal(density, density[:, reps[class_of]]):
-            raise RuntimeError("ideal generator is not biinvariant")
+            raise BugTrapError("ideal generator is not biinvariant")
         self.generators = density[:, reps]
         self.shift = space.action[group.inv[list(space.transversal)]]
         self.class_sizes = np.asarray(space.double_cosets.class_sizes)
@@ -339,22 +347,25 @@ def _common_zeros(space: CosetSpace, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(zeros).reshape(rows.shape[0], rows.shape[1], -1).all(axis=1)
 
 
-def _indices(flags: np.ndarray) -> frozenset:
-    return frozenset(int(i) for i in np.flatnonzero(flags))
-
-
 def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     """Common zero set of the ideal generators (they generate, and the
     homomorphisms are multiplicative, so the generators suffice)."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    return _indices(_common_zeros(inst.space,
-                                  _generator_rows(inst.space, _bits(inst)))[0])
+    zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
+    return frozenset(np.flatnonzero(zeros).tolist())
 
 
-def _spherical_witness(space: CosetSpace, idx: int) -> dict:
-    return {"spherical_index": idx,
-            "values": [_c2pair(v) for v in spherical_functions(space)[idx].values]}
+def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray,
+                      t0: float) -> DecisionReport:
+    """NotPompeiu with the first spherical function flagged in zeros as the
+    witness, or Pompeiu when none is."""
+    hits = np.flatnonzero(zeros)
+    if hits.size == 0:
+        return DecisionReport("Pompeiu", method, None, time.perf_counter() - t0)
+    witness = {"spherical_index": int(hits[0]),
+               "values": [_c2pair(v) for v in spherical_functions(space)[hits[0]].values]}
+    return DecisionReport("NotPompeiu", method, witness, time.perf_counter() - t0)
 
 
 def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
@@ -362,11 +373,8 @@ def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     t0 = time.perf_counter()
-    zs = zero_set_ideal(inst)
-    if not zs:
-        return DecisionReport("Pompeiu", "spectral", None, time.perf_counter() - t0)
-    witness = _spherical_witness(inst.space, min(zs))
-    return DecisionReport("NotPompeiu", "spectral", witness, time.perf_counter() - t0)
+    zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
+    return _spherical_report("spectral", inst.space, zeros, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +419,8 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
     t0 = time.perf_counter()
-    hits = np.flatnonzero(_convolution_zeros(inst.space, _bits(inst))[0])
-    if hits.size == 0:
-        return DecisionReport("Pompeiu", "convolution", None,
-                              time.perf_counter() - t0)
-    witness = _spherical_witness(inst.space, int(hits[0]))
-    return DecisionReport("NotPompeiu", "convolution", witness,
-                          time.perf_counter() - t0)
+    zeros = _convolution_zeros(inst.space, _bits(inst))[0]
+    return _spherical_report("convolution", inst.space, zeros, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,55 +453,28 @@ def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
     # class coefficients of the reversed indicator x -> [x^{-1} lies in E~]
     reps = np.asarray(space.double_cosets.representatives)
     coeffs = inside[space.coset_of[space.group.inv[reps]]].astype(np.int64)
-    zs = _indices(_common_zeros(space, coeffs[None, None, :])[0])
-    if not zs:
-        return DecisionReport("Pompeiu", "radial-shortcut", None,
-                              time.perf_counter() - t0)
-    return DecisionReport("NotPompeiu", "radial-shortcut",
-                          _spherical_witness(space, min(zs)),
-                          time.perf_counter() - t0)
+    zeros = _common_zeros(space, coeffs[None, None, :])[0]
+    return _spherical_report("radial-shortcut", space, zeros, t0)
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    bitmask: int
-    subset: tuple
-    oracle: bool
-    spectral: bool
-    convolution: bool
-    witness: str
-
-    @property
-    def agree(self) -> bool:
-        return self.oracle == self.spectral == self.convolution
-
-
 @dataclass
 class SweepResult:
+    """The counts of a sweep; its rows go to the sink of `enumerate_all`."""
     space_name: str
-    rows: list
+    subsets: int
+    pompeiu_count: int
+    disagreements: int
     seconds: float
 
-    @property
-    def disagreements(self) -> int:
-        return sum(1 for r in self.rows if not r.agree)
-
-    @property
-    def pompeiu_count(self) -> int:
-        return sum(1 for r in self.rows if r.oracle)
-
     def summary(self) -> dict:
-        return {
-            "space": self.space_name,
-            "subsets": len(self.rows),
-            "pompeiu": self.pompeiu_count,
-            "not_pompeiu": len(self.rows) - self.pompeiu_count,
-            "disagreements": self.disagreements,
-        }
+        return {"space": self.space_name, "subsets": self.subsets,
+                "pompeiu": self.pompeiu_count,
+                "not_pompeiu": self.subsets - self.pompeiu_count,
+                "disagreements": self.disagreements}
 
 
 def _mask_chunks(n: int, max_size: int | None, per_chunk: int):
@@ -516,20 +492,41 @@ def _mask_chunks(n: int, max_size: int | None, per_chunk: int):
             yield masks, bits
 
 
-def _first_index(flags: np.ndarray) -> list:
-    """Per row, the index of the first True entry, or -1 when none is."""
-    return np.where(flags.any(axis=1), flags.argmax(axis=1), -1).tolist()
+def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """The three deciders on a batch of subsets, packed in one code per
+    subset: bit 0 is the oracle's full rank, bits 1-15 and 16 on are 1 +
+    the first spherical function that the spectral and the convolution
+    criterion flag (0 for none)."""
+    *_, (full, settled) = _rank_rounds(space, bits)
+    if not settled.all():
+        raise BugTrapError("GRAM_PRIMES do not cover Hadamard's bound")
+    spectral = _common_zeros(space, _generator_rows(space, bits))
+    conv = _convolution_zeros(space, bits)
+    # argmax + 1 is the first flag + 1, and any() zeroes it when none is set
+    return (full | (spectral.argmax(axis=1) + 1) * spectral.any(axis=1) << 1
+            | (conv.argmax(axis=1) + 1) * conv.any(axis=1) << 16)
 
 
-def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult:
+def _verdicts(code: int, labels: list) -> tuple:
+    """(oracle, spectral, convolution, witness) of a packed code."""
+    oracle, spectral, conv = bool(code & 1), code >> 1 & 0x7FFF, code >> 16
+    witness = labels[spectral - 1] if spectral else "" if oracle else "kernel"
+    return oracle, not spectral, not conv, witness
+
+
+def enumerate_all(space: CosetSpace, max_size: int | None = None,
+                  sink=None) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
-    (optionally bounded in size), in one thread, and tabulate agreement.
+    (optionally bounded in size), in one thread, and count agreement.
+    sink, when given, gets the rows of each chunk in mask order, a list of
+    (bitmask, oracle, spectral, convolution, witness).
 
-    The subsets go through the deciders' array kernels in chunks of
-    bitmasks, sized so that the largest array of a chunk, the translate
-    matrices, holds at most SCAN_CHUNK elements (at least one subset per
-    chunk); no array grows with 2^n, only the list of rows.  The oracle's
-    Gram certificate settles every subset of a chunk, with no kernel."""
+    Only the least mask of each G-orbit is decided (canon, the least mask
+    of the translates gE, is the mask itself): it comes first, so the rest
+    of its orbit copies a code already set, and a size bound keeps whole
+    orbits.  The deciders' translate matrices hold at most SCAN_CHUNK
+    elements (at least one subset); only the codes, one int32 per mask,
+    grow with 2^n."""
     if space.num_cosets > SWEEP_COSET_CAP:
         raise ValueError(
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
@@ -540,22 +537,27 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None) -> SweepResult
     labels = [f"spherical:{i}" for i in range(len(spherical_functions(space)))]
     _check_oracle_budget(space)
     per_chunk = max(1, SCAN_CHUNK // (space.group.order * n))
-    rows = []
+    # weights[c, g] = 2^(g c): bits @ weights holds the masks of the gE
+    weights = np.left_shift(1, space.action.T.astype(np.int64))
+    code = np.zeros(1 << n, dtype=np.int32)
+    subsets = pompeiu = disagreements = 0
     for masks, bits in _mask_chunks(n, max_size, per_chunk):
-        *_, (full, settled) = _rank_rounds(space, bits)
-        if not settled.all():
-            raise RuntimeError("GRAM_PRIMES do not cover Hadamard's bound")
-        spectral = _first_index(_common_zeros(space, _generator_rows(space, bits)))
-        conv = _first_index(_convolution_zeros(space, bits))
-        cosets = np.nonzero(bits)[1].tolist()
-        ends = np.cumsum(bits.sum(axis=1)).tolist()
-        start = 0
-        for mask, end, ok, sp, cv in zip(masks.tolist(), ends, full.tolist(),
-                                         spectral, conv):
-            wit = labels[sp] if sp >= 0 else "" if ok else "kernel"
-            rows.append(SweepRow(mask, tuple(cosets[start:end]), ok, sp < 0, cv < 0, wit))
-            start = end
-    return SweepResult(space.name, rows, time.perf_counter() - t0)
+        canon = (bits @ weights).min(axis=1)
+        rep = canon == masks
+        if rep.any():
+            code[masks[rep]] = _decide(space, bits[rep])
+        codes = code[canon]
+        values, counts = np.unique(codes, return_counts=True)
+        verdicts = {}
+        for value, count in zip(values.tolist(), counts.tolist()):
+            verdicts[value] = oracle, spectral, conv, _ = _verdicts(value, labels)
+            pompeiu += oracle * count
+            disagreements += (not oracle == spectral == conv) * count
+        subsets += len(masks)
+        if sink is not None:
+            sink([(mask,) + verdicts[c] for mask, c in zip(masks.tolist(), codes.tolist())])
+    return SweepResult(space.name, subsets, pompeiu, disagreements,
+                       time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

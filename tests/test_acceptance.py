@@ -67,7 +67,7 @@ def test_criterion_1_three_way_agreement(suite):
             result = enumerate_all(space)
             assert result.disagreements == 0, \
                 f"method disagreement on {space.name}"
-            total_subsets += len(result.rows)
+            total_subsets += result.subsets
         elapsed = time.perf_counter() - t0
         assert total_subsets > 8000
         assert elapsed < 60.0, f"suite took {elapsed:.1f}s (budget 60s)"

@@ -4,18 +4,25 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pompeiu
+from pompeiu import cli, finite_pompeiu
 from pompeiu.cli import main
+from pompeiu.hecke import spherical_functions
+
+
+def _cyclic_file(tmp_path, n):
+    path = tmp_path / f"z{n}.json"
+    path.write_text(json.dumps({"family": "cyclic", "n": n,
+                                "subgroup_generators": []}))
+    return str(path)
 
 
 @pytest.fixture
 def z8_file(tmp_path):
-    path = tmp_path / "z8.json"
-    path.write_text(json.dumps({"family": "cyclic", "n": 8,
-                                "subgroup_generators": []}))
-    return str(path)
+    return _cyclic_file(tmp_path, 8)
 
 
 @pytest.fixture
@@ -45,6 +52,40 @@ def test_finite_check_not_pompeiu(z8_file, tmp_path):
     assert report["verdicts"] == {"oracle": False, "spectral": False,
                                   "convolution": False}
     assert report["witness"]["spherical_index"] >= 0
+
+
+def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
+        z8_file, tmp_path, monkeypatch, capsys):
+    """`finite check` rechecks the witness it prints against the definition:
+    a spectral witness moved to the constant spherical function, which
+    annihilates no nonempty subset, is a bug trap and exits 3."""
+    spectral = cli.pompeiu_spectral
+
+    def wrong_witness(inst):
+        report = spectral(inst)
+        report.witness["spherical_index"] = next(
+            i for i, f in enumerate(spherical_functions(inst.space))
+            if all(abs(complex(v) - 1) < 1e-9 for v in f.values))
+        return report
+    monkeypatch.setattr(cli, "pompeiu_spectral", wrong_witness)
+    code = main(["finite", "check", "--group", z8_file, "--set", "0,4",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: the spectral witness failed its recheck\n"
+
+
+def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):
+    """With one prime in GRAM_PRIMES the Hadamard bound 4^20 of a rank
+    deficient 4-subset of Z20 is not covered. The sweep's bug trap exits 3
+    with an error line instead of a traceback, and writes no CSV: the
+    first chunk already holds {0, 1, 5, 6}."""
+    monkeypatch.setattr(finite_pompeiu, "GRAM_PRIMES", finite_pompeiu.GRAM_PRIMES[:1])
+    out = tmp_path / "sweep.csv"
+    code = main(["finite", "sweep", "--group", _cyclic_file(tmp_path, 20),
+                 "--out", str(out), "--max-size", "4"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: GRAM_PRIMES do not cover Hadamard's bound\n"
+    assert not out.exists()
 
 
 def test_finite_check_pompeiu(s3_file, tmp_path):
@@ -280,22 +321,27 @@ def test_stdout_default(z8_file, capsys):
     assert payload["verdict"] == "NotPompeiu"
 
 
+def _child_env():
+    """The environment of a child that imports the package under test first,
+    with one BLAS thread, so that its memory does not depend on the core
+    count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pompeiu.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
 def _run_limited(args, tmp_path, memory_mb=2500, timeout=60):
     """Run `python -m pompeiu.cli ARGS` in a child whose address space alone
     is capped at memory_mb, with the package under test first on its path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pompeiu.__file__)))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     limit = memory_mb * 1024 * 1024
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    # one BLAS thread, so that the limit does not depend on the core count
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "pompeiu.cli", *args], env=env,
-                          cwd=tmp_path, preexec_fn=cap, capture_output=True,
-                          text=True, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "pompeiu.cli", *args],
+                          env=_child_env(), cwd=tmp_path, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("spec", [
@@ -327,3 +373,41 @@ def test_finite_check_z200_still_decides(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["agreement"] and report["verdict"] == "NotPompeiu"
+
+
+def _dft_pompeiu_count(n):
+    """Subsets of Z_n (K = {e}) whose indicator has no zero in its DFT,
+    the independent count of those with the property."""
+    count = 0
+    for start in range(1, 1 << n, 1 << 14):
+        masks = np.arange(start, min(start + (1 << 14), 1 << n))
+        indicators = (masks[:, None] >> np.arange(n)) & 1
+        count += int((np.abs(np.fft.fft(indicators, axis=1)).min(axis=1) >= 1e-9).sum())
+    return count
+
+
+def test_full_z18_sweep_streams_its_rows(tmp_path):
+    """The full sweep of Z18 with K = {e} (262 143 subsets) holds no per-row
+    list: the CLI's peak RSS stays under 150 MB. The child reads its own
+    peak (RUSAGE_SELF), since RUSAGE_CHILDREN would take the largest earlier
+    child of this process. The counts match the DFT."""
+    out, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
+    script = ("import resource, sys\n"
+              "from pompeiu.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "finite", "sweep", "--group",
+         _cyclic_file(tmp_path, 18), "--out", str(out), "--summary", str(summary)],
+        env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024      # ru_maxrss is in KiB
+    assert peak_mb < 150, peak_mb
+    info = json.loads(summary.read_text())
+    pompeiu_count = _dft_pompeiu_count(18)
+    assert (info["subsets"], info["pompeiu"], info["not_pompeiu"],
+            info["disagreements"]) == ((1 << 18) - 1, pompeiu_count,
+                                       (1 << 18) - 1 - pompeiu_count, 0)
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1 << 18

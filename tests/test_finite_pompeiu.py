@@ -11,7 +11,7 @@ from pompeiu import exact_linalg, groups
 from pompeiu import finite_pompeiu as fp
 from pompeiu.exact_linalg import nullspace
 from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
-                                    PompeiuInstance, SweepRow, _biinvariant_lift,
+                                    PompeiuInstance, _biinvariant_lift,
                                     enumerate_all, ideal_generators,
                                     pompeiu_convolution, pompeiu_oracle,
                                     pompeiu_spectral, radial_shortcut,
@@ -355,41 +355,52 @@ def test_shortcut_matches_elementwise_reference():
 # sweeps and agreement
 
 
+def _sweep_rows(space, max_size=None):
+    """The rows of a sweep, (bitmask, oracle, spectral, convolution,
+    witness), as its sink receives them."""
+    rows = []
+    enumerate_all(space, max_size, rows.extend)
+    return rows
+
+
+def _cosets(mask):
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
 def test_sweep_s3(s3_space):
     result = enumerate_all(s3_space)
-    assert len(result.rows) == 7
+    assert result.subsets == 7
     assert result.pompeiu_count == 6
     assert result.disagreements == 0
-    full = next(r for r in result.rows if r.bitmask == 7)
-    assert not full.oracle
+    full = next(r for r in _sweep_rows(s3_space) if r[0] == 7)
+    assert not full[1]
 
 
 def test_sweep_z4_matches_dft():
     space = cyclic_space(4)
-    result = enumerate_all(space)
-    assert len(result.rows) == 15
-    assert result.disagreements == 0
-    for row in result.rows:
-        assert row.oracle == _dft_pompeiu(4, row.subset)
+    rows = _sweep_rows(space)
+    assert len(rows) == 15
+    assert enumerate_all(space).disagreements == 0
+    for mask, oracle, *_ in rows:
+        assert oracle == _dft_pompeiu(4, _cosets(mask))
 
 
 def test_sweep_z8_matches_dft(z8_space):
-    result = enumerate_all(z8_space)
-    assert result.disagreements == 0
-    for row in result.rows:
-        assert row.oracle == _dft_pompeiu(8, row.subset)
+    assert enumerate_all(z8_space).disagreements == 0
+    for mask, oracle, *_ in _sweep_rows(z8_space):
+        assert oracle == _dft_pompeiu(8, _cosets(mask))
 
 
 def test_sweep_d6(d6_space):
     result = enumerate_all(d6_space)
-    assert len(result.rows) == 63
+    assert result.subsets == 63
     assert result.disagreements == 0
 
 
 def test_sweep_max_size(d6_space):
-    result = enumerate_all(d6_space, max_size=2)
-    assert all(len(r.subset) <= 2 for r in result.rows)
-    assert len(result.rows) == 6 + 15
+    rows = _sweep_rows(d6_space, max_size=2)
+    assert all(len(_cosets(r[0])) <= 2 for r in rows)
+    assert len(rows) == enumerate_all(d6_space, max_size=2).subsets == 6 + 15
     with pytest.raises(ValueError, match="max subset size"):
         enumerate_all(d6_space, max_size=0)
 
@@ -404,12 +415,13 @@ def test_sweep_size_cap():
 # batched sweep against a per-subset reference
 
 
-def _reference_rows(space):
+def _reference_rows(space, oracle=None):
     """The sweep's rows decided one subset at a time, by the per-subset
     formulas: the exact kernel of the translate matrix (row g the
     indicator of gE), the ideal generator rows summed over E against the
     Phi table, and the convolution with the lifted indicator summed element
-    by element on G."""
+    by element on G.  oracle(subset), when given, replaces the exact
+    kernel's verdict."""
     structure, cache = hecke_structure(space), fp._cache(space)
     mul, inv = space.group.mul, space.group.inv
     sizes = np.asarray(space.double_cosets.class_sizes)
@@ -422,7 +434,7 @@ def _reference_rows(space):
         subset = [c for c in range(space.num_cosets) if mask >> c & 1]
         indicator = np.zeros(space.num_cosets, dtype=np.int64)
         indicator[subset] = 1
-        kernel = nullspace(indicator[space.action[inv]])
+        full = oracle(subset) if oracle else not nullspace(indicator[space.action[inv]])
         gens = cache.generators[cache.shift[:, subset]].sum(axis=1)
         tol = fp.PHI_ZERO_TOL * (1 + (gens * sizes).sum(axis=1))
         spectral = np.flatnonzero(zero(structure.phi_matrix @ gens.T, tol).all(axis=1))
@@ -430,9 +442,8 @@ def _reference_rows(space):
         conv = structure.on_group[:, mul[:, lifted]].sum(axis=2)
         conv_zero = zero(conv, fp.CONV_ZERO_TOL * (1 + len(lifted))).all(axis=1)
         witness = (f"spherical:{spectral[0]}" if spectral.size
-                   else "kernel" if kernel else "")
-        rows.append(SweepRow(mask, tuple(subset), not kernel, not spectral.size,
-                             not conv_zero.any(), witness))
+                   else "" if full else "kernel")
+        rows.append((mask, full, not spectral.size, not conv_zero.any(), witness))
     return rows
 
 
@@ -442,6 +453,32 @@ def _reference_sweeps():
     reflection and Z13."""
     spaces = acceptance_suite() + [dihedral_space(8), cyclic_space(13)]
     return [(space, _reference_rows(space)) for space in spaces]
+
+
+@functools.cache
+def _orbit_representatives(space):
+    """The least mask of every orbit of G on the nonempty subsets, by brute
+    force: walk the masks upward, and mark every translate gE of each
+    unmarked one."""
+    seen = set()
+    reps = []
+    for mask in range(1, 1 << space.num_cosets):
+        if mask not in seen:
+            reps.append(mask)
+            seen.update(sum(1 << int(space.action[g, c]) for c in _cosets(mask))
+                        for g in range(space.group.order))
+    return reps
+
+
+def _decided_masks(monkeypatch):
+    """Per decider kernel, the masks of every subset it was given."""
+    decided = {"_rank_rounds": [], "_generator_rows": [], "_convolution_zeros": []}
+    for name, masks in decided.items():
+        def recorded(space, bits, kernel=getattr(fp, name), masks=masks):
+            masks.extend((bits << np.arange(bits.shape[1])).sum(axis=1).tolist())
+            return kernel(space, bits)
+        monkeypatch.setattr(fp, name, recorded)
+    return decided
 
 
 def _counting_nullspace(monkeypatch):
@@ -472,30 +509,67 @@ def _recorded_rounds(monkeypatch):
 def test_sweep_rows_match_per_subset_reference(monkeypatch):
     """Every row (three verdicts and the witness column) of every subset of
     every acceptance-suite space, of D8 and of Z13 equals the per-subset
-    reference. Z13 spans several chunks. The Gram certificate settles every
-    subset, so the sweep computes no kernel."""
+    reference. Z13 spans several chunks. Each of the three deciders gets
+    exactly the least mask of every orbit, once; the Gram certificate
+    settles every subset, so the sweep computes no kernel."""
     z13 = cyclic_space(13)
     assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
+    decided = _decided_masks(monkeypatch)
     for space, expected in _reference_sweeps():
         calls = _counting_nullspace(monkeypatch)
-        assert enumerate_all(space).rows == expected, space.name
+        for masks in decided.values():
+            masks.clear()
+        assert _sweep_rows(space) == expected, space.name
         assert calls == [], space.name
+        reps = _orbit_representatives(space)
+        assert all(masks == reps for masks in decided.values()), space.name
+
+
+def test_sweep_decides_one_subset_per_orbit(monkeypatch):
+    """Z16 and D16 with a reflection, decided on the orbit representatives
+    only: each decider gets the 4115 necklaces or 2249 bracelets of 16
+    beads (nonempty), and every row of Z16 equals the per-subset
+    reference, with the DFT for the exact kernel."""
+    z16, d16 = cyclic_space(16), dihedral_space(16)
+    decided = _decided_masks(monkeypatch)
+    for space, orbits in ((z16, 4115), (d16, 2249)):
+        for masks in decided.values():
+            masks.clear()
+        rows = _sweep_rows(space)
+        assert len(_orbit_representatives(space)) == orbits
+        assert all(masks == _orbit_representatives(space)
+                   for masks in decided.values()), space.name
+        if space is z16:
+            assert rows == _reference_rows(z16, functools.partial(_dft_pompeiu, 16))
 
 
 def test_certificate_fallback_keeps_rows(monkeypatch):
     """With GRAM_PRIMES patched to the primes up to 47, whose product (about
     6e17) exceeds every Hadamard bound here, many subsets need several
-    rounds; every row stays the same, and no kernel is computed. The full
-    sets of Z12 and Z13 (bounds 12^12 and 13^13) are the last to settle:
-    their bounds lie between the products of the primes up to 37 and up to
-    41."""
+    rounds; every row stays the same, and no kernel is computed. Every
+    orbit representative meets the first prime once, and one that is rank
+    deficient meets every prime until their product exceeds its bound
+    (|E| |K|)^n. The full sets of Z12 and Z13 (bounds 12^12 and 13^13) are
+    the last to settle: their bounds lie between the products of the
+    primes up to 37 and up to 41."""
     monkeypatch.setattr(fp, "GRAM_PRIMES", SMALL_PRIMES)
     rounds = _recorded_rounds(monkeypatch)
     calls = _counting_nullspace(monkeypatch)
+    reps, deficient_rounds = 0, 0
     for space, expected in _reference_sweeps():
-        assert enumerate_all(space).rows == expected, space.name
+        assert _sweep_rows(space) == expected, space.name
+        by_mask = {row[0]: row for row in expected}
+        for mask in _orbit_representatives(space):
+            reps += 1
+            if not by_mask[mask][1]:
+                bound = (len(_cosets(mask)) * space.k_size) ** space.num_cosets
+                primes = next(k for k in range(1, len(SMALL_PRIMES) + 1)
+                              if math.prod(SMALL_PRIMES[:k]) > bound)
+                deficient_rounds += primes - 1
     assert calls == []
-    assert sum(count for p, count in rounds if p != 2) >= 5000
+    assert sum(count for p, count in rounds if p == 2) == reps
+    assert (reps, deficient_rounds) == (1482, 1875)
+    assert sum(count for p, count in rounds if p != 2) >= deficient_rounds
     assert [(p, count) for p, count in rounds if p >= 41] == [(41, 1), (41, 1)]
 
 
@@ -504,7 +578,8 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
     """With a small element budget the masks split into many chunks (one or
     five subsets each on the spaces of at most 8 cosets, 97 on the larger
     ones), no chunk's translate matrices exceed the budget, and the rows,
-    also under a size bound, stay the same."""
+    also under a size bound, stay the same. The certificate runs once on
+    every chunk that holds an orbit representative, and on no other."""
     sizes = []
     certificate = fp._rank_rounds
 
@@ -519,17 +594,19 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
         budget = per_chunk * per_subset + per_subset // 2
         monkeypatch.setattr(fp, "SCAN_CHUNK", budget)
         sizes.clear()
-        assert enumerate_all(space).rows == expected, space.name
-        assert len(sizes) == -(-len(expected) // per_chunk)
+        assert _sweep_rows(space) == expected, space.name
+        chunks = {(mask - 1) // per_chunk for mask in _orbit_representatives(space)}
+        assert len(sizes) == len(chunks)
         assert max(sizes) <= budget
         sizes.clear()
-        assert enumerate_all(space, max_size=2).rows == [
-            r for r in expected if len(r.subset) <= 2]
+        assert _sweep_rows(space, max_size=2) == [
+            r for r in expected if len(_cosets(r[0])) <= 2]
         assert max(sizes) <= budget
     monkeypatch.setattr(fp, "SCAN_CHUNK", 1)
     sizes.clear()
-    assert len(enumerate_all(cyclic_space(5)).rows) == 31
-    assert sizes == [25] * 31          # at least one subset per chunk
+    assert len(_sweep_rows(cyclic_space(5))) == 31
+    # at least one subset per chunk; the 7 necklaces of 5 beads decided
+    assert sizes == [25] * len(_orbit_representatives(cyclic_space(5))) == [25] * 7
 
 
 def _is_prime(n):
@@ -560,15 +637,15 @@ def test_z20_rank_deficiency_needs_a_second_prime(monkeypatch):
     emptiness of each subset's exact kernel."""
     space = cyclic_space(20)
     rounds = _recorded_rounds(monkeypatch)
-    rows = enumerate_all(space, max_size=4).rows
+    rows = _sweep_rows(space, max_size=4)
     assert len(rows) == 20 + 190 + 1140 + 4845
     assert {p for p, _ in rounds} == set(fp.GRAM_PRIMES[:2])
     translates = space.action[space.group.inv]
-    for row in rows:
+    for mask, oracle, *_ in rows:
         indicator = np.zeros(space.num_cosets, dtype=np.int64)
-        indicator[list(row.subset)] = 1
-        assert row.oracle == (not nullspace(indicator[translates])), row.subset
-    assert not next(r for r in rows if r.subset == (0, 1, 10, 11)).oracle
+        indicator[list(_cosets(mask))] = 1
+        assert oracle == (not nullspace(indicator[translates])), _cosets(mask)
+    assert not next(r for r in rows if _cosets(r[0]) == (0, 1, 10, 11))[1]
 
 
 def test_too_few_primes_raise(monkeypatch):
