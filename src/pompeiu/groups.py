@@ -6,6 +6,10 @@ construction order is deterministic (residue order for cyclic groups,
 lexicographic one-line order for symmetric groups, breadth-first discovery
 for generated permutation groups), so element and coset indices are stable
 across runs.
+
+Every group carries a generating set.  Permutation-group tables are filled
+along its Cayley graph, and each table is proved a group from it: it must
+generate the table, and Light's test on it proves associativity.
 """
 
 from __future__ import annotations
@@ -62,13 +66,6 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return tuple(p[j] for j in q)
 
 
-def _perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def cycle_label(p: Sequence[int]) -> str:
     """Cycle notation with 1-based points; identity is 'e'."""
     seen = [False] * len(p)
@@ -92,14 +89,18 @@ def cycle_label(p: Sequence[int]) -> str:
 
 
 class FiniteGroup:
-    """Multiplication-table group; immutable after construction."""
+    """Multiplication-table group with identity 0 and a generating set of
+    element indices; immutable after construction.  The generators must
+    generate the table, and prove it associative by Light's test up to order
+    256; above that, 10 000 random triples are checked."""
 
     # one-line images of the elements, in element order, for a group built
     # from permutations; None otherwise
     perms: tuple | None = None
 
-    def __init__(self, mul: np.ndarray, name: str = "G",
-                 element_labels: Sequence[str] | None = None):
+    def __init__(self, mul: np.ndarray, name: str,
+                 element_labels: Sequence[str] | None,
+                 generators: Sequence[int]):
         mul = np.asarray(mul, dtype=np.int32)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise GroupSpecError("multiplication table must be square")
@@ -111,19 +112,12 @@ class FiniteGroup:
         if element_labels is not None and len(element_labels) != self.order:
             raise GroupSpecError("element_labels length != order")
         self._labels = tuple(element_labels) if element_labels else None
-        self.inv = self._build_inverse_table()
+        self.generators = tuple(int(s) for s in generators)
+        self.inv = self._validate()
         self.inv.setflags(write=False)
-        self._validate()
 
-    def _build_inverse_table(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=np.int32)
-        rows, cols = np.nonzero(self.mul == self.identity)
-        inv[rows] = cols
-        if np.any(inv < 0):
-            raise GroupSpecError("some element has no right inverse")
-        return inv
-
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Check the group axioms and return the inverse table."""
         n = self.order
         mul = self.mul
         if mul.min() < 0 or mul.max() >= n:
@@ -131,18 +125,38 @@ class FiniteGroup:
         e = self.identity
         if not (np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n))):
             raise GroupSpecError("index 0 is not a two-sided identity")
-        if not np.all(mul[np.arange(n), self.inv] == e):
-            raise GroupSpecError("inverse table inconsistent")
+        gens = self.generators
+        if not gens or not all(0 <= s < n for s in gens):
+            raise GroupSpecError("generators must be element indices")
+        # breadth-first walk x -> x s from the identity, with inverses
+        # carried along as (a s)^-1 = s^-1 a^-1 (checked below)
+        cols = mul[:, list(gens)].T.tolist()
+        rows_inv = mul[(mul[list(gens)] == e).argmax(axis=1)].tolist()
+        inv = [e] + [-1] * (n - 1)
+        walk = [e]
+        for a in walk:
+            for col, row_inv in zip(cols, rows_inv):
+                b = col[a]
+                if inv[b] < 0:
+                    inv[b] = row_inv[inv[a]]
+                    walk.append(b)
+        if len(walk) < n:
+            raise GroupSpecError(f"the generators generate {len(walk)} of {n} elements")
         if n <= 256:
-            # (ab)c == a(bc), checked exhaustively one a at a time
-            for a in range(n):
-                if not np.array_equal(mul[mul[a], :], mul[a][mul]):
+            # Light's test: the elements s with (xs)y == x(sy) for all x, y
+            # are closed under products, so the generators suffice
+            for s in gens:
+                if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
                     raise GroupSpecError("multiplication table is not associative")
         else:
             rng = np.random.default_rng(0)
             a, b, c = rng.integers(0, n, size=(3, 10_000))
             if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
                 raise GroupSpecError("multiplication table is not associative")
+        inv = np.asarray(inv, dtype=np.int32)
+        if not np.all(mul[np.arange(n), inv] == e):
+            raise GroupSpecError("inverse table inconsistent")
+        return inv
 
     @property
     def element_labels(self) -> tuple:
@@ -253,18 +267,23 @@ class CosetSpace:
 # constructors
 
 
-def _table_from_perms(perms: list[tuple], name: str) -> FiniteGroup:
-    """The table of a group of permutations, with the cycle notation of each
-    element as its label (written out on first use).
+def _table_from_perms(perms: list[tuple], generators: Sequence[tuple],
+                      name: str) -> FiniteGroup:
+    """The table of the permutations perms, perms[0] the identity, that the
+    given generators generate; labels are the cycle notation, written out on
+    first use.
 
     An element is known by its images of a base, the shortest run of
     leading points whose images tell all elements apart (2 points for a
-    dihedral group, n - 1 for S_n), keyed as digits base npts.  A key that
-    wraps int64 is only a hash, but one that is injective on the group
-    (checked) is all the lookup needs, since every product is an element."""
+    dihedral group, n - 1 for S_n), keyed as digits base npts.  Such a key
+    may wrap int64, so each generator's left translation x -> s x is looked
+    up by key and checked on the full images.  Rows are filled along a
+    breadth-first walk of the Cayley graph: row s a is row a mapped by x -> s x."""
     n = len(perms)
     npts = len(perms[0])
     arr = np.asarray(perms, dtype=np.int64)
+    if not np.array_equal(arr[0], np.arange(npts)):
+        raise GroupSpecError("the first permutation must be the identity")
     weights = (npts ** np.arange(npts)).astype(np.int64)
     keys = np.zeros(n, dtype=np.int64)
     for m in range(1, npts + 1):
@@ -274,13 +293,26 @@ def _table_from_perms(perms: list[tuple], name: str) -> FiniteGroup:
     else:
         raise GroupSpecError("repeated permutations in a group table")
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    base = np.ascontiguousarray(arr[:, :m])
+    images = np.asarray(generators, dtype=np.int64)[:, arr]   # s o x, each s, x
+    found = np.searchsorted(keys[order], images[:, :, :m] @ weights[:m])
+    left = order[np.minimum(found, n - 1)]
+    if not np.array_equal(arr[left], images):
+        raise GroupSpecError("the permutations are not closed under composition")
     mul = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        prod_keys = arr[a][base] @ weights[:m]   # row a composed with every b
-        mul[a] = order[np.searchsorted(sorted_keys, prod_keys)]
-    group = FiniteGroup(mul, name=name)
+    mul[0] = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    walk = [0]
+    for a in walk:
+        for trans in left:
+            b = trans[a]
+            if not seen[b]:
+                seen[b] = True
+                mul[b] = trans[mul[a]]
+                walk.append(b)
+    if len(walk) < n:
+        raise GroupSpecError("the generators do not generate the permutations")
+    group = FiniteGroup(mul, name, None, left[:, 0])
     group.perms = tuple(perms)
     return group
 
@@ -290,7 +322,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupSpecError("cyclic order must be >= 1")
     idx = np.arange(n, dtype=np.int32)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(mul, name=f"Z{n}", element_labels=[str(i) for i in range(n)])
+    return FiniteGroup(mul, f"Z{n}", [str(i) for i in range(n)], [1 % n])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -298,18 +330,10 @@ def dihedral_group(n: int) -> FiniteGroup:
     the n vertices.  Requires n >= 3 for the representation to be faithful."""
     if n < 3:
         raise GroupSpecError("dihedral parameter must be >= 3")
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    perms = []
-    r = tuple(range(n))
-    for _ in range(n):
-        perms.append(r)
-        r = _compose(rot, r)
-    r = ref
-    for _ in range(n):
-        perms.append(r)
-        r = _compose(rot, r)
-    return _table_from_perms(perms, name=f"D{n}")
+    # the rotations i -> i + k, then the reflections i -> k - i
+    perms = [tuple((i + k) % n for i in range(n)) for k in range(n)] \
+        + [tuple((k - i) % n for i in range(n)) for k in range(n)]
+    return _table_from_perms(perms, [perms[1], perms[n]], f"D{n}")
 
 
 def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -320,7 +344,10 @@ def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if math.factorial(n) > order_cap:
         raise GroupSpecError(f"order {math.factorial(n)} exceeds cap {order_cap}")
     perms = list(itertools.permutations(range(n)))
-    return _table_from_perms(perms, name=f"S{n}")
+    # the transposition (1 2), which is e for n = 1, and the n-cycle
+    swap = tuple(range(min(n, 2)))[::-1] + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    return _table_from_perms(perms, [swap, cycle], f"S{n}")
 
 
 def group_from_permutations(generators: Sequence[Sequence[int]],
@@ -338,23 +365,17 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
     npts = len(gens[0])
     if any(len(g) != npts for g in gens):
         raise GroupSpecError("generators must permute a common domain")
-    identity = tuple(range(npts))
-    seen = {identity: 0}
-    elements = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    if len(elements) >= order_cap:
-                        raise GroupSpecError(f"generated order exceeds cap {order_cap}")
-                    seen[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return _table_from_perms(elements, name=name)
+    elements = [tuple(range(npts))]
+    seen = set(elements)
+    for p in elements:
+        for g in gens:
+            q = _compose(p, g)
+            if q not in seen:
+                if len(elements) >= order_cap:
+                    raise GroupSpecError(f"generated order exceeds cap {order_cap}")
+                seen.add(q)
+                elements.append(q)
+    return _table_from_perms(elements, gens, name)
 
 
 def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -376,21 +397,18 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> list[int]:
     """Sorted element indices of the subgroup generated by the given elements."""
     mul = group.mul
-    members = {group.identity}
-    frontier = [group.identity]
     gens = sorted({int(g) for g in generators} | {group.identity})
     for g in gens:
         if not 0 <= g < group.order:
             raise GroupSpecError(f"generator index {g} out of range")
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = int(mul[x, g])
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    members = [group.identity]
+    seen = set(members)
+    for x in members:
+        for g in gens:
+            y = int(mul[x, g])
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
     return sorted(members)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import resource
@@ -361,6 +362,31 @@ def test_finite_check_past_the_work_budget_exits_2(spec, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "over the work budget of 10000000" in proc.stderr
     assert "MemoryError" not in proc.stderr
+
+
+@pytest.mark.parametrize("subset", ["0,2,3", "0,1,2,3,4,5,6"])
+def test_finite_check_s7_over_s6(subset, tmp_path):
+    """S7/S6 is S7 acting on 7 points.  E is Pompeiu exactly when the
+    |G| x 7 matrix of the indicators of its translates gE has rank 7.  The
+    translates of a k-subset are all the k-subsets, whichever point each
+    coset is, so the matrix is built on the points themselves.  The check
+    runs in a child, which keeps S7's 100 MB table out of this process."""
+    group = tmp_path / "s7.json"
+    group.write_text(json.dumps({
+        "family": "symmetric", "n": 7,
+        "subgroup_generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 0, 6]]}))
+    out = tmp_path / "report.json"
+    proc = _run_limited(["finite", "check", "--group", str(group), "--set", subset,
+                         "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    points = [int(c) for c in subset.split(",")]
+    perms = np.asarray(list(itertools.permutations(range(7))))
+    translates = np.zeros((len(perms), 7))
+    translates[np.arange(len(perms))[:, None], perms[:, points]] = 1
+    rank = np.linalg.matrix_rank(translates)
+    report = json.loads(out.read_text())
+    assert report["agreement"] is True
+    assert report["verdict"] == ("Pompeiu" if rank == 7 else "NotPompeiu")
 
 
 def test_finite_check_z200_still_decides(tmp_path):

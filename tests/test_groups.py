@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pompeiu import groups
-from pompeiu.groups import (GroupSpecError, build_coset_space, build_group,
-                            check_function_invariance, cycle_label,
-                            double_cosets, lift_set, load_group_spec,
-                            subgroup_closure)
+from pompeiu.groups import (FiniteGroup, GroupSpecError, build_coset_space,
+                            build_group, check_function_invariance,
+                            cycle_label, double_cosets, lift_set,
+                            load_group_spec, subgroup_closure)
 
 from conftest import cyclic_space, dihedral_space, symmetric_space
 
@@ -288,4 +290,98 @@ def test_labels_are_written_on_first_use():
 
 def test_repeated_permutations_are_refused():
     with pytest.raises(GroupSpecError, match="repeated"):
-        groups._table_from_perms([(0, 1, 2), (1, 0, 2), (0, 1, 2)], "bad")
+        groups._table_from_perms([(0, 1, 2), (1, 0, 2), (0, 1, 2)],
+                                 [(1, 0, 2)], "bad")
+
+
+@pytest.mark.parametrize("perms, gens, message", [
+    ([(0, 1, 2), (1, 0, 2), (0, 2, 1)], [(1, 0, 2), (0, 2, 1)], "not closed"),
+    ([(0, 1, 2), (1, 0, 2), (0, 2, 1)], [(1, 0, 2), (0, 2, 1), (1, 2, 0)],
+     "not closed"),
+    (list(itertools.permutations(range(3))), [(1, 0, 2)], "do not generate"),
+    ([(1, 0, 2), (0, 1, 2)], [(1, 0, 2)], "identity"),
+], ids=["product-missing", "generator-missing", "subgroup", "identity-not-first"])
+def test_bad_permutation_lists_are_spec_errors(perms, gens, message):
+    """A list not closed under composition, a generator outside the list,
+    generators of a proper subgroup and an identity not listed first are
+    spec errors: every product is checked on its full images, not only on
+    the base."""
+    with pytest.raises(GroupSpecError, match=message):
+        groups._table_from_perms(perms, gens, "x")
+
+
+def test_validate_proves_associativity():
+    """Swapping two entries of a row of S5 keeps the identity and every
+    inverse, so only the associativity proof can reject the table."""
+    g = build_group({"family": "symmetric", "n": 5})
+    mul = g.mul.copy()
+    mul[3, [7, 9]] = mul[3, [9, 7]]
+    assert np.array_equal(mul[0], np.arange(120))
+    assert np.array_equal(mul[:, 0], np.arange(120))
+    assert np.all(mul[np.arange(120), g.inv] == 0)
+    with pytest.raises(GroupSpecError, match="not associative"):
+        FiniteGroup(mul, "bad", None, g.generators)
+
+
+def test_validate_requires_generators_of_the_whole_table():
+    g = build_group({"family": "symmetric", "n": 5})
+    assert FiniteGroup(g.mul, "S5", None, g.generators).order == 120
+    with pytest.raises(GroupSpecError, match="generate 2 of 120"):
+        FiniteGroup(g.mul, "S5", None, g.generators[:1])
+    with pytest.raises(GroupSpecError, match="element indices"):
+        FiniteGroup(g.mul, "S5", None, [120])
+
+
+def _dihedral_perms(n):
+    rot = tuple((i + 1) % n for i in range(n))
+    perms = []
+    for start in (tuple(range(n)), tuple((-i) % n for i in range(n))):
+        r = start
+        for _ in range(n):
+            perms.append(r)
+            r = tuple(rot[j] for j in r)
+    return perms
+
+
+@pytest.mark.parametrize("spec", [
+    *({"family": "symmetric", "n": n} for n in range(1, 7)),
+    *({"family": "dihedral", "n": n} for n in range(3, 41)),
+    {"family": "permutations",
+     "generators": [list(range(1, 18)) + [0], [(-i) % 18 for i in range(18)]]},
+], ids=lambda spec: spec["family"][0].upper() + str(spec.get("n", 18)))
+def test_permutation_tables_are_composition(spec):
+    """Every entry of the table, against the composed permutations, in the
+    element order of the constructors: itertools order for S_n, rotations
+    then reflections for D_n, breadth-first discovery for generators."""
+    g = build_group(spec)
+    if spec["family"] == "symmetric":
+        assert g.perms == tuple(itertools.permutations(range(spec["n"])))
+    elif spec["family"] == "dihedral":
+        assert list(g.perms) == _dihedral_perms(spec["n"])
+    else:
+        assert [list(p) for p in g.perms[:3]] == [list(range(18))] + spec["generators"]
+    perms = np.asarray(g.perms)
+    assert len(set(g.perms)) == g.order
+    composed = perms[np.arange(g.order)[:, None, None], perms[None, :, :]]
+    assert np.array_equal(perms[g.mul], composed)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_cyclic_tables_are_addition(n):
+    g = build_group({"family": "cyclic", "n": n})
+    residues = np.arange(n)
+    assert np.array_equal(g.mul, (residues[:, None] + residues[None, :]) % n)
+    assert np.array_equal(g.inv, (-residues) % n)
+
+
+def test_s7_table_is_composition():
+    """S7 on 20 000 sampled pairs plus row 0 and column 0."""
+    g = build_group({"family": "symmetric", "n": 7})
+    assert g.perms == tuple(itertools.permutations(range(7)))
+    perms = np.asarray(g.perms)
+    a, b = np.random.default_rng(7).integers(0, g.order, size=(2, 20_000))
+    every, zero = np.arange(g.order), np.zeros(g.order, dtype=int)
+    a, b = np.concatenate([a, zero, every]), np.concatenate([b, every, zero])
+    assert np.array_equal(perms[g.mul[a, b]],
+                          np.take_along_axis(perms[a], perms[b], axis=1))
+    assert np.array_equal(perms[g.inv], np.argsort(perms, axis=1))
