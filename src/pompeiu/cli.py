@@ -177,11 +177,10 @@ def cmd_euclid(args: argparse.Namespace) -> int:
         lo, hi = shape.bounding_box()
         span = float(np.linalg.norm(hi - lo))
         pts = rng.uniform(-span, span, size=(16, shape.dim))
-        rows = []
-        for w in report.lambda_witnesses:
-            res = convolution_test(shape, w, pts, args.quad_tol)
-            rows.append([f"{float(complex(w).real):.10g}", f"{res:.12e}"])
-        _write_csv(args.residuals, ["lambda", "conv_residual"], rows)
+        wits = report.lambda_witnesses
+        res = convolution_test(shape, np.asarray(wits, dtype=complex), pts, args.quad_tol)
+        _write_csv(args.residuals, ["lambda", "conv_residual"],
+                   [[f"{complex(w).real:.10g}", f"{r:.12e}"] for w, r in zip(wits, res)])
     return EXIT_OK
 
 

@@ -20,9 +20,10 @@ MAX_GRID_POINTS grid steps is refused with ValueError.
 The radial search is in arrays too: one `radial_profile` call covers the
 whole grid (each entry bit-identical to a scalar call, so witnesses do not
 depend on how the grid is cut), and all sign-change brackets are bisected
-together, one call per step.  The convolution residual of a witness
-integrates phi_lam(x + y) for every sample point x in one adaptive
-integration on shared rules, in real arithmetic when lam is real.
+together, one call per step.  All convolution residuals are one adaptive
+integration of phi_lam(x + y) per sample point x and frequency lam: |x + y|
+once per rule and x, the pending lam on it in blocks of RESIDUAL_BLOCK
+entries (a real lam in real arithmetic), each row summed as it comes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ ROTATION_SAMPLES = {2: 64, 3: 72}
 SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, that one search may take.
 MAX_GRID_POINTS = 10 ** 6
+# Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
+# quadrature.  Blocks of 2^14..2^20 took 1.10-1.16 s and 118-121 MB on the
+# radial benchmark's residuals: the peak is one 3-D rule of 2^19 nodes.
+RESIDUAL_BLOCK = 1 << 17
 
 __all__ = [
     "ComplexVector",
@@ -488,19 +493,46 @@ def _bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
 # convolution and direct integral checks
 
 
-def convolution_test(shape: EuclideanSet, lam: complex, sample_points,
-                     tol: float = DEFAULT_TOL) -> float:
+def convolution_test(shape: EuclideanSet, lam, sample_points,
+                     tol: float = DEFAULT_TOL):
     """Max over the sample points x of |integral over the shape of
-    phi_lam(x + y) dy|; zero exactly at failure frequencies.  One adaptive
-    integration serves all sample points, on shared rules; a real lam
-    integrates in real arithmetic."""
+    phi_lam(x + y) dy|; zero exactly at failure frequencies.  One float for
+    a scalar lam, one per entry for a 1-D array, each bit-identical to the
+    scalar call, from one integration (see the module docstring).  A
+    complex lam is a block of its own: numpy rounds complex products
+    differently in arrays large enough to reuse their temporaries."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
+    lams = np.asarray(lam, dtype=complex)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    vals = integrate_over(
-        shape, [lambda p, x=x: spherical_phi(lam, p + x, shape.dim) for x in pts],
-        tol)
-    return max([0.0] + [abs(v) for v in vals])
+    # real frequencies first, so that a block never mixes the two kinds
+    order = np.argsort(lams.ravel().imag != 0, kind="stable")
+    freqs = lams.ravel()[order]
+    n, n_real = len(freqs), int((freqs.imag == 0).sum())
+    kernel = besselj0 if shape.dim == 2 else sinc
+
+    def rows(nodes, idx):
+        # integrand s * n + j is sample point s at frequency freqs[j]
+        sample, freq = np.divmod(np.asarray(idx), n)
+        per_block = max(1, RESIDUAL_BLOCK // len(nodes))
+        r, col = np.empty(len(nodes)), np.empty(len(nodes))
+        for s in np.unique(sample):
+            r.fill(0.0)     # r = |x + y| with the bits of spherical_phi: 0 + a == a
+            for i in range(shape.dim):
+                np.add(nodes[:, i], pts[s, i], out=col)
+                r += np.multiply(col, col, out=col)
+            np.sqrt(r, out=r)
+            js = freq[sample == s]
+            real = js[js < n_real]
+            for b in range(0, len(real), per_block):
+                yield from kernel(np.multiply.outer(freqs[real[b:b + per_block]].real, r))
+            for j in js[js >= n_real]:
+                yield kernel(complex(freqs[j]) * r)
+
+    vals = integrate_over(shape, rows, tol, len(pts) * n)
+    res = np.array([max([0.0] + [abs(vals[s * n + j]) for s in range(len(pts))])
+                    for j in range(n)], dtype=float)[np.argsort(order)]
+    return float(res[0]) if lams.ndim == 0 else res
 
 
 def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
@@ -518,12 +550,12 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
         if seed is None:
             raise ValueError("random motions require a seed")
         motions = random_motions(shape.dim, count, seed, translation_scale)
-    lam = complex(lam)
+    motions, lam = list(motions), complex(lam)
     tests = (lambda p: spherical_phi(lam, p, shape.dim),
              lambda p: np.exp(1j * lam * p[:, 0]))
-    vals = integrate_over(
-        shape, [lambda p, m=m, f=f: f(m.apply(p)) for m in motions for f in tests],
-        tol)
+    def rows(p, idx):   # integrand 2m + f: test function f on the shape moved by motion m
+        return (tests[i % 2](motions[i // 2].apply(p)) for i in idx)
+    vals = integrate_over(shape, rows, tol, 2 * len(motions))
     return max([0.0] + [abs(v) for v in vals])
 
 

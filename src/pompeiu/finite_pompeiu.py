@@ -385,11 +385,13 @@ def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
     """For each row f of table (values on G): whether x -> sum_{z in lifted}
     f(xz) vanishes identically, lifted the elements whose coset is in
     subset.  The definition, element by element; `recheck_witness` holds
-    the deciders to it."""
-    indicator = np.zeros(space.num_cosets, dtype=bool)
-    indicator[sorted(subset)] = True
-    lifted = np.nonzero(indicator[space.coset_of])[0]
-    conv = table[:, space.group.mul[:, lifted]].sum(axis=2)
+    the deciders to it.  The x run in blocks whose gather holds at most
+    SCAN_CHUNK values, one block when the whole gather fits."""
+    lifted = np.nonzero(np.isin(space.coset_of, sorted(subset)))[0]
+    mul = space.group.mul
+    step = max(1, SCAN_CHUNK // (len(table) * len(lifted)))
+    conv = np.concatenate([table[:, mul[x:x + step, lifted]].sum(axis=2)
+                           for x in range(0, len(mul), step)], axis=1)
     tol = CONV_ZERO_TOL * (1 + len(lifted))
     return _vanishing(conv, tol).all(axis=1)
 

@@ -3,10 +3,11 @@
 The integrands here (complex exponentials, spherical averages) are entire,
 so the mapped tensor Gauss rules from the shapes module converge
 geometrically; doubling the order until two successive estimates agree
-gives a reliable error estimate.  Several integrands over one shape share
-each rule: it is built once per order, and each integrand is evaluated on
-it, one at a time, until its own estimate settles.  Weights stay real, so
-a real integrand is summed in real arithmetic.
+gives a reliable error estimate.  Many integrands over one shape share
+each rule, built once per order: one call yields the rows of every
+integrand still pending, each summed as it comes, and each integrand
+stops at its own order.  Weights stay real, so a real integrand is summed
+in real arithmetic.
 """
 
 from __future__ import annotations
@@ -31,31 +32,33 @@ def _weighted_sum(wts: np.ndarray, vals: np.ndarray) -> complex:
     return complex(wts @ vals)
 
 
-def integrate_over(shape, integrand, tol: float = DEFAULT_TOL):
+def integrate_over(shape, integrand, tol: float = DEFAULT_TOL,
+                   count: int | None = None):
     """Integral over the shape of a vectorized integrand on N x dim points,
-    as one complex; given a list of integrands, the list of their
-    integrals.
+    as one complex.  With a count, integrand(pts, idx) yields the values on
+    pts of each integrand in the ascending list idx (a subset of
+    range(count)), one row per index in that order, and the list of the
+    count integrals is returned; count = 0 builds no rule.
 
     Each integrand stops at the first doubling whose estimate moves by
     less than tol; the others carry on with the next rule.  Doubling the
     order multiplies the node count by about 2^dim; a rule past order
     _MAX_ORDER or _NODE_BUDGET nodes is never built, and QuadratureError
     is raised if any integrand has not settled by then."""
-    fns = [integrand] if callable(integrand) else list(integrand)
-    order = _START_ORDER
-    pts, wts = shape.quad_nodes(order)
-    prev = [_weighted_sum(wts, f(pts)) for f in fns]
-    done: list = [None] * len(fns)
-    pending = list(range(len(fns)))
-    delta = float("inf")
+    rows = integrand if count is not None else lambda pts, idx: [integrand(pts)]
+    total = 1 if count is None else count
+    prev, done = [None] * total, [None] * total
+    pending = list(range(total))
+    order, nodes, delta = _START_ORDER // 2, 0, float("inf")
     while pending and 2 * order <= _MAX_ORDER \
-            and len(pts) * 2 ** shape.dim <= _NODE_BUDGET:
+            and nodes * 2 ** shape.dim <= _NODE_BUDGET:
         order *= 2
         pts, wts = shape.quad_nodes(order)
+        nodes = len(pts)
         unsettled, delta = [], 0.0
-        for i in pending:
-            cur = _weighted_sum(wts, fns[i](pts))
-            step = abs(cur - prev[i])
+        for i, vals in zip(pending, rows(pts, pending), strict=True):
+            cur = _weighted_sum(wts, vals)
+            step = float("inf") if prev[i] is None else abs(cur - prev[i])
             if step < tol:
                 done[i] = cur
             else:
@@ -64,19 +67,6 @@ def integrate_over(shape, integrand, tol: float = DEFAULT_TOL):
         pending = unsettled
     if pending:
         raise QuadratureError(
-            f"no convergence to {tol:g} by order {order} ({len(pts)} nodes, "
-            f"last delta {delta:.3e}, {len(pending)} of {len(fns)} integrands)")
-    return done[0] if callable(integrand) else done
-
-
-def sphere_average(f, n: int = 64) -> complex:
-    """Average of f over the unit 2-sphere: Gauss-Legendre in the polar
-    cosine, equispaced trapezoid in azimuth."""
-    u, wu = np.polynomial.legendre.leggauss(n)
-    phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
-    sin_pol = np.sqrt(1.0 - u ** 2)
-    x = np.outer(sin_pol, np.cos(phi))
-    y = np.outer(sin_pol, np.sin(phi))
-    z = np.outer(u, np.ones_like(phi))
-    vals = f(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)).reshape(x.shape)
-    return complex((wu @ vals).sum() / (2.0 * len(phi)))
+            f"no convergence to {tol:g} by order {order} ({nodes} nodes, "
+            f"last delta {delta:.3e}, {len(pending)} of {total} integrands)")
+    return done[0] if count is None else done

@@ -11,7 +11,10 @@ import pytest
 import pompeiu
 from pompeiu import cli, finite_pompeiu
 from pompeiu.cli import main
+from pompeiu.euclidean import spherical_phi
 from pompeiu.hecke import spherical_functions
+from pompeiu.quadrature import integrate_over
+from pompeiu.shapes import Ball, load_set_spec
 
 
 def _cyclic_file(tmp_path, n):
@@ -245,6 +248,44 @@ def test_euclid_residuals_csv(disk_file, tmp_path):
         assert float(residual) < 1e-6
 
 
+def test_euclid_residuals_without_witnesses_build_no_rule(disk_file, tmp_path,
+                                                          monkeypatch):
+    """The disk has no failure frequency below 3.83: the residual CSV is its
+    header alone, and no quadrature rule is built."""
+    orders = []
+    monkeypatch.setattr(Ball, "quad_nodes", lambda self, order: orders.append(order))
+    res = tmp_path / "residuals.csv"
+    assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:3",
+                 "--seed", "1", "--out", str(tmp_path / "r.json"),
+                 "--residuals", str(res)]) == 0
+    assert res.read_text() == "lambda,conv_residual\n" and orders == []
+
+
+def test_euclid_residual_csv_equals_per_witness_integrations(tmp_path):
+    """The residual CSV, from one batched call, equals a reference built
+    here with one integration of spherical_phi(lam, p + x) per witness and
+    sample point: the unit disk and the annulus (2, 3) over (0, 10]."""
+    spec = tmp_path / "rings.json"
+    spec.write_text(json.dumps({"dim": 2, "shape": "union", "members": [
+        {"dim": 2, "shape": "ball", "radius": 1.0},
+        {"dim": 2, "shape": "annulus", "inner": 2.0, "outer": 3.0}]}))
+    out, res = tmp_path / "r.json", tmp_path / "residuals.csv"
+    assert main(["euclid", "decide", "--set", str(spec), "--lambda-range", "0:10",
+                 "--seed", "7", "--out", str(out), "--residuals", str(res)]) == 0
+    witnesses = json.loads(out.read_text())["lambda_witnesses"]
+    assert len(witnesses) == 9
+    shape = load_set_spec(str(spec))
+    lo, hi = shape.bounding_box()
+    span = float(np.linalg.norm(hi - lo))
+    pts = np.random.default_rng(7).uniform(-span, span, size=(16, 2))
+    want = ["lambda,conv_residual"]
+    for lam in witnesses:
+        worst = max([0.0] + [abs(integrate_over(
+            shape, lambda p, x=x: spherical_phi(lam, p + x, 2), 1e-8)) for x in pts])
+        want.append(f"{lam:.10g},{worst:.12e}")
+    assert res.read_text().splitlines() == want
+
+
 @pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.json"
@@ -414,21 +455,23 @@ def _dft_pompeiu_count(n):
 
 def test_full_z18_sweep_streams_its_rows(tmp_path):
     """The full sweep of Z18 with K = {e} (262 143 subsets) holds no per-row
-    list: the CLI's peak RSS stays under 150 MB. The child reads its own
-    peak (RUSAGE_SELF), since RUSAGE_CHILDREN would take the largest earlier
-    child of this process. The counts match the DFT."""
+    list: the CLI's peak RSS stays under 150 MB. The child reads the peak
+    of its own address space, VmHWM in /proc/self/status: its ru_maxrss
+    starts from this process's peak, which a fork passes on and exec
+    keeps. The counts match the DFT."""
     out, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
-    script = ("import resource, sys\n"
+    script = ("import sys\n"
               "from pompeiu.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+              "           if line.startswith('VmHWM:')))\n"
               "sys.exit(code)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "finite", "sweep", "--group",
          _cyclic_file(tmp_path, 18), "--out", str(out), "--summary", str(summary)],
         env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.split()[-1]) / 1024      # ru_maxrss is in KiB
+    peak_mb = int(proc.stdout.split()[-1]) / 1024      # VmHWM is in kB
     assert peak_mb < 150, peak_mb
     info = json.loads(summary.read_text())
     pompeiu_count = _dft_pompeiu_count(18)

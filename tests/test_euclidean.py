@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -68,11 +69,23 @@ def test_phi_plane_matches_circle_quadrature():
         assert abs(complex(spherical_phi(lam, x, 2)) - direct) < 1e-10
 
 
+def _sphere_average(f, n: int = 64) -> complex:
+    """Average of f over the unit 2-sphere: Gauss-Legendre in the polar
+    cosine, equispaced trapezoid in azimuth."""
+    u, wu = np.polynomial.legendre.leggauss(n)
+    phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
+    sin_pol = np.sqrt(1.0 - u ** 2)
+    x = np.outer(sin_pol, np.cos(phi))
+    y = np.outer(sin_pol, np.sin(phi))
+    z = np.outer(u, np.ones_like(phi))
+    vals = f(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)).reshape(x.shape)
+    return complex((wu @ vals).sum() / (2.0 * len(phi)))
+
+
 def test_phi_sphere_matches_quadrature():
-    from pompeiu.quadrature import sphere_average
     x = np.array([0.3, -1.1, 0.4])
     for lam in (2.0, 1.0 + 0.5j):
-        direct = sphere_average(lambda w: np.exp(1j * lam * (w @ x)))
+        direct = _sphere_average(lambda w: np.exp(1j * lam * (w @ x)))
         assert abs(complex(spherical_phi(lam, x, 3)) - direct) < 1e-10
 
 
@@ -772,12 +785,13 @@ def test_bisection_takes_exact_zeros_on_the_grid_and_at_midpoints(monkeypatch):
     assert abs(full[2] - zeros[2]) < 1e-10
 
 
-def test_integrate_over_list_matches_one_call_per_integrand():
+def test_integrate_over_rows_match_one_call_per_integrand():
     fns = [lambda p: np.exp(-2j * p[:, 0]),
            lambda p: np.cos(3.0 * p[:, 1]),
            lambda p: spherical_phi(3.0, p + np.array([0.5, -0.2]), 2)]
     for shape in (DISK, SQUARE, Annulus(1.0, 2.0, 2)):
-        together = integrate_over(shape, fns, 1e-10)
+        together = integrate_over(shape, lambda p, idx: (fns[i](p) for i in idx),
+                                  1e-10, len(fns))
         assert isinstance(together, list) and len(together) == 3
         for f, val in zip(fns, together):
             single = integrate_over(shape, f, 1e-10)
@@ -795,7 +809,7 @@ class _CountingShape:
         return np.zeros((order, 1)), np.full(order, 1.0 / order)
 
 
-def test_integrate_over_list_raises_when_one_integrand_never_settles():
+def test_integrate_over_rows_raise_when_one_integrand_never_settles():
     calls = {"flat": 0, "growing": 0, "settles": 0}
 
     def flat(p):
@@ -810,8 +824,10 @@ def test_integrate_over_list_raises_when_one_integrand_never_settles():
         calls["settles"] += 1
         return np.full(len(p), 1.0 + 1.0 / len(p) ** 2)
 
+    fns = [flat, growing, settles]
     with pytest.raises(QuadratureError, match="1 of 3 integrands"):
-        integrate_over(_CountingShape(), [flat, growing, settles], 1e-3)
+        integrate_over(_CountingShape(), lambda p, idx: (fns[i](p) for i in idx),
+                       1e-3, len(fns))
     # each settled integrand stops being evaluated at its own order
     assert calls["flat"] == 2
     assert calls["settles"] < calls["growing"]
@@ -853,9 +869,9 @@ def test_integral_check_is_one_integration(monkeypatch):
     seen = []
     orig = euclidean.integrate_over
 
-    def counting(shape, integrands, tol):
-        seen.append(len(integrands))
-        return orig(shape, integrands, tol)
+    def counting(shape, integrand, tol, count=None):
+        seen.append(count)
+        return orig(shape, integrand, tol, count)
 
     monkeypatch.setattr(euclidean, "integrate_over", counting)
     motions = random_motions(2, 4, seed=3)
@@ -867,3 +883,78 @@ def test_integral_check_is_one_integration(monkeypatch):
               for f in (lambda p: spherical_phi(lam, p, 2),
                         lambda p: np.exp(1j * lam * p[:, 0])))
     assert abs(val - ref) < 1e-8
+
+
+class _RuleCounter:
+    """A shape whose rules are counted."""
+
+    def __init__(self, shape):
+        self.shape, self.dim, self.orders = shape, shape.dim, []
+
+    def quad_nodes(self, order):
+        self.orders.append(order)
+        return self.shape.quad_nodes(order)
+
+
+def test_integrate_over_zero_integrands_builds_no_rule():
+    shape = _RuleCounter(DISK)
+    assert integrate_over(shape, lambda p, idx: iter(()), 1e-8, 0) == []
+    assert shape.orders == []
+
+
+def test_integrate_over_rows_must_match_the_pending_integrands():
+    with pytest.raises(ValueError):
+        integrate_over(DISK, lambda p, idx: [np.ones(len(p))], 1e-8, 2)
+
+
+RINGS = DisjointUnion([DISK, Annulus(2.0, 3.0, 2)])
+ANNULUS3 = Annulus(2.0, 3.0, 3)
+
+
+@pytest.mark.parametrize("block", [1, 1536, None])
+@pytest.mark.parametrize("shape,lams", [
+    (DISK, [J1_1, 1.3 + 0.2j, 3.0, J1_1, 7.0155866698156, 0.0]),
+    (RINGS, [2.1, 4.5 + 0.2j, 5.0, 2.1, 6.5 - 0.1j, 2.1, 7.0 + 0.3j, 8.0 + 0.5j, 9.0 - 0.2j]),
+    (ANNULUS3, [1.2396787044126543, 2.0 + 0.1j, 4.9, 1.2396787044126543]),
+], ids=["disk", "rings", "annulus3"])
+def test_convolution_test_array_equals_scalar_calls(shape, lams, block, monkeypatch):
+    """One residual per frequency, bit for bit the scalar call's, whatever
+    the blocks: complex frequencies among real ones, a repeated one, and
+    blocks of one row, of a few rows and of the default size.  On the
+    rings, complex frequencies sharing a block would pass numpy's
+    temporary-elision size and round differently."""
+    if block is not None:
+        monkeypatch.setattr(euclidean, "RESIDUAL_BLOCK", block)
+    pts = np.random.default_rng(4).uniform(-3.0, 3.0, (5, shape.dim))
+    got = convolution_test(shape, np.array(lams), pts)
+    assert got.dtype == np.float64 and got.shape == (len(lams),)
+    want = [convolution_test(shape, lam, pts) for lam in lams]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want
+
+
+def test_convolution_test_without_frequencies_builds_no_rule():
+    shape = _RuleCounter(DISK)
+    got = convolution_test(shape, np.array([], dtype=complex), _sample_ring())
+    assert got.shape == (0,) and shape.orders == []
+
+
+def test_convolution_residual_pass_streams_its_rows():
+    """All residuals of the 3-D annulus (2, 3) over (0, 6] in one call stay
+    under 45 MiB of traced memory, the peak of the largest single-witness
+    call when each witness had an integration of its own (44.5 MiB at
+    order 64, 524 288 nodes per rule).  Holding a rule's rows, or the 16
+    radii |x + y|, would take more."""
+    witnesses = find_failure_lambdas(ANNULUS3, (0.0, 6.0))
+    assert len(witnesses) == 5
+    lo, hi = ANNULUS3.bounding_box()
+    span = float(np.linalg.norm(hi - lo))
+    pts = np.random.default_rng(1).uniform(-span, span, size=(16, 3))
+    tracemalloc.start()
+    try:
+        res = convolution_test(ANNULUS3, np.array(witnesses), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res < 1e-6 * ANNULUS3.volume).all()
+    assert peak < 45 * 2 ** 20, peak / 2 ** 20
