@@ -42,7 +42,7 @@ def main() -> int:
         path = out_dir / f"{name}.csv"
         _write_csv(str(path), ["lambda", "orbit_max"],
                    [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])
-        witnesses = ", ".join(f"{float(w):.6f}" for w in report.lambda_witnesses)
+        witnesses = ", ".join(f"{float(w):.10f}" for w in report.lambda_witnesses)
         print(f"{name:<10} {report.verdict:<22} {witnesses}")
     print(f"\nlandscape CSVs written to {out_dir}/")
     return 0

@@ -24,7 +24,10 @@ _ASYMPTOTIC_TERMS = 19
 # complex one in the series: a product of two complex arrays is never
 # formed in place (numpy's in-place complex multiply rounds a one-element
 # array differently), and a division by a real constant is a product with
-# its reciprocal (numpy divides a complex number by one that way).
+# its reciprocal (numpy divides a complex number by one that way).  So a
+# product of two complex arrays names both factors: numpy turns a product
+# with an unnamed temporary into an in-place one once the temporary holds
+# 16 384 complex entries (256 KiB).
 
 
 def _series_j0(z: np.ndarray) -> np.ndarray:
@@ -66,7 +69,10 @@ def _asymptotic(nu: int, z: np.ndarray) -> np.ndarray:
         else:
             acc -= term
     omega = z - (nu / 2.0 + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
+    cos, sin = np.cos(omega), np.sin(omega)
+    wave = p * cos - q * sin
+    amplitude = np.sqrt(2.0 / (np.pi * z))
+    return amplitude * wave
 
 
 def _as_array(z) -> np.ndarray:
@@ -141,13 +147,15 @@ def ball3_profile(z):
     dimensions up to the 4*pi factor.
     """
     def series(z):
-        u2 = z ** 2
+        neg_u2 = -z ** 2
         # sum_{k>=1} (-1)^{k+1} 2k u^{2k-2} / (2k+1)!
-        term = np.full_like(u2, 1.0 / 3.0)
+        term = np.full_like(neg_u2, 1.0 / 3.0)
         acc = term.copy()
         for k in range(2, 12):
-            term = term * (-u2) * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+            term = term * neg_u2 * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
             acc = acc + term
         return acc
-    return _kernel(z, lambda z: np.abs(z) < 0.5, series,
-                   lambda z: (np.sin(z) - z * np.cos(z)) / z ** 3)
+    def closed(z):
+        cos = np.cos(z)
+        return (np.sin(z) - z * cos) / z ** 3
+    return _kernel(z, lambda z: np.abs(z) < 0.5, series, closed)

@@ -8,13 +8,13 @@ vanishing on the full complex quadric z.z = lambda^2), sign-change root
 searches on radial profiles, and direct convolution / rigid-motion
 integral checks that re-verify every candidate failure frequency.
 
-Transforms are evaluated in batches: `fourier_laplace` takes an N x dim
-array of frequencies, and a polytope's value comes from one call of
-`exp_divided_difference` on the N x simplices rows of nodes, each row in
-its own regime.  The orbit scan of a non-radial shape evaluates the
-frequency grid x orbit directions x simplices in blocks of at most
-SCAN_CHUNK triples and keeps a running maximum per frequency, so its
-memory stays flat whatever the grid.  A search range of more than
+Transforms are evaluated in batches: a polytope's value at N frequencies
+comes from one `exp_divided_difference` call on the N x simplices rows of
+nodes, the simplices fanned from one vertex.  The orbit scan of a
+non-radial shape evaluates frequencies x directions x simplices in blocks
+of at most SCAN_CHUNK triples, one direction per antipodal pair at a real
+frequency (|F(-z)| = |F(z)|), keeping a running maximum per frequency, so
+its memory stays flat whatever the grid.  A search range of more than
 MAX_GRID_POINTS grid steps is refused with ValueError.
 
 The radial search is in arrays too: one `radial_profile` call covers the
@@ -43,10 +43,10 @@ DEFAULT_VANISH_TOL = 1e-6
 DEFAULT_GRID = 0.05
 BISECT_TOL = 1e-10
 ROTATION_SAMPLES = {2: 64, 3: 72}
-# (frequency, direction, simplex) triples per block of the orbit scan.  On
-# one round of the polytope benchmark (2 vCPUs), blocks of 256, 2048, 8192
-# and 65536 triples took 0.95, 0.39, 0.31 and 0.35 s at a peak RSS of 80,
-# 82, 91 and 114 MB: 2048 keeps the memory of one-at-a-time evaluation.
+# (frequency, direction, simplex) triples per block of the orbit scan.  One
+# round of the polytope benchmark (2 vCPUs, best of 4) took 0.30, 0.14, 0.12,
+# 0.11 and 0.12 s at blocks of 256, 2048, 4096, 8192 and 65536 triples, at a
+# peak RSS of 80, 82, 85, 90 and 94 MB: 2048 keeps within 2 MB of the floor.
 SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, that one search may take.
 MAX_GRID_POINTS = 10 ** 6
@@ -152,10 +152,9 @@ def _expm_bidiagonal(rows: np.ndarray) -> np.ndarray:
     entry is the divided difference exp[x_0, ..., x_{m-1}].
 
     Scaling and squaring with a truncated Taylor series, each matrix scaled
-    by its own power of two.  The matrices are held as an m x m x N stack
-    so that every entry is one contiguous vector: a Taylor step multiplies
-    by the bidiagonal A entrywise, and the rows needing the most squarings
-    are sorted last, so each squaring works on a slice."""
+    by its own power of two.  Only the upper triangle is held and only its
+    nonzero products are formed, in the dense order, which keeps the bits;
+    rows needing more squarings sort last, so that each squaring is a slice."""
     n, m = rows.shape
     norm = np.fmax(np.abs(rows).max(axis=1), 1.0) * m     # max |A_ij| * m
     s = np.where(norm > 0.5,
@@ -164,22 +163,26 @@ def _expm_bidiagonal(rows: np.ndarray) -> np.ndarray:
     s = s[order]
     scale = 2.0 ** -s
     d = rows[order].T * scale
-    out = np.zeros((m, m, n), dtype=complex)
-    out[np.arange(m), np.arange(m)] = 1.0
-    term = out.copy()
+    # row off[b] + r holds (r, r + b); (A^2)[r, c] adds A[r, r+t] A[r+t, c] by t
+    i, band = np.concatenate([[np.arange(m - b), [b] * (m - b)] for b in range(m)], axis=1)
+    off = np.searchsorted(band, np.arange(m))
+    pairs = [(f, f + i[f:], off[band[f:] - t] + i[f:] + t) for t, f in enumerate(off) if t]
+    out = np.zeros((len(i), n), dtype=complex)
+    out[:m] = 1.0
+    term, dj, prev = out.copy(), d[i + band], off[band[m:] - 1] + i[m:]
     for k in range(1, 24):
-        nxt = term * d
-        nxt[:, 1:] += term[:, :-1] * scale
+        nxt = term * dj
+        nxt[m:] += np.multiply(term[prev], scale)   # no product in place: see bessel
         term = nxt / k
         out += term
     for step in range(int(s.max(initial=0))):
-        a = out[:, :, np.searchsorted(s, step, side="right"):]
-        sq = a[:, 0, None] * a[None, 0]
-        for j in range(1, m):
-            sq += a[:, j, None] * a[None, j]
+        a = out[:, np.searchsorted(s, step, side="right"):]
+        sq = np.multiply(a[i], a)                   # t = 0: A[r, r] A[r, c]
+        for f, left, right in pairs:
+            sq[f:] += np.multiply(a[left], a[right])
         a[...] = sq
     corner = np.empty(n, dtype=complex)
-    corner[order] = out[0, m - 1]
+    corner[order] = out[-1]
     return corner
 
 
@@ -324,11 +327,14 @@ def _simplex_count(shape) -> int:
 
 
 def rotation_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic unit directions: equispaced on the circle, a Fibonacci
-    lattice on the 2-sphere."""
+    """Deterministic unit directions: equispaced on the circle, an even
+    count ending with the negation of its first half bit for bit, and a
+    Fibonacci lattice on the 2-sphere."""
     if dim == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        h = count // 2 if count % 2 == 0 else count
+        theta = 2.0 * np.pi * np.arange(h) / count
+        half = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return np.concatenate([half, -half[:count - h]])
     if dim == 3:
         j = np.arange(count)
         z = 1.0 - (2.0 * j + 1.0) / count
@@ -371,9 +377,13 @@ def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
     direction reaching it (NaN values are passed over; a frequency with no
     other value gets NaN, which never counts as vanishing).
 
-    The frequency x direction x simplex triples are evaluated in blocks of
-    at most SCAN_CHUNK (unless one transform value alone has more
-    simplices), so memory does not grow with the grid or the orbit."""
+    At a real frequency |F(-z)| = |F(z)|, so only the first half of dirs is
+    scanned when the second half negates it.  Frequency x direction x
+    simplex triples go in blocks of at most SCAN_CHUNK (unless one transform
+    value alone has more simplices): memory does not grow with the grid."""
+    h = len(dirs) // 2
+    if not np.imag(lams).any() and np.array_equal(dirs[h:], -dirs[:h]):
+        dirs = dirs[:h]
     per_dir = _simplex_count(shape)
     cols = min(len(dirs), max(1, SCAN_CHUNK // per_dir))
     rows = max(1, SCAN_CHUNK // (cols * per_dir))

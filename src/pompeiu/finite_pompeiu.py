@@ -402,14 +402,13 @@ def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
 
     The convolution sum_{z in lifted E} f(xz) is grouped by coset: conv[b]
     is the sum over c in E of the table S_c[i, x] = sum_{z in tc K}
-    f_i(xz), built for one coset of the support at a time."""
+    f_i(xz) = |K| f_i(xt_c), since f_i is right K-invariant, built from the
+    transversal element t_c of one coset of the support at a time."""
     on_group = hecke_structure(space).on_group
     mul = space.group.mul
-    # the elements of each coset, ascending: row c lists the lift of coset c
-    members = np.argsort(space.coset_of, kind="stable").reshape(space.num_cosets, -1)
     conv = np.zeros((len(bits),) + on_group.shape, dtype=on_group.dtype)
     for c in _support(bits):
-        np.add(conv, on_group[:, mul[:, members[c]]].sum(axis=2), out=conv,
+        np.add(conv, on_group[:, mul[:, space.transversal[c]]] * space.k_size, out=conv,
                where=bits[:, c, None, None] == 1)
     tol = CONV_ZERO_TOL * (1 + bits.sum(axis=1) * space.k_size)
     return _vanishing(conv, tol[:, None, None]).all(axis=2)

@@ -116,19 +116,17 @@ class Polytope:
         except Exception as exc:
             raise ValueError(f"degenerate polytope: {exc}") from None
         if self.dim == 2:
-            self.vertices = pts[hull.vertices]          # counter-clockwise
+            self.vertices = v = pts[hull.vertices]      # counter-clockwise
+            self._simplices = [v[[0, i, i + 1]] for i in range(1, len(v) - 1)]
         else:
+            apex = hull.vertices.min()                  # vertices[0]
             self.vertices = pts[sorted(set(hull.vertices))]
-            self._faces = [pts[list(simplex)] for simplex in hull.simplices]
+            # a fan from the apex over the hull triangles off its facets (the
+            # triangles of one facet share its equation exactly)
+            through = hull.equations[(hull.simplices == apex).any(axis=1)]
+            off = ~(hull.equations[:, None] == through).all(axis=2).any(axis=1)
+            self._simplices = [pts[[apex, *s]] for s in hull.simplices[off]]
         self._volume = float(hull.volume)
-        self._simplices = self._triangulate()
-
-    def _triangulate(self):
-        if self.dim == 2:
-            v = self.vertices
-            return [np.asarray([v[0], v[i], v[i + 1]]) for i in range(1, len(v) - 1)]
-        centroid = self.vertices.mean(axis=0)
-        return [np.vstack([centroid, face]) for face in self._faces]
 
     @property
     def volume(self) -> float:
@@ -139,7 +137,8 @@ class Polytope:
         return False
 
     def simplices(self):
-        """Triangles (2-D) or tetrahedra (3-D) partitioning the polytope."""
+        """Triangles (2-D) or tetrahedra (3-D) partitioning the polytope,
+        fanned from vertices[0]."""
         return self._simplices
 
     def bounding_box(self):

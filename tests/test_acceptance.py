@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special
 
 import pompeiu
 from pompeiu.euclidean import (complex_sphere_vanishes, convolution_test,
@@ -246,3 +247,29 @@ def test_run_finite_suite_script():
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "total disagreements: 0" in proc.stdout
+
+
+def test_shape_landscape_script(tmp_path):
+    """scripts/shape_landscape.py at grid 0.5 over (0, 6] exits 0, writes
+    one landscape CSV per shape, finds no failure for either polytope and
+    prints the disk's witnesses at the zeros of J1."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "shape_landscape.py")
+    proc = subprocess.run([sys.executable, script, "--grid", "0.5", "--lambda-max", "6",
+                           "--out-dir", str(tmp_path)], env=_child_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = ["disk", "ball3", "annulus", "square", "triangle", "rings"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in names)
+    for name in names:
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "lambda,orbit_max" and len(lines) == 13
+    table = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()
+             if line.split() and line.split()[0] in names}
+    assert table["square"] == table["triangle"] == ["NoFailureFoundInRange"]
+    assert table["disk"][0] == "NotPompeiu"
+    witnesses = [float(w.rstrip(",")) for w in table["disk"][1:]]
+    zeros = scipy.special.jn_zeros(1, 2)
+    zeros = zeros[zeros <= 6.0]
+    assert len(witnesses) == len(zeros) == 1
+    assert np.all(np.abs(np.array(witnesses) - zeros) <= 1e-8)

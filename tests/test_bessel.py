@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from pompeiu.bessel import (ball3_profile, besselj0, besselj1, j1_over_z,
-                            sinc)
+from pompeiu.bessel import (SERIES_RADIUS, ball3_profile, besselj0, besselj1,
+                            j1_over_z, sinc)
 
 # reference values frozen from the integral oracle below (and agreeing
 # with scipy.special to all shown digits)
@@ -142,3 +142,20 @@ def test_real_input_is_evaluated_in_real_arithmetic(kernel):
         assert isinstance(kernel(x), np.floating)
         assert isinstance(kernel(complex(x)), np.complexfloating)
         assert kernel(x) == kernel(np.array([x]))[0]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+def test_large_complex_array_equals_scalar_calls(kernel):
+    """Each entry of a complex array has the bits of the scalar call at its
+    argument, also where a branch gets 17 000 entries, past the 16 384 at
+    which numpy starts to reuse temporaries in place."""
+    rng = np.random.default_rng(7)
+    bands = [(1e-9, 1e-6), (1e-6, 0.5), (0.5, SERIES_RADIUS), (SERIES_RADIUS, 80.0)]
+    radius = np.concatenate([rng.uniform(lo, hi, 17_000) for lo, hi in bands])
+    z = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, len(radius)))
+    batch = kernel(z)
+    assert batch.dtype == np.complex128
+    sample = np.arange(0, len(z), 17)
+    scalar = np.array([kernel(complex(x)) for x in z[sample]])
+    assert np.array_equal(batch[sample].view(np.int64).reshape(-1, 2),
+                          scalar.view(np.int64).reshape(-1, 2))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from scipy.spatial import ConvexHull
 
 import pompeiu.euclidean as euclidean
 from pompeiu.euclidean import (ComplexVector, RigidMotion,
@@ -208,6 +209,49 @@ def test_divided_difference_batch_matches_mpmath(m, kind):
         assert exp_divided_difference(x) == pytest.approx(value, rel=1e-14)
 
 
+def _dense_expm_bidiagonal(rows):
+    """The full m x m x N scaling and squaring that `_expm_bidiagonal`
+    restricts to the upper triangle, kept as its bit-for-bit reference."""
+    n, m = rows.shape
+    norm = np.fmax(np.abs(rows).max(axis=1), 1.0) * m
+    s = np.where(norm > 0.5,
+                 np.ceil(np.log2(np.fmax(norm, 0.5))).astype(int) + 1, 0)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    scale = 2.0 ** -s
+    d = rows[order].T * scale
+    out = np.zeros((m, m, n), dtype=complex)
+    out[np.arange(m), np.arange(m)] = 1.0
+    term = out.copy()
+    for k in range(1, 24):
+        nxt = term * d
+        nxt[:, 1:] += term[:, :-1] * scale
+        term = nxt / k
+        out += term
+    for step in range(int(s.max(initial=0))):
+        a = out[:, :, np.searchsorted(s, step, side="right"):]
+        sq = a[:, 0, None] * a[None, 0]
+        for j in range(1, m):
+            sq += a[:, j, None] * a[None, j]
+        a[...] = sq
+    corner = np.empty(n, dtype=complex)
+    corner[order] = out[0, m - 1]
+    return corner
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("kind", ["imag", "real", "complex"])
+def test_triangular_expm_is_bit_identical_to_the_dense_one(m, kind):
+    """Every corner value keeps the bits of the dense computation, signed
+    zeros included, on rows of every regime and on a batch large enough
+    (3240 rows) for numpy to reuse temporaries of its size."""
+    rows = _node_rows(m, kind, np.random.default_rng(10 * m + len(kind)))
+    for batch in (rows, np.tile(rows, (120, 1))):
+        got = euclidean._expm_bidiagonal(batch)
+        ref = _dense_expm_bidiagonal(batch)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 MOVED_SQUARE = Polytope(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ _rot2(0.7).T
                         + [0.4, -1.1])
 
@@ -234,20 +278,22 @@ def _box_orbit_max(lams, rotation, count):
     return np.abs(np.sinc(w / (2.0 * np.pi))).prod(axis=2).max(axis=1)
 
 
-@pytest.mark.parametrize("dim,lam_hi,samples", [(2, 18.5, 64), (3, 7.4, 200)])
+@pytest.mark.parametrize("dim,lam_hi,samples", [(2, 18.5, 64), (3, 7.4, 400)])
 def test_polytope_landscape_matches_moved_box_across_chunks(dim, lam_hi, samples,
                                                             monkeypatch):
     """37 frequencies: a grid that is not a multiple of the block in either
-    dimension; with 200 directions the cube's orbit also spans two blocks.
-    No block holds more than SCAN_CHUNK (frequency, direction, simplex)
-    triples."""
+    dimension; with 400 directions the cube's orbit (6 tetrahedra) also
+    spans two blocks.  The square's scan takes one direction per antipodal
+    pair, the cube's all 400.  No block holds more than SCAN_CHUNK
+    (frequency, direction, simplex) triples."""
     rng = np.random.default_rng(dim)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     rot = q * np.sign(np.linalg.det(q))
     unit = np.array([[(k >> i) & 1 for i in range(dim)] for k in range(2 ** dim)])
     box = Polytope(unit @ rot.T + rng.uniform(-1, 1, dim))
     grid = lam_hi / 37
-    triples = samples * len(box.simplices())
+    assert len(box.simplices()) == (2 if dim == 2 else 6)
+    triples = (samples // 2 if dim == 2 else samples) * len(box.simplices())
     assert 37 * triples % euclidean.SCAN_CHUNK != 0
     assert (triples > euclidean.SCAN_CHUNK) == (dim == 3)
     blocks = []
@@ -273,24 +319,144 @@ def test_polytope_landscape_matches_moved_box_across_chunks(dim, lam_hi, samples
 
 def test_orbit_maximum_keeps_the_first_direction_across_blocks(monkeypatch):
     """With blocks of 8 directions, a maximum shared by directions 13 and
-    21 (in the second and third blocks) and a constant orbit both report
-    the first direction reaching the maximum."""
+    21 (in the second and third blocks of the 23 scanned, one per antipodal
+    pair of 46) and a constant orbit both report the first direction
+    reaching the maximum."""
     monkeypatch.setattr(euclidean, "SCAN_CHUNK", 8)
-    dirs = rotation_directions(2, 30)
-    values = np.zeros(30)
+    dirs = rotation_directions(2, 46)
+    values = np.zeros(46)
     values[[13, 21]] = 5.0
+    seen = []
 
     def by_direction(shape, z):
         angle = np.arctan2(z[:, 1].real, z[:, 0].real) % (2 * np.pi)
-        return values[np.rint(angle / (2 * np.pi / 30)).astype(int) % 30] + 0j
+        index = np.rint(angle / (2 * np.pi / 46)).astype(int) % 46
+        seen.append(index)
+        return values[index] + 0j
 
     monkeypatch.setattr(euclidean, "fourier_laplace", by_direction)
-    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=30)
+    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=46)
+    assert [b.tolist() for b in seen] == [list(range(0, 8)), list(range(8, 16)),
+                                          list(range(16, 23))]
     assert check.max_magnitude == 5.0
     assert check.worst_direction == tuple(dirs[13])
     values[:] = 2.0
-    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=30)
+    check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=46)
     assert check.worst_direction == tuple(dirs[0])
+
+
+def test_circle_directions_come_in_exact_antipodal_halves():
+    """An even count ends with the negation of its first half, bit for bit,
+    which differs from cos/sin of the equispaced angles by rounding alone
+    (at most 8 units of 2^-52 on these unit vectors); an odd count is
+    cos/sin itself."""
+    for count in (2, 30, 64, 63):
+        theta = 2.0 * np.pi * np.arange(count) / count
+        trig = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        dirs = rotation_directions(2, count)
+        assert np.abs(dirs - trig).max() <= 8 * np.spacing(1.0)
+        if count % 2:
+            assert np.array_equal(dirs, trig)
+        else:
+            assert np.array_equal(dirs[count // 2:], -dirs[:count // 2])
+            assert np.array_equal(dirs[:count // 2], trig[:count // 2])
+
+
+def _random_polygon(seed):
+    return Polytope(np.random.default_rng(seed).uniform(-1.5, 1.5, (9, 2)))
+
+
+@pytest.mark.parametrize("shape", [
+    _random_polygon(1), _random_polygon(2), MOVED_SQUARE,
+    DisjointUnion([_random_polygon(3), Polytope(_random_polygon(4).vertices + 4.0)]),
+], ids=["polygon-1", "polygon-2", "moved-square", "union"])
+def test_halved_orbit_scan_equals_the_full_orbit(shape):
+    """At real frequencies the scan of one direction per antipodal pair
+    gives the maximum of |transform| over all 64 directions, evaluated
+    directly, to 1e-15 relative."""
+    lams = np.linspace(0.3, 25.0, 41)
+    dirs = rotation_directions(2, 64)
+    got, worst = euclidean._orbit_maxima(shape, lams, dirs)
+    assert worst.max() < 32
+    z = (lams[:, None, None] * dirs[None]).reshape(-1, 2)
+    full = np.abs(fourier_laplace(shape, z)).reshape(len(lams), 64).max(axis=1)
+    assert np.all(np.abs(got - full) <= 1e-15 * full)
+
+
+def test_complex_frequencies_and_odd_counts_scan_every_direction(monkeypatch):
+    """Only a real frequency on exactly antipodal directions is halved: a
+    complex frequency, an odd count, the 3-D lattice and directions that
+    are antipodal only to rounding scan every direction."""
+    rows = []
+
+    def counted(shape, z):
+        rows.append(len(z))
+        return fourier_laplace(shape, z)
+
+    monkeypatch.setattr(euclidean, "fourier_laplace", counted)
+    cube = Polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    for shape, lam, count, scanned in [(TRIANGLE, 2.0, 64, 32),
+                                       (TRIANGLE, 2.0 + 0j, 64, 32),
+                                       (TRIANGLE, 2.0 + 0.5j, 64, 64),
+                                       (TRIANGLE, 2.0, 63, 63),
+                                       (cube, 2.0, 72, 72)]:
+        rows.clear()
+        complex_sphere_vanishes(shape, lam, count)
+        assert sum(rows) == scanned, (lam, count)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    rows.clear()
+    euclidean._orbit_maxima(TRIANGLE, np.array([2.0]),
+                            np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    assert sum(rows) == 64
+    rows.clear()
+    euclid_decide(TRIANGLE, (0.0, 2.0), grid=0.5, rotation_samples=64)
+    assert sum(rows) == 4 * 32
+
+
+def _centroid_cone_transform(poly, z):
+    """The transform summed over the cone from the centroid to every hull
+    triangle, as the polytope was split before the vertex fan."""
+    hull = ConvexHull(poly.vertices)
+    center = poly.vertices.mean(axis=0)
+    total = 0
+    for face in hull.simplices:
+        verts = np.vstack([center, poly.vertices[face]])
+        det = abs(np.linalg.det(verts[1:] - verts[0]))
+        total = total + det * exp_divided_difference(-1j * (z @ verts.T))
+    return total
+
+
+_CUBE = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+_TETRA = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+
+
+@pytest.mark.parametrize("vertices,count", [
+    (_CUBE, 6),
+    (np.array(_CUBE) @ np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
+     + [0.3, -0.8, 1.1], 6),
+    (_TETRA, 1),
+    ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], 4),
+    (np.random.default_rng(5).standard_normal((14, 3)), None),
+], ids=["cube", "moved-cube", "tetrahedron", "octahedron", "random"])
+def test_vertex_fan_partitions_the_polytope(vertices, count):
+    """The fan from vertices[0] keeps one tetrahedron per hull triangle off
+    the facets through that vertex (6 for a cube, 1 for a tetrahedron), none
+    of them flat; their volumes sum to the hull's, and transforms equal the
+    centroid-cone split's."""
+    poly = Polytope(vertices)
+    hull = ConvexHull(poly.vertices)
+    if count is None:       # points in general position: every facet a triangle
+        count = int((~(hull.simplices == 0).any(axis=1)).sum())
+    tets = np.stack(poly.simplices())
+    assert len(tets) == count
+    assert np.array_equal(tets[:, 0], np.broadcast_to(poly.vertices[0], (count, 3)))
+    vols = np.abs(np.linalg.det(tets[:, 1:] - tets[:, :1])) / 6.0
+    assert vols.min() > 1e-9 * poly.volume
+    assert abs(vols.sum() - poly.volume) <= 1e-12 * poly.volume
+    rng = np.random.default_rng(len(tets))
+    z = rng.uniform(-9, 9, (200, 3)) + 1j * rng.uniform(-2, 2, (200, 3))
+    np.testing.assert_allclose(fourier_laplace(poly, z), _centroid_cone_transform(poly, z),
+                               rtol=1e-12, atol=1e-12 * poly.volume)
 
 
 def test_orbit_maximum_passes_over_nan(monkeypatch):
@@ -713,6 +879,18 @@ def test_array_radial_profile_is_bit_identical_to_scalar_calls(shape, hi):
     scalar = [radial_profile(shape, float(x)) for x in xs]
     assert all(type(v) is complex for v in scalar)
     assert np.array_equal(_bits(batch), _bits(scalar))
+
+
+@pytest.mark.parametrize("shape", [DISK, BALL3], ids=["disk", "ball3"])
+def test_large_complex_radial_profile_is_bit_identical_to_scalar_calls(shape):
+    """30 000 complex frequencies, past the 16 384 entries at which numpy
+    starts to reuse temporaries in place: every tenth entry has the bits of
+    the scalar call."""
+    lams = np.arange(1, 30_001) * 0.05 + 0.3j
+    batch = radial_profile(shape, lams)
+    sample = np.arange(0, len(lams), 10)
+    scalar = [radial_profile(shape, complex(x)) for x in lams[sample]]
+    assert np.array_equal(_bits(batch[sample]), _bits(scalar))
 
 
 def _scalar_roots(profile, lam_range, grid, count=None):
