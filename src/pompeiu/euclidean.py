@@ -23,7 +23,8 @@ depend on how the grid is cut), and all sign-change brackets are bisected
 together, one call per step.  All convolution residuals are one adaptive
 integration of phi_lam(x + y) per sample point x and frequency lam: |x + y|
 once per rule and x, the pending lam on it in blocks of RESIDUAL_BLOCK
-entries (a real lam in real arithmetic), each row summed as it comes.
+entries (real and complex lam in separate blocks, a real lam in real
+arithmetic), each row summed as it comes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import ball3_profile, besselj0, j1_over_z, sinc
+from .groups import BugTrapError
 from .quadrature import DEFAULT_TOL, integrate_over
 from .shapes import Annulus, Ball, DisjointUnion, EuclideanSet, Polytope
 
@@ -468,7 +470,7 @@ def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
     for lam in roots:
         check = complex_sphere_vanishes(shape, lam)
         if not check.vanishes:
-            raise RuntimeError(f"root {lam} failed the orbit vanishing check "
+            raise BugTrapError(f"root {lam} failed the orbit vanishing check "
                                f"(max magnitude {check.max_magnitude:.3e})")
     return roots
 
@@ -508,9 +510,7 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
     """Max over the sample points x of |integral over the shape of
     phi_lam(x + y) dy|; zero exactly at failure frequencies.  One float for
     a scalar lam, one per entry for a 1-D array, each bit-identical to the
-    scalar call, from one integration (see the module docstring).  A
-    complex lam is a block of its own: numpy rounds complex products
-    differently in arrays large enough to reuse their temporaries."""
+    scalar call, from one integration (see the module docstring)."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
     lams = np.asarray(lam, dtype=complex)
@@ -533,11 +533,10 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
                 r += np.multiply(col, col, out=col)
             np.sqrt(r, out=r)
             js = freq[sample == s]
-            real = js[js < n_real]
-            for b in range(0, len(real), per_block):
-                yield from kernel(np.multiply.outer(freqs[real[b:b + per_block]].real, r))
-            for j in js[js >= n_real]:
-                yield kernel(complex(freqs[j]) * r)
+            for kind in (js[js < n_real], js[js >= n_real]):
+                for b in range(0, len(kind), per_block):
+                    f = freqs[kind[b:b + per_block]]
+                    yield from kernel(np.multiply.outer(f if f.imag.any() else f.real, r))
 
     vals = integrate_over(shape, rows, tol, len(pts) * n)
     res = np.array([max([0.0] + [abs(vals[s * n + j]) for s in range(len(pts))])
@@ -667,7 +666,7 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
         if check.vanishes and _confirm_candidate(shape, lam, quad_tol, vanish_tol):
             witnesses.append(lam if lam.imag else lam.real)
     if any(complex(w) == 0 for w in witnesses):
-        raise RuntimeError("a zero frequency leaked into the witness list")
+        raise BugTrapError("a zero frequency leaked into the witness list")
     verdict = "NotPompeiu" if witnesses else "NoFailureFoundInRange"
     return EuclidReport(verdict, witnesses, tuple(lam_range), grid, count,
                         tolerances, _CAVEAT, landscape,

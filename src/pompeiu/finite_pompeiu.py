@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exact_linalg as xla
-from .groups import CosetSpace, check_work_budget
+from .groups import BugTrapError, CosetSpace, check_work_budget
 from .hecke import (BiinvariantMeasure, SphericalFunction, hecke_structure,
                     spherical_functions)
 
@@ -76,10 +76,6 @@ __all__ = [
 
 class EmptySetError(ValueError):
     """Decision procedures require a nonempty subset."""
-
-
-class BugTrapError(RuntimeError):
-    """An internal check failed: a bug, never a verdict."""
 
 
 @dataclass(frozen=True)

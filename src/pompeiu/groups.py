@@ -50,6 +50,12 @@ class GroupSpecError(ValueError):
     """Raised for malformed group specifications or cap violations."""
 
 
+class BugTrapError(RuntimeError):
+    """An internal check failed: a bug, never a verdict.  Defined here,
+    where no other module of the package is imported, so that every module
+    can raise it."""
+
+
 def check_work_budget(size: int, what: str) -> None:
     """Raise GroupSpecError when size, the entries of an array or the steps
     of an elimination about to be started, exceeds WORK_BUDGET."""

@@ -9,23 +9,23 @@ identity), and that measure is idempotent under convolution.
 Spherical functions are the normalized joint eigenfunctions of the
 commuting convolution operators given by the class-indicator basis; they
 satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
-from one pipeline: float, then certified exact.  The operators are jointly
-diagonalised in floating point.  When every eigenvalue rounds to an
-integer, the rounded eigenvalues give every value as a rational, and that
-table is kept (marked exact) only if it satisfies the functional equation
-exactly, in scaled integers, on double-coset representatives.  Otherwise
-the float table is kept, after the same check against
-SPHERICAL_RESIDUAL_TOL.
+from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
+characters differ on some basis element, hence on a generic combination.
+When every eigenvalue rounds to an integer, they give every value as a
+rational, and that table is kept (marked exact) only if it satisfies the
+functional equation exactly, in scaled integers, on double-coset
+representatives.  Otherwise the float table is kept, after the same check
+against SPHERICAL_RESIDUAL_TOL.
 
-The per-space Hecke structure also holds the spherical data as arrays, for
-every caller: `phi_matrix`, the table of the homomorphisms
-Phi_f(mu) = sum_x f(x^{-1}) mu(x) on the class indicators (row i, column c:
-|C_c| f_i(c^{-1}), the integer eigenvalue on an exact space, complex
-otherwise), and `on_group`, the value tables on G (scaled to integers on an
-exact space).  Its `phi_rows` is the one formula behind the table,
-`phi_hom` and `finite_pompeiu.zero_set`.  The measure-algebra operations
-compute in one dtype, picked by `_algebra_arrays`: Fractions in an object
-array when every input is exact, complex otherwise.
+The eigenvalue of f under the class-c operator, |C_c| f(c^{-1}), is the
+homomorphism Phi_f(mu) = sum_x f(x^{-1}) mu(x) at the indicator of class
+c, so the `eigenvalue_tuple` rows are the one Phi table: `phi_matrix` of
+the per-space Hecke structure (integers on an exact space, complex
+otherwise), contracted with a measure by its `phi`.  Its `on_group` holds
+the value tables on G (scaled to integers on an exact space).  The
+measure-algebra operations compute in one dtype, picked by
+`_algebra_arrays`: Fractions in an object array when every input is exact,
+complex otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import CosetSpace, check_work_budget
+from .groups import BugTrapError, CosetSpace, check_work_budget
 
 SPHERICAL_RESIDUAL_TOL = 1e-10
 EIG_CLUSTER_TOL = 1e-8
@@ -154,22 +154,17 @@ class _HeckeStructure:
         return (dcp.representatives[j], dcp.representatives[i])
 
     @property
-    def commutative(self) -> bool:
-        return self._witness is None
-
-    @property
     def exact(self) -> bool:
         return all(f.exact for f in self.sphericals())
 
     @cached_property
     def phi_matrix(self) -> np.ndarray:
         """The Phi table: phi_matrix[i, c] = |C_c| f_i(c^{-1}), the value of
-        the homomorphism of f_i at the indicator of class c.  int64 on an
-        exact space, where it is the eigenvalue lambda_{i,c}; complex
-        otherwise."""
-        values, = _algebra_arrays([f.values for f in self.sphericals()])
-        phi = self.phi_rows(values)
-        return phi.astype(np.int64) if self.exact else phi
+        the homomorphism of f_i at the indicator of class c and the
+        eigenvalue of f_i under the class-c operator.  int64 on an exact
+        space, complex otherwise."""
+        return np.array([f.eigenvalue_tuple for f in self.sphericals()],
+                        dtype=np.int64 if self.exact else complex)
 
     @cached_property
     def on_group(self) -> np.ndarray:
@@ -182,27 +177,21 @@ class _HeckeStructure:
             table, = _algebra_arrays(rows)
         return table[:, self.space.double_cosets.class_of]
 
-    def phi_rows(self, values: np.ndarray) -> np.ndarray:
-        """Phi rows of class-value tables, one row per function."""
-        return values[:, list(self.inverse_class)] * np.asarray(self.class_sizes)
-
     def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
-        """Phi_f(mu) for every f in funcs, in the algebra's dtype, summed
-        over the nonzero coefficients of mu only."""
-        values, coeffs = _algebra_arrays([f.values for f in funcs], mu.coeffs)
+        """Phi_f(mu) = sum_c mu_c lambda_{f,c} for every f in funcs, in the
+        algebra's dtype, summed over the nonzero coefficients of mu only."""
+        table, coeffs = _algebra_arrays([f.eigenvalue_tuple for f in funcs], mu.coeffs)
         ic = _nonzero(coeffs)
-        return self.phi_rows(values)[:, ic] @ coeffs[ic]
+        return table[:, ic] @ coeffs[ic]
 
     def sphericals(self) -> list[SphericalFunction]:
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
         if self._sphericals is None:
-            vectors = _joint_eigenvectors_float(self.op)
+            vectors = _eigenvectors_float(self.op, self.class_sizes)
             # (op[j] @ v)[0] for every j and v at once
-            lam = np.asarray(vectors) @ self.op[:, 0, :].T.astype(complex)
-            funcs = self._certified_exact(lam)
-            if funcs is None:
-                funcs = self._checked_float(vectors, lam)
+            lam = vectors @ self.op[:, 0, :].T.astype(complex)
+            funcs = self._certified_exact(lam) or self._checked_float(vectors, lam)
             funcs.sort(key=lambda f: tuple(
                 (round(float(complex(e).real), 9), round(float(complex(e).imag), 9))
                 for e in f.eigenvalue_tuple))
@@ -221,12 +210,9 @@ class _HeckeStructure:
         if np.any(np.abs(lam - rounded) > tol):
             return None
         eig_rows = rounded.astype(np.int64).tolist()
-        values = []
-        for row in eig_rows:
-            v = [Fraction(0)] * self.d
-            for j, (num, size) in enumerate(zip(row, self.class_sizes)):
-                v[self.inverse_class[j]] = Fraction(num, size)
-            values.append(tuple(v))
+        # class c holds lambda / size of the inverse class (an involution)
+        values = [tuple(Fraction(row[i], self.class_sizes[i]) for i in self.inverse_class)
+                  for row in eig_rows]
         if len(set(values)) != len(values) or not self._certify_exact(values):
             return None
         return [SphericalFunction(self.space, v, tuple(Fraction(num) for num in row), True)
@@ -241,15 +227,15 @@ class _HeckeStructure:
                                 dcp.representatives, scale) == 0
 
     def _checked_float(self, vectors, lam: np.ndarray) -> list[SphericalFunction]:
-        table = np.asarray(vectors, dtype=complex)[:, self.space.double_cosets.class_of]
+        table = vectors[:, self.space.double_cosets.class_of]
         reps = self.space.double_cosets.representatives
         res = _equation_excess(self.space, table, reps) / self.space.k_size
         if res > SPHERICAL_RESIDUAL_TOL:
-            raise RuntimeError(
+            raise BugTrapError(
                 f"spherical candidate failed functional equation "
                 f"(residual {res:.3e}) on {self.space.name}")
-        return [SphericalFunction(self.space, v, tuple(complex(e) for e in row), False)
-                for v, row in zip(vectors, lam)]
+        return [SphericalFunction(self.space, tuple(v), tuple(row), False)
+                for v, row in zip(vectors.tolist(), lam.tolist())]
 
 
 def _scaled_integers(rows, k_size: int) -> tuple[np.ndarray, int]:
@@ -283,46 +269,32 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     return np.abs(excess).max()
 
 
-def _joint_eigenvectors_float(op: np.ndarray):
+def _generic_coefficients(d: int) -> np.ndarray:
+    """The fixed coefficients a of the generic element sum_j a_j op[j]."""
+    return np.random.default_rng(0).standard_normal(d)
+
+
+def _eigenvectors_float(op: np.ndarray, class_sizes) -> np.ndarray:
+    """The eigenvectors of the generic element, one row each, normalized to
+    1 at the identity class.  It is solved in the coordinates
+    sqrt(|C_i|) v_i, the L2 norm of G, where it is a normal matrix and its
+    eigenvectors are well conditioned.  A bug trap when two eigenvalues are
+    closer than EIG_CLUSTER_TOL relative to its size, since the eigenvectors
+    then need not be joint ones, or when a vector vanishes at the identity."""
     d = op.shape[0]
-    subspaces = [np.eye(d, dtype=complex)]
-    for j in range(1, d):
-        if all(q.shape[1] == 1 for q in subspaces):
-            break
-        scale = EIG_CLUSTER_TOL * (1.0 + float(abs(op[j]).sum(axis=1).max()))
-        refined = []
-        for q in subspaces:
-            if q.shape[1] == 1:
-                refined.append(q)
-                continue
-            bq = op[j].astype(complex) @ q
-            m, *_ = np.linalg.lstsq(q, bq, rcond=None)
-            eigvals, eigvecs = np.linalg.eig(m)
-            order = np.lexsort((eigvals.imag, eigvals.real))
-            groups: list[list[int]] = []
-            for idx in order:
-                if groups and abs(eigvals[idx] - eigvals[groups[-1][-1]]) < scale:
-                    groups[-1].append(idx)
-                else:
-                    groups.append([idx])
-            for g in groups:
-                block = q @ eigvecs[:, g]
-                qn, _ = np.linalg.qr(block)
-                refined.append(qn)
-        subspaces = refined
-    out = []
-    for q in subspaces:
-        if q.shape[1] != 1:
-            raise RuntimeError("joint eigenspace refinement did not separate "
-                               "all characters; algebra may be degenerate")
-        v = q[:, 0]
-        if abs(v[0]) < 1e-12 * np.linalg.norm(v):
-            raise RuntimeError("joint eigenvector vanishes at the identity class")
-        v = v / v[0]
-        vals = [complex(x) for x in v]
-        vals[0] = 1.0 + 0.0j     # exact by construction; drop division residue
-        out.append(tuple(vals))
-    return out
+    generic = np.tensordot(_generic_coefficients(d), op, axes=1)
+    root = np.sqrt(np.asarray(class_sizes, dtype=float))
+    eigvals, eigvecs = np.linalg.eig(generic * root[:, None] / root)
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag(np.full(d, np.inf))
+    if gaps.min() < EIG_CLUSTER_TOL * (1.0 + np.abs(generic).sum(axis=1).max()):
+        raise BugTrapError("the generic Hecke element does not separate the "
+                           "characters; algebra may be degenerate")
+    if np.any(np.abs(eigvecs[0]) < 1e-12):
+        raise BugTrapError("spherical eigenvector vanishes at the identity class")
+    vectors = eigvecs.T / root
+    vectors /= vectors[:, :1]
+    vectors[:, 0] = 1.0     # exact by construction; drop division residue
+    return vectors
 
 
 def hecke_structure(space: CosetSpace) -> _HeckeStructure:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pompeiu
-from pompeiu import cli, finite_pompeiu
+from pompeiu import cli, euclidean, finite_pompeiu, hecke
 from pompeiu.cli import main
 from pompeiu.euclidean import spherical_phi
 from pompeiu.hecke import spherical_functions
@@ -90,6 +90,31 @@ def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert capsys.readouterr().err == "error: GRAM_PRIMES do not cover Hadamard's bound\n"
     assert not out.exists()
+
+
+def test_spherical_self_check_failure_exits_3(tmp_path, monkeypatch, capsys):
+    """A float spherical table that fails its functional-equation check is a
+    bug trap: with a negative tolerance every residual fails it, and a Z20
+    `finite check` exits 3 with an error line instead of a traceback."""
+    monkeypatch.setattr(hecke, "SPHERICAL_RESIDUAL_TOL", -1.0)
+    code = main(["finite", "check", "--group", _cyclic_file(tmp_path, 20),
+                 "--set", "0,5,10,15", "--out", str(tmp_path / "report.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: spherical candidate failed functional equation")
+
+
+def test_orbit_check_failure_exits_3(disk_file, tmp_path, monkeypatch, capsys):
+    """A radial root that fails the orbit vanishing check is a bug trap: with
+    the check stubbed to "not vanishing", a disk `euclid decide` exits 3
+    with an error line instead of a traceback."""
+    monkeypatch.setattr(euclidean, "complex_sphere_vanishes",
+                        lambda shape, lam, *args: euclidean.OrbitCheck(
+                            False, 1.0, (1.0, 0.0), 1e-6))
+    code = main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: root 3.83")
 
 
 def test_finite_check_pompeiu(s3_file, tmp_path):

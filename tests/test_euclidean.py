@@ -1099,8 +1099,8 @@ def test_convolution_test_array_equals_scalar_calls(shape, lams, block, monkeypa
     """One residual per frequency, bit for bit the scalar call's, whatever
     the blocks: complex frequencies among real ones, a repeated one, and
     blocks of one row, of a few rows and of the default size.  On the
-    rings, complex frequencies sharing a block would pass numpy's
-    temporary-elision size and round differently."""
+    rings, five complex frequencies share a block of complex kernel
+    entries."""
     if block is not None:
         monkeypatch.setattr(euclidean, "RESIDUAL_BLOCK", block)
     pts = np.random.default_rng(4).uniform(-3.0, 3.0, (5, shape.dim))

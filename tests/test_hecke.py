@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu import exact_linalg
+from pompeiu import exact_linalg, hecke
 from pompeiu.finite_pompeiu import pompeiu_convolution, pompeiu_spectral
-from pompeiu.groups import build_coset_space
+from pompeiu.groups import BugTrapError, build_coset_space
 from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            check_spherical, class_indicator, convolve,
                            delta_sharp, gelfand_witness, hecke_structure,
@@ -340,7 +340,7 @@ def test_space_mismatch_raises(s3_space, d6_space):
 
 
 # ---------------------------------------------------------------------------
-# the spherical pipeline: float diagonalisation, exact certification
+# the spherical pipeline: one eigensolve, exact certification
 
 
 def _larger_pairs():
@@ -350,6 +350,62 @@ def _larger_pairs():
     return [symmetric_space(5, fixed_point=4),
             build_coset_space(s5.group, young),
             dihedral_space(24), cyclic_space(20), cyclic_space(24)]
+
+
+def test_dihedral_sphericals_are_cosines():
+    """D_n over the stabilizer of a vertex: the spherical functions are
+    g -> cos(2 pi k g(0) / n) for k = 0..n/2, each found to 1e-12."""
+    for n in range(3, 41):
+        space = dihedral_space(n)
+        funcs = spherical_functions(space)
+        assert len(funcs) == n // 2 + 1
+        class_of = space.double_cosets.class_of
+        vertex = [p[0] for p in space.group.perms]
+        found = set()
+        for k in range(n // 2 + 1):
+            target = [np.cos(2 * np.pi * k * v / n) for v in vertex]
+            for i, f in enumerate(funcs):
+                table = [complex(f.values[c]) for c in class_of]
+                if max(abs(a - b) for a, b in zip(table, target)) < 1e-12:
+                    found.add(i)
+                    break
+        assert len(found) == len(funcs), n
+
+
+def test_sphericals_sorted_by_rounded_eigenvalues():
+    def key(f):
+        return tuple((round(complex(e).real, 9), round(complex(e).imag, 9))
+                     for e in f.eigenvalue_tuple)
+    spaces = [cyclic_space(n) for n in range(1, 41)]
+    spaces += [dihedral_space(n) for n in range(3, 41)]
+    for space in spaces:
+        keys = [key(f) for f in spherical_functions(space)]
+        assert keys == sorted(keys)
+        assert len(keys) == space.double_cosets.num_classes
+
+
+def _cyclic_pair_coefficients(d):
+    """op[1] + op[d - 1] on Z_d: character k and -k share the eigenvalue
+    2 cos(2 pi k / d), so the element separates no such pair."""
+    a = np.zeros(d)
+    a[[1, d - 1]] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("coefficients, spaces", [
+    (lambda d: np.eye(d)[0], lambda: [cyclic_space(8), dihedral_space(6),
+                                      symmetric_space(4, fixed_point=3)]),
+    (_cyclic_pair_coefficients, lambda: [cyclic_space(n) for n in (3, 8, 20)]),
+])
+def test_non_separating_element_is_a_bug_trap(coefficients, spaces, monkeypatch):
+    """An element that gives two characters one eigenvalue has eigenvectors
+    that need not be spherical: a bug trap, never a table."""
+    monkeypatch.setattr(hecke, "_generic_coefficients", coefficients)
+    for space in spaces():
+        for _ in range(2):
+            with pytest.raises(BugTrapError, match="does not separate"):
+                spherical_functions(space)
+        assert hecke_structure(space)._sphericals is None
 
 
 def test_phi_table_entries_are_phi_hom_of_class_indicators():
