@@ -247,25 +247,24 @@ class _DecisionCache:
 
     generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
     ideal generator of coset c for the identity, on the double-coset
-    representatives.  Translating by t^{-1} carries the generator of coset c
+    representatives: the density #{k in K : k u = c} at u, the coset of
+    rep_j^{-1}.  Translating by t^{-1} carries the generator of coset c
     for the transversal element t onto that of coset t^{-1}c for the
-    identity; shift[r, c] is the coset t_r^{-1}c.  Every row is checked
-    biinvariant on the whole group here, once, which covers its translates
-    and every sum of rows, so no subset is checked again."""
+    identity; shift[r, c] is the coset t_r^{-1}c, for r in G/K.  Every
+    density column is checked constant on the K-orbits of u here, once,
+    which makes every row biinvariant, with its translates and every sum
+    of rows, so no subset is checked again."""
 
     def __init__(self, space: CosetSpace):
         spherical_functions(space)      # raises NotGelfandPairError up front
-        group, n = space.group, space.group.order
-        reps = np.asarray(space.double_cosets.representatives, dtype=np.int32)
-        class_of = space.double_cosets.class_of
-        # density[c, x] = #{k in K : k x^{-1} lies in coset c}
-        k_arr = np.asarray(space.k_members, dtype=np.int32)
-        cosets = space.coset_of[group.mul[np.ix_(k_arr, group.inv)]]
-        density = np.bincount((cosets * n + np.arange(n)).ravel(),
-                              minlength=space.num_cosets * n).reshape(-1, n)
-        if not np.array_equal(density, density[:, reps[class_of]]):
+        group, n = space.group, space.num_cosets
+        reps = list(space.double_cosets.representatives)
+        density = np.bincount((space.action[list(space.k_members)] * n + np.arange(n)).ravel(),
+                              minlength=n * n).reshape(n, n)
+        # column u against the column of the least coset of its K-orbit
+        if not np.array_equal(density, density[:, space.coset_of[reps][space.orbitals[0]]]):
             raise BugTrapError("ideal generator is not biinvariant")
-        self.generators = density[:, reps]
+        self.generators = density[:, space.coset_of[group.inv[reps]]]
         self.shift = space.action[group.inv[list(space.transversal)]]
         self.class_sizes = np.asarray(space.double_cosets.class_sizes)
         # The Phi table, transposed.  A complex one is kept as interleaved
@@ -396,15 +395,16 @@ def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     """B x spherical functions: whether f_i convolves the reversed lifted
     indicator of subset b to zero on all of G.
 
-    The convolution sum_{z in lifted E} f(xz) is grouped by coset: conv[b]
-    is the sum over c in E of the table S_c[i, x] = sum_{z in tc K}
-    f_i(xz) = |K| f_i(xt_c), since f_i is right K-invariant, built from the
-    transversal element t_c of one coset of the support at a time."""
-    on_group = hecke_structure(space).on_group
-    mul = space.group.mul
-    conv = np.zeros((len(bits),) + on_group.shape, dtype=on_group.dtype)
+    The convolution sum_{z in lifted E} f(xz) is grouped by coset: over
+    z in t_c K it is |K| f_i(x t_c), which for x^{-1} in t_r K is |K| times
+    f_i on the class orb[r, c].  So conv[b, i, r] is that sum over c in E,
+    one column of the orbital table per coset of the support, and it
+    vanishes on G exactly when it does at every r in G/K."""
+    class_values = hecke_structure(space).class_values
+    orb = space.orbitals
+    conv = np.zeros((len(bits), len(class_values), space.num_cosets), dtype=class_values.dtype)
     for c in _support(bits):
-        np.add(conv, on_group[:, mul[:, space.transversal[c]]] * space.k_size, out=conv,
+        np.add(conv, class_values[:, orb[:, c]] * space.k_size, out=conv,
                where=bits[:, c, None, None] == 1)
     tol = CONV_ZERO_TOL * (1 + bits.sum(axis=1) * space.k_size)
     return _vanishing(conv, tol[:, None, None]).all(axis=2)

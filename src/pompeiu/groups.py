@@ -10,6 +10,10 @@ across runs.
 Every group carries a generating set.  Permutation-group tables are filled
 along its Cayley graph, and each table is proved a group from it: it must
 generate the table, and Light's test on it proves associativity.
+
+A coset space reads the table once, for its action on the cosets.  Its
+double cosets are the K-orbits on the cosets and its orbitals the G-orbits
+on pairs of cosets, so K-biinvariant data is built on n cosets, not |G|.
 """
 
 from __future__ import annotations
@@ -194,14 +198,11 @@ class DoubleCosetPartition:
     def num_classes(self) -> int:
         return len(self.representatives)
 
-    def inverse_class(self, group: FiniteGroup) -> tuple:
-        """class index of {x^-1 : x in class i}, one per class."""
-        return tuple(int(self.class_of[group.inv[r]]) for r in self.representatives)
-
 
 class CosetSpace:
-    """A group together with a subgroup K, the left cosets gK and the
-    natural left action of the group on them."""
+    """A group together with a subgroup K, the left cosets gK, the natural
+    left action of the group on them, the double cosets KxK (the K-orbits
+    on the cosets) and the orbital table."""
 
     def __init__(self, group: FiniteGroup, k_generators: Iterable[int],
                  name: str | None = None):
@@ -227,7 +228,6 @@ class CosetSpace:
         self.action = coset_of[mul[:, t_arr]]
         self.action.setflags(write=False)
         self.name = name or f"{group.name}/{self.subgroup_label()}"
-        self._double_cosets: DoubleCosetPartition | None = None
         self._cache: dict = {}
 
     def subgroup_label(self) -> str:
@@ -238,9 +238,7 @@ class CosetSpace:
 
     @property
     def double_cosets(self) -> DoubleCosetPartition:
-        if self._double_cosets is None:
-            self._double_cosets = self._compute_double_cosets()
-        return self._double_cosets
+        return self.cached("double_cosets", CosetSpace._compute_double_cosets)
 
     def cached(self, key: str, build):
         """Per-space data, built by build(self) on first use and kept on the
@@ -251,19 +249,23 @@ class CosetSpace:
         return value
 
     def _compute_double_cosets(self) -> DoubleCosetPartition:
-        mul = self.group.mul
-        n = self.group.order
-        k_arr = np.asarray(self.k_members, dtype=np.int32)
-        class_of = np.full(n, -1, dtype=np.int32)
-        reps, sizes = [], []
-        for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            orbit = np.unique(mul[np.ix_(k_arr, mul[x, k_arr])])
-            class_of[orbit] = len(reps)
-            reps.append(x)
-            sizes.append(int(orbit.size))
-        return DoubleCosetPartition(class_of, tuple(reps), tuple(sizes))
+        # KxK is the union of the cosets in the K-orbit of xK.  Orbits are
+        # numbered by their least coset, whose transversal element is the
+        # least element of KxK.
+        least = self.action[list(self.k_members)].min(axis=0)
+        cosets, orbit_of, counts = np.unique(least, return_inverse=True, return_counts=True)
+        return DoubleCosetPartition(orbit_of.astype(np.int32)[self.coset_of],
+                                    tuple(np.asarray(self.transversal)[cosets].tolist()),
+                                    tuple((self.k_size * counts).tolist()))
+
+    @property
+    def orbitals(self) -> np.ndarray:
+        """orb[r, c], the class of t_r^-1 t_c, names the G-orbit of the pair
+        of cosets (r, c); row 0 holds the class of each coset."""
+        def build(space):
+            t = list(space.transversal)
+            return space.double_cosets.class_of[t][space.action[space.group.inv[t]]]
+        return self.cached("orbitals", build)
 
     def __repr__(self) -> str:
         return f"CosetSpace({self.name}, cosets={self.num_cosets})"

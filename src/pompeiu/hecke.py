@@ -21,8 +21,10 @@ The eigenvalue of f under the class-c operator, |C_c| f(c^{-1}), is the
 homomorphism Phi_f(mu) = sum_x f(x^{-1}) mu(x) at the indicator of class
 c, so the `eigenvalue_tuple` rows are the one Phi table: `phi_matrix` of
 the per-space Hecke structure (integers on an exact space, complex
-otherwise), contracted with a measure by its `phi`.  Its `on_group` holds
-the value tables on G (scaled to integers on an exact space).  The
+otherwise), contracted with a measure by its `phi`.  Its `class_values`
+hold the values on the classes (scaled to integers on an exact space),
+which the convolution decider reads along the orbital table; `on_group`
+spreads them over G for the witness recheck.  The
 measure-algebra operations compute in one dtype, picked by
 `_algebra_arrays`: Fractions in an object array when every input is exact,
 complex otherwise.
@@ -94,12 +96,6 @@ class BiinvariantMeasure:
         return float(sum(abs(complex(c)) * s
                          for c, s in zip(self.coeffs, dcp.class_sizes)))
 
-    def scaled(self, factor) -> "BiinvariantMeasure":
-        return BiinvariantMeasure(self.space, tuple(factor * c for c in self.coeffs))
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class SphericalFunction:
@@ -127,18 +123,15 @@ class _HeckeStructure:
         group = space.group
         check_work_budget(self.d ** 3, f"{group.name} with {self.d} double cosets: "
                                        "the Hecke operator tensor")
-        mul, inv = group.mul, group.inv
-        class_of = dcp.class_of
-        reps = np.asarray(dcp.representatives, dtype=np.int32)
-        members = [np.nonzero(class_of == j)[0].astype(np.int32) for j in range(self.d)]
-        # op[j][k, i] = #{ y in class j : rep_k y^{-1} in class i }
-        op = np.zeros((self.d, self.d, self.d), dtype=np.int64)
-        for j in range(self.d):
-            idx = class_of[mul[np.ix_(reps, inv[members[j]])]]
-            flat = idx + self.d * np.arange(self.d)[:, None]
-            op[j] = np.bincount(flat.ravel(), minlength=self.d * self.d).reshape(self.d, self.d)
-        self.op = op
-        self.inverse_class = dcp.inverse_class(group)
+        # op[j][k, i] = #{y in class j : rep_k y^-1 in class i}.  y^-1 runs
+        # over the |K| elements of each coset c with orb[0, c] = j*, and
+        # rep_k y^-1 then lies in class orb[r_k, c], r_k the coset of rep_k^-1
+        orb = space.orbitals
+        r = space.coset_of[group.inv[list(dcp.representatives)]]
+        self.inverse_class = tuple(orb[0, r].tolist())
+        flat = (orb[0] * self.d + np.arange(self.d)[:, None]) * self.d + orb[r]
+        counts = np.bincount(flat.ravel(), minlength=self.d ** 3).reshape((self.d,) * 3)
+        self.op = space.k_size * counts[list(self.inverse_class)]
         self.class_sizes = dcp.class_sizes
         self._witness = self._find_witness()
         self._sphericals: list[SphericalFunction] | None = None
@@ -167,15 +160,18 @@ class _HeckeStructure:
                         dtype=np.int64 if self.exact else complex)
 
     @cached_property
-    def on_group(self) -> np.ndarray:
-        """Value tables of the sphericals on G, one row each: scaled to
+    def class_values(self) -> np.ndarray:
+        """Values of the sphericals on the classes, one row each: scaled to
         integers on an exact space, complex otherwise."""
         rows = [f.values for f in self.sphericals()]
         if self.exact:
-            table, _ = _scaled_integers(rows, self.space.k_size)
-        else:
-            table, = _algebra_arrays(rows)
-        return table[:, self.space.double_cosets.class_of]
+            return _scaled_integers(rows, self.space.k_size)[0]
+        return _algebra_arrays(rows)[0]
+
+    @cached_property
+    def on_group(self) -> np.ndarray:
+        """The class values on G, one row per spherical function."""
+        return self.class_values[:, self.space.double_cosets.class_of]
 
     def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
         """Phi_f(mu) = sum_c mu_c lambda_{f,c} for every f in funcs, in the

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 __all__ = [
     "Ball",
@@ -111,6 +110,7 @@ class Polytope:
         self.dim = int(pts.shape[1]) if dim is None else int(dim)
         if self.dim != pts.shape[1]:
             raise ValueError("dim does not match vertex width")
+        from scipy.spatial import ConvexHull    # here only: scipy is slow to import
         try:
             hull = ConvexHull(pts)
         except Exception as exc:

@@ -35,6 +35,24 @@ def acceptance_suite():
     return spaces
 
 
+def _set_stabilizer(group, points):
+    """Indices of the permutations that map the set points onto itself."""
+    return [i for i, p in enumerate(group.perms) if {p[x] for x in points} == set(points)]
+
+
+def orbital_test_spaces():
+    """The acceptance suite, D24 with a reflection, Z24, and S_n over the
+    stabilizer of a point (n = 5, 6, 7) or of a 2-set (n = 5, 7), one at a
+    time, so that at most one S7 table is alive."""
+    yield from acceptance_suite()
+    yield dihedral_space(24)
+    yield cyclic_space(24)
+    for n, sets in ((5, ([4], [3, 4])), (6, ([5],)), (7, ([6], [5, 6]))):
+        g = build_group({"family": "symmetric", "n": n})
+        for points in sets:
+            yield build_coset_space(g, _set_stabilizer(g, points))
+
+
 @pytest.fixture(scope="session")
 def z8_space():
     return cyclic_space(8)

@@ -505,3 +505,20 @@ def test_full_z18_sweep_streams_its_rows(tmp_path):
                                        (1 << 18) - 1 - pompeiu_count, 0)
     with open(out) as fh:
         assert sum(1 for _ in fh) == 1 << 18
+
+
+def test_finite_commands_do_not_import_scipy(tmp_path):
+    """scipy is imported only where a polytope is built: a child that
+    imports the CLI and runs a Z6 `finite check` has no scipy module
+    loaded."""
+    script = ("import sys\n"
+              "from pompeiu.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "finite", "check", "--group",
+         _cyclic_file(tmp_path, 6), "--set", "0,3", "--out", str(tmp_path / "report.json")],
+        env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[]"

@@ -23,7 +23,7 @@ from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
                            unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
-                      symmetric_space)
+                      orbital_test_spaces, symmetric_space)
 
 
 def _dft_pompeiu(n, subset):
@@ -130,7 +130,7 @@ def test_zero_set_scale_invariance(z8_space):
     mu = measure_from_function(z8_space, [1, 0, 0, 0, 1, 0, 0, 0])
     base = zero_set(mu)
     for c in (2, Fraction(-3, 7), 0.001 + 2j):
-        assert zero_set(mu.scaled(c)) == base
+        assert zero_set(BiinvariantMeasure(mu.space, tuple(c * x for x in mu.coeffs))) == base
 
 
 def test_phi_homomorphism_on_ideal(d6_space):
@@ -233,6 +233,66 @@ def test_generator_rows_match_direct_densities():
                      for x in space.double_cosets.representatives]
                     for t in space.transversal]
         assert _generator_rows(space, _bits(inst))[0].tolist() == expected
+
+
+def test_generator_table_matches_its_definition():
+    """generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c}, counted
+    on the group table."""
+    for space in orbital_test_spaces():
+        g = space.group
+        reps = list(space.double_cosets.representatives)
+        cosets = space.coset_of[g.mul[np.ix_(space.k_members, g.inv[reps])]]    # [k, j]
+        expected = (cosets == np.arange(space.num_cosets)[:, None, None]).sum(axis=1)
+        assert np.array_equal(fp._cache(space).generators, expected), space.name
+
+
+class _NoTable:
+    """Stands in for a multiplication table that must not be read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("group.mul was read")
+
+
+def _without_table(space, monkeypatch):
+    """The space with its spherical functions built, which certifies them
+    on the group table, and the table then made unreadable."""
+    spherical_functions(space)
+    monkeypatch.setattr(space.group, "mul", _NoTable())
+    return space
+
+
+def test_sweep_reads_no_group_table(monkeypatch):
+    """Past the spherical functions, a sweep works on G/K alone: with the
+    table unreadable, every suite space gives the rows of a fresh copy."""
+    for fresh, space in zip(acceptance_suite(), acceptance_suite()):
+        expected = _sweep_rows(fresh)
+        assert _sweep_rows(_without_table(space, monkeypatch)) == expected, space.name
+
+
+def test_single_subset_deciders_read_no_group_table(monkeypatch):
+    """The oracle, the spectral and convolution deciders and the radial
+    shortcut give the verdicts and witnesses of a fresh copy with the table
+    unreadable, on sampled subsets of S5/S4, D24 and Z20, each space's
+    K-orbit unions among them."""
+    rng = np.random.default_rng(11)
+    for build in (functools.partial(symmetric_space, 5, fixed_point=4),
+                  functools.partial(dihedral_space, 24), functools.partial(cyclic_space, 20)):
+        fresh, space = build(), _without_table(build(), monkeypatch)
+        classes = space.double_cosets.class_of[list(space.transversal)]
+        subsets = [np.flatnonzero(rng.random(space.num_cosets) < 0.5) for _ in range(8)]
+        subsets += [np.flatnonzero(np.isin(classes, rng.choice(classes.max() + 1, size=2)))
+                    for _ in range(4)]
+        shortcuts = 0
+        for subset in (set(s.tolist()) for s in subsets if len(s)):
+            for decide in (pompeiu_oracle, pompeiu_spectral, pompeiu_convolution,
+                           radial_shortcut):
+                expected, report = decide(fresh, subset), decide(space, subset)
+                assert (report is None) == (expected is None), space.name
+                if report is not None:
+                    assert (report.verdict, report.witness) == \
+                        (expected.verdict, expected.witness), space.name
+                    shortcuts += decide is radial_shortcut
+        assert shortcuts >= 4, space.name
 
 
 def test_translate_matrix_keeps_every_translate_and_the_kernel():
@@ -418,14 +478,22 @@ def test_sweep_size_cap():
 
 def _reference_rows(space, oracle=None):
     """The sweep's rows decided one subset at a time, by the per-subset
-    formulas: the exact kernel of the translate matrix (row g the
-    indicator of gE), the ideal generator rows summed over E against the
-    Phi table, and the convolution with the lifted indicator summed element
-    by element on G.  oracle(subset), when given, replaces the exact
-    kernel's verdict."""
-    structure, cache = hecke_structure(space), fp._cache(space)
+    formulas on the group table: the exact kernel of the translate matrix
+    (row g the indicator of gE), the ideal generator rows #{k in K :
+    t k x^{-1} in E~} at the double-coset representatives x, summed from
+    their per-coset counts, against the Phi table, and the convolution with
+    the lifted indicator summed element by element on G.  oracle(subset),
+    when given, replaces the exact kernel's verdict."""
+    structure = hecke_structure(space)
     mul, inv = space.group.mul, space.group.inv
     sizes = np.asarray(space.double_cosets.class_sizes)
+    on_group = np.asarray([f.on_group() for f in spherical_functions(space)],
+                          dtype=object if structure.exact else complex)
+    # per_coset[c, t, x] = #{k in K : t k x^{-1} lies in coset c}
+    products = mul[mul[np.ix_(space.transversal, space.k_members)][:, :, None],
+                   inv[list(space.double_cosets.representatives)]]
+    per_coset = (space.coset_of[products] == np.arange(space.num_cosets)[:, None, None, None]
+                 ).sum(axis=2)
 
     def zero(values, tol):
         return values == 0 if structure.exact else np.abs(values) < tol
@@ -436,11 +504,11 @@ def _reference_rows(space, oracle=None):
         indicator = np.zeros(space.num_cosets, dtype=np.int64)
         indicator[subset] = 1
         full = oracle(subset) if oracle else not nullspace(indicator[space.action[inv]])
-        gens = cache.generators[cache.shift[:, subset]].sum(axis=1)
+        gens = per_coset[subset].sum(axis=0)
         tol = fp.PHI_ZERO_TOL * (1 + (gens * sizes).sum(axis=1))
         spectral = np.flatnonzero(zero(structure.phi_matrix @ gens.T, tol).all(axis=1))
         lifted = np.flatnonzero(indicator[space.coset_of])
-        conv = structure.on_group[:, mul[:, lifted]].sum(axis=2)
+        conv = on_group[:, mul[:, lifted]].sum(axis=2)
         conv_zero = zero(conv, fp.CONV_ZERO_TOL * (1 + len(lifted))).all(axis=1)
         witness = (f"spherical:{spectral[0]}" if spectral.size
                    else "" if full else "kernel")

@@ -11,7 +11,8 @@ from pompeiu.groups import (FiniteGroup, GroupSpecError, build_coset_space,
                             cycle_label, double_cosets, lift_set,
                             load_group_spec, subgroup_closure)
 
-from conftest import cyclic_space, dihedral_space, symmetric_space
+from conftest import (cyclic_space, dihedral_space, orbital_test_spaces,
+                      symmetric_space)
 
 
 def test_cyclic_8_table():
@@ -184,9 +185,21 @@ def test_double_cosets_d6(d6_space):
     assert double_cosets(d6_space).num_classes == 4
 
 
-def test_double_cosets_partition_group(s4_space):
-    dcp = double_cosets(s4_space)
-    assert sum(dcp.class_sizes) == s4_space.group.order
+def test_double_cosets_partition_group():
+    """Class j is the double coset K rep_j K, element by element, with
+    rep_j its least element; the class sizes add up to |G|.  The orbital
+    table holds the class of t_r^-1 t_c."""
+    for space in orbital_test_spaces():
+        g, dcp = space.group, double_cosets(space)
+        k = np.asarray(space.k_members)
+        assert sum(dcp.class_sizes) == g.order, space.name
+        for j, rep in enumerate(dcp.representatives):
+            orbit = np.unique(g.mul[np.ix_(k, g.mul[rep, k])])
+            assert np.array_equal(np.flatnonzero(dcp.class_of == j), orbit), space.name
+            assert (dcp.class_sizes[j], orbit[0]) == (orbit.size, rep), space.name
+        t = np.asarray(space.transversal)
+        assert np.array_equal(space.orbitals, dcp.class_of[g.mul[np.ix_(g.inv[t], t)]]), \
+            space.name
 
 
 def test_abelian_trivial_k_classes_match_cosets():

@@ -20,7 +20,7 @@ from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            spherical_table_csv, unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
-                      symmetric_space)
+                      orbital_test_spaces, symmetric_space)
 
 
 def _pair(f, u):
@@ -128,6 +128,18 @@ def test_sparse_convolution_matches_dense_and_stays_exact():
         assert abs(complex(phi_hom(f, a)) - sum(
             complex(f.values[structure.inverse_class[c]]) * size * complex(m)
             for c, (m, size) in enumerate(zip(a.coeffs, structure.class_sizes)))) < 1e-12
+
+
+def test_hecke_operators_match_their_definition():
+    """op[j][k, i] = #{y in C_j : rep_k y^-1 in C_i}, counted on the group
+    table."""
+    for space in orbital_test_spaces():
+        g, dcp = space.group, space.double_cosets
+        d = dcp.num_classes
+        classes = dcp.class_of[g.mul[np.ix_(list(dcp.representatives), g.inv)]]   # [k, y]
+        expected = np.zeros((d, d, d), dtype=np.int64)
+        np.add.at(expected, (dcp.class_of[None, :], np.arange(d)[:, None], classes), 1)
+        assert np.array_equal(hecke_structure(space).op, expected), space.name
 
 
 def test_gelfand_pairs():
