@@ -6,7 +6,8 @@ recheck or a failed internal check; never expected), 4 not a Gelfand
 pair, 5 quadrature failure.  Reports are byte-stable for a fixed
 config and seed.  Every command runs in one thread: --threads and the
 POMPEIU_THREADS environment variable are accepted for old scripts and
-ignored.
+ignored.  The argument parser is built once per process: `main` can run
+many commands in one process, and parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
@@ -47,16 +48,10 @@ def _dump_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-@contextlib.contextmanager
-def _csv_writer(path: str, header: list):
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        yield writer
-
-
-def _write_csv(path: str, header: list, rows) -> None:
-    with _csv_writer(path, header) as writer:
         writer.writerows(rows)
 
 
@@ -95,40 +90,34 @@ def cmd_finite_check(args: argparse.Namespace) -> int:
     return EXIT_OK if agreement else EXIT_DISAGREE
 
 
-SWEEP_HEADER = ["bitmask", "subset", "oracle", "spectral", "convolution",
-                "agree", "witness"]
+SWEEP_HEADER = "bitmask,subset,oracle,spectral,convolution,agree,witness\n"
 _TEXT = {False: "false", True: "true"}
-
-
-@functools.cache
-def _verdict_fields(verdicts: tuple) -> tuple:
-    oracle, spectral, conv, witness = verdicts
-    return (_TEXT[oracle], _TEXT[spectral], _TEXT[conv],
-            _TEXT[oracle == spectral == conv], witness)
-
-
-def _subset_text(n: int):
-    """mask -> its cosets joined by "|", read from two tables over the low
-    and the high half of its n bits."""
-    h = n // 2
-    low, high = (["|".join(str(c + shift) for c in range(width) if m >> c & 1)
-                  for m in range(1 << width)] for shift, width in ((0, h), (h, n - h)))
-    return lambda mask: "|".join(filter(None, (low[mask & (1 << h) - 1], high[mask >> h])))
 
 
 def cmd_finite_sweep(args: argparse.Namespace) -> int:
     group, k_gens = load_group_spec(args.group)
     space = CosetSpace(group, k_gens)
-    text = _subset_text(space.num_cosets)
+    # The cosets of the low h and of the high n - h bits of a mask joined by
+    # "|", as tables; lows[1], read when a high bit is set, ends each
+    # nonempty low text with "|".
+    n, h = space.num_cosets, space.num_cosets // 2
+    low, high = (["|".join(str(c + shift) for c in range(width) if m >> c & 1)
+                  for m in range(1 << width)] for shift, width in ((0, h), (h, n - h)))
+    lows, low_bits = (low, [t + "|" if t else t for t in low]), (1 << h) - 1
     with contextlib.ExitStack() as files:
-        writers = []
+        out = []
 
-        def write(rows):
-            # opened at the first rows: a sweep refused up front keeps the old file
-            if not writers:
-                writers.append(files.enter_context(_csv_writer(args.out, SWEEP_HEADER)))
-            writers[0].writerows([(row[0], text(row[0])) + _verdict_fields(row[1:])
-                                  for row in rows])
+        def write(masks, codes, verdicts):
+            # Opened at the first chunk: a sweep refused up front keeps the
+            # old file.  These are csv.writer's rows, as no field holds a
+            # comma, a quote or a newline.
+            if not out:
+                out.append(files.enter_context(open(args.out, "w", newline="")))
+                out[0].write(SWEEP_HEADER)
+            tails = {code: f",{_TEXT[o]},{_TEXT[s]},{_TEXT[c]},{_TEXT[o == s == c]},{w}\n"
+                     for code, (o, s, c, w) in verdicts.items()}
+            out[0].write("".join([f"{m},{lows[m > low_bits][m & low_bits]}{high[m >> h]}{tails[c]}"
+                                  for m, c in zip(masks.tolist(), codes.tolist())]))
         result = enumerate_all(space, args.max_size, write)
     summary = {"schema_version": SCHEMA_VERSION,
                "command": "finite-sweep", **result.summary()}
@@ -141,6 +130,9 @@ def cmd_finite_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_euclid(args: argparse.Namespace) -> int:
+    if args.residuals and args.seed is None:
+        raise ValueError("--residuals draws random sample points and "
+                         "requires --seed")
     shape = load_set_spec(args.set)
     report: EuclidReport = euclid_decide(
         shape, args.lambda_range, grid=args.grid,
@@ -170,9 +162,6 @@ def cmd_euclid(args: argparse.Namespace) -> int:
         _write_csv(args.landscape, ["lambda", "orbit_max"],
                    [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])
     if args.residuals:
-        if args.seed is None:
-            raise ValueError("--residuals draws random sample points and "
-                             "requires --seed")
         rng = np.random.default_rng(args.seed)
         lo, hi = shape.bounding_box()
         span = float(np.linalg.norm(hi - lo))
@@ -205,6 +194,7 @@ def _parse_subset(text: str) -> tuple:
             f"subset must be comma-separated coset indices, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pompeiu",

@@ -23,7 +23,10 @@ Hadamard's bound proves a rank deficiency, so a sweep computes no kernel.
 `enumerate_all` sweeps the bitmasks in chunks.  The three criteria are
 invariant under translation, so it decides only the least mask of each
 G-orbit, copies the verdicts and witness to the rest of the orbit, and
-hands each chunk's rows to a sink as soon as the chunk is done.
+hands each chunk to a sink as soon as the chunk is done, as columns: the
+int64 masks in increasing order, their packed int32 codes, and a dict
+from each code of the chunk to its (oracle, spectral, convolution,
+witness).
 
 The three verdicts must agree on every Gelfand-pair instance; any
 disagreement, like any failed internal check (`BugTrapError`), is a bug,
@@ -515,8 +518,11 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
                   sink=None) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
     (optionally bounded in size), in one thread, and count agreement.
-    sink, when given, gets the rows of each chunk in mask order, a list of
-    (bitmask, oracle, spectral, convolution, witness).
+    sink, when given, is called once per chunk as sink(masks, codes,
+    verdicts): the chunk's int64 bitmasks in increasing order, their packed
+    int32 codes (`_decide`), and a dict from each of those codes to its
+    (oracle, spectral, convolution, witness), the verdicts of every mask
+    with that code.
 
     Only the least mask of each G-orbit is decided (canon, the least mask
     of the translates gE, is the mask itself): it comes first, so the rest
@@ -552,7 +558,7 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
             disagreements += (not oracle == spectral == conv) * count
         subsets += len(masks)
         if sink is not None:
-            sink([(mask,) + verdicts[c] for mask, c in zip(masks.tolist(), codes.tolist())])
+            sink(masks, codes, verdicts)
     return SweepResult(space.name, subsets, pompeiu, disagreements,
                        time.perf_counter() - t0)
 

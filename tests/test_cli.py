@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import os
@@ -12,6 +14,8 @@ import pompeiu
 from pompeiu import cli, euclidean, finite_pompeiu, hecke
 from pompeiu.cli import main
 from pompeiu.euclidean import spherical_phi
+from pompeiu.finite_pompeiu import enumerate_all
+from pompeiu.groups import CosetSpace, load_group_spec
 from pompeiu.hecke import spherical_functions
 from pompeiu.quadrature import integrate_over
 from pompeiu.shapes import Ball, load_set_spec
@@ -180,13 +184,95 @@ def test_finite_sweep(s3_file, tmp_path):
     assert info["disagreements"] == 0
 
 
-def test_finite_sweep_size_cap(tmp_path):
+def test_finite_sweep_size_cap(z8_file, tmp_path):
+    """A sweep refused up front, past the 20-coset cap or with --max-size
+    0, exits 2 and leaves the CSV already at --out as it was."""
     path = tmp_path / "z21.json"
     path.write_text(json.dumps({"family": "cyclic", "n": 21,
                                 "subgroup_generators": []}))
     out = tmp_path / "sweep.csv"
+    out.write_bytes(b"bitmask,subset\n1,0\n")
     assert main(["finite", "sweep", "--group", str(path),
                  "--out", str(out)]) == 2
+    assert out.read_bytes() == b"bitmask,subset\n1,0\n"
+    assert main(["finite", "sweep", "--group", z8_file, "--out", str(out),
+                 "--max-size", "0"]) == 2
+    assert out.read_bytes() == b"bitmask,subset\n1,0\n"
+
+
+def _csv_reference(chunks) -> bytes:
+    """The sweep CSV of the given (masks, codes, verdicts) chunks, written
+    row by row with csv.writer, each subset spelled out from its mask."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["bitmask", "subset", "oracle", "spectral", "convolution",
+                     "agree", "witness"])
+    text = {False: "false", True: "true"}
+    for masks, codes, verdicts in chunks:
+        for mask, code in zip(masks.tolist(), codes.tolist()):
+            oracle, spectral, conv, witness = verdicts[code]
+            subset = "|".join(str(c) for c in range(mask.bit_length()) if mask >> c & 1)
+            writer.writerow([mask, subset, text[oracle], text[spectral], text[conv],
+                             text[oracle == spectral == conv], witness])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("spec, max_size", [
+    ({"family": "cyclic", "n": 1, "subgroup_generators": []}, None),
+    ({"family": "cyclic", "n": 7, "subgroup_generators": []}, None),
+    ({"family": "cyclic", "n": 11, "subgroup_generators": []}, None),
+    ({"family": "symmetric", "n": 4,
+      "subgroup_generators": [[1, 0, 2, 3], [0, 2, 1, 3]]}, None),
+    ({"family": "dihedral", "n": 6,
+      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, None),
+    ({"family": "dihedral", "n": 6,
+      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, 2),
+], ids=["Z1", "Z7", "Z11", "S4/S3", "D6-reflection", "D6-reflection-max2"])
+def test_finite_sweep_csv_equals_csv_writer(spec, max_size, tmp_path):
+    """The sweep writes each chunk with one write; its bytes are those of
+    csv.writer on the rows that `enumerate_all` hands its sink.  Z1 has an
+    empty low half-table, Z11 sweeps in two chunks."""
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(spec))
+    chunks = []
+    enumerate_all(CosetSpace(*load_group_spec(str(group))), max_size,
+                  lambda *chunk: chunks.append(chunk))
+    out = tmp_path / "sweep.csv"
+    size = [] if max_size is None else ["--max-size", str(max_size)]
+    assert main(["finite", "sweep", "--group", str(group), "--out", str(out),
+                 "--summary", str(tmp_path / "summary.json"), *size]) == 0
+    assert out.read_bytes() == _csv_reference(chunks)
+
+
+def test_finite_sweep_writes_every_witness_kind(tmp_path, monkeypatch):
+    """Hand-made chunks of Z4 through the CLI's writer: codes whose
+    witnesses are a kernel, a spherical function and none, subsets in the
+    low half, the high half and both, and the header written once."""
+    labels = [f"spherical:{i}" for i in range(4)]
+    kernel, none, spherical = 0, 1, 3 << 1 | 3 << 16
+    verdicts = {code: finite_pompeiu._verdicts(code, labels)
+                for code in (kernel, none, spherical)}
+    assert {v[3] for v in verdicts.values()} == {"kernel", "", "spherical:2"}
+    chunks = [(np.array([1, 2, 12], dtype=np.int64),
+               np.array([none, kernel, spherical], dtype=np.int32),
+               {c: verdicts[c] for c in (none, kernel, spherical)}),
+              (np.array([13, 15], dtype=np.int64),
+               np.array([none, spherical], dtype=np.int32),
+               {c: verdicts[c] for c in (none, spherical)})]
+
+    def fake_sweep(space, max_size, sink):
+        for chunk in chunks:
+            sink(*chunk)
+        return finite_pompeiu.SweepResult(space.name, 5, 3, 0, 0.0)
+    monkeypatch.setattr(cli, "enumerate_all", fake_sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["finite", "sweep", "--group", _cyclic_file(tmp_path, 4),
+                 "--out", str(out), "--summary", str(tmp_path / "summary.json")]) == 0
+    assert out.read_bytes() == _csv_reference(chunks)
+    assert out.read_text().splitlines()[1:] == [
+        "1,0,true,true,true,true,", "2,1,false,true,true,false,kernel",
+        "12,2|3,false,false,false,true,spherical:2", "13,0|2|3,true,true,true,true,",
+        "15,0|1|2|3,false,false,false,true,spherical:2"]
 
 
 def test_finite_sweep_d16_reflection_counts(tmp_path):
@@ -250,12 +336,20 @@ def test_euclid_decide_square_no_failure(tmp_path):
 
 
 def test_euclid_residuals_require_seed(disk_file, tmp_path):
+    """--residuals without --seed is refused before any work: the report
+    and the landscape already at their paths stay as they were."""
     out = tmp_path / "r.json"
     res = tmp_path / "residuals.csv"
+    landscape = tmp_path / "landscape.csv"
+    out.write_text("old report\n")
+    landscape.write_text("old landscape\n")
     code = main(["euclid", "decide", "--set", disk_file,
                  "--lambda-range", "0:5", "--out", str(out),
-                 "--residuals", str(res)])
+                 "--landscape", str(landscape), "--residuals", str(res)])
     assert code == 2
+    assert out.read_text() == "old report\n"
+    assert landscape.read_text() == "old landscape\n"
+    assert not res.exists()
 
 
 def test_euclid_residuals_csv(disk_file, tmp_path):
@@ -396,6 +490,43 @@ def _child_env():
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path),
                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
+def test_one_parser_per_process_leaks_nothing(z8_file, disk_file, tmp_path,
+                                             monkeypatch, capsys):
+    """`main` builds its parser once per process.  Commands run one after
+    another in this process, each after one with other options or another
+    outcome, print, exit and write what each prints, exits and writes in a
+    fresh `python -m pompeiu.cli`."""
+    commands = [
+        ["finite", "sweep", "--group", z8_file, "--out", "a.csv", "--summary", "a.json",
+         "--max-size", "2"],
+        ["finite", "sweep", "--group", z8_file, "--out", "b.csv", "--summary", "b.json"],
+        ["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5", "--seed", "3",
+         "--out", "c.json"],
+        ["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5", "--seed", "3"],
+        ["finite", "check", "--group", z8_file, "--set", "0,99"],
+        ["finite", "check", "--group", z8_file, "--set", "0,4"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    codes = []
+    for args in commands:
+        code = main(args)
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", *args],
+                              env=_child_env(), cwd=fresh, capture_output=True,
+                              text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), args
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert sorted(os.listdir(here)) == sorted(os.listdir(fresh)) == [
+        "a.csv", "a.json", "b.csv", "b.json", "c.json"]
+    for name in os.listdir(here):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def _run_limited(args, tmp_path, memory_mb=2500, timeout=60):

@@ -418,9 +418,13 @@ def test_shortcut_matches_elementwise_reference():
 
 def _sweep_rows(space, max_size=None):
     """The rows of a sweep, (bitmask, oracle, spectral, convolution,
-    witness), as its sink receives them."""
+    witness), decoded from the chunks its sink receives through the
+    verdicts of each code."""
     rows = []
-    enumerate_all(space, max_size, rows.extend)
+
+    def sink(masks, codes, verdicts):
+        rows.extend((mask,) + verdicts[code] for mask, code in zip(masks.tolist(), codes.tolist()))
+    enumerate_all(space, max_size, sink)
     return rows
 
 
