@@ -30,27 +30,16 @@ _ASYMPTOTIC_TERMS = 19
 # 16 384 complex entries (256 KiB).
 
 
-def _series_j0(z: np.ndarray) -> np.ndarray:
+def _series(nu: int, z: np.ndarray) -> np.ndarray:
+    # J_nu(z) = (z/2)^nu * sum_k (-z^2/4)^k / (k! (k+nu)!), nu = 0 or 1
     q = -(z * z) / 4.0
     term = np.ones_like(q)
     acc = np.ones_like(q)
     for k in range(1, _SERIES_TERMS):
         term = term * q
-        term *= 1.0 / (k * k)
+        term *= 1.0 / (k * (k + nu))
         acc += term
-    return acc
-
-
-def _series_j1(z: np.ndarray) -> np.ndarray:
-    # J1(z) = (z/2) * sum_k (-z^2/4)^k / (k! (k+1)!)
-    q = -(z * z) / 4.0
-    term = np.ones_like(q)
-    acc = np.ones_like(q)
-    for k in range(1, _SERIES_TERMS):
-        term = term * q
-        term *= 1.0 / (k * (k + 1))
-        acc += term
-    return acc * z / 2.0
+    return acc if nu == 0 else acc * z / 2.0
 
 
 def _asymptotic(nu: int, z: np.ndarray) -> np.ndarray:
@@ -107,7 +96,7 @@ def _eval(nu: int, z):
     if flip.any():
         z = np.where(flip, -z, z)
     out = _kernel(z, lambda z: np.abs(z) <= SERIES_RADIUS,
-                  _series_j0 if nu == 0 else _series_j1,
+                  lambda z: _series(nu, z),
                   lambda z: _asymptotic(nu, z))
     if nu == 1 and flip.any():
         out = np.where(flip, -out, out)[()]

@@ -583,7 +583,7 @@ def recheck_witness(space_or_instance, subset, report: DecisionReport | None = N
         totals = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
         return bool(np.all(np.abs(totals) <= 1e-9 * (1 + len(inst.subset))))
     idx = report.witness["spherical_index"]
-    table = hecke_structure(space).on_group[idx:idx + 1]
+    table = hecke_structure(space).class_values[idx:idx + 1, space.double_cosets.class_of]
     return bool(_annihilating(table, space, inst.subset)[0])
 
 

@@ -438,8 +438,7 @@ def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
     for c in wanted:
         if not 0 <= c < space.num_cosets:
             raise ValueError(f"coset index {c} out of range")
-    return frozenset(g for g in range(space.group.order)
-                     if int(space.coset_of[g]) in wanted)
+    return frozenset(np.flatnonzero(np.isin(space.coset_of, list(wanted))).tolist())
 
 
 def check_function_invariance(space: CosetSpace, f: Sequence, side: str) -> bool:
@@ -452,12 +451,12 @@ def check_function_invariance(space: CosetSpace, f: Sequence, side: str) -> bool
     mul = space.group.mul
     if side not in ("left", "right", "bi"):
         raise ValueError(f"side must be left|right|bi, got {side!r}")
-    for x in range(space.group.order):
-        for k in space.k_members:
-            if side in ("right", "bi") and f[mul[x, k]] != f[x]:
-                return False
-            if side in ("left", "bi") and f[mul[k, x]] != f[x]:
-                return False
+    table = np.asarray(f)
+    k = np.asarray(space.k_members)
+    if side != "left" and np.any(table[mul[:, k]] != table[:, None]):
+        return False
+    if side != "right" and np.any(table[mul[k, :]] != table[None, :]):
+        return False
     return True
 
 

@@ -11,23 +11,23 @@ commuting convolution operators given by the class-indicator basis; they
 satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
 from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
 characters differ on some basis element, hence on a generic combination.
-When every eigenvalue rounds to an integer, they give every value as a
-rational, and that table is kept (marked exact) only if it satisfies the
-functional equation exactly, in scaled integers, on double-coset
-representatives.  Otherwise the float table is kept, after the same check
-against SPHERICAL_RESIDUAL_TOL.
+The coefficients are a real draw, then a complex one if the real draw's
+table fails certification.  When every eigenvalue rounds to an integer,
+they give every value as a rational, kept (marked exact) only if it
+satisfies the functional equation exactly, in scaled integers, on
+double-coset representatives; otherwise the float table is kept, after
+the same check against SPHERICAL_RESIDUAL_TOL.
 
-The eigenvalue of f under the class-c operator, |C_c| f(c^{-1}), is the
-homomorphism Phi_f(mu) = sum_x f(x^{-1}) mu(x) at the indicator of class
-c, so the `eigenvalue_tuple` rows are the one Phi table: `phi_matrix` of
-the per-space Hecke structure (integers on an exact space, complex
-otherwise), contracted with a measure by its `phi`.  Its `class_values`
-hold the values on the classes (scaled to integers on an exact space),
-which the convolution decider reads along the orbital table; `on_group`
-spreads them over G for the witness recheck.  The
-measure-algebra operations compute in one dtype, picked by
-`_algebra_arrays`: Fractions in an object array when every input is exact,
-complex otherwise.
+The per-space Hecke structure keeps them as arrays, one row per function,
+sorted by eigenvalue: `phi_matrix`, the eigenvalues |C_c| f(c^{-1}) under
+the class operators, which are the homomorphism Phi_f at the class
+indicators (contracted with a measure by `phi`), and `class_values`, the
+values on the classes, which the convolution decider reads along the
+orbital table.  Both are integers on an exact space (the values scaled)
+and complex otherwise; the public `SphericalFunction` tuples are read
+from them.  The measure-algebra operations compute in one dtype, picked
+by `_algebra_arrays`: Fractions in an object array when every input is
+exact, complex otherwise.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class _HeckeStructure:
         self.op = space.k_size * counts[list(self.inverse_class)]
         self.class_sizes = dcp.class_sizes
         self._witness = self._find_witness()
-        self._sphericals: list[SphericalFunction] | None = None
 
     def _find_witness(self):
         # commutativity of the basis: op[j, k, i] equals op[i, k, j]
@@ -146,32 +145,42 @@ class _HeckeStructure:
         dcp = self.space.double_cosets
         return (dcp.representatives[j], dcp.representatives[i])
 
-    @property
-    def exact(self) -> bool:
-        return all(f.exact for f in self.sphericals())
+    @cached_property
+    def _spherical_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(phi_matrix, class_values, exact) of the first draw of generic
+        coefficients that certifies, rows sorted by the eigenvalues rounded
+        to 9 digits (real, then imaginary part, in class order)."""
+        if self._witness is not None:
+            raise NotGelfandPairError(self.space, self._witness)
+        failures = []
+        for kind, coefficients in _generic_coefficients(self.d):
+            try:
+                phi, values, exact = self._certified(coefficients)
+                break
+            except BugTrapError as exc:
+                failures.append(f"{exc} with {kind} coefficients")
+        else:
+            raise BugTrapError("; ".join(failures))
+        key = np.round(phi.astype(complex).view(float), 9)
+        order = np.lexsort(key.T[::-1])
+        return phi[order], values[order], exact
+
+    # phi_matrix[i, c] = |C_c| f_i(c^{-1}) and class_values[i, c] = f_i(c):
+    # integers on an exact space (the values scaled), complex otherwise
+    phi_matrix = property(lambda self: self._spherical_table[0])
+    class_values = property(lambda self: self._spherical_table[1])
+    exact = property(lambda self: self._spherical_table[2])
 
     @cached_property
-    def phi_matrix(self) -> np.ndarray:
-        """The Phi table: phi_matrix[i, c] = |C_c| f_i(c^{-1}), the value of
-        the homomorphism of f_i at the indicator of class c and the
-        eigenvalue of f_i under the class-c operator.  int64 on an exact
-        space, complex otherwise."""
-        return np.array([f.eigenvalue_tuple for f in self.sphericals()],
-                        dtype=np.int64 if self.exact else complex)
-
-    @cached_property
-    def class_values(self) -> np.ndarray:
-        """Values of the sphericals on the classes, one row each: scaled to
-        integers on an exact space, complex otherwise."""
-        rows = [f.values for f in self.sphericals()]
+    def sphericals(self) -> list[SphericalFunction]:
+        """The spherical functions, in the order of the rows of phi_matrix."""
+        values, eigenvalues = self.class_values.tolist(), self.phi_matrix.tolist()
         if self.exact:
-            return _scaled_integers(rows, self.space.k_size)[0]
-        return _algebra_arrays(rows)[0]
-
-    @cached_property
-    def on_group(self) -> np.ndarray:
-        """The class values on G, one row per spherical function."""
-        return self.class_values[:, self.space.double_cosets.class_of]
+            scale = values[0][0]        # every f is 1 at the identity class
+            values = [[Fraction(x, scale) for x in row] for row in values]
+            eigenvalues = [map(Fraction, row) for row in eigenvalues]
+        return [SphericalFunction(self.space, tuple(v), tuple(e), self.exact)
+                for v, e in zip(values, eigenvalues)]
 
     def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
         """Phi_f(mu) = sum_c mu_c lambda_{f,c} for every f in funcs, in the
@@ -180,58 +189,39 @@ class _HeckeStructure:
         ic = _nonzero(coeffs)
         return table[:, ic] @ coeffs[ic]
 
-    def sphericals(self) -> list[SphericalFunction]:
-        if self._witness is not None:
-            raise NotGelfandPairError(self.space, self._witness)
-        if self._sphericals is None:
-            vectors = _eigenvectors_float(self.op, self.class_sizes)
-            # (op[j] @ v)[0] for every j and v at once
-            lam = vectors @ self.op[:, 0, :].T.astype(complex)
-            funcs = self._certified_exact(lam) or self._checked_float(vectors, lam)
-            funcs.sort(key=lambda f: tuple(
-                (round(float(complex(e).real), 9), round(float(complex(e).imag), 9))
-                for e in f.eigenvalue_tuple))
-            self._sphericals = funcs
-        return self._sphericals
-
-    def _certified_exact(self, lam: np.ndarray) -> list[SphericalFunction] | None:
-        """Rational sphericals from integer eigenvalues, or None.
-
-        Convolving with the indicator of class j and reading off the
-        identity class gives lambda_j = |C_j| f(inverse of class j), so an
-        all-integer spectrum fixes every value as a fraction.  The table is
-        kept only when it satisfies the functional equation exactly."""
+    def _certified(self, coefficients) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(phi, class values, exact), unsorted, from the generic element
+        with these coefficients.  lambda_j = |C_j| f(inverse of class j), so
+        an all-integer spectrum fixes every value as a fraction; the float
+        table is the fallback.  A bug trap, stating the smallest relative
+        eigenvalue gap, when neither table certifies."""
+        vectors, gap = _eigenvectors_float(self.op, self.class_sizes, coefficients)
+        # (op[j] @ v)[0] for every j and v at once
+        lam = vectors @ self.op[:, 0, :].T.astype(complex)
         tol = EIG_CLUSTER_TOL * (1.0 + np.abs(self.op).sum(axis=2).max(axis=1))
         rounded = np.rint(lam.real)
-        if np.any(np.abs(lam - rounded) > tol):
-            return None
-        eig_rows = rounded.astype(np.int64).tolist()
-        # class c holds lambda / size of the inverse class (an involution)
-        values = [tuple(Fraction(row[i], self.class_sizes[i]) for i in self.inverse_class)
-                  for row in eig_rows]
-        if len(set(values)) != len(values) or not self._certify_exact(values):
-            return None
-        return [SphericalFunction(self.space, v, tuple(Fraction(num) for num in row), True)
-                for v, row in zip(values, eig_rows)]
-
-    def _certify_exact(self, values) -> bool:
-        """True when every rational class-value table in values satisfies the
-        functional equation exactly, checked on double-coset representatives."""
-        dcp = self.space.double_cosets
-        table, scale = _scaled_integers(values, self.space.k_size)
-        return _equation_excess(self.space, table[:, dcp.class_of],
-                                dcp.representatives, scale) == 0
-
-    def _checked_float(self, vectors, lam: np.ndarray) -> list[SphericalFunction]:
-        table = vectors[:, self.space.double_cosets.class_of]
-        reps = self.space.double_cosets.representatives
-        res = _equation_excess(self.space, table, reps) / self.space.k_size
+        if np.all(np.abs(lam - rounded) <= tol):
+            phi = rounded.astype(np.int64)
+            # class c holds lambda at the inverse class (an involution) over its size
+            inv = list(self.inverse_class)
+            sizes = [self.class_sizes[i] for i in inv]
+            values = [list(map(Fraction, row, sizes)) for row in phi[:, inv].tolist()]
+            table, scale = _scaled_integers(values, self.space.k_size)
+            if len(np.unique(phi, axis=0)) == len(phi) and self._excess(table, scale) == 0:
+                return phi, table, True
+        res = self._excess(vectors) / self.space.k_size
         if res > SPHERICAL_RESIDUAL_TOL:
-            raise BugTrapError(
-                f"spherical candidate failed functional equation "
-                f"(residual {res:.3e}) on {self.space.name}")
-        return [SphericalFunction(self.space, tuple(v), tuple(row), False)
-                for v, row in zip(vectors.tolist(), lam.tolist())]
+            raise BugTrapError(f"spherical candidate failed functional equation "
+                               f"(residual {res:.3e}, smallest relative eigenvalue "
+                               f"gap {gap:.1e}) on {self.space.name}")
+        return lam, vectors.astype(complex), False
+
+    def _excess(self, table: np.ndarray, scale=1):
+        """`_equation_excess` of class-value rows table = scale * f, checked
+        on double-coset representatives."""
+        dcp = self.space.double_cosets
+        return _equation_excess(self.space, table[:, dcp.class_of],
+                                dcp.representatives, scale)
 
 
 def _scaled_integers(rows, k_size: int) -> tuple[np.ndarray, int]:
@@ -265,32 +255,40 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     return np.abs(excess).max()
 
 
-def _generic_coefficients(d: int) -> np.ndarray:
-    """The fixed coefficients a of the generic element sum_j a_j op[j]."""
-    return np.random.default_rng(0).standard_normal(d)
+def _generic_coefficients(d: int):
+    """(kind, coefficients a) of the generic element sum_j a_j op[j]: a
+    fixed real draw, then, drawn only if that fails certification, a fixed
+    complex one.  On a symmetric pair a real combination crowds all d
+    eigenvalues on the real line, where two can come close enough to mix
+    their eigenvectors; complex coefficients spread them over the plane."""
+    rng = np.random.default_rng(0)
+    yield "real", rng.standard_normal(d)
+    yield "complex", rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
-def _eigenvectors_float(op: np.ndarray, class_sizes) -> np.ndarray:
+def _eigenvectors_float(op: np.ndarray, class_sizes, coefficients) -> tuple[np.ndarray, float]:
     """The eigenvectors of the generic element, one row each, normalized to
-    1 at the identity class.  It is solved in the coordinates
+    1 at the identity class, and the smallest gap between two of its
+    eigenvalues relative to its size.  It is solved in the coordinates
     sqrt(|C_i|) v_i, the L2 norm of G, where it is a normal matrix and its
-    eigenvectors are well conditioned.  A bug trap when two eigenvalues are
-    closer than EIG_CLUSTER_TOL relative to its size, since the eigenvectors
-    then need not be joint ones, or when a vector vanishes at the identity."""
+    eigenvectors are well conditioned.  A bug trap when that gap is below
+    EIG_CLUSTER_TOL, since the eigenvectors then need not be joint ones,
+    or when a vector vanishes at the identity."""
     d = op.shape[0]
-    generic = np.tensordot(_generic_coefficients(d), op, axes=1)
+    generic = np.tensordot(coefficients, op, axes=1)
     root = np.sqrt(np.asarray(class_sizes, dtype=float))
     eigvals, eigvecs = np.linalg.eig(generic * root[:, None] / root)
     gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag(np.full(d, np.inf))
-    if gaps.min() < EIG_CLUSTER_TOL * (1.0 + np.abs(generic).sum(axis=1).max()):
-        raise BugTrapError("the generic Hecke element does not separate the "
-                           "characters; algebra may be degenerate")
+    gap = gaps.min() / (1.0 + np.abs(generic).sum(axis=1).max())
+    if gap < EIG_CLUSTER_TOL:
+        raise BugTrapError(f"the generic Hecke element does not separate the characters "
+                           f"(smallest relative eigenvalue gap {gap:.1e})")
     if np.any(np.abs(eigvecs[0]) < 1e-12):
         raise BugTrapError("spherical eigenvector vanishes at the identity class")
     vectors = eigvecs.T / root
     vectors /= vectors[:, :1]
     vectors[:, 0] = 1.0     # exact by construction; drop division residue
-    return vectors
+    return vectors, gap
 
 
 def hecke_structure(space: CosetSpace) -> _HeckeStructure:
@@ -400,7 +398,7 @@ def spherical_functions(space: CosetSpace) -> list[SphericalFunction]:
     """All spherical functions of the pair, in a deterministic order.
 
     Raises NotGelfandPairError when the algebra is not commutative."""
-    return hecke_structure(space).sphericals()
+    return hecke_structure(space).sphericals
 
 
 def check_spherical(space: CosetSpace, f: Sequence) -> float:

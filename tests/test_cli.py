@@ -170,6 +170,24 @@ def test_finite_check_reports_the_decided_subset(z8_file, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("n", [56, 157, 164])
+def test_finite_check_on_crowded_real_spectra(n, tmp_path):
+    """D56, D157 and D164 with a reflection: real coefficients crowd the
+    generic element's real eigenvalues (relative gaps down to 3.5e-7) and
+    their table fails the functional equation, so the complex draw gives
+    the table.  `finite check` exits 0 and its three verdicts agree."""
+    path = tmp_path / f"d{n}.json"
+    path.write_text(json.dumps({"family": "dihedral", "n": n,
+                                "subgroup_generators": [[(-i) % n for i in range(n)]]}))
+    out = tmp_path / "report.json"
+    for subset in ([0, 1, 3], list(range(0, n, 2))):
+        assert main(["finite", "check", "--group", str(path), "--out", str(out),
+                     "--set", ",".join(map(str, subset))]) == 0
+        report = json.loads(out.read_text())
+        assert report["agreement"] is True
+        assert len(set(report["verdicts"].values())) == 1
+
+
 def test_finite_sweep(s3_file, tmp_path):
     out = tmp_path / "sweep.csv"
     summary = tmp_path / "summary.json"

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from pompeiu.groups import (FiniteGroup, GroupSpecError, build_coset_space,
                             cycle_label, double_cosets, lift_set,
                             load_group_spec, subgroup_closure)
 
-from conftest import (cyclic_space, dihedral_space, orbital_test_spaces,
-                      symmetric_space)
+from conftest import (acceptance_suite, cyclic_space, dihedral_space,
+                      orbital_test_spaces, symmetric_space)
 
 
 def test_cyclic_8_table():
@@ -242,6 +244,30 @@ def test_function_invariance_cases(s3_space):
     assert not check_function_invariance(s3_space, single, "bi")
     with pytest.raises(ValueError):
         check_function_invariance(s3_space, constant, "sideways")
+
+
+def test_lift_and_invariance_match_loops():
+    """lift_set and check_function_invariance, one gather each, against the
+    loops over G and G x K that define them, on Fraction, int and float
+    tables that are left-, right-, bi- or not invariant."""
+    rng = random.Random(3)
+    for space in acceptance_suite() + [dihedral_space(8)]:
+        mul, order = space.group.mul, space.group.order
+        for _ in range(4):
+            subset = {c for c in range(space.num_cosets) if rng.random() < 0.5}
+            lifted = lift_set(space, subset)
+            assert lifted == frozenset(
+                g for g in range(order) if int(space.coset_of[g]) in subset)
+            right = [Fraction(int(g in lifted), 3) for g in range(order)]
+            left = [right[int(space.group.inv[g])] for g in range(order)]
+            noise = [rng.choice([0.5, 1.5]) for _ in range(order)]
+            for table in (right, left, [int(x * 3) for x in right], noise):
+                for side in ("left", "right", "bi"):
+                    expected = all(
+                        (side == "left" or table[mul[x, k]] == table[x])
+                        and (side == "right" or table[mul[k, x]] == table[x])
+                        for x in range(order) for k in space.k_members)
+                    assert check_function_invariance(space, table, side) == expected
 
 
 def test_subgroup_closure_s4(s4_space):
