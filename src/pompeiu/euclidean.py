@@ -24,7 +24,11 @@ together, one call per step.  All convolution residuals are one adaptive
 integration of phi_lam(x + y) per sample point x and frequency lam: |x + y|
 once per rule and x, the pending lam on it in blocks of RESIDUAL_BLOCK
 entries (real and complex lam in separate blocks, a real lam in real
-arithmetic), each row summed as it comes.
+arithmetic), each row summed as it comes.  On a radial shape the integral
+depends on x only through |x|: x moves to (|x|, 0) and the rule is the
+shape's `MeridianRule`, the full rule folded onto the meridian half-plane
+(in 3-space without its azimuthal sum, 2 * order times fewer nodes; in the
+plane on half of its angles).
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import numpy as np
 from .bessel import ball3_profile, besselj0, j1_over_z, sinc
 from .groups import BugTrapError
 from .quadrature import DEFAULT_TOL, integrate_over
-from .shapes import Annulus, Ball, DisjointUnion, EuclideanSet, Polytope
+from .shapes import (Annulus, Ball, DisjointUnion, EuclideanSet,
+                     MeridianRule, Polytope)
 
 DEFAULT_IMAG_CAP = 50.0
 DEFAULT_VANISH_TOL = 1e-6
@@ -53,8 +58,10 @@ SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, that one search may take.
 MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
-# quadrature.  Blocks of 2^14..2^20 took 1.10-1.16 s and 118-121 MB on the
-# radial benchmark's residuals: the peak is one 3-D rule of 2^19 nodes.
+# quadrature.  On the meridian rules, blocks of 2^14..2^20 took 0.36-0.51 s
+# for the radial benchmark's residuals at seed 1 (2 vCPUs, 3 runs each, no
+# trend past the noise) at a peak RSS of 82-85 MB, that of a process running
+# no quadrature at all: the rules are at most a few 10^4 nodes.
 RESIDUAL_BLOCK = 1 << 17
 
 __all__ = [
@@ -426,14 +433,20 @@ def find_failure_lambdas(shape: EuclideanSet, lam_range: tuple,
 def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
     """The searched frequencies: steps of grid from max(lo, grid) to hi;
     lambda = 0 is excluded, since the transform there is the volume.  A
-    range of more than MAX_GRID_POINTS grid steps raises ValueError before
-    anything is allocated."""
+    range of more than MAX_GRID_POINTS grid steps, or one that holds no
+    grid point, raises ValueError before anything is allocated."""
     lo, hi = float(lam_range[0]), float(lam_range[1])
     steps = (hi - lo) / grid
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"{lo:g}:{hi:g} at grid {grid:g} is {steps:.3g} "
                          f"frequencies, over the cap of {MAX_GRID_POINTS}")
-    return np.arange(max(lo, grid), hi + grid / 2, grid)
+    xs = np.arange(max(lo, grid), hi + grid / 2, grid)
+    # the last point may pass hi by rounding (0:20 at grid 0.05 ends at
+    # 20.000000000000004), which keeps it, or by up to half a step
+    xs = xs[xs - hi < 1e-6 * grid]
+    if not xs.size:
+        raise ValueError(f"{lo:g}:{hi:g} at grid {grid:g} holds no frequency")
+    return xs
 
 
 def _profile_on_grid(shape, lam_range: tuple, grid: float):
@@ -515,6 +528,12 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
         raise ValueError(f"unsupported dimension {shape.dim}")
     lams = np.asarray(lam, dtype=complex)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    rule = shape
+    if shape.is_radial:
+        # the integral depends on x through |x| only: x goes to (|x|, 0) in
+        # the meridian coordinates of the rule
+        rule = MeridianRule(shape)
+        pts = np.stack([np.linalg.norm(pts, axis=1), np.zeros(len(pts))], axis=1)
     # real frequencies first, so that a block never mixes the two kinds
     order = np.argsort(lams.ravel().imag != 0, kind="stable")
     freqs = lams.ravel()[order]
@@ -528,7 +547,7 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
         r, col = np.empty(len(nodes)), np.empty(len(nodes))
         for s in np.unique(sample):
             r.fill(0.0)     # r = |x + y| with the bits of spherical_phi: 0 + a == a
-            for i in range(shape.dim):
+            for i in range(rule.dim):
                 np.add(nodes[:, i], pts[s, i], out=col)
                 r += np.multiply(col, col, out=col)
             np.sqrt(r, out=r)
@@ -538,7 +557,7 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
                     f = freqs[kind[b:b + per_block]]
                     yield from kernel(np.multiply.outer(f if f.imag.any() else f.real, r))
 
-    vals = integrate_over(shape, rows, tol, len(pts) * n)
+    vals = integrate_over(rule, rows, tol, len(pts) * n)
     res = np.array([max([0.0] + [abs(vals[s * n + j]) for s in range(len(pts))])
                     for j in range(n)], dtype=float)[np.argsort(order)]
     return float(res[0]) if lams.ndim == 0 else res

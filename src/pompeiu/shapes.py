@@ -3,7 +3,9 @@ at the origin), convex polytopes, and disjoint unions.
 
 Every shape knows its exact volume, its bounding box, whether it is
 invariant under all rotations, and how to produce mapped tensor quadrature
-nodes of a given order for integrals over itself.
+nodes of a given order for integrals over itself.  A radial shape also
+gives its rule folded onto the meridian half-plane, `MeridianRule`, for
+integrands that depend only on the distance to a point.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "Polytope",
     "DisjointUnion",
     "EuclideanSet",
+    "MeridianRule",
     "parse_set",
     "load_set_spec",
     "set_to_spec",
@@ -64,6 +67,9 @@ class Ball:
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, 0.0, self.radius, order)
 
+    def meridian_nodes(self, order: int):
+        return _meridian_nodes(self.dim, 0.0, self.radius, order)
+
 
 @dataclass(frozen=True)
 class Annulus:
@@ -94,6 +100,9 @@ class Annulus:
 
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, self.inner, self.outer, order)
+
+    def meridian_nodes(self, order: int):
+        return _meridian_nodes(self.dim, self.inner, self.outer, order)
 
 
 class Polytope:
@@ -165,12 +174,15 @@ class Polytope:
 class DisjointUnion:
     """Union of pairwise-disjoint member shapes.
 
-    Disjointness is checked with radial intervals for pairs of concentric
-    radial members and with bounding boxes otherwise; an overlap raises.
+    The members of a member union become members of this one, so the
+    members are balls, annuli and polytopes.  Disjointness is checked with
+    radial intervals for pairs of concentric radial members and with
+    bounding boxes otherwise; an overlap raises.
     """
 
     def __init__(self, members):
-        members = list(members)
+        members = [leaf for m in members
+                   for leaf in (m.members if isinstance(m, DisjointUnion) else (m,))]
         if not members:
             raise ValueError("union needs at least one member")
         dims = {m.dim for m in members}
@@ -199,8 +211,31 @@ class DisjointUnion:
         pts, wts = zip(*(m.quad_nodes(order) for m in self.members))
         return np.vstack(pts), np.concatenate(wts)
 
+    def meridian_nodes(self, order: int):
+        pts, wts = zip(*(m.meridian_nodes(order) for m in self.members))
+        return np.vstack(pts), np.concatenate(wts)
+
 
 EuclideanSet = Ball | Annulus | Polytope | DisjointUnion
+
+
+@dataclass(frozen=True)
+class MeridianRule:
+    """The rule of a radial shape folded onto its meridian half-plane.
+
+    Put e = e_1.  An integrand that depends on y only through
+    p = y.e and q = |y - p e| has the same integral over the shape on the
+    2-column nodes (p, q) of `meridian_nodes` as on the full rule of
+    `quad_nodes`: the 3-D rule's azimuthal sum, and in the plane the pair
+    of mirror angles theta and -theta, are summed into the weights.  Its
+    `dim` is the node width, 2, and order doubling multiplies its node
+    count by about 4."""
+
+    shape: EuclideanSet
+    dim = 2
+
+    def quad_nodes(self, order: int):
+        return self.shape.meridian_nodes(order)
 
 
 def _disjoint(a, b) -> bool:
@@ -223,10 +258,14 @@ def gauss_nodes(order: int):
     return _leggauss_cache[order]
 
 
-def _radial_nodes(dim: int, r0: float, r1: float, order: int):
+def _radii(r0: float, r1: float, order: int):
+    """Gauss nodes and weights of the given order on [r0, r1]."""
     t, wt = gauss_nodes(order)
-    r = (r1 - r0) / 2.0 * (t + 1.0) + r0
-    wr = (r1 - r0) / 2.0 * wt
+    return (r1 - r0) / 2.0 * (t + 1.0) + r0, (r1 - r0) / 2.0 * wt
+
+
+def _radial_nodes(dim: int, r0: float, r1: float, order: int):
+    r, wr = _radii(r0, r1, order)
     n_ang = 2 * order
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     w_theta = 2.0 * np.pi / n_ang
@@ -244,6 +283,28 @@ def _radial_nodes(dim: int, r0: float, r1: float, order: int):
     wts = (wr * r ** 2)[:, None, None] * wu[None, :, None] * w_theta
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     return pts, np.broadcast_to(wts, x.shape).ravel()
+
+
+def _meridian_nodes(dim: int, r0: float, r1: float, order: int):
+    """_radial_nodes on r0 <= |y| <= r1 folded onto the half-plane q >= 0:
+    nodes (p, q) with weights that carry the folded sum.  In the plane the
+    angles theta_k and theta_{n-k} of the n = 2 order equispaced ones are
+    mirror images, so k runs over 0..n/2 with weight 2 but at both ends;
+    in 3-space the theta sum of the r x u x theta grid is 2 pi."""
+    r, wr = _radii(r0, r1, order)
+    if dim == 2:
+        n_ang = 2 * order
+        theta = 2.0 * np.pi * np.arange(order + 1) / n_ang
+        w_theta = 2.0 * np.pi / n_ang
+        fold = np.full(order + 1, 2.0 * w_theta)
+        fold[[0, -1]] = w_theta
+        pts = np.stack([np.outer(r, np.cos(theta)).ravel(),
+                        np.outer(r, np.sin(theta)).ravel()], axis=1)
+        return pts, np.outer(wr * r, fold).ravel()
+    u, wu = gauss_nodes(order)
+    pts = np.stack([np.outer(r, u).ravel(),
+                    np.outer(r, np.sqrt(1.0 - u ** 2)).ravel()], axis=1)
+    return pts, np.outer(wr * r ** 2, wu * (2.0 * np.pi)).ravel()
 
 
 def _simplex_nodes(simplex: np.ndarray, order: int):

@@ -18,7 +18,7 @@ from pompeiu.finite_pompeiu import enumerate_all
 from pompeiu.groups import CosetSpace, load_group_spec
 from pompeiu.hecke import spherical_functions
 from pompeiu.quadrature import integrate_over
-from pompeiu.shapes import Ball, load_set_spec
+from pompeiu.shapes import Ball, MeridianRule, load_set_spec
 
 
 def _cyclic_file(tmp_path, n):
@@ -388,9 +388,10 @@ def test_euclid_residuals_csv(disk_file, tmp_path):
 def test_euclid_residuals_without_witnesses_build_no_rule(disk_file, tmp_path,
                                                           monkeypatch):
     """The disk has no failure frequency below 3.83: the residual CSV is its
-    header alone, and no quadrature rule is built."""
+    header alone, and no quadrature rule, full or meridian, is built."""
     orders = []
     monkeypatch.setattr(Ball, "quad_nodes", lambda self, order: orders.append(order))
+    monkeypatch.setattr(Ball, "meridian_nodes", lambda self, order: orders.append(order))
     res = tmp_path / "residuals.csv"
     assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:3",
                  "--seed", "1", "--out", str(tmp_path / "r.json"),
@@ -401,7 +402,8 @@ def test_euclid_residuals_without_witnesses_build_no_rule(disk_file, tmp_path,
 def test_euclid_residual_csv_equals_per_witness_integrations(tmp_path):
     """The residual CSV, from one batched call, equals a reference built
     here with one integration of spherical_phi(lam, p + x) per witness and
-    sample point: the unit disk and the annulus (2, 3) over (0, 10]."""
+    sample point, on the meridian rule at x = (|x|, 0): the unit disk and
+    the annulus (2, 3) over (0, 10]."""
     spec = tmp_path / "rings.json"
     spec.write_text(json.dumps({"dim": 2, "shape": "union", "members": [
         {"dim": 2, "shape": "ball", "radius": 1.0},
@@ -415,10 +417,12 @@ def test_euclid_residual_csv_equals_per_witness_integrations(tmp_path):
     lo, hi = shape.bounding_box()
     span = float(np.linalg.norm(hi - lo))
     pts = np.random.default_rng(7).uniform(-span, span, size=(16, 2))
+    axis = [np.array([r, 0.0]) for r in np.linalg.norm(pts, axis=1)]
     want = ["lambda,conv_residual"]
     for lam in witnesses:
         worst = max([0.0] + [abs(integrate_over(
-            shape, lambda p, x=x: spherical_phi(lam, p + x, 2), 1e-8)) for x in pts])
+            MeridianRule(shape), lambda p, x=x: spherical_phi(lam, p + x, 2), 1e-8))
+            for x in axis])
         want.append(f"{lam:.10g},{worst:.12e}")
     assert res.read_text().splitlines() == want
 
@@ -465,6 +469,53 @@ def test_euclid_bad_tolerances_exit_2(args, disk_file, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_euclid_search_stops_at_the_range_end(disk_file, tmp_path):
+    """Over 0:3.7 at grid 2 the only grid point is 2: the witness 3.83 and
+    a landscape row at 4 lie past the searched range."""
+    out, land = tmp_path / "r.json", tmp_path / "landscape.csv"
+    assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:3.7",
+                 "--grid", "2", "--out", str(out), "--landscape", str(land)]) == 0
+    report = json.loads(out.read_text())
+    assert report["searched_range"] == [0.0, 3.7]
+    assert report["verdict"] == "NoFailureFoundInRange"
+    assert report["lambda_witnesses"] == []
+    assert [r.split(",")[0] for r in land.read_text().splitlines()] == ["lambda", "2"]
+
+
+def test_euclid_empty_grid_exit_2(disk_file, tmp_path, capsys):
+    """0:5 at grid 10 holds no grid frequency: it is refused before any
+    file is written, not reported as a search."""
+    out, land = tmp_path / "r.json", tmp_path / "landscape.csv"
+    out.write_text("old report\n")
+    land.write_text("old landscape\n")
+    assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5",
+                 "--grid", "10", "--out", str(out), "--landscape", str(land)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "old report\n"
+    assert land.read_text() == "old landscape\n"
+
+
+def test_euclid_nested_union_reports_as_the_flat_one(tmp_path, capsys):
+    """A union holding a union decides as the union of their members, with
+    a byte-identical report; an overlap inside the nested union exits 2."""
+    ball = {"dim": 2, "shape": "ball", "radius": 1.0}
+    ring = {"dim": 2, "shape": "annulus", "inner": 2.0, "outer": 3.0}
+    specs = {"flat": [ball, ring],
+             "nested": [{"dim": 2, "shape": "union", "members": [ball]}, ring],
+             "overlap": [{"dim": 2, "shape": "union", "members": [ball]},
+                         {"dim": 2, "shape": "annulus", "inner": 0.5, "outer": 3.0}]}
+    codes, reports = {}, {}
+    for name, members in specs.items():
+        spec, out = tmp_path / f"{name}.json", tmp_path / f"{name}-r.json"
+        spec.write_text(json.dumps({"dim": 2, "shape": "union", "members": members}))
+        codes[name] = main(["euclid", "decide", "--set", str(spec), "--lambda-range",
+                            "0:6", "--seed", "2", "--out", str(out)])
+        reports[name] = out.read_bytes() if out.exists() else None
+    assert codes == {"flat": 0, "nested": 0, "overlap": 2}
+    assert reports["nested"] == reports["flat"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_euclid_grid_cap_exit_2(tmp_path, capsys):

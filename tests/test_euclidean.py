@@ -1064,14 +1064,19 @@ def test_integral_check_is_one_integration(monkeypatch):
 
 
 class _RuleCounter:
-    """A shape whose rules are counted."""
+    """A shape whose rules, full or meridian, are counted."""
 
     def __init__(self, shape):
         self.shape, self.dim, self.orders = shape, shape.dim, []
+        self.is_radial = shape.is_radial
 
     def quad_nodes(self, order):
         self.orders.append(order)
         return self.shape.quad_nodes(order)
+
+    def meridian_nodes(self, order):
+        self.orders.append(order)
+        return self.shape.meridian_nodes(order)
 
 
 def test_integrate_over_zero_integrands_builds_no_rule():
@@ -1115,6 +1120,46 @@ def test_convolution_test_without_frequencies_builds_no_rule():
     shape = _RuleCounter(DISK)
     got = convolution_test(shape, np.array([], dtype=complex), _sample_ring())
     assert got.shape == (0,) and shape.orders == []
+
+
+ANNULUS = Annulus(1.0, 2.0, 2)
+
+
+@pytest.mark.parametrize("shape,witness", [
+    (DISK, J1_1), (BALL3, 4.493409457909064),
+    (ANNULUS, None), (ANNULUS3, 1.2396787044126543), (RINGS, None),
+], ids=["disk", "ball3", "annulus", "annulus3", "rings"])
+def test_convolution_test_on_the_meridian_equals_the_full_rule(shape, witness):
+    """On a radial shape each residual, integrated on the meridian rule at
+    (|x|, 0), is within 1e-12 of the full rule's integral at the sample
+    point x itself: at a witness, at the off-root frequencies 3.0 and 5.5
+    and at a complex frequency."""
+    if witness is None:
+        witness = find_failure_lambdas(shape, (0.0, 4.0), count=1)[0]
+    lams = [witness, 3.0, 5.5, 2.0 + 0.3j]
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, (3, shape.dim))
+    pts[0] = 0.0
+    for x in pts:
+        got = convolution_test(shape, np.array(lams), [x])
+        for lam, val in zip(lams, got):
+            full = integrate_over(shape, lambda p: spherical_phi(lam, p + x, shape.dim))
+            assert abs(val - abs(full)) < 1e-12, (lam, x, val, abs(full))
+
+
+@pytest.mark.parametrize("shape", [DISK, BALL3, ANNULUS, ANNULUS3, RINGS],
+                         ids=["disk", "ball3", "annulus", "annulus3", "rings"])
+def test_convolution_test_builds_no_full_rule_on_a_radial_shape(shape, monkeypatch):
+    """A radial shape's residuals build meridian rules only: quad_nodes is
+    never called."""
+    def refuse(self, order):
+        raise AssertionError("full rule built")
+
+    for kind in (Ball, Annulus, DisjointUnion):
+        monkeypatch.setattr(kind, "quad_nodes", refuse)
+    counted = _RuleCounter(shape)
+    res = convolution_test(counted, np.array([3.0, 1.0 + 0.5j]),
+                           _sample_ring(3, 1.5, shape.dim))
+    assert res.shape == (2,) and counted.orders
 
 
 def test_convolution_residual_pass_streams_its_rows():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pompeiu.shapes import (Annulus, Ball, DisjointUnion, Polytope,
+from pompeiu.shapes import (Annulus, Ball, DisjointUnion, MeridianRule, Polytope,
                             load_set_spec, parse_set, set_to_spec)
 
 
@@ -81,6 +81,57 @@ def test_quad_nodes_integrate_one_to_volume(shape):
     pts, wts = shape.quad_nodes(24)
     assert pts.shape[1] == shape.dim
     assert abs(wts.sum() - shape.volume) < 1e-9 * max(1.0, shape.volume)
+
+
+RADIAL = [Ball(1.0, 2), Ball(1.0, 3), Annulus(1.0, 2.0, 2), Annulus(2.0, 3.0, 3),
+          DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)])]
+
+
+@pytest.mark.parametrize("shape", RADIAL, ids=["disk", "ball3", "annulus", "annulus3", "rings"])
+def test_meridian_weights_sum_to_the_volume(shape):
+    """At every order up to 64 the meridian rule's weights sum to those of
+    the full rule, and to the volume once the Gauss radial rule is exact
+    for r^(dim - 1) (one node in the plane, two in 3-space); its nodes lie
+    on the shape's half of the meridian plane."""
+    rule = MeridianRule(shape)
+    assert rule.dim == 2
+    for order in range(1, 65):
+        pts, wts = rule.quad_nodes(order)
+        full = shape.quad_nodes(order)[1].sum()
+        assert pts.shape == (len(wts), 2) and (wts > 0).all()
+        assert (pts[:, 1] > -1e-12).all()       # sin(pi) rounds either way
+        assert abs(wts.sum() - full) < 1e-12 * full
+        if order >= shape.dim - 1:
+            assert abs(wts.sum() - shape.volume) < 1e-12 * shape.volume, order
+    r = np.hypot(*pts.T)
+    members = getattr(shape, "members", (shape,))
+    inside = [(m.radial_interval()[0] - 1e-12 <= r) & (r <= m.radial_interval()[1] + 1e-12)
+              for m in members]
+    assert np.logical_or.reduce(inside).all()
+
+
+def test_meridian_rule_is_the_full_rule_folded():
+    """At order 4 the disk's meridian rule has 4 x 5 nodes, its folded
+    angles 0, pi/4, ..., pi; the 3-D ball's has 4 x 4, one per radius and
+    polar node."""
+    pts, _ = MeridianRule(Ball(1.0, 2)).quad_nodes(4)
+    assert len(pts) == 20 and len(Ball(1.0, 2).quad_nodes(4)[0]) == 32
+    angles = np.unique(np.round(np.arctan2(pts[:, 1], pts[:, 0]), 12))
+    assert np.allclose(angles, np.pi * np.arange(5) / 4)
+    assert len(MeridianRule(Ball(1.0, 3)).quad_nodes(4)[0]) == 16
+
+
+def test_nested_unions_are_flattened():
+    """The members of a member union join the union: the disjointness
+    check and the rules see balls and annuli only, and the spec is the
+    flat one."""
+    nested = DisjointUnion([DisjointUnion([Ball(1.0, 2)]), Annulus(2.0, 3.0, 2)])
+    flat = DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)])
+    assert [type(m) for m in nested.members] == [Ball, Annulus]
+    assert set_to_spec(nested) == set_to_spec(flat)
+    assert nested.is_radial and nested.volume == flat.volume
+    with pytest.raises(ValueError, match="overlap"):
+        DisjointUnion([DisjointUnion([Ball(1.0, 2)]), Annulus(0.5, 3.0, 2)])
 
 
 def test_bounding_boxes():
