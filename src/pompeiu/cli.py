@@ -21,13 +21,14 @@ import sys
 
 import numpy as np
 
-from .euclidean import EuclidReport, convolution_test, euclid_decide
+from .euclidean import (DEFAULT_GRID, DEFAULT_LAMBDA_RANGE, DEFAULT_VANISH_TOL,
+                        EuclidReport, convolution_test, euclid_decide)
 from .finite_pompeiu import (BugTrapError, EmptySetError, PompeiuInstance,
                              enumerate_all, pompeiu_convolution,
                              pompeiu_oracle, pompeiu_spectral, recheck_witness)
 from .groups import CosetSpace, GroupSpecError, load_group_spec
 from .hecke import NotGelfandPairError
-from .quadrature import QuadratureError
+from .quadrature import DEFAULT_TOL, QuadratureError
 from .shapes import load_set_spec, set_to_spec
 
 SCHEMA_VERSION = 1
@@ -225,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     esub = euclid.add_subparsers(dest="action", required=True)
     decide = esub.add_parser("decide", help="search for failure frequencies")
     decide.add_argument("--set", required=True, help="shape spec JSON")
-    decide.add_argument("--lambda-range", type=_parse_range, default=(0.0, 20.0))
-    decide.add_argument("--grid", type=float, default=0.05)
+    decide.add_argument("--lambda-range", type=_parse_range, default=DEFAULT_LAMBDA_RANGE)
+    decide.add_argument("--grid", type=float, default=DEFAULT_GRID)
     decide.add_argument("--rotations", type=int, default=None)
-    decide.add_argument("--vanish-tol", type=float, default=1e-6)
-    decide.add_argument("--quad-tol", type=float, default=1e-8)
+    decide.add_argument("--vanish-tol", type=float, default=DEFAULT_VANISH_TOL)
+    decide.add_argument("--quad-tol", type=float, default=DEFAULT_TOL)
     decide.add_argument("--seed", type=int, default=None)
     decide.add_argument("--threads", type=int, default=1)    # ignored
     decide.add_argument("--out", default=None)

@@ -14,8 +14,8 @@ nodes, the simplices fanned from one vertex.  The orbit scan of a
 non-radial shape evaluates frequencies x directions x simplices in blocks
 of at most SCAN_CHUNK triples, one direction per antipodal pair at a real
 frequency (|F(-z)| = |F(z)|), keeping a running maximum per frequency, so
-its memory stays flat whatever the grid.  A search range of more than
-MAX_GRID_POINTS grid steps is refused with ValueError.
+its memory stays flat whatever the grid.  A search of more than
+MAX_GRID_POINTS grid steps, or orbit directions, is refused with ValueError.
 
 The radial search is in arrays too: one `radial_profile` call covers the
 whole grid (each entry bit-identical to a scalar call, so witnesses do not
@@ -48,6 +48,7 @@ from .shapes import (Annulus, Ball, DisjointUnion, EuclideanSet,
 DEFAULT_IMAG_CAP = 50.0
 DEFAULT_VANISH_TOL = 1e-6
 DEFAULT_GRID = 0.05
+DEFAULT_LAMBDA_RANGE = (0.0, 20.0)
 BISECT_TOL = 1e-10
 ROTATION_SAMPLES = {2: 64, 3: 72}
 # (frequency, direction, simplex) triples per block of the orbit scan.  One
@@ -55,7 +56,7 @@ ROTATION_SAMPLES = {2: 64, 3: 72}
 # 0.11 and 0.12 s at blocks of 256, 2048, 4096, 8192 and 65536 triples, at a
 # peak RSS of 80, 82, 85, 90 and 94 MB: 2048 keeps within 2 MB of the floor.
 SCAN_CHUNK = 2048
-# Most grid steps, (hi - lo) / grid, that one search may take.
+# Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
 # quadrature.  On the meridian rules, blocks of 2^14..2^20 took 0.36-0.51 s
@@ -422,12 +423,11 @@ def find_failure_lambdas(shape: EuclideanSet, lam_range: tuple,
                          count: int | None = None,
                          grid: float = DEFAULT_GRID) -> list[float]:
     """Real roots of the radial transform profile in the range, by
-    sign-change bracketing and bisection; each root re-verified on the
-    rotation orbit."""
+    sign-change bracketing and bisection; each root re-verified."""
     if not shape.is_radial:
         raise ValueError("failure-frequency search requires a radial shape")
-    xs, vals = _profile_on_grid(shape, lam_range, grid)
-    return _bracketed_roots(shape, xs, vals.real, count)
+    xs = _frequency_grid(lam_range, grid)
+    return _bracketed_roots(shape, xs, radial_profile(shape, xs).real, count)
 
 
 def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
@@ -449,13 +449,6 @@ def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
     return xs
 
 
-def _profile_on_grid(shape, lam_range: tuple, grid: float):
-    """The search grid of the range and the complex radial profile on it,
-    from one array call."""
-    xs = _frequency_grid(lam_range, grid)
-    return xs, radial_profile(shape, xs)
-
-
 def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
                      count: int | None) -> list[float]:
     """Roots from the real profile values vals on the grid xs, in grid
@@ -463,7 +456,7 @@ def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
     refined by bisection.  With a count, the search stops at the first
     grid point past the count with a nonzero value; the last grid point
     counts if its value is 0 and the count is not reached.  Every root is
-    checked on the rotation orbit."""
+    checked to vanish relative to the volume."""
     zero = vals[:-1] == 0.0
     bracket = ~zero & (vals[:-1] * vals[1:] < 0)
     hit = zero | bracket
@@ -480,11 +473,13 @@ def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
     roots = found.tolist()
     if len(vals) and vals[-1] == 0.0 and (count is None or len(roots) < count):
         roots.append(float(xs[-1]))
-    for lam in roots:
-        check = complex_sphere_vanishes(shape, lam)
-        if not check.vanishes:
+    # the orbit check: on the rotation orbit of lam e1 the transform is the
+    # profile at sqrt(z.z) = lam, so one profile call checks every root
+    mags = np.abs(radial_profile(shape, np.asarray(roots, dtype=float)))
+    for lam, mag in zip(roots, mags.tolist()):
+        if not mag < DEFAULT_VANISH_TOL * shape.volume:
             raise BugTrapError(f"root {lam} failed the orbit vanishing check "
-                               f"(max magnitude {check.max_magnitude:.3e})")
+                               f"(max magnitude {mag:.3e})")
     return roots
 
 
@@ -635,7 +630,7 @@ _CAVEAT = ("search covers real frequencies in the given range plus any "
            "certify the Pompeiu property")
 
 
-def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
+def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
                   grid: float = DEFAULT_GRID,
                   rotation_samples: int | None = None,
                   vanish_tol: float = DEFAULT_VANISH_TOL,
@@ -657,8 +652,8 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
             raise ValueError(f"{name} tolerance must be finite and positive, got {tol}")
     if not float(lam_range[0]) < float(lam_range[1]):
         raise ValueError(f"empty frequency range {lam_range[0]}:{lam_range[1]}")
-    if rotation_samples is not None and rotation_samples < 1:
-        raise ValueError(f"rotation samples must be >= 1, got {rotation_samples}")
+    if rotation_samples is not None and not 1 <= rotation_samples <= MAX_GRID_POINTS:
+        raise ValueError(f"rotation samples must be in 1..{MAX_GRID_POINTS}, got {rotation_samples}")
     t0 = time.perf_counter()
     count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
     tolerances = {"vanish": vanish_tol, "quadrature": quad_tol,
@@ -666,7 +661,8 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = (0.0, 20.0),
     landscape = [] if collect_landscape else None
     witnesses: list = []
     if shape.is_radial:
-        xs, vals = _profile_on_grid(shape, lam_range, grid)
+        xs = _frequency_grid(lam_range, grid)
+        vals = radial_profile(shape, xs)
         witnesses = _bracketed_roots(shape, xs, vals.real, None)
         if collect_landscape:
             landscape.extend(zip(xs.tolist(), np.abs(vals).tolist()))

@@ -13,12 +13,12 @@ space G/K, three independent ways:
 Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset; the single-subset functions (`pompeiu_oracle`,
 `pompeiu_spectral`, `pompeiu_convolution`, `ideal_generators`) run them
-with B = 1.  The oracle eliminates the Gram matrices of the translates
-modulo the primes GRAM_PRIMES: a nonzero pivot at every step modulo one
-prime proves full rank, a zero pivot modulo primes whose product exceeds
-Hadamard's bound proves a rank deficiency, so a sweep computes no kernel.
-`pompeiu_oracle` takes a witness from the exact kernel
-(`exact_linalg.nullspace`) and rechecks it against every translate.
+with B = 1.  The oracle works modulo PRIME = 2^31 - 1: M^T M invertible
+there proves that the translate matrix M has full rank (the Gram test),
+and up to 22 columns the rank of the 0/1 matrix M there is its rational
+rank (the translate test, `_rank_exact`).  A sweep runs the Gram test,
+then the translate test on the subsets still open: it computes no kernel.
+`pompeiu_oracle` takes its witness from `exact_linalg.nullspace`.
 
 `enumerate_all` sweeps the bitmasks in chunks.  The three criteria are
 invariant under translation, so it decides only the least mask of each
@@ -54,10 +54,9 @@ SWEEP_COSET_CAP = 20
 # Elements in the largest array of one chunk of a sweep, the B x |G| x n
 # translate matrices.  Larger chunks raise peak memory with no gain in rate.
 SCAN_CHUNK = 1 << 17
-# The ten largest primes below 2^31: each product of the modular eliminations
-# fits int64, and theirs exceeds every sweep's Hadamard bound (below 2^293).
-GRAM_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-               2147483549, 2147483543, 2147483497, 2147483489, 2147483477)
+# The modulus of the oracle's eliminations: below 2^31, so that each
+# difference of two products of residues fits int64.
+PRIME = 2 ** 31 - 1
 
 __all__ = [
     "EmptySetError",
@@ -156,41 +155,35 @@ def _check_oracle_budget(space: CosetSpace) -> None:
                       "the oracle's elimination")
 
 
-def _rank_rounds(space: CosetSpace, bits: np.ndarray):
-    """The oracle's certificate, one round per prime of GRAM_PRIMES while a
-    subset is open, each yielding per subset (full, settled): whether the
-    translates have full column rank, and whether that is proven.
+def _rank_exact(n: int) -> bool:
+    """Whether the rank modulo PRIME of every 0/1 matrix with n columns is
+    its rational rank, all its minors being below PRIME: up to 22 columns."""
+    return xla.zero_one_minor_bound_squared(n) < PRIME ** 2
 
-    The Gram matrix S = M^T M of the translate matrix M has integer entries
-    at most |G| (exact in float64); it is invertible modulo some prime iff
-    M has full column rank.  S is positive semidefinite with diagonal
-    |E| |K|, so 0 <= det S <= (|E| |K|)^n (Hadamard): singular modulo primes
-    whose product exceeds that, det S = 0.  Only past SWEEP_COSET_CAP can
-    the primes run out and leave a subset unsettled."""
+
+def _gram_full_rank(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """The Gram test, per subset: M^T M invertible modulo PRIME proves that
+    the translate matrix M has full column rank; False proves nothing.
+    The entries are at most |G|, exact in float64."""
     matrices = bits.astype(np.float64)[:, _translates(space)]
-    gram = (matrices.transpose(0, 2, 1) @ matrices).astype(np.int64)
-    del matrices
-    n, sizes = space.num_cosets, bits.sum(axis=1)
-    full, settled = np.zeros((2, len(bits)), dtype=bool)
-    product = 1
-    for p in GRAM_PRIMES:
-        full[~settled] = _full_rank_mod(gram[~settled], p)
-        product *= p
-        covered = [product > (size * space.k_size) ** n for size in range(n + 1)]
-        settled |= full | np.asarray(covered)[sizes]
-        yield full, settled
-        if settled.all():
-            return
+    return _full_rank_mod((matrices.transpose(0, 2, 1) @ matrices).astype(np.int64), PRIME)
 
 
-def _full_rank_mod(gram: np.ndarray, p: int) -> np.ndarray:
-    """Per matrix of a fresh int64 stack: whether it is invertible mod p.
-    No division: each step sets every row below the pivot row to pivot *
-    row - entry * pivot_row (mod p), scaling it by the nonzero pivot."""
-    a = _mod(gram, p)
+def _translate_full_rank(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """The translate test, per subset: whether the translate matrix has full
+    column rank modulo PRIME, the rational answer when `_rank_exact` holds."""
+    return _full_rank_mod(bits[:, _translates(space)], PRIME)
+
+
+def _full_rank_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Per matrix of a fresh int64 stack of at least as many rows as
+    columns: whether it has full column rank mod p.  No division: each
+    step sets every row below the pivot row to pivot * row - entry *
+    pivot_row (mod p), scaling it by the nonzero pivot."""
+    a -= a // p * p     # a % p: numpy divides faster than it takes remainders
     full = np.ones(len(a), dtype=bool)
     batch = np.arange(len(a))
-    while a.shape[1]:
+    while a.shape[2]:
         nonzero = a[:, :, 0] != 0
         full &= nonzero.any(axis=1)
         pick = nonzero.argmax(axis=1)
@@ -198,36 +191,28 @@ def _full_rank_mod(gram: np.ndarray, p: int) -> np.ndarray:
         a[batch, pick] = a[:, 0]        # rows 1.. are now the other rows
         rest = a[:, 1:, 1:] * pivot_row[:, :1, None]
         rest -= a[:, 1:, :1] * pivot_row[:, None, 1:]
-        a = _mod(rest, p)
+        rest -= rest // p * p
+        a = rest
     return full
-
-
-def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a % p in place.  numpy divides by a scalar several times faster
-    than it takes the remainder, so this is a - (a // p) * p."""
-    q = a // p
-    q *= p
-    a -= q
-    return a
 
 
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel.  A first certificate round proves
-    full rank, else the exact kernel decides: its first vector, rechecked
-    in integers against every translate, is the witness, and a trivial one
-    must not meet a rank deficiency proven by the rest of the certificate."""
+    translate matrix has trivial kernel.  The Gram test proves full rank,
+    else the exact kernel decides: its first vector, rechecked in integers
+    against every translate, is the witness.  A trivial kernel is checked
+    against the translate test where that is exact, up to 22 columns."""
     inst = _instance(space_or_instance, subset)
     inst.require_nonempty()
-    _check_oracle_budget(inst.space)
+    space, bits = inst.space, _bits(inst)
+    _check_oracle_budget(space)
     t0 = time.perf_counter()
-    rounds = _rank_rounds(inst.space, _bits(inst))
-    full, settled = next(rounds)
+    full = _gram_full_rank(space, bits)[0]
     matrix = translate_matrix(inst)
-    kernel = [] if full[0] else xla.nullspace(matrix)
+    kernel = [] if full else xla.nullspace(matrix)
     if not kernel:
-        *_, (full, settled) = [(full, settled), *rounds]
-        if settled[0] and not full[0]:
+        if (not full and _rank_exact(space.num_cosets)
+                and not _translate_full_rank(space, bits)[0]):
             raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
     h = kernel[0]
@@ -496,10 +481,14 @@ def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     """The three deciders on a batch of subsets, packed in one code per
     subset: bit 0 is the oracle's full rank, bits 1-15 and 16 on are 1 +
     the first spherical function that the spectral and the convolution
-    criterion flag (0 for none)."""
-    *_, (full, settled) = _rank_rounds(space, bits)
-    if not settled.all():
-        raise BugTrapError("GRAM_PRIMES do not cover Hadamard's bound")
+    criterion flag (0 for none).  The oracle is the Gram test, then the
+    translate test on the subsets that it leaves open."""
+    if not _rank_exact(space.num_cosets):
+        raise BugTrapError(f"PRIME does not exceed Hadamard's bound for "
+                           f"{space.num_cosets} columns")
+    full = _gram_full_rank(space, bits)
+    if not full.all():
+        full[~full] = _translate_full_rank(space, bits[~full])
     spectral = _common_zeros(space, _generator_rows(space, bits))
     conv = _convolution_zeros(space, bits)
     # argmax + 1 is the first flag + 1, and any() zeroes it when none is set

@@ -83,16 +83,17 @@ def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
 
 
 def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):
-    """With one prime in GRAM_PRIMES the Hadamard bound 4^20 of a rank
-    deficient 4-subset of Z20 is not covered. The sweep's bug trap exits 3
-    with an error line instead of a traceback, and writes no CSV: the
-    first chunk already holds {0, 1, 5, 6}."""
-    monkeypatch.setattr(finite_pompeiu, "GRAM_PRIMES", finite_pompeiu.GRAM_PRIMES[:1])
+    """With PRIME = 2^13 - 1 the minors of the 20 columns of Z20 may reach
+    the prime, so one prime no longer decides their rank. The sweep's bug
+    trap exits 3 with an error line instead of a traceback, and writes no
+    CSV: the first chunk already raises."""
+    monkeypatch.setattr(finite_pompeiu, "PRIME", 2 ** 13 - 1)
     out = tmp_path / "sweep.csv"
     code = main(["finite", "sweep", "--group", _cyclic_file(tmp_path, 20),
                  "--out", str(out), "--max-size", "4"])
     assert code == 3
-    assert capsys.readouterr().err == "error: GRAM_PRIMES do not cover Hadamard's bound\n"
+    assert capsys.readouterr().err == (
+        "error: PRIME does not exceed Hadamard's bound for 20 columns\n")
     assert not out.exists()
 
 
@@ -110,11 +111,9 @@ def test_spherical_self_check_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_orbit_check_failure_exits_3(disk_file, tmp_path, monkeypatch, capsys):
     """A radial root that fails the orbit vanishing check is a bug trap: with
-    the check stubbed to "not vanishing", a disk `euclid decide` exits 3
-    with an error line instead of a traceback."""
-    monkeypatch.setattr(euclidean, "complex_sphere_vanishes",
-                        lambda shape, lam, *args: euclidean.OrbitCheck(
-                            False, 1.0, (1.0, 0.0), 1e-6))
+    the check's tolerance at 0, so that no root vanishes, a disk `euclid
+    decide` exits 3 with an error line instead of a traceback."""
+    monkeypatch.setattr(euclidean, "DEFAULT_VANISH_TOL", 0.0)
     code = main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:5",
                  "--out", str(tmp_path / "report.json")])
     assert code == 3
@@ -444,14 +443,27 @@ def square_file(tmp_path):
     ("disk", ["--lambda-range", "3:3"]),
     ("square", ["--rotations", "-3"]),
     ("square", ["--rotations", "0"]),
+    ("square", ["--rotations", "400000000"]),
+    ("square", ["--rotations", "1000000000"]),
 ])
-def test_euclid_malformed_parameters_exit_2(shape, args, disk_file,
-                                            square_file, tmp_path, capsys):
+def test_euclid_malformed_parameters_exit_2(shape, args, disk_file, square_file,
+                                            tmp_path, capsys, monkeypatch):
+    """A malformed parameter exits 2 with one error line before any work:
+    no direction table is built and the old report and landscape stay."""
+    def no_directions(*args):
+        raise AssertionError("direction table built")
+    monkeypatch.setattr(euclidean, "rotation_directions", no_directions)
     spec = disk_file if shape == "disk" else square_file
+    out, land = tmp_path / "r.json", tmp_path / "landscape.csv"
+    out.write_text("old report\n")
+    land.write_text("old landscape\n")
     argv = ["euclid", "decide", "--set", spec, "--lambda-range", "0:1",
-            "--grid", "0.5", *args, "--out", str(tmp_path / "r.json")]
+            "--grid", "0.5", *args, "--out", str(out), "--landscape", str(land)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out.read_text() == "old report\n"
+    assert land.read_text() == "old landscape\n"
 
 
 @pytest.mark.parametrize("args", [

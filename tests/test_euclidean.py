@@ -952,8 +952,7 @@ def test_bisection_takes_exact_zeros_on_the_grid_and_at_midpoints(monkeypatch):
         return out + 0j
 
     monkeypatch.setattr(euclidean, "radial_profile", stub)
-    monkeypatch.setattr(euclidean, "complex_sphere_vanishes",
-                        lambda shape, lam: euclidean.OrbitCheck(True, 0.0, (), 0.0))
+    monkeypatch.setattr(euclidean, "DEFAULT_VANISH_TOL", math.inf)  # every root vanishes
     for count in (None, 1, 2, 3, 4, 5):
         got = find_failure_lambdas(DISK, (0.0, 3.0), count=count, grid=0.1)
         want = _scalar_roots(lambda lam: stub(None, lam), (0.0, 3.0), 0.1, count)

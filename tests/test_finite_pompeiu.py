@@ -543,9 +543,15 @@ def _orbit_representatives(space):
     return reps
 
 
+# The kernels that every sweep chunk runs on all its orbit representatives;
+# the translate test runs on those the Gram test leaves open.
+DECIDERS = ("_gram_full_rank", "_generator_rows", "_convolution_zeros")
+
+
 def _decided_masks(monkeypatch):
-    """Per decider kernel, the masks of every subset it was given."""
-    decided = {"_rank_rounds": [], "_generator_rows": [], "_convolution_zeros": []}
+    """Per decider kernel of DECIDERS, and for the translate test, the masks
+    of every subset it was given."""
+    decided = {name: [] for name in DECIDERS + ("_translate_full_rank",)}
     for name, masks in decided.items():
         def recorded(space, bits, kernel=getattr(fp, name), masks=masks):
             masks.extend((bits << np.arange(bits.shape[1])).sum(axis=1).tolist())
@@ -564,27 +570,31 @@ def _counting_nullspace(monkeypatch):
     return calls
 
 
-SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _recorded_rounds(monkeypatch):
-    """(prime, number of Gram matrices) for every modular elimination."""
-    rounds = []
+def _recorded_eliminations(monkeypatch):
+    """(prime, number of matrices) for every modular elimination."""
+    eliminations = []
     eliminate = fp._full_rank_mod
 
-    def recorded(gram, p):
-        rounds.append((p, len(gram)))
-        return eliminate(gram, p)
+    def recorded(a, p):
+        eliminations.append((p, len(a)))
+        return eliminate(a, p)
     monkeypatch.setattr(fp, "_full_rank_mod", recorded)
-    return rounds
+    return eliminations
+
+
+def _deficient(reps, expected):
+    """The masks of reps whose oracle verdict in the rows expected is a
+    rank deficiency."""
+    oracle = {row[0]: row[1] for row in expected}
+    return [mask for mask in reps if not oracle[mask]]
 
 
 def test_sweep_rows_match_per_subset_reference(monkeypatch):
     """Every row (three verdicts and the witness column) of every subset of
     every acceptance-suite space, of D8 and of Z13 equals the per-subset
     reference. Z13 spans several chunks. Each of the three deciders gets
-    exactly the least mask of every orbit, once; the Gram certificate
-    settles every subset, so the sweep computes no kernel."""
+    exactly the least mask of every orbit, once; the translate test gets
+    exactly the rank-deficient ones, so the sweep computes no kernel."""
     z13 = cyclic_space(13)
     assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
     decided = _decided_masks(monkeypatch)
@@ -595,55 +605,64 @@ def test_sweep_rows_match_per_subset_reference(monkeypatch):
         assert _sweep_rows(space) == expected, space.name
         assert calls == [], space.name
         reps = _orbit_representatives(space)
-        assert all(masks == reps for masks in decided.values()), space.name
+        assert all(decided[name] == reps for name in DECIDERS), space.name
+        assert decided["_translate_full_rank"] == _deficient(reps, expected), space.name
 
 
 def test_sweep_decides_one_subset_per_orbit(monkeypatch):
     """Z16 and D16 with a reflection, decided on the orbit representatives
     only: each decider gets the 4115 necklaces or 2249 bracelets of 16
-    beads (nonempty), and every row of Z16 equals the per-subset
-    reference, with the DFT for the exact kernel."""
+    beads (nonempty), the translate test the rank-deficient ones among
+    them, and every row of Z16 equals the per-subset reference, with the
+    DFT for the exact kernel."""
     z16, d16 = cyclic_space(16), dihedral_space(16)
     decided = _decided_masks(monkeypatch)
     for space, orbits in ((z16, 4115), (d16, 2249)):
         for masks in decided.values():
             masks.clear()
         rows = _sweep_rows(space)
-        assert len(_orbit_representatives(space)) == orbits
-        assert all(masks == _orbit_representatives(space)
-                   for masks in decided.values()), space.name
+        reps = _orbit_representatives(space)
+        assert len(reps) == orbits
+        assert all(decided[name] == reps for name in DECIDERS), space.name
+        assert decided["_translate_full_rank"] == _deficient(reps, rows), space.name
         if space is z16:
             assert rows == _reference_rows(z16, functools.partial(_dft_pompeiu, 16))
 
 
-def test_certificate_fallback_keeps_rows(monkeypatch):
-    """With GRAM_PRIMES patched to the primes up to 47, whose product (about
-    6e17) exceeds every Hadamard bound here, many subsets need several
-    rounds; every row stays the same, and no kernel is computed. Every
-    orbit representative meets the first prime once, and one that is rank
-    deficient meets every prime until their product exceeds its bound
-    (|E| |K|)^n. The full sets of Z12 and Z13 (bounds 12^12 and 13^13) are
-    the last to settle: their bounds lie between the products of the
-    primes up to 37 and up to 41."""
-    monkeypatch.setattr(fp, "GRAM_PRIMES", SMALL_PRIMES)
-    rounds = _recorded_rounds(monkeypatch)
+def test_translate_test_alone_keeps_rows(monkeypatch):
+    """With the Gram test stubbed to "not proven", the translate test
+    decides every subset: it gets the least mask of every orbit, every row
+    stays the same, and no kernel is computed. (No subset of these spaces
+    has a Gram matrix singular modulo PRIME while its translates have full
+    rank, so only a stub reaches this path.)"""
+    monkeypatch.setattr(fp, "_gram_full_rank",
+                        lambda space, bits: np.zeros(len(bits), dtype=bool))
+    decided = _decided_masks(monkeypatch)
     calls = _counting_nullspace(monkeypatch)
-    reps, deficient_rounds = 0, 0
     for space, expected in _reference_sweeps():
+        decided["_translate_full_rank"].clear()
         assert _sweep_rows(space) == expected, space.name
-        by_mask = {row[0]: row for row in expected}
-        for mask in _orbit_representatives(space):
-            reps += 1
-            if not by_mask[mask][1]:
-                bound = (len(_cosets(mask)) * space.k_size) ** space.num_cosets
-                primes = next(k for k in range(1, len(SMALL_PRIMES) + 1)
-                              if math.prod(SMALL_PRIMES[:k]) > bound)
-                deficient_rounds += primes - 1
+        assert decided["_translate_full_rank"] == _orbit_representatives(space), space.name
     assert calls == []
-    assert sum(count for p, count in rounds if p == 2) == reps
-    assert (reps, deficient_rounds) == (1482, 1875)
-    assert sum(count for p, count in rounds if p != 2) >= deficient_rounds
-    assert [(p, count) for p, count in rounds if p >= 41] == [(41, 1), (41, 1)]
+
+
+def test_each_sweep_chunk_runs_at_most_two_eliminations(monkeypatch):
+    """A chunk runs the Gram test, and the translate test when a subset is
+    left open: one or two eliminations modulo PRIME, never more."""
+    eliminations = _recorded_eliminations(monkeypatch)
+    per_chunk = []
+    decide = fp._decide
+
+    def recorded(space, bits):
+        before = len(eliminations)
+        codes = decide(space, bits)
+        per_chunk.append(len(eliminations) - before)
+        return codes
+    monkeypatch.setattr(fp, "_decide", recorded)
+    for space, _ in _reference_sweeps():
+        _sweep_rows(space)
+    assert set(per_chunk) == {1, 2}
+    assert {p for p, _ in eliminations} == {fp.PRIME}
 
 
 @pytest.mark.parametrize("per_chunk", [1, 5, 97])
@@ -651,15 +670,15 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
     """With a small element budget the masks split into many chunks (one or
     five subsets each on the spaces of at most 8 cosets, 97 on the larger
     ones), no chunk's translate matrices exceed the budget, and the rows,
-    also under a size bound, stay the same. The certificate runs once on
+    also under a size bound, stay the same. The Gram test runs once on
     every chunk that holds an orbit representative, and on no other."""
     sizes = []
-    certificate = fp._rank_rounds
+    gram_test = fp._gram_full_rank
 
     def recorded(space, bits):
         sizes.append(bits.size * space.group.order)
-        return certificate(space, bits)
-    monkeypatch.setattr(fp, "_rank_rounds", recorded)
+        return gram_test(space, bits)
+    monkeypatch.setattr(fp, "_gram_full_rank", recorded)
     for space, expected in _reference_sweeps():
         if (space.num_cosets > 8) != (per_chunk == 97):
             continue
@@ -686,33 +705,43 @@ def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def test_gram_primes_are_distinct_primes_below_2_31():
-    assert len(set(fp.GRAM_PRIMES)) == len(fp.GRAM_PRIMES)
-    for p in fp.GRAM_PRIMES:
-        assert p < 2 ** 31 and _is_prime(p), p
+def test_prime_is_a_prime_below_2_31():
+    assert fp.PRIME < 2 ** 31 and _is_prime(fp.PRIME)
 
 
-def test_gram_primes_cover_every_sweep_bound():
-    """Hadamard's bound (|E| |K|)^n is at most |G|^n, and the work budget
-    keeps |G| n^2 within WORK_BUDGET: the worst sweep has 20 cosets and a
-    bound of 293 bits, below the 310 bits of the primes' product."""
-    worst = max((groups.WORK_BUDGET // n ** 2) ** n
-                for n in range(1, fp.SWEEP_COSET_CAP + 1))
-    assert worst.bit_length() == 293
-    assert math.prod(fp.GRAM_PRIMES) > worst
+def test_one_prime_decides_the_rank_of_every_sweep():
+    """Every sweep has at most SWEEP_COSET_CAP columns, and up to there
+    every minor of a 0/1 matrix is below PRIME."""
+    assert all(fp._rank_exact(n) for n in range(1, fp.SWEEP_COSET_CAP + 1))
 
 
-def test_z20_rank_deficiency_needs_a_second_prime(monkeypatch):
-    """On Z20 a subset of four cosets has Hadamard bound 4^20 > 2^31, so a
-    rank deficiency such as (1 + x)(1 + x^10) = {0, 1, 10, 11} is proven
-    only after a second prime. (No triple of Z20 is rank-deficient: three
-    20th roots of unity never sum to zero.) The oracle column equals the
-    emptiness of each subset's exact kernel."""
+def test_zero_one_minor_bound_by_brute_force():
+    """Every 0/1 matrix of order k <= 4 has det^2 <= (k+1)^(k+1) / 4^k, the
+    bound that makes one prime exact; the largest det^2 is 1, 1, 4 and 9
+    (the bound is reached at k = 1 and 3). One prime decides the rank of
+    22 columns, not of 23."""
+    largest = []
+    for k in range(1, 5):
+        bits = (np.arange(1 << k * k)[:, None] >> np.arange(k * k)) & 1
+        dets = np.rint(np.linalg.det(bits.reshape(-1, k, k).astype(float)))
+        largest.append(int((dets ** 2).max()))
+        assert largest[-1] <= exact_linalg.zero_one_minor_bound_squared(k)
+    assert largest == [1, 1, 4, 9]
+    assert exact_linalg.zero_one_minor_bound_squared(3) == 4
+    assert fp._rank_exact(22) and not fp._rank_exact(23)
+
+
+def test_z20_oracle_column_equals_the_exact_kernel(monkeypatch):
+    """On Z20 up to size 4 the oracle column equals the emptiness of each
+    subset's exact kernel, from eliminations modulo PRIME alone. A rank
+    deficiency such as (1 + x)(1 + x^10) = {0, 1, 10, 11} is proven by the
+    translate test. (No triple of Z20 is rank-deficient: three 20th roots
+    of unity never sum to zero.)"""
     space = cyclic_space(20)
-    rounds = _recorded_rounds(monkeypatch)
+    eliminations = _recorded_eliminations(monkeypatch)
     rows = _sweep_rows(space, max_size=4)
     assert len(rows) == 20 + 190 + 1140 + 4845
-    assert {p for p, _ in rounds} == set(fp.GRAM_PRIMES[:2])
+    assert {p for p, _ in eliminations} == {fp.PRIME}
     translates = space.action[space.group.inv]
     for mask, oracle, *_ in rows:
         indicator = np.zeros(space.num_cosets, dtype=np.int64)
@@ -721,15 +750,18 @@ def test_z20_rank_deficiency_needs_a_second_prime(monkeypatch):
     assert not next(r for r in rows if _cosets(r[0]) == (0, 1, 10, 11))[1]
 
 
-def test_too_few_primes_raise(monkeypatch):
-    """With one prime the bound of {0, 1, 10, 11} on Z20 is not covered:
-    the sweep raises instead of returning an unproven verdict, and the
-    single-subset oracle lets the exact kernel decide."""
-    monkeypatch.setattr(fp, "GRAM_PRIMES", fp.GRAM_PRIMES[:1])
+def test_too_small_a_prime_raises(monkeypatch):
+    """With PRIME = 2^13 - 1 one prime decides the rank of 12 columns but
+    not of the 20 of Z20: the sweep raises instead of returning an
+    unproven verdict, and the single-subset oracle lets the exact kernel
+    decide."""
+    monkeypatch.setattr(fp, "PRIME", 2 ** 13 - 1)
+    assert fp._rank_exact(12) and not fp._rank_exact(20)
     with pytest.raises(RuntimeError, match="Hadamard"):
         enumerate_all(cyclic_space(20), max_size=4)
     report = pompeiu_oracle(cyclic_space(20), {0, 1, 10, 11})
     assert report.verdict == "NotPompeiu" and report.witness["kernel"]
+    assert pompeiu_oracle(cyclic_space(20), {0, 1, 2}).verdict == "Pompeiu"
 
 
 def test_certified_deficiency_with_trivial_kernel_raises(monkeypatch):
