@@ -1,9 +1,9 @@
 """Batch front end: group/shape specs in, decision reports out.
 
-Exit codes: 0 success, 2 malformed spec, parameter, size cap or work
-budget, 3 a bug trap (a method disagreement, a witness that fails its
-recheck or a failed internal check; never expected), 4 not a Gelfand
-pair, 5 quadrature failure.  Reports are byte-stable for a fixed
+Exit codes: 0 success, 2 malformed spec, parameter, size cap, work
+budget or memory, 3 a bug trap (a method disagreement, a witness that
+fails its recheck or a failed internal check; never expected), 4 not a
+Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a fixed
 config and seed.  Every command runs in one thread: --threads and the
 POMPEIU_THREADS environment variable are accepted for old scripts and
 ignored.  The argument parser is built once per process: `main` can run
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
     except (GroupSpecError, EmptySetError, ValueError, KeyError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+            json.JSONDecodeError, FileNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

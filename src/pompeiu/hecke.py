@@ -11,6 +11,8 @@ commuting convolution operators given by the class-indicator basis; they
 satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
 from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
 characters differ on some basis element, hence on a generic combination.
+No decision holds all d^3 structure constants op[j][k, i]: they are
+counted from the orbital table a block of slices op[:, k, :] at a time.
 The coefficients are a real draw, then a complex one if the real draw's
 table fails certification.  When every eigenvalue rounds to an integer,
 they give every value as a rational, kept (marked exact) only if it
@@ -44,6 +46,7 @@ from .groups import BugTrapError, CosetSpace, check_work_budget
 
 SPHERICAL_RESIDUAL_TOL = 1e-10
 EIG_CLUSTER_TOL = 1e-8
+_BLOCK = 2 ** 18        # most counts of op, or functional-equation terms, held at once
 
 __all__ = [
     "BiinvariantMeasure",
@@ -113,8 +116,8 @@ class SphericalFunction:
 
 
 class _HeckeStructure:
-    """Per-space data, kept on the space: operator matrices, commutativity,
-    sphericals."""
+    """Per-space data, kept on the space: the operators, read one slice at
+    a time, commutativity, sphericals."""
 
     def __init__(self, space: CosetSpace):
         self.space = space
@@ -122,28 +125,35 @@ class _HeckeStructure:
         self.d = dcp.num_classes
         group = space.group
         check_work_budget(self.d ** 3, f"{group.name} with {self.d} double cosets: "
-                                       "the Hecke operator tensor")
+                                       "the Hecke operators")
         # op[j][k, i] = #{y in class j : rep_k y^-1 in class i}.  y^-1 runs
         # over the |K| elements of each coset c with orb[0, c] = j*, and
         # rep_k y^-1 then lies in class orb[r_k, c], r_k the coset of rep_k^-1
         orb = space.orbitals
         r = space.coset_of[group.inv[list(dcp.representatives)]]
         self.inverse_class = tuple(orb[0, r].tolist())
-        flat = (orb[0] * self.d + np.arange(self.d)[:, None]) * self.d + orb[r]
-        counts = np.bincount(flat.ravel(), minlength=self.d ** 3).reshape((self.d,) * 3)
-        self.op = space.k_size * counts[list(self.inverse_class)]
+        # so coset c counts at [k, c] = (k d + j*) d + i of a flat [k, j*, i] array
+        self._places = (np.arange(self.d)[:, None] * self.d + orb[0]) * self.d + orb[r]
         self.class_sizes = dcp.class_sizes
         self._witness = self._find_witness()
 
+    def _slices(self):
+        """op[:, k, :] for k = 0, 1, ..., d - 1, counted a block of at most
+        _BLOCK counts at a time."""
+        d, step = self.d, max(1, _BLOCK // self.d ** 2)
+        for start in range(0, d, step):
+            places = self._places[start:start + step] - start * d * d
+            counts = np.bincount(places.ravel(), minlength=len(places) * d * d)
+            yield from self.space.k_size * counts.reshape(-1, d, d)[:, list(self.inverse_class)]
+
+    # the d x d x d operators op[j, k, i], which only `convolve` reads
+    op = cached_property(lambda self: np.stack(list(self._slices()), axis=1))
+
     def _find_witness(self):
         # commutativity of the basis: op[j, k, i] equals op[i, k, j]
-        diff = self.op != self.op.transpose(2, 1, 0)
-        if not diff.any():
-            return None
-        bad = np.argwhere(diff.any(axis=1))
-        j, i = min((int(a), int(b)) for a, b in bad)
-        dcp = self.space.double_cosets
-        return (dcp.representatives[j], dcp.representatives[i])
+        bad = np.argwhere(sum(s != s.T for s in self._slices()))
+        reps = self.space.double_cosets.representatives
+        return (reps[bad[0, 0]], reps[bad[0, 1]]) if len(bad) else None
 
     @cached_property
     def _spherical_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -195,17 +205,17 @@ class _HeckeStructure:
         an all-integer spectrum fixes every value as a fraction; the float
         table is the fallback.  A bug trap, stating the smallest relative
         eigenvalue gap, when neither table certifies."""
-        vectors, gap = _eigenvectors_float(self.op, self.class_sizes, coefficients)
-        # (op[j] @ v)[0] for every j and v at once
-        lam = vectors @ self.op[:, 0, :].T.astype(complex)
-        tol = EIG_CLUSTER_TOL * (1.0 + np.abs(self.op).sum(axis=2).max(axis=1))
+        generic = np.array([coefficients @ s for s in self._slices()])
+        vectors, gap = _eigenvectors_float(generic, self.class_sizes)
+        # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
+        inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
+        lam = vectors.take(inv, axis=1) * sizes + 0j      # complex; -0 becomes +0
+        tol = EIG_CLUSTER_TOL * (1.0 + sizes)
         rounded = np.rint(lam.real)
         if np.all(np.abs(lam - rounded) <= tol):
             phi = rounded.astype(np.int64)
             # class c holds lambda at the inverse class (an involution) over its size
-            inv = list(self.inverse_class)
-            sizes = [self.class_sizes[i] for i in inv]
-            values = [list(map(Fraction, row, sizes)) for row in phi[:, inv].tolist()]
+            values = [list(map(Fraction, row, sizes[inv].tolist())) for row in phi[:, inv].tolist()]
             table, scale = _scaled_integers(values, self.space.k_size)
             if len(np.unique(phi, axis=0)) == len(phi) and self._excess(table, scale) == 0:
                 return phi, table, True
@@ -237,7 +247,8 @@ def _scaled_integers(rows, k_size: int) -> tuple[np.ndarray, int]:
 
 def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     """max over x, y in points of |scale * sum_{k in K} t(xky) - |K| t(x) t(y)|
-    over the rows t of table (values on the group).
+    over the rows t of table (values on the group), a block of at most
+    _BLOCK terms, and at least one row, at a time.
 
     A table t = scale * f turns the functional equation of f into this
     integer identity, so the check is exact for integer tables.  For a
@@ -245,14 +256,18 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     f(k1 a k2 k k3 b k4) averages over k to the value at a, b."""
     mul = space.group.mul
     points = np.asarray(points, dtype=np.intp)
-    check_work_budget(math.prod(table.shape[:-1]) * len(points) ** 2,
+    step = max(1, _BLOCK // len(points) ** 2)
+    check_work_budget(min(step, len(table)) * len(points) ** 2,
                       f"{space.group.name}: the functional-equation check")
-    acc = np.zeros(table.shape[:-1] + (len(points), len(points)), dtype=table.dtype)
-    for k in space.k_members:
-        acc += table[..., mul[mul[points, k][:, None], points[None, :]]]
-    at = table[..., points]
-    excess = scale * acc - space.k_size * at[..., :, None] * at[..., None, :]
-    return np.abs(excess).max()
+    excess = []
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        acc = np.zeros((len(block), len(points), len(points)), dtype=table.dtype)
+        for k in space.k_members:
+            acc += block[:, mul[mul[points, k][:, None], points[None, :]]]
+        at = block[:, points]
+        excess.append(np.abs(scale * acc - space.k_size * at[:, :, None] * at[:, None, :]).max())
+    return np.max(excess)
 
 
 def _generic_coefficients(d: int):
@@ -266,7 +281,7 @@ def _generic_coefficients(d: int):
     yield "complex", rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
-def _eigenvectors_float(op: np.ndarray, class_sizes, coefficients) -> tuple[np.ndarray, float]:
+def _eigenvectors_float(generic: np.ndarray, class_sizes) -> tuple[np.ndarray, float]:
     """The eigenvectors of the generic element, one row each, normalized to
     1 at the identity class, and the smallest gap between two of its
     eigenvalues relative to its size.  It is solved in the coordinates
@@ -274,8 +289,7 @@ def _eigenvectors_float(op: np.ndarray, class_sizes, coefficients) -> tuple[np.n
     eigenvectors are well conditioned.  A bug trap when that gap is below
     EIG_CLUSTER_TOL, since the eigenvectors then need not be joint ones,
     or when a vector vanishes at the identity."""
-    d = op.shape[0]
-    generic = np.tensordot(coefficients, op, axes=1)
+    d = len(generic)
     root = np.sqrt(np.asarray(class_sizes, dtype=float))
     eigvals, eigvecs = np.linalg.eig(generic * root[:, None] / root)
     gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag(np.full(d, np.inf))
@@ -410,9 +424,9 @@ def check_spherical(space: CosetSpace, f: Sequence) -> float:
     points = np.arange(space.group.order)
     if all(isinstance(x, (int, Fraction)) for x in f):
         table, scale = _scaled_integers([[Fraction(x) for x in f]], space.k_size)
-        excess = _equation_excess(space, table[0], points, scale)
+        excess = _equation_excess(space, table, points, scale)
         return float(Fraction(int(excess), space.k_size * scale * scale))
-    table = np.asarray([complex(x) for x in f])
+    table = np.asarray([[complex(x) for x in f]])
     return float(_equation_excess(space, table, points) / space.k_size)
 
 
@@ -435,9 +449,9 @@ def reverse_function(f: SphericalFunction) -> SphericalFunction:
     """x -> f(x^{-1}); spherical whenever f is."""
     st = hecke_structure(f.space)
     values = tuple(f.values[c] for c in st.inverse_class)
-    table, = _algebra_arrays(values)
-    # (op[j] @ values)[0] for every j: values is 1 at the identity class
-    return SphericalFunction(f.space, values, tuple(st.op[:, 0, :] @ table), f.exact)
+    table, = _algebra_arrays(f.values)
+    # eigenvalue (op[j] @ values)[0] = |C_j| values[j*] = |C_j| f(class j)
+    return SphericalFunction(f.space, values, tuple(table * st.class_sizes), f.exact)
 
 
 def spherical_table_csv(space: CosetSpace) -> str:

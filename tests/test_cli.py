@@ -679,6 +679,65 @@ def test_finite_check_z200_still_decides(tmp_path):
     assert report["agreement"] and report["verdict"] == "NotPompeiu"
 
 
+def test_finite_check_z215_fits_in_500_mb(tmp_path):
+    """Z215 with K = {e}, the largest cyclic space the work budget admits,
+    decides under a 500 MB address-space limit and writes the report it
+    writes without one: no decision holds a d x d x d array."""
+    args = ["finite", "check", "--group", _cyclic_file(tmp_path, 215), "--set", "0,1",
+            "--out"]
+    proc = _run_limited(args + [str(tmp_path / "limited.json")], tmp_path, memory_mb=500)
+    assert proc.returncode == 0, proc.stderr
+    subprocess.run([sys.executable, "-m", "pompeiu.cli", *args, str(tmp_path / "free.json")],
+                   env=_child_env(), cwd=tmp_path, check=True, timeout=60)
+    assert (tmp_path / "limited.json").read_bytes() == (tmp_path / "free.json").read_bytes()
+
+
+def test_finite_check_out_of_memory_exits_2(tmp_path):
+    """D2520 with a reflection under a 1000 MB address-space limit runs out
+    of memory while its group table is built, before the work budget
+    refuses it: one `error:` line and exit 2, not a traceback."""
+    group = tmp_path / "d2520.json"
+    group.write_text(json.dumps({"family": "dihedral", "n": 2520,
+                                 "subgroup_generators": [[(-i) % 2520 for i in range(2520)]]}))
+    proc = _run_limited(["finite", "check", "--group", str(group), "--set", "0,1"],
+                        tmp_path, memory_mb=1000)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _finite_specs():
+    """The acceptance suite, D16 with a reflection and Z18 with K = {e}."""
+    def dihedral(n):
+        return {"family": "dihedral", "n": n,
+                "subgroup_generators": [[(-i) % n for i in range(n)]]}
+    return ([{"family": "cyclic", "n": n, "subgroup_generators": []}
+             for n in (*range(2, 13), 18)]
+            + [{"family": "symmetric", "n": 3, "subgroup_generators": [[1, 0, 2]]},
+               {"family": "symmetric", "n": 4,
+                "subgroup_generators": [[1, 0, 2, 3], [1, 2, 0, 3]]}]
+            + [dihedral(n) for n in (3, 4, 5, 6, 16)])
+
+
+def test_finite_commands_never_build_the_operators(tmp_path, monkeypatch):
+    """`finite check` and `finite sweep` build the Hecke structure of their
+    space and read its operators a slice at a time: neither leaves the
+    d x d x d array `op` on it."""
+    spaces = []
+
+    def recording(*args):
+        spaces.append(CosetSpace(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(cli, "CosetSpace", recording)
+    group, out = tmp_path / "group.json", str(tmp_path / "out")
+    for spec in _finite_specs():
+        group.write_text(json.dumps(spec))
+        for command in (["check", "--set", "0,1"], ["sweep"]):
+            assert main(["finite", *command, "--group", str(group), "--out", out]) == 0
+            assert "op" not in vars(spaces[-1]._cache["hecke"]), (spec, command)
+
+
 def _dft_pompeiu_count(n):
     """Subsets of Z_n (K = {e}) whose indicator has no zero in its DFT,
     the independent count of those with the property."""

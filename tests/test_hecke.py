@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pompeiu import exact_linalg, hecke
 from pompeiu.finite_pompeiu import pompeiu_convolution, pompeiu_spectral
-from pompeiu.groups import BugTrapError, build_coset_space
+from pompeiu.groups import BugTrapError, build_coset_space, build_group
 from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            check_spherical, class_indicator, convolve,
                            delta_sharp, gelfand_witness, hecke_structure,
@@ -160,6 +160,39 @@ def test_not_gelfand_with_witness():
     assert convolve(da, db).coeffs != convolve(db, da).coeffs
     with pytest.raises(NotGelfandPairError, match="not commutative"):
         spherical_functions(space)
+
+
+def _non_gelfand_spaces():
+    """S3, S4, D4 and D6 over {e}, and S5 over the S3 of <(1 2), (2 3)>."""
+    yield symmetric_space(3)
+    yield symmetric_space(4)
+    for n in (4, 6):
+        yield build_coset_space(build_group({"family": "dihedral", "n": n}), [])
+    s5 = build_group({"family": "symmetric", "n": 5})
+    yield build_coset_space(s5, [s5.perms.index((1, 0, 2, 3, 4)),
+                                 s5.perms.index((0, 2, 1, 3, 4))])
+
+
+def test_gelfand_witness_is_the_least_non_commuting_pair():
+    """The witness is the least pair of classes (j, i) with op[j, k, i] !=
+    op[i, k, j] for some k, op[j][k, i] = #{y in C_j : rep_k y^-1 in C_i}
+    counted on the group table, and the error names its representatives."""
+    for space in _non_gelfand_spaces():
+        g, dcp = space.group, space.double_cosets
+        reps, d = dcp.representatives, dcp.num_classes
+        op = np.zeros((d, d, d), dtype=np.int64)
+        for k, rep in enumerate(reps):
+            for y in range(g.order):
+                op[dcp.class_of[y], k, dcp.class_of[g.mul[rep, g.inv[y]]]] += 1
+        j, i = min((j, i) for j in range(d) for i in range(d)
+                   if any(op[j, k, i] != op[i, k, j] for k in range(d)))
+        assert gelfand_witness(space) == (reps[j], reps[i]), space.name
+        labels = g.element_labels
+        with pytest.raises(NotGelfandPairError) as err:
+            spherical_functions(space)
+        assert str(err.value) == (
+            f"{space.name}: convolution not commutative; witnessing double-coset "
+            f"representatives {labels[reps[j]]!r}, {labels[reps[i]]!r}")
 
 
 def test_spherical_functions_are_characters_on_cyclic():
@@ -509,6 +542,36 @@ def test_certification_rejects_shifted_value():
                 assert st._excess(*hecke._scaled_integers(values, space.k_size)) != 0
                 shifted = [values[i][k] for k in space.double_cosets.class_of]
                 assert check_spherical(space, shifted) > 0
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes()
+
+
+def _blocked_tables():
+    """Witness, or tables, exactness and functional-equation excesses, of
+    fresh spaces, a non-Gelfand one among them."""
+    out = []
+    for space in acceptance_suite() + _larger_pairs() + [symmetric_space(4)]:
+        st = hecke_structure(space)
+        if st._witness is not None:
+            out.append(st._witness)
+            continue
+        table, scale = st.class_values, (st.class_values[0, 0] if st.exact else 1)
+        f = spherical_functions(space)[-1].on_group()
+        out.append((_bits(st.phi_matrix), _bits(table), st.exact, st._excess(table, scale),
+                    st._excess(table + 1, scale), check_spherical(space, f)))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 62], ids=["one", "all"])
+def test_blocks_change_no_bit(block, monkeypatch):
+    """op counted one class at a time or all at once, and the functional
+    equation checked one row at a time or all at once, give the witness,
+    tables and excesses of the default blocks, bit for bit."""
+    expected = _blocked_tables()
+    monkeypatch.setattr(hecke, "_BLOCK", block)
+    assert _blocked_tables() == expected
 
 
 def test_exact_and_float_paths_skip_char_poly(monkeypatch):
