@@ -1,11 +1,11 @@
 """Batch front end: group/shape specs in, decision reports out.
 
-Exit codes: 0 success, 2 malformed spec, parameter, size cap, work
-budget or memory, 3 a bug trap (a method disagreement, a witness that
-fails its recheck or a failed internal check; never expected), 4 not a
-Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a fixed
-config and seed.  Every command runs in one thread: --threads and the
-POMPEIU_THREADS environment variable are accepted for old scripts and
+Exit codes: 0 success, 2 malformed or unreadable spec, parameter, size
+cap, work budget or memory, 3 a bug trap (a method disagreement, a witness
+that fails its recheck or a failed internal check; never expected), 4 not
+a Gelfand pair, 5 quadrature failure.  Reports are byte-stable for a
+fixed config and seed.  Every command runs in one thread: --threads and
+the POMPEIU_THREADS environment variable are accepted for old scripts and
 ignored.  The argument parser is built once per process: `main` can run
 many commands in one process, and parsing leaves the parser unchanged.
 """
@@ -23,10 +23,10 @@ import numpy as np
 
 from .euclidean import (DEFAULT_GRID, DEFAULT_LAMBDA_RANGE, DEFAULT_VANISH_TOL,
                         EuclidReport, convolution_test, euclid_decide)
-from .finite_pompeiu import (BugTrapError, EmptySetError, PompeiuInstance,
-                             enumerate_all, pompeiu_convolution,
-                             pompeiu_oracle, pompeiu_spectral, recheck_witness)
-from .groups import CosetSpace, GroupSpecError, load_group_spec
+from .finite_pompeiu import (BugTrapError, PompeiuInstance, enumerate_all,
+                             pompeiu_convolution, pompeiu_oracle,
+                             pompeiu_spectral, recheck_witness)
+from .groups import CosetSpace, load_group_spec
 from .hecke import NotGelfandPairError
 from .quadrature import DEFAULT_TOL, QuadratureError
 from .shapes import load_set_spec, set_to_spec
@@ -255,8 +255,7 @@ def main(argv=None) -> int:
     except BugTrapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except (GroupSpecError, EmptySetError, ValueError, KeyError,
-            json.JSONDecodeError, FileNotFoundError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

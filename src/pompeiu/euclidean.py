@@ -28,13 +28,12 @@ arithmetic), each row summed as it comes.  On a radial shape the integral
 depends on x only through |x|: x moves to (|x|, 0) and the rule is the
 shape's `MeridianRule`, the full rule folded onto the meridian half-plane
 (in 3-space without its azimuthal sum, 2 * order times fewer nodes; in the
-plane on half of its angles).
+plane on half of its angles).  A report is a frozen value, with no timing.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,7 +358,6 @@ class OrbitCheck:
     vanishes: bool
     max_magnitude: float
     worst_direction: tuple
-    tol: float
 
 
 def complex_sphere_vanishes(shape: EuclideanSet, lam: complex,
@@ -378,7 +376,7 @@ def complex_sphere_vanishes(shape: EuclideanSet, lam: complex,
     dirs = rotation_directions(shape.dim, count)
     maxima, worst = _orbit_maxima(shape, np.array([lam]), dirs)
     mag = float(maxima[0])
-    return OrbitCheck(mag < tol * shape.volume, mag, tuple(dirs[worst[0]]), tol)
+    return OrbitCheck(mag < tol * shape.volume, mag, tuple(dirs[worst[0]]))
 
 
 def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
@@ -612,7 +610,7 @@ def random_motions(dim: int, count: int, seed: int,
 # decision procedure
 
 
-@dataclass
+@dataclass(frozen=True)
 class EuclidReport:
     verdict: str                      # "NotPompeiu" | "NoFailureFoundInRange"
     lambda_witnesses: list
@@ -622,7 +620,6 @@ class EuclidReport:
     tolerances: dict
     caveat: str
     landscape: list | None = None
-    seconds: float = 0.0
 
 
 _CAVEAT = ("search covers real frequencies in the given range plus any "
@@ -654,7 +651,6 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
         raise ValueError(f"empty frequency range {lam_range[0]}:{lam_range[1]}")
     if rotation_samples is not None and not 1 <= rotation_samples <= MAX_GRID_POINTS:
         raise ValueError(f"rotation samples must be in 1..{MAX_GRID_POINTS}, got {rotation_samples}")
-    t0 = time.perf_counter()
     count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
     tolerances = {"vanish": vanish_tol, "quadrature": quad_tol,
                   "bisect": BISECT_TOL}
@@ -684,8 +680,7 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
         raise BugTrapError("a zero frequency leaked into the witness list")
     verdict = "NotPompeiu" if witnesses else "NoFailureFoundInRange"
     return EuclidReport(verdict, witnesses, tuple(lam_range), grid, count,
-                        tolerances, _CAVEAT, landscape,
-                        time.perf_counter() - t0)
+                        tolerances, _CAVEAT, landscape)
 
 
 def _confirm_candidate(shape, lam, quad_tol: float, vanish_tol: float) -> bool:

@@ -30,13 +30,13 @@ witness).
 
 The three verdicts must agree on every Gelfand-pair instance; any
 disagreement, like any failed internal check (`BugTrapError`), is a bug,
-never silently resolved.
+never silently resolved.  An instance checks its subset once, when built;
+a report is a frozen value, the decision and its witness, with no timing.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -86,21 +86,18 @@ class PompeiuInstance:
     subset: frozenset
 
     def __post_init__(self):
+        if not self.subset:
+            raise EmptySetError("subset of cosets must be nonempty")
         for c in self.subset:
             if not 0 <= int(c) < self.space.num_cosets:
                 raise ValueError(f"coset index {c} out of range")
 
-    def require_nonempty(self):
-        if not self.subset:
-            raise EmptySetError("subset of cosets must be nonempty")
 
-
-@dataclass
+@dataclass(frozen=True)
 class DecisionReport:
     verdict: str                      # "Pompeiu" | "NotPompeiu"
     method: str                       # "oracle" | "spectral" | "convolution"
     witness: dict | None
-    seconds: float = 0.0
 
     @property
     def has_property(self) -> bool:
@@ -203,10 +200,8 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     against every translate, is the witness.  A trivial kernel is checked
     against the translate test where that is exact, up to 22 columns."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
     space, bits = inst.space, _bits(inst)
     _check_oracle_budget(space)
-    t0 = time.perf_counter()
     full = _gram_full_rank(space, bits)[0]
     matrix = translate_matrix(inst)
     kernel = [] if full else xla.nullspace(matrix)
@@ -214,7 +209,7 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
         if (not full and _rank_exact(space.num_cosets)
                 and not _translate_full_rank(space, bits)[0]):
             raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
-        return DecisionReport("Pompeiu", "oracle", None, time.perf_counter() - t0)
+        return DecisionReport("Pompeiu", "oracle", None)
     h = kernel[0]
     scale = math.lcm(*(x.denominator for x in h))
     scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
@@ -222,7 +217,7 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     if np.any(np.asarray(matrix, dtype=object) @ scaled):
         raise BugTrapError("oracle kernel witness failed recheck")
     witness = {"kernel": [float(x) for x in h]}
-    return DecisionReport("NotPompeiu", "oracle", witness, time.perf_counter() - t0)
+    return DecisionReport("NotPompeiu", "oracle", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,6 @@ def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]
     """One biinvariant measure per transversal element g: the reversed
     lifted indicator of E convolved with the indicator of the coset gK."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
     rows = _generator_rows(inst.space, _bits(inst))[0]
     return [BiinvariantMeasure(inst.space, tuple(Fraction(int(v)) for v in row))
             for row in rows]
@@ -334,30 +328,26 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     """Common zero set of the ideal generators (they generate, and the
     homomorphisms are multiplicative, so the generators suffice)."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
     zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
     return frozenset(np.flatnonzero(zeros).tolist())
 
 
-def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray,
-                      t0: float) -> DecisionReport:
+def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray) -> DecisionReport:
     """NotPompeiu with the first spherical function flagged in zeros as the
     witness, or Pompeiu when none is."""
     hits = np.flatnonzero(zeros)
     if hits.size == 0:
-        return DecisionReport("Pompeiu", method, None, time.perf_counter() - t0)
+        return DecisionReport("Pompeiu", method, None)
     witness = {"spherical_index": int(hits[0]),
                "values": [_c2pair(v) for v in spherical_functions(space)[hits[0]].values]}
-    return DecisionReport("NotPompeiu", method, witness, time.perf_counter() - t0)
+    return DecisionReport("NotPompeiu", method, witness)
 
 
 def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function kills the whole ideal."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
-    t0 = time.perf_counter()
     zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
-    return _spherical_report("spectral", inst.space, zeros, t0)
+    return _spherical_report("spectral", inst.space, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +392,8 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function convolves the reversed
     lifted indicator to zero; checked exhaustively on the group."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
-    t0 = time.perf_counter()
     zeros = _convolution_zeros(inst.space, _bits(inst))[0]
-    return _spherical_report("convolution", inst.space, zeros, t0)
+    return _spherical_report("convolution", inst.space, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -429,31 +417,28 @@ def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
     """Single-measure decision, available when the lifted indicator is
     already biinvariant; returns None when not applicable."""
     inst = _instance(space_or_instance, subset)
-    inst.require_nonempty()
     space = inst.space
     inside = _biinvariant_lift(space, inst.subset)
     if inside is None:
         return None
-    t0 = time.perf_counter()
     # class coefficients of the reversed indicator x -> [x^{-1} lies in E~]
     reps = np.asarray(space.double_cosets.representatives)
     coeffs = inside[space.coset_of[space.group.inv[reps]]].astype(np.int64)
     zeros = _common_zeros(space, coeffs[None, None, :])[0]
-    return _spherical_report("radial-shortcut", space, zeros, t0)
+    return _spherical_report("radial-shortcut", space, zeros)
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     """The counts of a sweep; its rows go to the sink of `enumerate_all`."""
     space_name: str
     subsets: int
     pompeiu_count: int
     disagreements: int
-    seconds: float
 
     def summary(self) -> dict:
         return {"space": self.space_name, "subsets": self.subsets,
@@ -524,7 +509,6 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
             f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max subset size must be >= 1, got {max_size}")
-    t0 = time.perf_counter()
     n = space.num_cosets
     labels = [f"spherical:{i}" for i in range(len(spherical_functions(space)))]
     _check_oracle_budget(space)
@@ -548,21 +532,15 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
         subsets += len(masks)
         if sink is not None:
             sink(masks, codes, verdicts)
-    return SweepResult(space.name, subsets, pompeiu, disagreements,
-                       time.perf_counter() - t0)
+    return SweepResult(space.name, subsets, pompeiu, disagreements)
 
 
 # ---------------------------------------------------------------------------
 # witness rechecking
 
 
-def recheck_witness(space_or_instance, subset, report: DecisionReport | None = None) -> bool:
-    """Verify a NotPompeiu witness independently of how it was produced."""
-    if report is None:
-        report = subset
-        inst = _instance(space_or_instance, None)
-    else:
-        inst = _instance(space_or_instance, subset)
+def recheck_witness(inst: PompeiuInstance, report: DecisionReport) -> bool:
+    """Verify a NotPompeiu witness for inst against the definition itself."""
     if report.witness is None:
         return False
     space = inst.space

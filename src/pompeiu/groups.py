@@ -7,9 +7,11 @@ lexicographic one-line order for symmetric groups, breadth-first discovery
 for generated permutation groups), so element and coset indices are stable
 across runs.
 
-Every group carries a generating set.  Permutation-group tables are filled
-along its Cayley graph, and each table is proved a group from it: it must
-generate the table, and Light's test on it proves associativity.
+Every group carries a generating set, which must generate its table.  The
+families' tables are associative by construction: residue arithmetic, or
+composition, each row filled along the Cayley graph by a checked left
+translation.  Light's test proves any table associative up to order 256;
+a raw table above that, given through the Python API, is only sampled.
 
 A coset space reads the table once, for its action on the cosets.  Its
 double cosets are the K-orbits on the cosets and its orbitals the G-orbits
@@ -19,6 +21,8 @@ on pairs of cosets, so K-biinvariant data is built on n cosets, not |G|.
 from __future__ import annotations
 
 import json
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,6 +70,22 @@ def check_work_budget(size: int, what: str) -> None:
     if size > WORK_BUDGET:
         raise GroupSpecError(f"{what} has size {size}, over the work budget "
                              f"of {WORK_BUDGET}")
+
+
+_SPEC_KINDS = {"an object": Mapping, "a list": (list, tuple),
+               "an integer": numbers.Integral, "a number": numbers.Real}
+
+
+def _spec_value(value, what: str, kind: str):
+    """value if it is kind (a key of _SPEC_KINDS) and no bool, else GroupSpecError naming what."""
+    if isinstance(value, bool) or not isinstance(value, _SPEC_KINDS[kind]):
+        raise GroupSpecError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> list[int]:
+    return [int(_spec_value(x, f"{what} entry", "an integer"))
+            for x in _spec_value(value, what, "a list")]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +408,20 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
 
 def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build from a spec dict: {"family": ..., "n": ..., "generators": ...}."""
-    family = spec.get("family")
+    family = _spec_value(spec, "group spec", "an object").get("family")
+    if family in ("cyclic", "dihedral", "symmetric"):
+        n = int(_spec_value(spec["n"], "n", "an integer"))
     if family in ("cyclic", "dihedral"):
-        n = int(spec["n"])
         order = n if family == "cyclic" else 2 * n
         if order > order_cap:
             raise GroupSpecError(f"order {order} exceeds cap {order_cap}")
         return cyclic_group(n) if family == "cyclic" else dihedral_group(n)
     if family == "symmetric":
-        return symmetric_group(int(spec["n"]), order_cap=order_cap)
+        return symmetric_group(n, order_cap=order_cap)
     if family == "permutations":
-        return group_from_permutations(spec["generators"], order_cap=order_cap)
+        gens = _spec_value(spec["generators"], "generators", "a list")
+        return group_from_permutations([_integers(g, "generator") for g in gens],
+                                       order_cap=order_cap)
     raise GroupSpecError(f"unknown group family: {family!r}")
 
 
@@ -473,24 +496,19 @@ def load_group_spec(source) -> tuple[FiniteGroup, list[int]]:
     Subgroup generators are residues for the cyclic family and 0-based
     one-line permutation images otherwise.
     """
+    spec = source
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             spec = json.load(fh)
-    else:
-        spec = dict(source)
     group = build_group(spec)
-    sub = spec.get("subgroup_generators", [])
+    sub = _spec_value(spec.get("subgroup_generators", []), "subgroup_generators", "a list")
     k_gens: list[int] = []
     if spec.get("family") == "cyclic":
-        for r in sub:
-            k_gens.append(int(r) % group.order)
+        k_gens = [r % group.order for r in _integers(sub, "subgroup_generators")]
     elif sub:
-        if group.perms is None:
-            raise GroupSpecError("subgroup generators by permutation require a "
-                                 "permutation-constructed group")
         lookup = {p: i for i, p in enumerate(group.perms)}
         for p in sub:
-            t = tuple(int(x) for x in p)
+            t = tuple(_integers(p, "subgroup generator"))
             if t not in lookup:
                 raise GroupSpecError(f"subgroup generator {p} not in group")
             k_gens.append(lookup[t])

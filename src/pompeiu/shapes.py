@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .groups import _spec_value
+
 __all__ = [
     "Ball",
     "Annulus",
@@ -46,8 +48,8 @@ class Ball:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"unsupported dimension {self.dim}")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -80,8 +82,8 @@ class Annulus:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"unsupported dimension {self.dim}")
-        if not 0 < self.inner < self.outer:
-            raise ValueError("need 0 < inner < outer")
+        if not 0 < self.inner < self.outer < math.inf:
+            raise ValueError("need 0 < inner < outer < inf")
 
     @property
     def volume(self) -> float:
@@ -339,16 +341,22 @@ def _simplex_nodes(simplex: np.ndarray, order: int):
 
 def parse_set(spec: dict) -> EuclideanSet:
     """Build a shape from its JSON spec dict."""
-    kind = spec.get("shape")
-    dim = int(spec.get("dim", 2))
+    kind = _spec_value(spec, "shape spec", "an object").get("shape")
+    dim = int(_spec_value(spec.get("dim", 2), "dim", "an integer"))
+
+    def number(key):
+        return float(_spec_value(spec[key], key, "a number"))
     if kind == "ball":
-        return Ball(float(spec["radius"]), dim)
+        return Ball(number("radius"), dim)
     if kind == "annulus":
-        return Annulus(float(spec["inner"]), float(spec["outer"]), dim)
+        return Annulus(number("inner"), number("outer"), dim)
     if kind == "polytope":
-        return Polytope(spec["vertices"], dim)
+        return Polytope([[_spec_value(x, "vertex coordinate", "a number")
+                          for x in _spec_value(v, "vertex", "a list")]
+                         for v in _spec_value(spec["vertices"], "vertices", "a list")], dim)
     if kind == "union":
-        return DisjointUnion([parse_set(m) for m in spec["members"]])
+        return DisjointUnion([parse_set(_spec_value(m, "union member", "an object"))
+                              for m in _spec_value(spec["members"], "members", "a list")])
     raise ValueError(f"unknown shape kind: {kind!r}")
 
 

@@ -280,7 +280,7 @@ def test_finite_sweep_writes_every_witness_kind(tmp_path, monkeypatch):
     def fake_sweep(space, max_size, sink):
         for chunk in chunks:
             sink(*chunk)
-        return finite_pompeiu.SweepResult(space.name, 5, 3, 0, 0.0)
+        return finite_pompeiu.SweepResult(space.name, 5, 3, 0)
     monkeypatch.setattr(cli, "enumerate_all", fake_sweep)
     out = tmp_path / "sweep.csv"
     assert main(["finite", "sweep", "--group", _cyclic_file(tmp_path, 4),
@@ -793,3 +793,41 @@ def test_finite_commands_do_not_import_scipy(tmp_path):
         env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == "[]"
+
+
+_UNION = {"dim": 2, "shape": "union", "members": [{"dim": 2, "shape": "ball", "radius": 1.0}, [1]]}
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("finite", []),
+    ("finite", None),
+    ("euclid", []),
+    ("euclid", None),
+    ("euclid", _UNION),
+    ("finite", {"family": "cyclic", "n": [6]}),
+    ("finite", {"family": "cyclic", "n": 6, "subgroup_generators": 5}),
+    ("finite", {"family": "permutations", "generators": 5}),
+    ("euclid", {"dim": 2, "shape": "ball", "radius": None}),
+    ("finite", "directory"),
+    ("finite", {"family": "cyclic", "n": 6, "subgroup_generators": [2.5]}),
+    ("finite", {"family": "cyclic", "n": True}),
+], ids=["group-list", "group-null", "shape-list", "shape-null", "union-member-list",
+        "n-list", "subgroup-generators-int", "generators-int", "radius-null",
+        "group-directory", "subgroup-generator-float", "n-true"])
+def test_malformed_spec_exits_2(command, spec, tmp_path):
+    """A spec that is not an object, a field of the wrong type or a path
+    that is not a file exits 2 with one `error:` line, never a traceback
+    (exit 1) or a silent reading (exit 0)."""
+    path = tmp_path / "spec"
+    if spec == "directory":
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(spec))
+    args = (["finite", "check", "--group", str(path), "--set", "0"] if command == "finite"
+            else ["euclid", "decide", "--set", str(path), "--lambda-range", "0:5"])
+    proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", *args],
+                          env=_child_env(), cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -294,6 +294,32 @@ def test_load_group_spec_cyclic_residues():
     assert space.num_cosets == 4
 
 
+def test_spec_readers_take_tuples_and_numpy_integers():
+    group, k_gens = load_group_spec({"family": "cyclic", "n": np.int64(12),
+                                     "subgroup_generators": (np.int64(4),)})
+    assert (group.order, k_gens) == (12, [4])
+    group, k_gens = load_group_spec({"family": "permutations",
+                                     "generators": ((1, 0, 2), (1, 2, 0)),
+                                     "subgroup_generators": ((1, 0, 2),)})
+    assert (group.order, group.perms[k_gens[0]]) == (6, (1, 0, 2))
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"family": "cyclic", "n": value}, "n must be an integer")
+    for value in (True, 2.5, "6", None, [6])] + [
+    ({"family": "dihedral", "n": 4, "subgroup_generators": None}, "subgroup_generators must be a list"),
+    ({"family": "cyclic", "n": 4, "subgroup_generators": ["1"]}, "subgroup_generators entry"),
+    ({"family": "permutations", "generators": [[1, 0, 2], 5]}, "generator must be a list"),
+    ({"family": "permutations", "generators": [[1.0, 0, 2]]}, "generator entry"),
+    ({"family": "symmetric", "n": 3, "subgroup_generators": [[1, 0, False]]},
+     "subgroup generator entry"),
+    ("cyclic", "group spec must be an object"),
+])
+def test_spec_fields_of_the_wrong_type_are_refused(spec, field):
+    with pytest.raises(GroupSpecError, match=field):
+        load_group_spec(spec) if isinstance(spec, dict) else build_group(spec)
+
+
 def test_load_group_spec_rejects_stranger():
     with pytest.raises(GroupSpecError):
         load_group_spec({"family": "symmetric", "n": 3,

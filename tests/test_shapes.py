@@ -163,3 +163,28 @@ def test_load_set_spec_from_file(tmp_path):
     assert shape.radius == 1.0
     with pytest.raises(ValueError, match="unknown shape"):
         parse_set({"shape": "mug", "dim": 2})
+
+
+def test_parse_set_takes_tuples_and_numpy_numbers():
+    shape = parse_set({"dim": np.int64(2), "shape": "polytope",
+                       "vertices": ((0, 0), (np.float64(1.0), 0), (0, 1))})
+    assert shape.volume == 0.5
+    assert parse_set({"shape": "ball", "radius": np.float32(2.0)}).radius == 2.0
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"shape": "ball", "radius": "1"}, "radius must be a number"),
+    ({"shape": "annulus", "inner": 1, "outer": True}, "outer must be a number"),
+    ({"shape": "ball", "radius": 1, "dim": 2.0}, "dim must be an integer"),
+    ({"shape": "polytope", "vertices": {"0": [0, 0]}}, "vertices must be a list"),
+    ({"shape": "polytope", "vertices": [[0, 0], 1, [0, 1]]}, "vertex must be a list"),
+    ({"shape": "polytope", "vertices": [[0, 0], [1, "0"], [0, 1]]}, "vertex coordinate"),
+    ({"shape": "union", "members": {"shape": "ball", "radius": 1}}, "members must be a list"),
+    ({"shape": "union", "members": ["ball"]}, "union member must be an object"),
+    (["ball"], "shape spec must be an object"),
+    ({"shape": "ball", "radius": math.inf}, "radius must be positive and finite"),
+    ({"shape": "annulus", "inner": 1, "outer": math.inf}, "need 0 < inner < outer < inf"),
+])
+def test_spec_fields_of_the_wrong_type_are_refused(spec, field):
+    with pytest.raises(ValueError, match=field):
+        parse_set(spec)
