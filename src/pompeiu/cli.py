@@ -151,7 +151,7 @@ def cmd_euclid(args: argparse.Namespace) -> int:
         "grid": report.grid,
         "rotation_samples": report.rotation_samples,
         "seed": args.seed,
-        "tolerances": report.tolerances,
+        "tolerances": dict(report.tolerances),
         "caveat": report.caveat,
     }
     complex_wits = [[complex(w).real, complex(w).imag]

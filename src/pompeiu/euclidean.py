@@ -58,10 +58,11 @@ SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
-# quadrature.  On the meridian rules, blocks of 2^14..2^20 took 0.36-0.51 s
-# for the radial benchmark's residuals at seed 1 (2 vCPUs, 3 runs each, no
-# trend past the noise) at a peak RSS of 82-85 MB, that of a process running
-# no quadrature at all: the rules are at most a few 10^4 nodes.
+# quadrature.  On the meridian rules with the Horner-rule kernels, blocks of
+# 2^14..2^20 took 0.26-0.42 s for the radial benchmark's residuals at seed 1
+# (2 vCPUs, 3 runs each, no trend past the noise) at a peak RSS of 82-85 MB,
+# near that of a process running no quadrature at all: the rules are at most
+# a few 10^4 nodes.
 RESIDUAL_BLOCK = 1 << 17
 
 __all__ = [
@@ -612,14 +613,15 @@ def random_motions(dim: int, count: int, seed: int,
 
 @dataclass(frozen=True)
 class EuclidReport:
+    """A decision as a hashable value: tuples only."""
     verdict: str                      # "NotPompeiu" | "NoFailureFoundInRange"
-    lambda_witnesses: list
+    lambda_witnesses: tuple
     searched_range: tuple
     grid: float
     rotation_samples: int
-    tolerances: dict
+    tolerances: tuple                 # (name, value) pairs
     caveat: str
-    landscape: list | None = None
+    landscape: tuple | None = None    # (lambda, orbit maximum) pairs
 
 
 _CAVEAT = ("search covers real frequencies in the given range plus any "
@@ -652,8 +654,6 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
     if rotation_samples is not None and not 1 <= rotation_samples <= MAX_GRID_POINTS:
         raise ValueError(f"rotation samples must be in 1..{MAX_GRID_POINTS}, got {rotation_samples}")
     count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
-    tolerances = {"vanish": vanish_tol, "quadrature": quad_tol,
-                  "bisect": BISECT_TOL}
     landscape = [] if collect_landscape else None
     witnesses: list = []
     if shape.is_radial:
@@ -679,8 +679,11 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
     if any(complex(w) == 0 for w in witnesses):
         raise BugTrapError("a zero frequency leaked into the witness list")
     verdict = "NotPompeiu" if witnesses else "NoFailureFoundInRange"
-    return EuclidReport(verdict, witnesses, tuple(lam_range), grid, count,
-                        tolerances, _CAVEAT, landscape)
+    tolerances = (("vanish", vanish_tol), ("quadrature", quad_tol),
+                  ("bisect", BISECT_TOL))
+    return EuclidReport(verdict, tuple(witnesses), tuple(lam_range), grid, count,
+                        tolerances, _CAVEAT,
+                        None if landscape is None else tuple(landscape))
 
 
 def _confirm_candidate(shape, lam, quad_tol: float, vanish_tol: float) -> bool:

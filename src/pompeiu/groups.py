@@ -83,6 +83,13 @@ def _spec_value(value, what: str, kind: str):
     return value
 
 
+def _spec_field(spec, key: str, kind: str):
+    """spec[key] checked by _spec_value; GroupSpecError if spec has no key."""
+    if key not in spec:
+        raise GroupSpecError(f"spec is missing required field {key!r}")
+    return _spec_value(spec[key], key, kind)
+
+
 def _integers(value, what: str) -> list[int]:
     return [int(_spec_value(x, f"{what} entry", "an integer"))
             for x in _spec_value(value, what, "a list")]
@@ -410,7 +417,7 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build from a spec dict: {"family": ..., "n": ..., "generators": ...}."""
     family = _spec_value(spec, "group spec", "an object").get("family")
     if family in ("cyclic", "dihedral", "symmetric"):
-        n = int(_spec_value(spec["n"], "n", "an integer"))
+        n = int(_spec_field(spec, "n", "an integer"))
     if family in ("cyclic", "dihedral"):
         order = n if family == "cyclic" else 2 * n
         if order > order_cap:
@@ -419,7 +426,7 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if family == "symmetric":
         return symmetric_group(n, order_cap=order_cap)
     if family == "permutations":
-        gens = _spec_value(spec["generators"], "generators", "a list")
+        gens = _spec_field(spec, "generators", "a list")
         return group_from_permutations([_integers(g, "generator") for g in gens],
                                        order_cap=order_cap)
     raise GroupSpecError(f"unknown group family: {family!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import _spec_value
+from .groups import _spec_field, _spec_value
 
 __all__ = [
     "Ball",
@@ -125,7 +125,9 @@ class Polytope:
         try:
             hull = ConvexHull(pts)
         except Exception as exc:
-            raise ValueError(f"degenerate polytope: {exc}") from None
+            # qhull's first line names the fault; the rest is its diagnostic dump
+            first = str(exc).strip().split("\n")[0]
+            raise ValueError(f"degenerate polytope: {first}") from None
         if self.dim == 2:
             self.vertices = v = pts[hull.vertices]      # counter-clockwise
             self._simplices = [v[[0, i, i + 1]] for i in range(1, len(v) - 1)]
@@ -345,7 +347,7 @@ def parse_set(spec: dict) -> EuclideanSet:
     dim = int(_spec_value(spec.get("dim", 2), "dim", "an integer"))
 
     def number(key):
-        return float(_spec_value(spec[key], key, "a number"))
+        return float(_spec_field(spec, key, "a number"))
     if kind == "ball":
         return Ball(number("radius"), dim)
     if kind == "annulus":
@@ -353,10 +355,10 @@ def parse_set(spec: dict) -> EuclideanSet:
     if kind == "polytope":
         return Polytope([[_spec_value(x, "vertex coordinate", "a number")
                           for x in _spec_value(v, "vertex", "a list")]
-                         for v in _spec_value(spec["vertices"], "vertices", "a list")], dim)
+                         for v in _spec_field(spec, "vertices", "a list")], dim)
     if kind == "union":
         return DisjointUnion([parse_set(_spec_value(m, "union member", "an object"))
-                              for m in _spec_value(spec["members"], "members", "a list")])
+                              for m in _spec_field(spec, "members", "a list")])
     raise ValueError(f"unknown shape kind: {kind!r}")
 
 

@@ -782,17 +782,32 @@ def test_finite_commands_do_not_import_scipy(tmp_path):
     """scipy is imported only where a polytope is built: a child that
     imports the CLI and runs a Z6 `finite check` has no scipy module
     loaded."""
+    assert _modules_loaded_by(tmp_path, "finite", "check", "--group", _cyclic_file(tmp_path, 6),
+                              "--set", "0,3", "--out", str(tmp_path / "report.json")) == "[]"
+
+
+def test_radial_residuals_import_neither_scipy_nor_mpmath(disk_file, tmp_path):
+    """The Bessel kernels build their tables with `math` alone: a child that
+    runs the disk's `euclid decide --residuals` has no scipy or mpmath
+    module loaded."""
+    assert _modules_loaded_by(tmp_path, "euclid", "decide", "--set", disk_file,
+                              "--lambda-range", "0:8", "--seed", "1",
+                              "--residuals", str(tmp_path / "res.csv"),
+                              "--out", str(tmp_path / "report.json")) == "[]"
+
+
+def _modules_loaded_by(tmp_path, *argv) -> str:
+    """The scipy and mpmath modules loaded by a child that imports the CLI
+    and runs argv through `main`, as the repr of a sorted list."""
     script = ("import sys\n"
               "from pompeiu.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
               "sys.exit(code)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "finite", "check", "--group",
-         _cyclic_file(tmp_path, 6), "--set", "0,3", "--out", str(tmp_path / "report.json")],
-        env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == "[]"
+    return proc.stdout.split("\n")[-2]
 
 
 _UNION = {"dim": 2, "shape": "union", "members": [{"dim": 2, "shape": "ball", "radius": 1.0}, [1]]}
@@ -811,13 +826,36 @@ _UNION = {"dim": 2, "shape": "union", "members": [{"dim": 2, "shape": "ball", "r
     ("finite", "directory"),
     ("finite", {"family": "cyclic", "n": 6, "subgroup_generators": [2.5]}),
     ("finite", {"family": "cyclic", "n": True}),
+    ("euclid", {"dim": 2, "shape": "polytope", "vertices": [[0, 0], [1, 0], [2, 0]]}),
 ], ids=["group-list", "group-null", "shape-list", "shape-null", "union-member-list",
         "n-list", "subgroup-generators-int", "generators-int", "radius-null",
-        "group-directory", "subgroup-generator-float", "n-true"])
+        "group-directory", "subgroup-generator-float", "n-true", "polytope-flat"])
 def test_malformed_spec_exits_2(command, spec, tmp_path):
-    """A spec that is not an object, a field of the wrong type or a path
-    that is not a file exits 2 with one `error:` line, never a traceback
-    (exit 1) or a silent reading (exit 0)."""
+    """A spec that is not an object, a field of the wrong type, a path
+    that is not a file or a flat polytope exits 2 with one `error:` line,
+    never a traceback (exit 1) or a silent reading (exit 0)."""
+    proc = _run_spec(command, spec, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,spec,field", [
+    ("finite", {"family": "cyclic"}, "n"),
+    ("finite", {"family": "permutations"}, "generators"),
+    ("euclid", {"dim": 2, "shape": "ball"}, "radius"),
+    ("euclid", {"dim": 2, "shape": "union"}, "members"),
+], ids=["group-n", "group-generators", "shape-radius", "shape-members"])
+def test_missing_spec_field_is_named(command, spec, field, tmp_path):
+    """A required field that is absent is named as missing, not as a bare key."""
+    proc = _run_spec(command, spec, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: spec is missing required field {field!r}\n"
+
+
+def _run_spec(command, spec, tmp_path):
+    """`finite check` or `euclid decide` in a child on spec written to a
+    file (or on a directory for spec "directory")."""
     path = tmp_path / "spec"
     if spec == "directory":
         path.mkdir()
@@ -825,9 +863,6 @@ def test_malformed_spec_exits_2(command, spec, tmp_path):
         path.write_text(json.dumps(spec))
     args = (["finite", "check", "--group", str(path), "--set", "0"] if command == "finite"
             else ["euclid", "decide", "--set", str(path), "--lambda-range", "0:5"])
-    proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", *args],
+    return subprocess.run([sys.executable, "-m", "pompeiu.cli", *args],
                           env=_child_env(), cwd=tmp_path, capture_output=True,
                           text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "Traceback" not in proc.stderr

@@ -857,6 +857,19 @@ def test_decide_extra_candidates():
     assert benign.verdict == "NoFailureFoundInRange"
 
 
+def test_reports_are_hashable_values():
+    """A report holds only tuples: two equal decisions are equal and hash
+    equal, with or without a landscape, and nothing in one can change."""
+    first, second = euclid_decide(DISK, (0, 5)), euclid_decide(DISK, (0, 5))
+    assert first == second and hash(first) == hash(second)
+    landscape = euclid_decide(DISK, (0, 5), collect_landscape=True)
+    assert hash(landscape) == hash(euclid_decide(DISK, (0, 5), collect_landscape=True))
+    assert landscape != first
+    assert dict(first.tolerances) == {"vanish": euclidean.DEFAULT_VANISH_TOL,
+                                      "quadrature": euclidean.DEFAULT_TOL,
+                                      "bisect": euclidean.BISECT_TOL}
+
+
 # ---------------------------------------------------------------------------
 # array radial search and shared quadrature rules
 
