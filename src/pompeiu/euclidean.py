@@ -58,12 +58,12 @@ SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
-# quadrature.  On the meridian rules with the Horner-rule kernels, blocks of
-# 2^14..2^20 took 0.26-0.42 s for the radial benchmark's residuals at seed 1
-# (2 vCPUs, 3 runs each, no trend past the noise) at a peak RSS of 82-85 MB,
-# near that of a process running no quadrature at all: the rules are at most
-# a few 10^4 nodes.
-RESIDUAL_BLOCK = 1 << 17
+# quadrature.  The kernels are elementwise, so a block only batches them and
+# the residuals do not depend on its size.  One seed-1 round of the radial
+# benchmark, each in a fresh process (2 vCPUs, 3 runs each), took 0.28-0.31 s
+# at both 2^14 and 2^17 entries and peaked at 81.5-81.8 MB against
+# 84.9-85.3 MB: the meridian rules are at most a few 10^4 nodes.
+RESIDUAL_BLOCK = 1 << 14
 
 __all__ = [
     "ComplexVector",

@@ -7,11 +7,12 @@ lexicographic one-line order for symmetric groups, breadth-first discovery
 for generated permutation groups), so element and coset indices are stable
 across runs.
 
-Every group carries a generating set, which must generate its table.  The
-families' tables are associative by construction: residue arithmetic, or
-composition, each row filled along the Cayley graph by a checked left
-translation.  Light's test proves any table associative up to order 256;
-a raw table above that, given through the Python API, is only sampled.
+Every group is built along one path: the one-line images of its elements
+(a multiplication table is its own, row g the map x -> g x) and a
+generating set.  Each generator's left translation is checked to be
+composition on the full images, which for a table is Light's test, and one
+breadth-first walk of the Cayley graph fills the table and must reach every
+element, so every table is proved associative.
 
 A coset space reads the table once, for its action on the cosets.  Its
 double cosets are the K-orbits on the cosets and its orbitals the G-orbits
@@ -98,11 +99,6 @@ def _integers(value, what: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # permutation helpers (0-based one-line images)
 
-def _compose(p: tuple, q: tuple) -> tuple:
-    # (p q)(i) = p(q(i))
-    return tuple(p[j] for j in q)
-
-
 def cycle_label(p: Sequence[int]) -> str:
     """Cycle notation with 1-based points; identity is 'e'."""
     seen = [False] * len(p)
@@ -121,15 +117,74 @@ def cycle_label(p: Sequence[int]) -> str:
     return "".join(parts) if parts else "e"
 
 
+def _cayley_table(images: np.ndarray, generators: np.ndarray) -> tuple:
+    """Read-only (mul, inv) and the generators' indices for the elements
+    whose one-line images are the rows of images, under composition, and the
+    generators given by their images; GroupSpecError unless they are a group.
+
+    An element is known by its images of a base, the shortest run of leading
+    points whose images tell all rows apart (1 point for a table, n - 1 for
+    S_n), keyed as digits base npts.  Such a key may wrap int64, so each
+    generator's left translation x -> s x is looked up by key and checked on
+    the full images: for a table, Light's test.  One breadth-first walk of
+    the Cayley graph fills the rows, row s a being row a mapped by x -> s x,
+    so the rows are products of generators, closed under composition, which
+    is associative, and a group once each row holds the identity."""
+    n, npts = images.shape
+    if images.min() < 0 or images.max() >= npts:
+        raise GroupSpecError("group table entries out of range")
+    if not np.array_equal(images[0], np.arange(npts)):
+        raise GroupSpecError("index 0 is not the identity")
+    weights = (npts ** np.arange(npts)).astype(np.int64)
+    keys = np.zeros(n, dtype=np.int64)
+    for m in range(1, npts + 1):
+        keys += images[:, m - 1] * weights[m - 1]
+        sorted_keys, order = np.unique(keys, return_index=True)
+        if len(order) == n:
+            break
+    else:
+        raise GroupSpecError("repeated rows in a group table")
+    step = max(1, (1 << 18) // npts)
+    left = []
+    for s in generators:
+        found = np.searchsorted(sorted_keys, s[images[:, :m]] @ weights[:m])
+        left.append(order[np.minimum(found, n - 1)].astype(np.int32))
+        # s o x on the full images, in blocks of about 2^18 entries
+        if not all(np.array_equal(images[left[-1][i:i + step]], s[images[i:i + step]])
+                   for i in range(0, n, step)):
+            raise GroupSpecError("the rows are not closed under composition "
+                                 "(for a multiplication table: not associative)")
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[0] = np.arange(n)
+    seen = np.arange(n) == 0
+    walk = [0]
+    for a in walk:
+        for trans in left:
+            b = trans[a]
+            if not seen[b]:
+                seen[b] = True
+                trans.take(mul[a], out=mul[b], mode="clip")  # in range: no check
+                walk.append(b)
+    if len(walk) < n:
+        raise GroupSpecError(f"the generators do not generate the group: they "
+                             f"generate {len(walk)} of {n} elements")
+    inv = mul.argmin(axis=1).astype(np.int32)
+    if not np.all(mul[np.arange(n), inv] == 0):
+        raise GroupSpecError("inverse table inconsistent")
+    mul.setflags(write=False)
+    inv.setflags(write=False)
+    return mul, inv, tuple(int(trans[0]) for trans in left)
+
+
 # ---------------------------------------------------------------------------
 # core types
 
 
 class FiniteGroup:
     """Multiplication-table group with identity 0 and a generating set of
-    element indices; immutable after construction.  The generators must
-    generate the table, and prove it associative by Light's test up to order
-    256; above that, 10 000 random triples are checked."""
+    element indices; immutable after construction.  The table is the image
+    array of its left-regular representation, so _cayley_table proves it a
+    group that the generators generate, associativity included."""
 
     # one-line images of the elements, in element order, for a group built
     # from permutations; None otherwise
@@ -138,62 +193,27 @@ class FiniteGroup:
     def __init__(self, mul: np.ndarray, name: str,
                  element_labels: Sequence[str] | None,
                  generators: Sequence[int]):
-        mul = np.asarray(mul, dtype=np.int32)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+        table = np.asarray(mul, dtype=np.int32)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupSpecError("multiplication table must be square")
-        self.order = int(mul.shape[0])
-        self.mul = mul
-        self.mul.setflags(write=False)
+        # the walk fills the table of the rows x -> g x: this one if g e = g
+        if not np.array_equal(table[:, 0], np.arange(len(table))):
+            raise GroupSpecError("index 0 is not a two-sided identity")
+        gens = [int(s) for s in generators]
+        if not gens or not all(0 <= s < len(table) for s in gens):
+            raise GroupSpecError("generators must be element indices")
+        self._build(table, name, element_labels, table[gens])
+
+    def _build(self, images: np.ndarray, name: str,
+               element_labels: Sequence[str] | None, generators: np.ndarray):
+        """Build from the one-line images of the elements and of the generators."""
+        self.order = len(images)
         self.identity = 0
         self.name = name
         if element_labels is not None and len(element_labels) != self.order:
             raise GroupSpecError("element_labels length != order")
         self._labels = tuple(element_labels) if element_labels else None
-        self.generators = tuple(int(s) for s in generators)
-        self.inv = self._validate()
-        self.inv.setflags(write=False)
-
-    def _validate(self) -> np.ndarray:
-        """Check the group axioms and return the inverse table."""
-        n = self.order
-        mul = self.mul
-        if mul.min() < 0 or mul.max() >= n:
-            raise GroupSpecError("multiplication table entries out of range")
-        e = self.identity
-        if not (np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n))):
-            raise GroupSpecError("index 0 is not a two-sided identity")
-        gens = self.generators
-        if not gens or not all(0 <= s < n for s in gens):
-            raise GroupSpecError("generators must be element indices")
-        # breadth-first walk x -> x s from the identity, with inverses
-        # carried along as (a s)^-1 = s^-1 a^-1 (checked below)
-        cols = mul[:, list(gens)].T.tolist()
-        rows_inv = mul[(mul[list(gens)] == e).argmax(axis=1)].tolist()
-        inv = [e] + [-1] * (n - 1)
-        walk = [e]
-        for a in walk:
-            for col, row_inv in zip(cols, rows_inv):
-                b = col[a]
-                if inv[b] < 0:
-                    inv[b] = row_inv[inv[a]]
-                    walk.append(b)
-        if len(walk) < n:
-            raise GroupSpecError(f"the generators generate {len(walk)} of {n} elements")
-        if n <= 256:
-            # Light's test: the elements s with (xs)y == x(sy) for all x, y
-            # are closed under products, so the generators suffice
-            for s in gens:
-                if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
-                    raise GroupSpecError("multiplication table is not associative")
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = rng.integers(0, n, size=(3, 10_000))
-            if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-                raise GroupSpecError("multiplication table is not associative")
-        inv = np.asarray(inv, dtype=np.int32)
-        if not np.all(mul[np.arange(n), inv] == e):
-            raise GroupSpecError("inverse table inconsistent")
-        return inv
+        self.mul, self.inv, self.generators = _cayley_table(images, generators)
 
     @property
     def element_labels(self) -> tuple:
@@ -237,22 +257,17 @@ class CosetSpace:
         self.k_members = tuple(subgroup_closure(group, k_generators))
         self.k_size = len(self.k_members)
         mul = group.mul
-        n = group.order
-        coset_of = np.full(n, -1, dtype=np.int32)
-        transversal = []
-        k_arr = np.asarray(self.k_members, dtype=np.int32)
-        for g in range(n):
-            if coset_of[g] >= 0:
-                continue
-            c = len(transversal)
-            transversal.append(g)
-            coset_of[mul[g, k_arr]] = c
-        self.transversal = tuple(transversal)
-        self.coset_of = coset_of
+        # each coset gK is named by its least element, in increasing order; the
+        # products gk in blocks of about 2^18 (2^20 put S7/S6's peak 2.6 MB up)
+        step = max(1, (1 << 18) // self.k_size)
+        least = [mul[i:i + step].take(self.k_members, axis=1).min(axis=1)
+                 for i in range(0, group.order, step)]
+        t_arr, coset_of = np.unique(np.concatenate(least), return_inverse=True)
+        self.transversal = tuple(t_arr.tolist())
+        self.coset_of = coset_of.astype(np.int32)
         self.coset_of.setflags(write=False)
-        self.num_cosets = len(transversal)
-        t_arr = np.asarray(transversal, dtype=np.int32)
-        self.action = coset_of[mul[:, t_arr]]
+        self.num_cosets = len(t_arr)
+        self.action = self.coset_of[mul.take(t_arr, axis=1)]
         self.action.setflags(write=False)
         self.name = name or f"{group.name}/{self.subgroup_label()}"
         self._cache: dict = {}
@@ -304,59 +319,21 @@ class CosetSpace:
 
 def _table_from_perms(perms: list[tuple], generators: Sequence[tuple],
                       name: str) -> FiniteGroup:
-    """The table of the permutations perms, perms[0] the identity, that the
-    given generators generate; labels are the cycle notation, written out on
-    first use.
-
-    An element is known by its images of a base, the shortest run of
-    leading points whose images tell all elements apart (2 points for a
-    dihedral group, n - 1 for S_n), keyed as digits base npts.  Such a key
-    may wrap int64, so each generator's left translation x -> s x is looked
-    up by key and checked on the full images.  Rows are filled along a
-    breadth-first walk of the Cayley graph: row s a is row a mapped by x -> s x."""
-    n = len(perms)
-    npts = len(perms[0])
-    arr = np.asarray(perms, dtype=np.int64)
-    if not np.array_equal(arr[0], np.arange(npts)):
-        raise GroupSpecError("the first permutation must be the identity")
-    weights = (npts ** np.arange(npts)).astype(np.int64)
-    keys = np.zeros(n, dtype=np.int64)
-    for m in range(1, npts + 1):
-        keys += arr[:, m - 1] * weights[m - 1]
-        if np.unique(keys).size == n:
-            break
-    else:
-        raise GroupSpecError("repeated permutations in a group table")
-    order = np.argsort(keys, kind="stable")
-    images = np.asarray(generators, dtype=np.int64)[:, arr]   # s o x, each s, x
-    found = np.searchsorted(keys[order], images[:, :, :m] @ weights[:m])
-    left = order[np.minimum(found, n - 1)]
-    if not np.array_equal(arr[left], images):
-        raise GroupSpecError("the permutations are not closed under composition")
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[0] = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    walk = [0]
-    for a in walk:
-        for trans in left:
-            b = trans[a]
-            if not seen[b]:
-                seen[b] = True
-                mul[b] = trans[mul[a]]
-                walk.append(b)
-    if len(walk) < n:
-        raise GroupSpecError("the generators do not generate the permutations")
-    group = FiniteGroup(mul, name, None, left[:, 0])
+    """The group of the permutations perms, perms[0] the identity, that the
+    generators generate; labels are the cycle notation, written on first use."""
+    group = object.__new__(FiniteGroup)
     group.perms = tuple(perms)
+    group._build(np.asarray(perms, dtype=np.int32), name, None,
+                 np.asarray(generators, dtype=np.int32))
     return group
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError("cyclic order must be >= 1")
-    idx = np.arange(n, dtype=np.int32)
-    mul = (idx[:, None] + idx[None, :]) % n
+    # row k, (k + x) mod n, is a window of the residues written twice
+    twice = np.tile(np.arange(n, dtype=np.int32), 2)
+    mul = np.lib.stride_tricks.sliding_window_view(twice, n)[:n]
     return FiniteGroup(mul, f"Z{n}", [str(i) for i in range(n)], [1 % n])
 
 
@@ -389,12 +366,10 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
                             order_cap: int = DEFAULT_ORDER_CAP,
                             name: str = "perm") -> FiniteGroup:
     """Closure of the given 0-based one-line permutations under composition."""
-    gens = []
-    for g in generators:
-        t = tuple(int(x) for x in g)
-        if sorted(t) != list(range(len(t))):
-            raise GroupSpecError(f"not a permutation of 0..{len(t) - 1}: {g}")
-        gens.append(t)
+    gens = [tuple(int(x) for x in g) for g in generators]
+    for g in gens:
+        if sorted(g) != list(range(len(g))):
+            raise GroupSpecError(f"not a permutation of 0..{len(g) - 1}: {list(g)}")
     if not gens:
         raise GroupSpecError("at least one generator required")
     npts = len(gens[0])
@@ -404,7 +379,7 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
     seen = set(elements)
     for p in elements:
         for g in gens:
-            q = _compose(p, g)
+            q = tuple(p[j] for j in g)                     # p o g
             if q not in seen:
                 if len(elements) >= order_cap:
                     raise GroupSpecError(f"generated order exceeds cap {order_cap}")

@@ -375,17 +375,44 @@ def test_bad_permutation_lists_are_spec_errors(perms, gens, message):
         groups._table_from_perms(perms, gens, "x")
 
 
-def test_validate_proves_associativity():
-    """Swapping two entries of a row of S5 keeps the identity and every
-    inverse, so only the associativity proof can reject the table."""
-    g = build_group({"family": "symmetric", "n": 5})
+@pytest.mark.parametrize("n, row, cols", [(5, 3, [7, 9]), (6, 5, [100, 200])],
+                         ids=["S5", "S6"])
+def test_validate_proves_associativity(n, row, cols):
+    """Swapping two entries of a row of S_n keeps the identity and every
+    inverse, so only the associativity proof can reject the table; S6, of
+    order 720, shows that the proof covers raw tables of every order."""
+    g = build_group({"family": "symmetric", "n": n})
     mul = g.mul.copy()
-    mul[3, [7, 9]] = mul[3, [9, 7]]
-    assert np.array_equal(mul[0], np.arange(120))
-    assert np.array_equal(mul[:, 0], np.arange(120))
-    assert np.all(mul[np.arange(120), g.inv] == 0)
+    mul[row, cols] = mul[row, cols[::-1]]
+    assert np.array_equal(mul[0], np.arange(g.order))
+    assert np.array_equal(mul[:, 0], np.arange(g.order))
+    assert np.all(mul[np.arange(g.order), g.inv] == 0)
     with pytest.raises(GroupSpecError, match="not associative"):
         FiniteGroup(mul, "bad", None, g.generators)
+
+
+def test_cosets_are_numbered_by_their_least_element():
+    """Coset c is named by t_c, the least element of t_c K, and the t_c
+    increase with c."""
+    for space in orbital_test_spaces():
+        t = np.asarray(space.transversal)
+        assert np.all(np.diff(t) > 0), space
+        members = space.group.mul[np.ix_(t, space.k_members)]
+        assert np.array_equal(members.min(axis=1), t), space
+        assert np.array_equal(space.coset_of[t], np.arange(space.num_cosets)), space
+
+
+@pytest.mark.parametrize("mul, message", [
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "two-sided identity"),
+    ([[0, 1], [1, 1]], "inverse"),
+], ids=["left-identity-only", "monoid"])
+def test_raw_tables_that_are_not_groups_are_refused(mul, message):
+    """The rows of the first table are the rotations of Z3, a group under
+    composition, yet 1 * 0 = 2: only the check of column 0 tells that the
+    table is not theirs.  The second is closed and associative, {e, z} with
+    z z = z, but z has no inverse."""
+    with pytest.raises(GroupSpecError, match=message):
+        FiniteGroup(np.array(mul), "bad", None, [1])
 
 
 def test_validate_requires_generators_of_the_whole_table():
