@@ -255,7 +255,10 @@ def main(argv=None) -> int:
     except BugTrapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_SPEC
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

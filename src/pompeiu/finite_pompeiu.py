@@ -13,12 +13,12 @@ space G/K, three independent ways:
 Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset; the single-subset functions (`pompeiu_oracle`,
 `pompeiu_spectral`, `pompeiu_convolution`, `ideal_generators`) run them
-with B = 1.  The oracle works modulo PRIME = 2^31 - 1: M^T M invertible
-there proves that the translate matrix M has full rank (the Gram test),
-and up to 22 columns the rank of the 0/1 matrix M there is its rational
-rank (the translate test, `_rank_exact`).  A sweep runs the Gram test,
-then the translate test on the subsets still open: it computes no kernel.
-`pompeiu_oracle` takes its witness from `exact_linalg.nullspace`.
+with B = 1.  The oracle's one test, the translate test, eliminates the
+translate matrix M modulo PRIME = 2^31 - 1: full rank there proves full
+rational rank (a minor nonzero modulo PRIME is nonzero), and up to 22
+columns a deficiency there is rational too (`_rank_exact`).  A sweep runs
+one elimination per chunk and computes no kernel; `pompeiu_oracle` takes
+its witness from `exact_linalg.nullspace` when the test finds a deficiency.
 
 `enumerate_all` sweeps the bitmasks in chunks.  The three criteria are
 invariant under translation, so it decides only the least mask of each
@@ -158,26 +158,18 @@ def _rank_exact(n: int) -> bool:
     return xla.zero_one_minor_bound_squared(n) < PRIME ** 2
 
 
-def _gram_full_rank(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
-    """The Gram test, per subset: M^T M invertible modulo PRIME proves that
-    the translate matrix M has full column rank; False proves nothing.
-    The entries are at most |G|, exact in float64."""
-    matrices = bits.astype(np.float64)[:, _translates(space)]
-    return _full_rank_mod((matrices.transpose(0, 2, 1) @ matrices).astype(np.int64), PRIME)
-
-
 def _translate_full_rank(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     """The translate test, per subset: whether the translate matrix has full
-    column rank modulo PRIME, the rational answer when `_rank_exact` holds."""
+    column rank modulo PRIME.  True proves full rational rank; False proves
+    a rational deficiency when `_rank_exact` holds."""
     return _full_rank_mod(bits[:, _translates(space)], PRIME)
 
 
 def _full_rank_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Per matrix of a fresh int64 stack of at least as many rows as
-    columns: whether it has full column rank mod p.  No division: each
-    step sets every row below the pivot row to pivot * row - entry *
-    pivot_row (mod p), scaling it by the nonzero pivot."""
-    a -= a // p * p     # a % p: numpy divides faster than it takes remainders
+    """Per matrix of a fresh int64 stack of residues mod p, of at least as
+    many rows as columns: whether it has full column rank mod p.  No
+    division: each step sets every row below the pivot row to pivot * row
+    - entry * pivot_row (mod p), scaling it by the nonzero pivot."""
     full = np.ones(len(a), dtype=bool)
     batch = np.arange(len(a))
     while a.shape[2]:
@@ -195,19 +187,20 @@ def _full_rank_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel.  The Gram test proves full rank,
-    else the exact kernel decides: its first vector, rechecked in integers
-    against every translate, is the witness.  A trivial kernel is checked
-    against the translate test where that is exact, up to 22 columns."""
+    translate matrix has trivial kernel.  The translate test proves full
+    rank; on a deficiency modulo PRIME the exact kernel decides, and its
+    first vector, rechecked in integers against every translate, is the
+    witness.  Up to 22 columns that deficiency is proven, so a trivial
+    kernel there is a bug; past 22 columns the kernel decides alone."""
     inst = _instance(space_or_instance, subset)
-    space, bits = inst.space, _bits(inst)
+    space = inst.space
     _check_oracle_budget(space)
-    full = _gram_full_rank(space, bits)[0]
+    if _translate_full_rank(space, _bits(inst))[0]:
+        return DecisionReport("Pompeiu", "oracle", None)
     matrix = translate_matrix(inst)
-    kernel = [] if full else xla.nullspace(matrix)
+    kernel = xla.nullspace(matrix)
     if not kernel:
-        if (not full and _rank_exact(space.num_cosets)
-                and not _translate_full_rank(space, bits)[0]):
+        if _rank_exact(space.num_cosets):
             raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None)
     h = kernel[0]
@@ -466,14 +459,12 @@ def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     """The three deciders on a batch of subsets, packed in one code per
     subset: bit 0 is the oracle's full rank, bits 1-15 and 16 on are 1 +
     the first spherical function that the spectral and the convolution
-    criterion flag (0 for none).  The oracle is the Gram test, then the
-    translate test on the subsets that it leaves open."""
+    criterion flag (0 for none).  The oracle is the translate test, one
+    elimination for the whole batch."""
     if not _rank_exact(space.num_cosets):
         raise BugTrapError(f"PRIME does not exceed Hadamard's bound for "
                            f"{space.num_cosets} columns")
-    full = _gram_full_rank(space, bits)
-    if not full.all():
-        full[~full] = _translate_full_rank(space, bits[~full])
+    full = _translate_full_rank(space, bits)
     spectral = _common_zeros(space, _generator_rows(space, bits))
     conv = _convolution_zeros(space, bits)
     # argmax + 1 is the first flag + 1, and any() zeroes it when none is set

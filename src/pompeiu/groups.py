@@ -186,9 +186,9 @@ class FiniteGroup:
     array of its left-regular representation, so _cayley_table proves it a
     group that the generators generate, associativity included."""
 
-    # one-line images of the elements, in element order, for a group built
-    # from permutations; None otherwise
-    perms: tuple | None = None
+    # one-line images of the elements, row g for element g, as a read-only
+    # int32 array for a group built from permutations; None otherwise
+    perms: np.ndarray | None = None
 
     def __init__(self, mul: np.ndarray, name: str,
                  element_labels: Sequence[str] | None,
@@ -220,13 +220,13 @@ class FiniteGroup:
         """One label per element: the given labels, else the cycle notation
         of a group built from permutations, else the index."""
         if self._labels is None:
-            self._labels = tuple(cycle_label(p) for p in self.perms) \
+            self._labels = tuple(cycle_label(p) for p in self.perms.tolist()) \
                 if self.perms is not None else tuple(str(i) for i in range(self.order))
         return self._labels
 
     def label(self, g: int) -> str:
         if self._labels is None and self.perms is not None:
-            return cycle_label(self.perms[g])
+            return cycle_label(self.perms[g].tolist())
         return self.element_labels[g]
 
     def __repr__(self) -> str:
@@ -317,14 +317,13 @@ class CosetSpace:
 # constructors
 
 
-def _table_from_perms(perms: list[tuple], generators: Sequence[tuple],
-                      name: str) -> FiniteGroup:
-    """The group of the permutations perms, perms[0] the identity, that the
-    generators generate; labels are the cycle notation, written on first use."""
+def _table_from_perms(perms, generators, name: str) -> FiniteGroup:
+    """The group of the permutation rows perms, perms[0] the identity, that
+    the generators generate; labels are the cycle notation, written on first use."""
     group = object.__new__(FiniteGroup)
-    group.perms = tuple(perms)
-    group._build(np.asarray(perms, dtype=np.int32), name, None,
-                 np.asarray(generators, dtype=np.int32))
+    group.perms = np.asarray(perms, dtype=np.int32)
+    group.perms.setflags(write=False)
+    group._build(group.perms, name, None, np.asarray(generators, dtype=np.int32))
     return group
 
 
@@ -343,9 +342,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 3:
         raise GroupSpecError("dihedral parameter must be >= 3")
     # the rotations i -> i + k, then the reflections i -> k - i
-    perms = [tuple((i + k) % n for i in range(n)) for k in range(n)] \
-        + [tuple((k - i) % n for i in range(n)) for k in range(n)]
-    return _table_from_perms(perms, [perms[1], perms[n]], f"D{n}")
+    k, i = np.arange(n, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
+    perms = np.concatenate([(i + k) % n, (k - i) % n])
+    return _table_from_perms(perms, perms[[1, n]], f"D{n}")
 
 
 def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -355,7 +354,7 @@ def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise GroupSpecError("symmetric parameter must be >= 1")
     if math.factorial(n) > order_cap:
         raise GroupSpecError(f"order {math.factorial(n)} exceeds cap {order_cap}")
-    perms = list(itertools.permutations(range(n)))
+    perms = np.asarray(list(itertools.permutations(range(n))), dtype=np.int32)
     # the transposition (1 2), which is e for n = 1, and the n-cycle
     swap = tuple(range(min(n, 2)))[::-1] + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
@@ -487,11 +486,11 @@ def load_group_spec(source) -> tuple[FiniteGroup, list[int]]:
     k_gens: list[int] = []
     if spec.get("family") == "cyclic":
         k_gens = [r % group.order for r in _integers(sub, "subgroup_generators")]
-    elif sub:
-        lookup = {p: i for i, p in enumerate(group.perms)}
+    else:
         for p in sub:
-            t = tuple(_integers(p, "subgroup generator"))
-            if t not in lookup:
+            row = _integers(p, "subgroup generator")
+            same = len(row) == group.perms.shape[1] and (group.perms == row).all(axis=1)
+            if not np.any(same):
                 raise GroupSpecError(f"subgroup generator {p} not in group")
-            k_gens.append(lookup[t])
+            k_gens.append(int(np.argmax(same)))
     return group, k_gens

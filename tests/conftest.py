@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pompeiu.groups import build_coset_space, build_group
@@ -20,8 +21,8 @@ def symmetric_space(n, fixed_point=None):
 def dihedral_space(n):
     """D_n (order 2n) with K generated by one reflection."""
     g = build_group({"family": "dihedral", "n": n})
-    reflection = tuple((-i) % n for i in range(n))
-    idx = g.perms.index(reflection)
+    reflection = (-np.arange(n)) % n
+    idx = int(np.flatnonzero((g.perms == reflection).all(axis=1))[0])
     return build_coset_space(g, [idx])
 
 

@@ -97,6 +97,17 @@ def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_memory_error_without_a_message_prints_out_of_memory(z8_file, monkeypatch, capsys):
+    """A MemoryError raised with no message, as an allocation that fails
+    under an address-space limit may raise, exits 2 with "out of memory"
+    rather than an empty error line."""
+    def exhausted(source):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "load_group_spec", exhausted)
+    assert main(["finite", "check", "--group", z8_file, "--set", "0"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_spherical_self_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     """A float spherical table that fails its functional-equation check is a
     bug trap: with a negative tolerance every residual fails it, and a Z20
@@ -294,7 +305,7 @@ def test_finite_sweep_writes_every_witness_kind(tmp_path, monkeypatch):
 
 def test_finite_sweep_d16_reflection_counts(tmp_path):
     """The full sweep of D16 with K = one reflection: 16 cosets, every
-    subset settled by the Gram certificate, the counts of the per-subset
+    subset settled by the translate test, the counts of the per-subset
     kernel sweep it replaced."""
     path = tmp_path / "d16.json"
     path.write_text(json.dumps({"family": "dihedral", "n": 16,
@@ -623,20 +634,22 @@ def _run_limited(args, tmp_path, memory_mb=2500, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("spec", [
-    {"family": "cyclic", "n": 400, "subgroup_generators": []},
-    {"family": "cyclic", "n": 5040, "subgroup_generators": []},
-    {"family": "dihedral", "n": 2520,
-     "subgroup_generators": [[(-i) % 2520 for i in range(2520)]]},
+@pytest.mark.parametrize("spec, memory_mb", [
+    ({"family": "cyclic", "n": 400, "subgroup_generators": []}, 2500),
+    ({"family": "cyclic", "n": 5040, "subgroup_generators": []}, 2500),
+    ({"family": "dihedral", "n": 2520,
+      "subgroup_generators": [[(-i) % 2520 for i in range(2520)]]}, 500),
 ], ids=["Z400", "Z5040", "D2520-reflection"])
-def test_finite_check_past_the_work_budget_exits_2(spec, tmp_path):
+def test_finite_check_past_the_work_budget_exits_2(spec, memory_mb, tmp_path):
     """Spaces whose oracle elimination or Hecke tensor exceeds the work
-    budget stop with exit 2 and a typed message, within seconds and under a
-    2.5 GB address-space limit, instead of a MemoryError or a long run."""
+    budget stop with exit 2 and a typed message, within seconds and under
+    the given address-space limit, instead of a MemoryError or a long run.
+    D2520 with a reflection is refused under 500 MB: its 5040 dihedral
+    permutations are one 50 MB int32 array."""
     group = tmp_path / "group.json"
     group.write_text(json.dumps(spec))
     proc = _run_limited(["finite", "check", "--group", str(group), "--set", "0,1"],
-                        tmp_path)
+                        tmp_path, memory_mb=memory_mb)
     assert proc.returncode == 2, proc.stderr
     assert "over the work budget of 10000000" in proc.stderr
     assert "MemoryError" not in proc.stderr
@@ -693,9 +706,10 @@ def test_finite_check_z215_fits_in_500_mb(tmp_path):
 
 
 def test_finite_check_out_of_memory_exits_2(tmp_path):
-    """D2520 with a reflection under a 1000 MB address-space limit runs out
-    of memory while its group table is built, before the work budget
-    refuses it: one `error:` line and exit 2, not a traceback."""
+    """D2520 with a reflection under a 1000 MB address-space limit: one
+    `error:` line and exit 2, not a traceback.  Its group and coset tables
+    fit there (they peak near 290 MB), so the work budget refuses it; a
+    MemoryError ends the same way, with exit 2 and one `error:` line."""
     group = tmp_path / "d2520.json"
     group.write_text(json.dumps({"family": "dihedral", "n": 2520,
                                  "subgroup_generators": [[(-i) % 2520 for i in range(2520)]]}))

@@ -543,15 +543,13 @@ def _orbit_representatives(space):
     return reps
 
 
-# The kernels that every sweep chunk runs on all its orbit representatives;
-# the translate test runs on those the Gram test leaves open.
-DECIDERS = ("_gram_full_rank", "_generator_rows", "_convolution_zeros")
+# The kernels that every sweep chunk runs on all its orbit representatives.
+DECIDERS = ("_translate_full_rank", "_generator_rows", "_convolution_zeros")
 
 
 def _decided_masks(monkeypatch):
-    """Per decider kernel of DECIDERS, and for the translate test, the masks
-    of every subset it was given."""
-    decided = {name: [] for name in DECIDERS + ("_translate_full_rank",)}
+    """Per decider kernel of DECIDERS, the masks of every subset it was given."""
+    decided = {name: [] for name in DECIDERS}
     for name, masks in decided.items():
         def recorded(space, bits, kernel=getattr(fp, name), masks=masks):
             masks.extend((bits << np.arange(bits.shape[1])).sum(axis=1).tolist())
@@ -582,19 +580,12 @@ def _recorded_eliminations(monkeypatch):
     return eliminations
 
 
-def _deficient(reps, expected):
-    """The masks of reps whose oracle verdict in the rows expected is a
-    rank deficiency."""
-    oracle = {row[0]: row[1] for row in expected}
-    return [mask for mask in reps if not oracle[mask]]
-
-
 def test_sweep_rows_match_per_subset_reference(monkeypatch):
     """Every row (three verdicts and the witness column) of every subset of
     every acceptance-suite space, of D8 and of Z13 equals the per-subset
-    reference. Z13 spans several chunks. Each of the three deciders gets
-    exactly the least mask of every orbit, once; the translate test gets
-    exactly the rank-deficient ones, so the sweep computes no kernel."""
+    reference. Z13 spans several chunks. Each of the three deciders, the
+    translate test included, gets exactly the least mask of every orbit,
+    once, and the sweep computes no kernel."""
     z13 = cyclic_space(13)
     assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
     decided = _decided_masks(monkeypatch)
@@ -606,15 +597,13 @@ def test_sweep_rows_match_per_subset_reference(monkeypatch):
         assert calls == [], space.name
         reps = _orbit_representatives(space)
         assert all(decided[name] == reps for name in DECIDERS), space.name
-        assert decided["_translate_full_rank"] == _deficient(reps, expected), space.name
 
 
 def test_sweep_decides_one_subset_per_orbit(monkeypatch):
     """Z16 and D16 with a reflection, decided on the orbit representatives
     only: each decider gets the 4115 necklaces or 2249 bracelets of 16
-    beads (nonempty), the translate test the rank-deficient ones among
-    them, and every row of Z16 equals the per-subset reference, with the
-    DFT for the exact kernel."""
+    beads (nonempty), and every row of Z16 equals the per-subset reference,
+    with the DFT for the exact kernel."""
     z16, d16 = cyclic_space(16), dihedral_space(16)
     decided = _decided_masks(monkeypatch)
     for space, orbits in ((z16, 4115), (d16, 2249)):
@@ -624,31 +613,13 @@ def test_sweep_decides_one_subset_per_orbit(monkeypatch):
         reps = _orbit_representatives(space)
         assert len(reps) == orbits
         assert all(decided[name] == reps for name in DECIDERS), space.name
-        assert decided["_translate_full_rank"] == _deficient(reps, rows), space.name
         if space is z16:
             assert rows == _reference_rows(z16, functools.partial(_dft_pompeiu, 16))
 
 
-def test_translate_test_alone_keeps_rows(monkeypatch):
-    """With the Gram test stubbed to "not proven", the translate test
-    decides every subset: it gets the least mask of every orbit, every row
-    stays the same, and no kernel is computed. (No subset of these spaces
-    has a Gram matrix singular modulo PRIME while its translates have full
-    rank, so only a stub reaches this path.)"""
-    monkeypatch.setattr(fp, "_gram_full_rank",
-                        lambda space, bits: np.zeros(len(bits), dtype=bool))
-    decided = _decided_masks(monkeypatch)
-    calls = _counting_nullspace(monkeypatch)
-    for space, expected in _reference_sweeps():
-        decided["_translate_full_rank"].clear()
-        assert _sweep_rows(space) == expected, space.name
-        assert decided["_translate_full_rank"] == _orbit_representatives(space), space.name
-    assert calls == []
-
-
-def test_each_sweep_chunk_runs_at_most_two_eliminations(monkeypatch):
-    """A chunk runs the Gram test, and the translate test when a subset is
-    left open: one or two eliminations modulo PRIME, never more."""
+def test_each_sweep_chunk_runs_one_elimination(monkeypatch):
+    """A chunk decides the oracle of all its subsets with one elimination
+    modulo PRIME, the translate test's."""
     eliminations = _recorded_eliminations(monkeypatch)
     per_chunk = []
     decide = fp._decide
@@ -661,7 +632,7 @@ def test_each_sweep_chunk_runs_at_most_two_eliminations(monkeypatch):
     monkeypatch.setattr(fp, "_decide", recorded)
     for space, _ in _reference_sweeps():
         _sweep_rows(space)
-    assert set(per_chunk) == {1, 2}
+    assert set(per_chunk) == {1}
     assert {p for p, _ in eliminations} == {fp.PRIME}
 
 
@@ -670,15 +641,15 @@ def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
     """With a small element budget the masks split into many chunks (one or
     five subsets each on the spaces of at most 8 cosets, 97 on the larger
     ones), no chunk's translate matrices exceed the budget, and the rows,
-    also under a size bound, stay the same. The Gram test runs once on
-    every chunk that holds an orbit representative, and on no other."""
+    also under a size bound, stay the same. The translate test runs once
+    on every chunk that holds an orbit representative, and on no other."""
     sizes = []
-    gram_test = fp._gram_full_rank
+    translate_test = fp._translate_full_rank
 
     def recorded(space, bits):
         sizes.append(bits.size * space.group.order)
-        return gram_test(space, bits)
-    monkeypatch.setattr(fp, "_gram_full_rank", recorded)
+        return translate_test(space, bits)
+    monkeypatch.setattr(fp, "_translate_full_rank", recorded)
     for space, expected in _reference_sweeps():
         if (space.num_cosets > 8) != (per_chunk == 97):
             continue
@@ -777,7 +748,7 @@ def _raise_on_call(matrix):
 
 
 def test_full_rank_check_skips_the_exact_kernel(monkeypatch):
-    """A full-rank subset is settled by the Gram certificate alone, also on
+    """A full-rank subset is settled by the translate test alone, also on
     D24 with a reflection, whose 24 columns are past the int64 bound of the
     exact kernel."""
     monkeypatch.setattr(exact_linalg, "nullspace", _raise_on_call)
