@@ -17,16 +17,15 @@ with B = 1.  The oracle's one test, the translate test, eliminates the
 translate matrix M modulo PRIME = 2^31 - 1: full rank there proves full
 rational rank (a minor nonzero modulo PRIME is nonzero), and up to 22
 columns a deficiency there is rational too (`_rank_exact`).  A sweep runs
-one elimination per chunk and computes no kernel; `pompeiu_oracle` takes
+one elimination per batch and computes no kernel; `pompeiu_oracle` takes
 its witness from `exact_linalg.nullspace` when the test finds a deficiency.
 
-`enumerate_all` sweeps the bitmasks in chunks.  The three criteria are
-invariant under translation, so it decides only the least mask of each
-G-orbit, copies the verdicts and witness to the rest of the orbit, and
-hands each chunk to a sink as soon as the chunk is done, as columns: the
-int64 masks in increasing order, their packed int32 codes, and a dict
-from each code of the chunk to its (oracle, spectral, convolution,
-witness).
+The three criteria are invariant under translation, so `enumerate_all`
+decides only the least mask of each G-orbit, found by walking the
+generators (`_orbit_labels`), and every other mask copies its verdicts
+and witness.  A sink gets the masks in chunks, as columns: the int64
+masks in increasing order, their packed int32 codes, and a dict from
+each code of the chunk to its (oracle, spectral, convolution, witness).
 
 The three verdicts must agree on every Gelfand-pair instance; any
 disagreement, like any failed internal check (`BugTrapError`), is a bug,
@@ -51,8 +50,8 @@ from .hecke import (BiinvariantMeasure, SphericalFunction, hecke_structure,
 PHI_ZERO_TOL = 1e-9
 CONV_ZERO_TOL = 1e-9
 SWEEP_COSET_CAP = 20
-# Elements in the largest array of one chunk of a sweep, the B x |G| x n
-# translate matrices.  Larger chunks raise peak memory with no gain in rate.
+# Elements in the B x |G| x n translate matrices of one batch of a sweep,
+# and in the B x n masks of one chunk that the sweep hands to its sink.
 SCAN_CHUNK = 1 << 17
 # The modulus of the oracle's eliminations: below 2^31, so that each
 # difference of two products of residues fits int64.
@@ -246,7 +245,7 @@ class _DecisionCache:
         # The Phi table, transposed.  A complex one is kept as interleaved
         # real and imaginary columns: real rows times it, viewed as
         # complex, give the complex product, which numpy would hand to
-        # several BLAS threads at a sweep chunk's size.
+        # several BLAS threads at a sweep batch's size.
         phi = hecke_structure(space).phi_matrix.T
         if phi.dtype.kind == "c":
             phi = np.stack([phi.real, phi.imag], axis=2).reshape(len(phi), -1)
@@ -440,19 +439,23 @@ class SweepResult:
                 "disagreements": self.disagreements}
 
 
-def _mask_chunks(n: int, max_size: int | None, per_chunk: int):
-    """The bitmasks 1 .. 2^n - 1 in increasing order, those with more than
-    max_size bits dropped, as (masks, B x n 0/1 matrix) chunks of at most
-    per_chunk masks; bit c of a mask is coset c."""
-    shifts = np.arange(n, dtype=np.int64)
-    for start in range(1, 1 << n, per_chunk):
-        masks = np.arange(start, min(start + per_chunk, 1 << n), dtype=np.int64)
-        bits = (masks[:, None] >> shifts) & 1
-        if max_size is not None:
-            keep = bits.sum(axis=1) <= max_size
-            masks, bits = masks[keep], bits[keep]
-        if len(masks):
-            yield masks, bits
+def _orbit_labels(space: CosetSpace) -> np.ndarray:
+    """label[m], the least mask of the G-orbit of mask m (bit c is coset c),
+    as int32.  image, s.m for every m, is rebuilt for each generator s in
+    each round: memory does not grow with the generators.  Labels start at
+    m and fall to masks of the orbit, label[s.m] and label[label[m]], until
+    label[m] <= label[s.m] <= ... <= label[s^k.m] = label[m] for every s."""
+    n = space.num_cosets
+    image = np.zeros(1 << n, dtype=np.int32)
+    label, last = np.arange(1 << n, dtype=np.int32), None
+    while not np.array_equal(label, last):
+        last = label
+        for bits in 1 << space.action[list(space.group.generators)]:
+            for c in range(n):
+                image[1 << c:2 << c] = image[:1 << c] | bits[c]
+            label = np.minimum(label, label[image])
+        label = label[label]
+    return label
 
 
 def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
@@ -483,47 +486,44 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
                   sink=None) -> SweepResult:
     """Run all three deciders over every nonempty subset of the cosets
     (optionally bounded in size), in one thread, and count agreement.
-    sink, when given, is called once per chunk as sink(masks, codes,
-    verdicts): the chunk's int64 bitmasks in increasing order, their packed
-    int32 codes (`_decide`), and a dict from each of those codes to its
-    (oracle, spectral, convolution, witness), the verdicts of every mask
-    with that code.
+    sink, when given, gets chunks of at most SCAN_CHUNK // n masks (at
+    least one) as sink(masks, codes, verdicts): the int64 bitmasks in
+    increasing order, their packed int32 codes (`_decide`), and a dict from
+    each of those codes to its (oracle, spectral, convolution, witness).
 
-    Only the least mask of each G-orbit is decided (canon, the least mask
-    of the translates gE, is the mask itself): it comes first, so the rest
-    of its orbit copies a code already set, and a size bound keeps whole
-    orbits.  The deciders' translate matrices hold at most SCAN_CHUNK
-    elements (at least one subset); only the codes, one int32 per mask,
-    grow with 2^n."""
-    if space.num_cosets > SWEEP_COSET_CAP:
-        raise ValueError(
-            f"{space.num_cosets} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
+    Only the masks that are their own orbit label are decided, in batches
+    whose translate matrices hold at most SCAN_CHUNK elements (at least one
+    subset).  A size bound keeps whole orbits, and every mask takes the
+    code of its label."""
+    n = space.num_cosets
+    if n > SWEEP_COSET_CAP:
+        raise ValueError(f"{n} cosets exceeds the exhaustive cap {SWEEP_COSET_CAP}")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max subset size must be >= 1, got {max_size}")
-    n = space.num_cosets
-    labels = [f"spherical:{i}" for i in range(len(spherical_functions(space)))]
+    names = [f"spherical:{i}" for i in range(len(spherical_functions(space)))]
     _check_oracle_budget(space)
-    per_chunk = max(1, SCAN_CHUNK // (space.group.order * n))
-    # weights[c, g] = 2^(g c): bits @ weights holds the masks of the gE
-    weights = np.left_shift(1, space.action.T.astype(np.int64))
+    label = _orbit_labels(space)
+    # the masks of at most max_size bits, less mask 0, the empty set
+    kept = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) <= (max_size or n))[1:]
+    reps = kept[label[kept] == kept]
     code = np.zeros(1 << n, dtype=np.int32)
-    subsets = pompeiu = disagreements = 0
-    for masks, bits in _mask_chunks(n, max_size, per_chunk):
-        canon = (bits @ weights).min(axis=1)
-        rep = canon == masks
-        if rep.any():
-            code[masks[rep]] = _decide(space, bits[rep])
-        codes = code[canon]
+    per_batch = max(1, SCAN_CHUNK // (space.group.order * n))
+    for i in range(0, len(reps), per_batch):
+        batch = reps[i:i + per_batch]
+        code[batch] = _decide(space, batch[:, None] >> np.arange(n) & 1)
+    pompeiu = disagreements = 0
+    rows = max(1, SCAN_CHUNK // n)
+    for i in range(0, len(kept), rows):
+        masks = kept[i:i + rows]
+        codes = code[label[masks]]
         values, counts = np.unique(codes, return_counts=True)
-        verdicts = {}
-        for value, count in zip(values.tolist(), counts.tolist()):
-            verdicts[value] = oracle, spectral, conv, _ = _verdicts(value, labels)
+        verdicts = {value: _verdicts(value, names) for value in values.tolist()}
+        for (oracle, spectral, conv, _), count in zip(verdicts.values(), counts.tolist()):
             pompeiu += oracle * count
             disagreements += (not oracle == spectral == conv) * count
-        subsets += len(masks)
         if sink is not None:
             sink(masks, codes, verdicts)
-    return SweepResult(space.name, subsets, pompeiu, disagreements)
+    return SweepResult(space.name, len(kept), pompeiu, disagreements)
 
 
 # ---------------------------------------------------------------------------

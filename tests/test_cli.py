@@ -86,7 +86,7 @@ def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):
     """With PRIME = 2^13 - 1 the minors of the 20 columns of Z20 may reach
     the prime, so one prime no longer decides their rank. The sweep's bug
     trap exits 3 with an error line instead of a traceback, and writes no
-    CSV: the first chunk already raises."""
+    CSV: the first batch already raises."""
     monkeypatch.setattr(finite_pompeiu, "PRIME", 2 ** 13 - 1)
     out = tmp_path / "sweep.csv"
     code = main(["finite", "sweep", "--group", _cyclic_file(tmp_path, 20),
@@ -245,21 +245,25 @@ def _csv_reference(chunks) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("spec, max_size", [
-    ({"family": "cyclic", "n": 1, "subgroup_generators": []}, None),
-    ({"family": "cyclic", "n": 7, "subgroup_generators": []}, None),
-    ({"family": "cyclic", "n": 11, "subgroup_generators": []}, None),
+@pytest.mark.parametrize("spec, max_size, scan_chunk", [
+    ({"family": "cyclic", "n": 1, "subgroup_generators": []}, None, None),
+    ({"family": "cyclic", "n": 7, "subgroup_generators": []}, None, None),
+    ({"family": "cyclic", "n": 11, "subgroup_generators": []}, None, None),
+    ({"family": "cyclic", "n": 11, "subgroup_generators": []}, None, 1 << 10),
     ({"family": "symmetric", "n": 4,
-      "subgroup_generators": [[1, 0, 2, 3], [0, 2, 1, 3]]}, None),
+      "subgroup_generators": [[1, 0, 2, 3], [0, 2, 1, 3]]}, None, None),
     ({"family": "dihedral", "n": 6,
-      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, None),
+      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, None, None),
     ({"family": "dihedral", "n": 6,
-      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, 2),
-], ids=["Z1", "Z7", "Z11", "S4/S3", "D6-reflection", "D6-reflection-max2"])
-def test_finite_sweep_csv_equals_csv_writer(spec, max_size, tmp_path):
+      "subgroup_generators": [[(-i) % 6 for i in range(6)]]}, 2, None),
+], ids=["Z1", "Z7", "Z11", "Z11-chunks", "S4/S3", "D6-reflection", "D6-reflection-max2"])
+def test_finite_sweep_csv_equals_csv_writer(spec, max_size, scan_chunk, tmp_path, monkeypatch):
     """The sweep writes each chunk with one write; its bytes are those of
     csv.writer on the rows that `enumerate_all` hands its sink.  Z1 has an
-    empty low half-table, Z11 sweeps in two chunks."""
+    empty low half-table.  Each space here sweeps in one chunk, but Z11
+    with SCAN_CHUNK = 2^10 sweeps in 23 chunks of at most 93 masks."""
+    if scan_chunk is not None:
+        monkeypatch.setattr(finite_pompeiu, "SCAN_CHUNK", scan_chunk)
     group = tmp_path / "group.json"
     group.write_text(json.dumps(spec))
     chunks = []
@@ -270,6 +274,7 @@ def test_finite_sweep_csv_equals_csv_writer(spec, max_size, tmp_path):
     assert main(["finite", "sweep", "--group", str(group), "--out", str(out),
                  "--summary", str(tmp_path / "summary.json"), *size]) == 0
     assert out.read_bytes() == _csv_reference(chunks)
+    assert len(chunks) == (1 if scan_chunk is None else 23)
 
 
 def test_finite_sweep_writes_every_witness_kind(tmp_path, monkeypatch):

@@ -17,7 +17,8 @@ from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
                                     pompeiu_convolution, pompeiu_oracle,
                                     pompeiu_spectral, radial_shortcut,
                                     recheck_witness, zero_set, zero_set_ideal)
-from pompeiu.groups import GroupSpecError, check_function_invariance, lift_set
+from pompeiu.groups import (GroupSpecError, build_coset_space, build_group,
+                            check_function_invariance, lift_set)
 from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
                            hecke_structure, phi_hom, spherical_functions,
                            unit_measure)
@@ -416,13 +417,16 @@ def test_shortcut_matches_elementwise_reference():
 # sweeps and agreement
 
 
-def _sweep_rows(space, max_size=None):
+def _sweep_rows(space, max_size=None, chunks=None):
     """The rows of a sweep, (bitmask, oracle, spectral, convolution,
     witness), decoded from the chunks its sink receives through the
-    verdicts of each code."""
+    verdicts of each code.  chunks, when given, gets the number of masks
+    of each chunk."""
     rows = []
 
     def sink(masks, codes, verdicts):
+        if chunks is not None:
+            chunks.append(len(masks))
         rows.extend((mask,) + verdicts[code] for mask, code in zip(masks.tolist(), codes.tolist()))
     enumerate_all(space, max_size, sink)
     return rows
@@ -529,21 +533,67 @@ def _reference_sweeps():
 
 
 @functools.cache
+def _least_translates(space):
+    """The least mask of the orbit of every mask under G, by brute force:
+    walk the masks upward, and give every translate gE of each unmarked
+    one its mask."""
+    least = [None] * (1 << space.num_cosets)
+    for mask in range(1 << space.num_cosets):
+        if least[mask] is None:
+            for g in range(space.group.order):
+                least[sum(1 << int(space.action[g, c]) for c in _cosets(mask))] = mask
+    return least
+
+
 def _orbit_representatives(space):
-    """The least mask of every orbit of G on the nonempty subsets, by brute
-    force: walk the masks upward, and mark every translate gE of each
-    unmarked one."""
-    seen = set()
-    reps = []
-    for mask in range(1, 1 << space.num_cosets):
-        if mask not in seen:
-            reps.append(mask)
-            seen.update(sum(1 << int(space.action[g, c]) for c in _cosets(mask))
-                        for g in range(space.group.order))
-    return reps
+    """The least mask of every orbit of G on the nonempty subsets."""
+    return [mask for mask, least in enumerate(_least_translates(space)) if mask == least][1:]
 
 
-# The kernels that every sweep chunk runs on all its orbit representatives.
+def _burnside_count(space):
+    """The number of orbits of G on all subsets of the cosets, the empty
+    one included, by Burnside's lemma: the mean over g of 2^(cycles of g)."""
+    total = 0
+    for perm in space.action.tolist():
+        seen, cycles = set(), 0
+        for start in range(len(perm)):
+            cycles += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+        total += 2 ** cycles
+    assert total % space.group.order == 0
+    return total // space.group.order
+
+
+def _s6_on_3_sets():
+    """S6 acting on the 20 three-point subsets of six points, K = S3 x S3
+    the stabilizer of {0, 1, 2}: |G| = 720."""
+    group = build_group({"family": "symmetric", "n": 6})
+    return build_coset_space(group, [i for i, p in enumerate(group.perms.tolist())
+                                     if set(p[:3]) == {0, 1, 2}])
+
+
+def test_orbit_labels_are_the_least_translates():
+    """The generator labels equal the least translate, by brute force, on
+    every acceptance-suite space and on D16 with a reflection.  The labels,
+    the empty set's included, number the orbits that Burnside's lemma
+    counts there and on S6/(S3xS3), 2136.  Sink chunks no longer depend
+    on |G|: the 210 subsets of at most 2 of the 20 cosets of S6/(S3xS3)
+    come in one chunk."""
+    for space in acceptance_suite() + [dihedral_space(16)]:
+        label = fp._orbit_labels(space)
+        assert label.dtype == np.int32
+        assert label.tolist() == _least_translates(space), space.name
+        assert len(np.unique(label)) == _burnside_count(space), space.name
+    s6 = _s6_on_3_sets()
+    assert len(np.unique(fp._orbit_labels(s6))) == _burnside_count(s6) == 2136
+    chunks = []
+    assert len(_sweep_rows(s6, max_size=2, chunks=chunks)) == 20 + 190
+    assert chunks == [210]
+
+
+# The kernels that every sweep batch runs on all its subsets.
 DECIDERS = ("_translate_full_rank", "_generator_rows", "_convolution_zeros")
 
 
@@ -583,11 +633,9 @@ def _recorded_eliminations(monkeypatch):
 def test_sweep_rows_match_per_subset_reference(monkeypatch):
     """Every row (three verdicts and the witness column) of every subset of
     every acceptance-suite space, of D8 and of Z13 equals the per-subset
-    reference. Z13 spans several chunks. Each of the three deciders, the
-    translate test included, gets exactly the least mask of every orbit,
-    once, and the sweep computes no kernel."""
-    z13 = cyclic_space(13)
-    assert fp.SCAN_CHUNK // (z13.group.order * z13.num_cosets) < (1 << 13) - 1
+    reference. Each of the three deciders, the translate test included,
+    gets exactly the least mask of every orbit, once, and the sweep
+    computes no kernel."""
     decided = _decided_masks(monkeypatch)
     for space, expected in _reference_sweeps():
         calls = _counting_nullspace(monkeypatch)
@@ -618,58 +666,64 @@ def test_sweep_decides_one_subset_per_orbit(monkeypatch):
 
 
 def test_each_sweep_chunk_runs_one_elimination(monkeypatch):
-    """A chunk decides the oracle of all its subsets with one elimination
+    """A batch decides the oracle of all its subsets with one elimination
     modulo PRIME, the translate test's."""
     eliminations = _recorded_eliminations(monkeypatch)
-    per_chunk = []
+    per_batch = []
     decide = fp._decide
 
     def recorded(space, bits):
         before = len(eliminations)
         codes = decide(space, bits)
-        per_chunk.append(len(eliminations) - before)
+        per_batch.append(len(eliminations) - before)
         return codes
     monkeypatch.setattr(fp, "_decide", recorded)
     for space, _ in _reference_sweeps():
         _sweep_rows(space)
-    assert set(per_chunk) == {1}
+    assert set(per_batch) == {1}
     assert {p for p, _ in eliminations} == {fp.PRIME}
 
 
-@pytest.mark.parametrize("per_chunk", [1, 5, 97])
-def test_sweep_chunk_boundaries(per_chunk, monkeypatch):
-    """With a small element budget the masks split into many chunks (one or
-    five subsets each on the spaces of at most 8 cosets, 97 on the larger
-    ones), no chunk's translate matrices exceed the budget, and the rows,
-    also under a size bound, stay the same. The translate test runs once
-    on every chunk that holds an orbit representative, and on no other."""
+@pytest.mark.parametrize("per_batch", [1, 5, 97])
+def test_sweep_chunk_boundaries(per_batch, monkeypatch):
+    """With a small element budget the orbit representatives are decided
+    in ceil(representatives / per_batch) batches (one or five subsets each
+    on the spaces of at most 8 cosets, 97 on the larger ones), no batch's
+    translate matrices exceed the budget, the sink gets chunks of
+    max(1, budget // n) masks (the last one fewer), and the rows, also
+    under a size bound, stay the same."""
     sizes = []
-    translate_test = fp._translate_full_rank
+    decide = fp._decide
 
     def recorded(space, bits):
         sizes.append(bits.size * space.group.order)
-        return translate_test(space, bits)
-    monkeypatch.setattr(fp, "_translate_full_rank", recorded)
+        return decide(space, bits)
+    monkeypatch.setattr(fp, "_decide", recorded)
     for space, expected in _reference_sweeps():
-        if (space.num_cosets > 8) != (per_chunk == 97):
+        if (space.num_cosets > 8) != (per_batch == 97):
             continue
         per_subset = space.group.order * space.num_cosets
-        budget = per_chunk * per_subset + per_subset // 2
+        budget = per_batch * per_subset + per_subset // 2
         monkeypatch.setattr(fp, "SCAN_CHUNK", budget)
-        sizes.clear()
-        assert _sweep_rows(space) == expected, space.name
-        chunks = {(mask - 1) // per_chunk for mask in _orbit_representatives(space)}
-        assert len(sizes) == len(chunks)
-        assert max(sizes) <= budget
-        sizes.clear()
-        assert _sweep_rows(space, max_size=2) == [
-            r for r in expected if len(_cosets(r[0])) <= 2]
-        assert max(sizes) <= budget
+        step = max(1, budget // space.num_cosets)
+        for max_size in (None, 2):
+            bound = space.num_cosets if max_size is None else max_size
+            sizes.clear()
+            chunks = []
+            assert _sweep_rows(space, max_size, chunks) == [
+                r for r in expected if len(_cosets(r[0])) <= bound], space.name
+            reps = [m for m in _orbit_representatives(space) if len(_cosets(m)) <= bound]
+            assert len(sizes) == math.ceil(len(reps) / per_batch)
+            assert max(sizes) <= budget
+            assert set(chunks[:-1]) <= {step} and 0 < chunks[-1] <= step
     monkeypatch.setattr(fp, "SCAN_CHUNK", 1)
     sizes.clear()
-    assert len(_sweep_rows(cyclic_space(5))) == 31
-    # at least one subset per chunk; the 7 necklaces of 5 beads decided
+    chunks = []
+    assert len(_sweep_rows(cyclic_space(5), chunks=chunks)) == 31
+    # at least one subset per batch and one mask per chunk; the 7
+    # necklaces of 5 beads decided
     assert sizes == [25] * len(_orbit_representatives(cyclic_space(5))) == [25] * 7
+    assert chunks == [1] * 31
 
 
 def _is_prime(n):
