@@ -180,7 +180,11 @@ def _expm_bidiagonal(rows: np.ndarray) -> np.ndarray:
     out = np.zeros((len(i), n), dtype=complex)
     out[:m] = 1.0
     term, dj, prev = out.copy(), d[i + band], off[band[m:] - 1] + i[m:]
-    for k in range(1, 24):
+    # Every scaled entry is at most 0.5/m, and the corner of term k is
+    # scale^(m-1) h_(k-m+1)(d) / k!, h_j the complete homogeneous polynomial:
+    # at most (0.5/m)^(k-m+1) / (k-m+1)! of the first, k = m - 1.  The first
+    # dropped, k = 17, is below 1e-20 relative for m <= 7 (a 3-D simplex has 4).
+    for k in range(1, 17):
         nxt = term * dj
         nxt[m:] += np.multiply(term[prev], scale)   # no product in place: see bessel
         term = nxt / k
@@ -233,9 +237,10 @@ def _centered_series(deltas: np.ndarray) -> np.ndarray:
     # homogeneous symmetric polynomials of the row's k + 1 entries, via the
     # standard variable-by-variable recurrence.  Individual h_j can vanish
     # (symmetric clusters), so the sum runs to a fixed depth rather than
-    # stopping on a small term; at spread <= 0.8 the tail beyond 30 terms is
-    # far below machine epsilon.
-    max_terms = 30
+    # stopping on a small term.  At spread <= 0.8, |h_j| <= C(j+k, k) 0.8^j,
+    # so term j is at most 0.8^j / j! of the first, 1/k!: the tail beyond 20
+    # terms is below 0.8^20 / 20! ~ 5e-21 relative.
+    max_terms = 20
     k = deltas.shape[1] - 1
     h = np.zeros((max_terms, len(deltas)), dtype=complex)
     h[0] = 1.0

@@ -127,8 +127,9 @@ def _support(bits: np.ndarray) -> np.ndarray:
 def _translates(space: CosetSpace) -> np.ndarray:
     """Gather index of the translate matrices: bits[:, _translates(space)]
     holds, for each subset E, the 0/1 matrix whose row g is the indicator
-    of gE, since c lies in gE exactly when g^{-1}c lies in E."""
-    return space.action[space.group.inv]
+    of gE, since c lies in gE exactly when g^{-1}c lies in E.  Built once
+    per space and kept on it, beside the decision tables."""
+    return space.cached("translates", lambda space: space.action[space.group.inv])
 
 
 def translate_matrix(inst: PompeiuInstance) -> np.ndarray:

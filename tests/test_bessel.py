@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from pompeiu.bessel import (SERIES_RADIUS, ball3_profile, besselj0, besselj1,
-                            j1_over_z, sinc)
+from pompeiu.bessel import (_MODULUS_PHASE, SERIES_RADIUS, ball3_profile, besselj0,
+                            besselj1, j1_over_z, sinc)
 
 # reference values frozen from the integral oracle below (and agreeing
 # with scipy.special to all shown digits)
@@ -62,18 +62,50 @@ def test_matches_scipy_on_real_axis():
 
 
 def test_error_against_mpmath():
-    """Absolute error at most 2.5e-12 on a grid of real [0, 60] through the
-    series/expansion seam (1.94e-12 for J0 and 9.2e-13 for J1, both at
-    12.01), relative error at most 3e-11 on seeded points of the strip
-    |Re z| <= 20, |Im z| <= 5."""
+    """Per kernel, the largest absolute error on a grid of real [0, 60]
+    (5.7e-13 for J0 at 11.59 and 5.5e-13 for J1 at 11.84, both in the power
+    series; J1(z)/z 4.7e-14) and the largest relative error on seeded
+    points of the strip |Re z| <= 20, |Im z| <= 5 (8.6e-12 for J0, 8.2e-12
+    for J1 and J1(z)/z, all at 11.59 - 3.15j, just past the seam)."""
     xs = np.linspace(0.0, 60.0, 6001)
     rng = np.random.default_rng(0)
     zs = rng.uniform(-20.0, 20.0, 400) + 1j * rng.uniform(-5.0, 5.0, 400)
-    for n, kernel in ((0, besselj0), (1, besselj1)):
-        ref = np.array([float(mpmath.besselj(n, x)) for x in xs])
-        assert np.abs(kernel(xs) - ref).max() <= 2.5e-12
-        ref = np.array([complex(mpmath.besselj(n, z)) for z in zs])
-        assert (np.abs(kernel(zs) - ref) / np.abs(ref)).max() <= 3e-11
+    for kernel, exact, real_bound, strip_bound in (
+            (besselj0, lambda z: mpmath.besselj(0, z), 6e-13, 9e-12),
+            (besselj1, lambda z: mpmath.besselj(1, z), 6e-13, 9e-12),
+            (j1_over_z, lambda z: mpmath.besselj(1, z) / z if z else 0.5, 5e-14, 9e-12)):
+        ref = np.array([float(exact(x)) for x in xs])
+        assert np.abs(kernel(xs) - ref).max() <= real_bound
+        ref = np.array([complex(exact(z)) for z in zs])
+        assert (np.abs(kernel(zs) - ref) / np.abs(ref)).max() <= strip_bound
+
+
+def test_modulus_phase_tables_against_50_digits():
+    """Every coefficient of M and theta / w in `_MODULUS_PHASE`, which the
+    module derives from Hankel's P and Q in float64, within 1e-15 relative
+    of a 50-digit derivation by another route: M^2 in closed form (DLMF
+    10.18.17), M by the series square root, and theta from the Wronskian
+    M^2 theta'(x) = 2 / (pi x), which makes theta' = 1 / S for M^2 =
+    2 / (pi x) S(1/x^2)."""
+    with mpmath.workdps(50):
+        for nu in (0, 1):
+            modulus, phase = _MODULUS_PHASE[nu]
+            terms = max(len(modulus), len(phase) + 1)
+            s = [mpmath.mpf(1)]                     # S = sum_k s_k w^2k
+            for k in range(1, terms):
+                s.append(s[-1] * mpmath.mpf(2 * k - 1) / (2 * k)
+                         * (4 * nu * nu - (2 * k - 1) ** 2) / 4)
+            root = [mpmath.mpf(1)]                  # sqrt(S)
+            inverse = [mpmath.mpf(1)]               # 1 / S
+            for k in range(1, terms):
+                root.append((s[k] - sum(root[i] * root[k - i] for i in range(1, k))) / 2)
+                inverse.append(-sum(s[i] * inverse[k - i] for i in range(1, k + 1)))
+            # theta = x - (nu/2 + 1/4) pi - sum_k inverse[k] w^(2k-1) / (2k - 1)
+            exact = ([mpmath.sqrt(2 / mpmath.pi) * c for c in root[:len(modulus)]],
+                     [-inverse[k] / (2 * k - 1) for k in range(1, len(phase) + 1)])
+            for shipped, ref in zip((modulus, phase), exact):
+                for got, want in zip(shipped, ref, strict=True):
+                    assert abs(got - want) <= 1e-15 * abs(want), (nu, got, want)
 
 
 def test_negative_reflection():

@@ -806,11 +806,12 @@ def test_finite_commands_do_not_import_scipy(tmp_path):
 
 
 def test_radial_residuals_import_neither_scipy_nor_mpmath(disk_file, tmp_path):
-    """The Bessel kernels build their tables with `math` alone: a child that
-    runs the disk's `euclid decide --residuals` has no scipy or mpmath
-    module loaded."""
+    """The Bessel kernels build their tables with `math` alone, the modulus
+    and phase series by float64 arithmetic at import: a child that runs the
+    disk's `euclid decide --residuals` past |z| = 12, where the profile
+    takes the large-argument branch, has no scipy or mpmath module loaded."""
     assert _modules_loaded_by(tmp_path, "euclid", "decide", "--set", disk_file,
-                              "--lambda-range", "0:8", "--seed", "1",
+                              "--lambda-range", "0:14", "--seed", "1",
                               "--residuals", str(tmp_path / "res.csv"),
                               "--out", str(tmp_path / "report.json")) == "[]"
 

@@ -223,7 +223,7 @@ def _dense_expm_bidiagonal(rows):
     out = np.zeros((m, m, n), dtype=complex)
     out[np.arange(m), np.arange(m)] = 1.0
     term = out.copy()
-    for k in range(1, 24):
+    for k in range(1, 17):
         nxt = term * d
         nxt[:, 1:] += term[:, :-1] * scale
         term = nxt / k

@@ -298,12 +298,14 @@ def test_single_subset_deciders_read_no_group_table(monkeypatch):
 
 def test_translate_matrix_keeps_every_translate_and_the_kernel():
     """Row g is the indicator of gE, and the kernel basis is the one of the
-    distinct rows in descending order."""
+    distinct rows in descending order.  The gather index behind the rows is
+    built once per space and kept on it."""
     from pompeiu.exact_linalg import nullspace
     from pompeiu.finite_pompeiu import translate_matrix
     for inst in _sampled_instances():
         space = inst.space
         matrix = translate_matrix(inst)
+        assert fp._translates(space) is fp._translates(space)
         assert matrix.shape == (space.group.order, space.num_cosets)
         for g in range(space.group.order):
             translate = {int(space.action[g, c]) for c in inst.subset}
