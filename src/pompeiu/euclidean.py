@@ -51,9 +51,11 @@ DEFAULT_LAMBDA_RANGE = (0.0, 20.0)
 BISECT_TOL = 1e-10
 ROTATION_SAMPLES = {2: 64, 3: 72}
 # (frequency, direction, simplex) triples per block of the orbit scan.  One
-# round of the polytope benchmark (2 vCPUs, best of 4) took 0.30, 0.14, 0.12,
-# 0.11 and 0.12 s at blocks of 256, 2048, 4096, 8192 and 65536 triples, at a
-# peak RSS of 80, 82, 85, 90 and 94 MB: 2048 keeps within 2 MB of the floor.
+# seed-1 round of the polytope benchmark (2 vCPUs, best of 4, three processes
+# each) took 0.11-0.22, 0.07-0.09, 0.06-0.07, 0.05-0.07, 0.07-0.10 and
+# 0.07-0.10 s at blocks of 256, 1024, 2048, 4096, 8192 and 65536 triples, at a
+# peak RSS of 80.5, 81.3, 82.3, 85.3, 89.0 and 100.1 MB: 2048 keeps within
+# 2 MB of the floor, and no larger block is reliably faster.
 SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
@@ -156,110 +158,105 @@ def spherical_phi(lam: complex, x, dim: int):
 # exponential divided differences (for polytope transforms)
 
 
-def _expm_bidiagonal(rows: np.ndarray) -> np.ndarray:
-    """Top-right entry of exp(A) for each row x of an N x m array, where A
-    is the bidiagonal matrix with x on its diagonal and ones above it; that
-    entry is the divided difference exp[x_0, ..., x_{m-1}].
-
-    Scaling and squaring with a truncated Taylor series, each matrix scaled
-    by its own power of two.  Only the upper triangle is held and only its
-    nonzero products are formed, in the dense order, which keeps the bits;
-    rows needing more squarings sort last, so that each squaring is a slice."""
-    n, m = rows.shape
-    norm = np.fmax(np.abs(rows).max(axis=1), 1.0) * m     # max |A_ij| * m
-    s = np.where(norm > 0.5,
-                 np.ceil(np.log2(np.fmax(norm, 0.5))).astype(int) + 1, 0)
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    scale = 2.0 ** -s
-    d = rows[order].T * scale
-    # row off[b] + r holds (r, r + b); (A^2)[r, c] adds A[r, r+t] A[r+t, c] by t
-    i, band = np.concatenate([[np.arange(m - b), [b] * (m - b)] for b in range(m)], axis=1)
-    off = np.searchsorted(band, np.arange(m))
-    pairs = [(f, f + i[f:], off[band[f:] - t] + i[f:] + t) for t, f in enumerate(off) if t]
-    out = np.zeros((len(i), n), dtype=complex)
-    out[:m] = 1.0
-    term, dj, prev = out.copy(), d[i + band], off[band[m:] - 1] + i[m:]
-    # Every scaled entry is at most 0.5/m, and the corner of term k is
-    # scale^(m-1) h_(k-m+1)(d) / k!, h_j the complete homogeneous polynomial:
-    # at most (0.5/m)^(k-m+1) / (k-m+1)! of the first, k = m - 1.  The first
-    # dropped, k = 17, is below 1e-20 relative for m <= 7 (a 3-D simplex has 4).
-    for k in range(1, 17):
-        nxt = term * dj
-        nxt[m:] += np.multiply(term[prev], scale)   # no product in place: see bessel
-        term = nxt / k
-        out += term
-    for step in range(int(s.max(initial=0))):
-        a = out[:, np.searchsorted(s, step, side="right"):]
-        sq = np.multiply(a[i], a)                   # t = 0: A[r, r] A[r, c]
-        for f, left, right in pairs:
-            sq[f:] += np.multiply(a[left], a[right])
-        a[...] = sq
-    corner = np.empty(n, dtype=complex)
-    corner[order] = out[-1]
-    return corner
-
-
 def exp_divided_difference(nodes):
     """Divided difference of exp at each row of an N x m array of complex
     nodes, as N values; a 1-D list of nodes gives one complex.
 
     Each row takes one of three regimes (McCurdy, Ng & Parlett, Math. Comp.
     1984): a centred series when the nodes are clustered (every node within
-    0.8 of their mean), the Lagrange form when they are pairwise at least
-    0.5 apart, and the exponential of the bidiagonal matrix with the nodes
-    on its diagonal otherwise, which also handles confluent clusters.
+    0.8 of their mean; for two nodes the closed form e^c sinh(d) / d, c their
+    mean and d half their gap), the Lagrange form when they are pairwise at
+    least 0.5 apart, and otherwise a split on the farthest pair (x_a, x_b),
+
+        exp[X] = (exp[X - {x_a}] - exp[X - {x_b}]) / (x_b - x_a),
+
+    both halves of every split row evaluated as one batch of m - 1 nodes.
+    Some node of a split row lies more than 0.8 from the mean, which is in
+    the nodes' convex hull, so |x_b - x_a| > 0.8 and each level of split
+    multiplies the absolute error of its halves by at most 2 / 0.8 = 2.5.
+    Two nodes are never split (a gap above 1.6 is above 0.5), so a simplex
+    in 3-space (m = 4) is split at most twice.
     """
     x = np.asarray(nodes, dtype=complex)
-    rows = x.reshape(-1, x.shape[-1])
-    m = rows.shape[1]
-    center = rows.mean(axis=1)
-    deltas = rows - center[:, None]
-    series = np.abs(deltas).max(axis=1) <= 0.8
-    min_gap = np.full(len(rows), np.inf)
-    for i in range(m):
-        for j in range(i + 1, m):
-            min_gap = np.fmin(min_gap, np.abs(rows[:, i] - rows[:, j]))
-    lagrange = ~series & (min_gap >= 0.5)
-    matrix = ~(series | lagrange)
-    out = np.empty(len(rows), dtype=complex)
-    if series.any():
-        out[series] = np.exp(center[series]) * _centered_series(deltas[series])
-    if lagrange.any():
-        out[lagrange] = _lagrange_form(rows[lagrange])
-    if matrix.any():
-        out[matrix] = _expm_bidiagonal(rows[matrix])
+    # one node per row: the reductions over a row's nodes run on contiguous
+    # arrays, about ten times faster than over the columns of x
+    out = _divided_difference_columns(np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T))
     return complex(out[0]) if x.ndim == 1 else out
 
 
+def _divided_difference_columns(x: np.ndarray) -> np.ndarray:
+    """exp[x_0, ..., x_{m-1}] for each column of an m x N array of nodes."""
+    m, n = x.shape
+    if m == 1:
+        return np.exp(x[0])
+    center = x.sum(axis=0) / m
+    deltas = x - center
+    series = np.abs(deltas).max(axis=0) <= 0.8
+    # x_i - x_j for each pair i < j, formed once: the gaps, the farthest pair
+    # and the Lagrange denominators read it (fl(x_j - x_i) = -fl(x_i - x_j))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    i, j = np.array(pairs).T
+    diff = x[i] - x[j]
+    gaps = np.abs(diff)
+    lagrange = ~series & (gaps.min(axis=0) >= 0.5)
+    split = ~(series | lagrange)
+    out = np.empty(n, dtype=complex)
+    if series.any():
+        if m == 2:
+            out[series] = np.exp(center[series]) * _sinh_ratio(-0.5 * diff[0, series])
+        else:
+            out[series] = np.exp(center[series]) * _centered_series(deltas[:, series])
+    if lagrange.any():
+        out[lagrange] = _lagrange_form(x[:, lagrange], diff[:, lagrange], pairs)
+    if split.any():
+        cols = np.flatnonzero(split)
+        far = gaps[:, cols].argmax(axis=0)
+        # row a of rest: the node indices without a
+        rest = np.array([[c for c in range(m) if c != a] for a in range(m)])
+        drop = np.concatenate([i[far], j[far]])
+        halves = _divided_difference_columns(x[rest[drop].T, np.tile(cols, 2)])
+        k = len(cols)
+        out[split] = (halves[k:] - halves[:k]) / diff[far, cols]
+    return out
+
+
+def _sinh_ratio(d: np.ndarray) -> np.ndarray:
+    """sinh(d) / d, exactly 1 at d = 0."""
+    out = np.ones(len(d), dtype=complex)
+    nz = d != 0
+    out[nz] = np.sinh(d[nz]) / d[nz]
+    return out
+
+
 def _centered_series(deltas: np.ndarray) -> np.ndarray:
-    # sum_j h_j(deltas) / (j + k)!  per row, with h_j the complete
-    # homogeneous symmetric polynomials of the row's k + 1 entries, via the
+    # sum_j h_j(deltas) / (j + k)!  per column, with h_j the complete
+    # homogeneous symmetric polynomials of the column's k + 1 entries, via the
     # standard variable-by-variable recurrence.  Individual h_j can vanish
     # (symmetric clusters), so the sum runs to a fixed depth rather than
     # stopping on a small term.  At spread <= 0.8, |h_j| <= C(j+k, k) 0.8^j,
     # so term j is at most 0.8^j / j! of the first, 1/k!: the tail beyond 20
     # terms is below 0.8^20 / 20! ~ 5e-21 relative.
     max_terms = 20
-    k = deltas.shape[1] - 1
-    h = np.zeros((max_terms, len(deltas)), dtype=complex)
+    k = len(deltas) - 1
+    h = np.zeros((max_terms, deltas.shape[1]), dtype=complex)
     h[0] = 1.0
-    for d in deltas.T:
+    for d in deltas:
         for j in range(1, max_terms):
             h[j] += d * h[j - 1]
     fact = np.array([float(math.factorial(j + k)) for j in range(max_terms)])
     return (h / fact[:, None]).sum(axis=0)
 
 
-def _lagrange_form(rows: np.ndarray) -> np.ndarray:
-    """sum_i exp(x_i) / prod_{j != i} (x_i - x_j) per row of distinct nodes."""
+def _lagrange_form(x: np.ndarray, diff: np.ndarray, pairs: list) -> np.ndarray:
+    """sum_i exp(x_i) / prod_{j != i} (x_i - x_j) per column of distinct
+    nodes, diff[p] holding x_a - x_b for the pair (a, b) = pairs[p], a < b."""
     total = 0
-    for i in range(rows.shape[1]):
+    for i in range(len(x)):
         denom = 1.0
-        for j in range(rows.shape[1]):
-            if j != i:
-                denom = denom * (rows[:, i] - rows[:, j])
-        total = total + np.exp(rows[:, i]) / denom
+        for p, (a, b) in enumerate(pairs):
+            if i == a or i == b:
+                denom = denom * (diff[p] if i == a else -diff[p])
+        total = total + np.exp(x[i]) / denom
     return total
 
 

@@ -173,7 +173,7 @@ def _regime(x):
     if np.abs(x - x.mean()).max() <= 0.8:
         return "series"
     gaps = [abs(a - b) for i, a in enumerate(x) for b in x[i + 1:]]
-    return "lagrange" if min(gaps) >= 0.5 else "matrix"
+    return "lagrange" if min(gaps) >= 0.5 else "split"
 
 
 def _node_rows(m, kind, rng):
@@ -193,6 +193,10 @@ def _node_rows(m, kind, rng):
             rows.append(x)
     rows.append(np.full(m, 3.0 * unit))              # fully confluent
     rows.append(np.array([0.0, 0.0] + [5.0] * (m - 2)) * unit)
+    # two close pairs far apart: at m = 4 each half of the first split
+    # still holds a close pair and a far node, and is split again
+    for far_pairs in ([0.0, 0.01, 3.0, 3.01], [-20.0, -19.9, 20.0, 20.2]):
+        rows.append(np.array(far_pairs[:m]) * unit)
     return np.asarray(rows, dtype=complex)
 
 
@@ -202,54 +206,49 @@ def test_divided_difference_batch_matches_mpmath(m, kind):
     rows = _node_rows(m, kind, np.random.default_rng(10 * m + len(kind)))
     got = exp_divided_difference(rows)
     assert got.shape == (len(rows),)
-    assert {_regime(x) for x in rows} == {"series", "lagrange", "matrix"}
+    assert {_regime(x) for x in rows} == {"series", "lagrange", "split"}
     for x, value in zip(rows, got):
         ref = _mp_divided_difference(x)
         assert abs(value - ref) <= 1e-12 * abs(ref), (x, value, ref)
         assert exp_divided_difference(x) == pytest.approx(value, rel=1e-14)
 
 
-def _dense_expm_bidiagonal(rows):
-    """The full m x m x N scaling and squaring that `_expm_bidiagonal`
-    restricts to the upper triangle, kept as its bit-for-bit reference."""
-    n, m = rows.shape
-    norm = np.fmax(np.abs(rows).max(axis=1), 1.0) * m
-    s = np.where(norm > 0.5,
-                 np.ceil(np.log2(np.fmax(norm, 0.5))).astype(int) + 1, 0)
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    scale = 2.0 ** -s
-    d = rows[order].T * scale
-    out = np.zeros((m, m, n), dtype=complex)
-    out[np.arange(m), np.arange(m)] = 1.0
-    term = out.copy()
-    for k in range(1, 17):
-        nxt = term * d
-        nxt[:, 1:] += term[:, :-1] * scale
-        term = nxt / k
-        out += term
-    for step in range(int(s.max(initial=0))):
-        a = out[:, :, np.searchsorted(s, step, side="right"):]
-        sq = a[:, 0, None] * a[None, 0]
-        for j in range(1, m):
-            sq += a[:, j, None] * a[None, j]
-        a[...] = sq
-    corner = np.empty(n, dtype=complex)
-    corner[order] = out[0, m - 1]
-    return corner
-
-
-@pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("kind", ["imag", "real", "complex"])
-def test_triangular_expm_is_bit_identical_to_the_dense_one(m, kind):
-    """Every corner value keeps the bits of the dense computation, signed
-    zeros included, on rows of every regime and on a batch large enough
-    (3240 rows) for numpy to reuse temporaries of its size."""
-    rows = _node_rows(m, kind, np.random.default_rng(10 * m + len(kind)))
-    for batch in (rows, np.tile(rows, (120, 1))):
-        got = euclidean._expm_bidiagonal(batch)
-        ref = _dense_expm_bidiagonal(batch)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+def test_two_close_pairs_far_apart_split_twice(kind, monkeypatch):
+    """The rows `_node_rows` adds for this go through both levels of split
+    (their values are held to 50 digits by the batch test)."""
+    unit = {"imag": 1j, "real": 1.0, "complex": (1 + 1j) / math.sqrt(2)}[kind]
+    sizes = []
+    inner = euclidean._divided_difference_columns
+
+    def recorded(x):
+        sizes.append(len(x))
+        return inner(x)
+
+    monkeypatch.setattr(euclidean, "_divided_difference_columns", recorded)
+    for row in ([0.0, 0.01, 3.0, 3.01], [-20.0, -19.9, 20.0, 20.2]):
+        sizes.clear()
+        exp_divided_difference(np.array(row) * unit)
+        assert sizes == [4, 3, 2]
+
+
+def test_two_nodes():
+    """e^c sinh(d) / d for a narrow pair (gap at most 1.6, c the mean and d
+    half the gap), the Lagrange form for a wider one."""
+    assert exp_divided_difference([0.0, 0.0]) == 1.0
+    # exp[0, 1e-300] = 1 + 5e-301, which 50 digits cannot tell from 1
+    assert exp_divided_difference([0.0, 1e-300]) == pytest.approx(1.0, rel=1e-15)
+    # e^-1500 underflows and sinh(750) overflows: no inf * 0
+    assert exp_divided_difference([-1500.0, 0.0]) == pytest.approx(1 / 1500, rel=1e-15)
+    rows = []
+    for unit in (1.0, 1j, (3 + 4j) / 5):
+        for gap in (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7, 40.0):
+            rows.append([0.7 - 0.4j, 0.7 - 0.4j + gap * unit])
+    rows = np.array(rows)
+    assert {_regime(x) for x in rows} == {"series", "lagrange"}
+    for x, value in zip(rows, exp_divided_difference(rows)):
+        ref = _mp_divided_difference(x)
+        assert abs(value - ref) <= 1e-12 * abs(ref), (x, value, ref)
 
 
 MOVED_SQUARE = Polytope(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ _rot2(0.7).T
