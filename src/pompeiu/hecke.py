@@ -13,12 +13,12 @@ from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
 characters differ on some basis element, hence on a generic combination.
 No decision holds all d^3 structure constants op[j][k, i]: they are
 counted from the orbital table a block of slices op[:, k, :] at a time.
-The coefficients are a real draw, then a complex one if the real draw's
-table fails certification.  When every eigenvalue rounds to an integer,
+The coefficients are one fixed complex draw.  A float table is certified
+by its eigensolve's own residual over eigenvalue gap, so it never reads
+the multiplication table.  When every eigenvalue rounds to an integer,
 they give every value as a rational, kept (marked exact) only if it
 satisfies the functional equation exactly, in scaled integers, on
-double-coset representatives; otherwise the float table is kept, after
-the same check against SPHERICAL_RESIDUAL_TOL.
+double-coset representatives.
 
 The per-space Hecke structure keeps them as arrays, one row per function,
 sorted by eigenvalue: `phi_matrix`, the eigenvalues |C_c| f(c^{-1}) under
@@ -44,8 +44,8 @@ import numpy as np
 
 from .groups import BugTrapError, CosetSpace, check_work_budget
 
-SPHERICAL_RESIDUAL_TOL = 1e-10
-EIG_CLUSTER_TOL = 1e-8
+SPHERICAL_RESIDUAL_TOL = 1e-10  # most residual over eigenvalue gap of a float eigenvector
+EIG_CLUSTER_TOL = 1e-8          # least eigenvalue gap of the generic element, relative to it
 _BLOCK = 2 ** 18        # most counts of op, or functional-equation terms, held at once
 
 __all__ = [
@@ -157,20 +157,27 @@ class _HeckeStructure:
 
     @cached_property
     def _spherical_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(phi_matrix, class_values, exact) of the first draw of generic
-        coefficients that certifies, rows sorted by the eigenvalues rounded
-        to 9 digits (real, then imaginary part, in class order)."""
+        """(phi_matrix, class_values, exact), rows sorted by the eigenvalues
+        rounded to 9 digits (real, then imaginary part, in class order): the
+        integer table when every lambda_j = |C_j| f(inverse of class j) is
+        an integer and it certifies exactly, the float one otherwise."""
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
-        failures = []
-        for kind, coefficients in _generic_coefficients(self.d):
-            try:
-                phi, values, exact = self._certified(coefficients)
-                break
-            except BugTrapError as exc:
-                failures.append(f"{exc} with {kind} coefficients")
-        else:
-            raise BugTrapError("; ".join(failures))
+        coefficients = _generic_coefficients(self.d)
+        vectors = _eigenvectors_float(np.array([coefficients @ s for s in self._slices()]),
+                                      self.class_sizes)
+        # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
+        inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
+        phi = vectors.take(inv, axis=1) * sizes + 0j      # -0 becomes +0
+        values, exact = vectors, False
+        rounded = np.rint(phi.real)
+        if np.all(np.abs(phi - rounded) <= EIG_CLUSTER_TOL * (1.0 + sizes)):
+            ints = rounded.astype(np.int64)
+            # class c holds lambda at the inverse class (an involution) over its size
+            rows = [list(map(Fraction, row, sizes[inv].tolist())) for row in ints[:, inv].tolist()]
+            table, scale = _scaled_integers(rows, self.space.k_size)
+            if len(np.unique(ints, axis=0)) == len(ints) and self._excess(table, scale) == 0:
+                phi, values, exact = ints, table, True
         key = np.round(phi.astype(complex).view(float), 9)
         order = np.lexsort(key.T[::-1])
         return phi[order], values[order], exact
@@ -198,33 +205,6 @@ class _HeckeStructure:
         table, coeffs = _algebra_arrays([f.eigenvalue_tuple for f in funcs], mu.coeffs)
         ic = _nonzero(coeffs)
         return table[:, ic] @ coeffs[ic]
-
-    def _certified(self, coefficients) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(phi, class values, exact), unsorted, from the generic element
-        with these coefficients.  lambda_j = |C_j| f(inverse of class j), so
-        an all-integer spectrum fixes every value as a fraction; the float
-        table is the fallback.  A bug trap, stating the smallest relative
-        eigenvalue gap, when neither table certifies."""
-        generic = np.array([coefficients @ s for s in self._slices()])
-        vectors, gap = _eigenvectors_float(generic, self.class_sizes)
-        # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
-        inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
-        lam = vectors.take(inv, axis=1) * sizes + 0j      # complex; -0 becomes +0
-        tol = EIG_CLUSTER_TOL * (1.0 + sizes)
-        rounded = np.rint(lam.real)
-        if np.all(np.abs(lam - rounded) <= tol):
-            phi = rounded.astype(np.int64)
-            # class c holds lambda at the inverse class (an involution) over its size
-            values = [list(map(Fraction, row, sizes[inv].tolist())) for row in phi[:, inv].tolist()]
-            table, scale = _scaled_integers(values, self.space.k_size)
-            if len(np.unique(phi, axis=0)) == len(phi) and self._excess(table, scale) == 0:
-                return phi, table, True
-        res = self._excess(vectors) / self.space.k_size
-        if res > SPHERICAL_RESIDUAL_TOL:
-            raise BugTrapError(f"spherical candidate failed functional equation "
-                               f"(residual {res:.3e}, smallest relative eigenvalue "
-                               f"gap {gap:.1e}) on {self.space.name}")
-        return lam, vectors.astype(complex), False
 
     def _excess(self, table: np.ndarray, scale=1):
         """`_equation_excess` of class-value rows table = scale * f, checked
@@ -270,39 +250,45 @@ def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
     return np.max(excess)
 
 
-def _generic_coefficients(d: int):
-    """(kind, coefficients a) of the generic element sum_j a_j op[j]: a
-    fixed real draw, then, drawn only if that fails certification, a fixed
-    complex one.  On a symmetric pair a real combination crowds all d
-    eigenvalues on the real line, where two can come close enough to mix
-    their eigenvectors; complex coefficients spread them over the plane."""
-    rng = np.random.default_rng(0)
-    yield "real", rng.standard_normal(d)
-    yield "complex", rng.standard_normal(d) + 1j * rng.standard_normal(d)
+def _generic_coefficients(d: int) -> np.ndarray:
+    """The coefficients a of the generic element sum_j a_j op[j]: a fixed
+    complex draw, the second and third blocks of d normals of default_rng(0)
+    (skipping the first keeps the tables of earlier releases bit for bit).
+    Complex coefficients spread its eigenvalues over the plane; on a
+    symmetric pair, where every character is real, real ones crowd them."""
+    real, imag = np.random.default_rng(0).standard_normal((3, d))[1:]
+    return real + 1j * imag
 
 
-def _eigenvectors_float(generic: np.ndarray, class_sizes) -> tuple[np.ndarray, float]:
+def _eigenvectors_float(generic: np.ndarray, class_sizes) -> np.ndarray:
     """The eigenvectors of the generic element, one row each, normalized to
-    1 at the identity class, and the smallest gap between two of its
-    eigenvalues relative to its size.  It is solved in the coordinates
-    sqrt(|C_i|) v_i, the L2 norm of G, where it is a normal matrix and its
-    eigenvectors are well conditioned.  A bug trap when that gap is below
-    EIG_CLUSTER_TOL, since the eigenvectors then need not be joint ones,
-    or when a vector vanishes at the identity."""
-    d = len(generic)
+    1 at the identity class.  It is solved in the coordinates sqrt(|C_i|) v_i,
+    the L2 norm of G, where it is a normal matrix A, so a unit eigenvector u
+    of eigenvalue mu lies within angle r/gap of the true one, r = |A u - mu u|
+    and gap the distance from mu to the rest of the spectrum (Davis & Kahan,
+    1970).  With the operators commuting (checked exactly), a simple spectrum
+    makes each eigenvector a joint one, hence spherical.  Bug traps: a least
+    gap below EIG_CLUSTER_TOL relative to the element's size, an r/gap above
+    SPHERICAL_RESIDUAL_TOL, or a vector vanishing at the identity class."""
     root = np.sqrt(np.asarray(class_sizes, dtype=float))
-    eigvals, eigvecs = np.linalg.eig(generic * root[:, None] / root)
-    gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag(np.full(d, np.inf))
-    gap = gaps.min() / (1.0 + np.abs(generic).sum(axis=1).max())
-    if gap < EIG_CLUSTER_TOL:
+    a = generic * root[:, None] / root
+    eigvals, eigvecs = np.linalg.eig(a)
+    gaps = (np.abs(eigvals[:, None] - eigvals) + np.diag(np.full(len(a), np.inf))).min(axis=1)
+    relative = gaps.min() / (1.0 + np.abs(generic).sum(axis=1).max())
+    if relative < EIG_CLUSTER_TOL:
         raise BugTrapError(f"the generic Hecke element does not separate the characters "
-                           f"(smallest relative eigenvalue gap {gap:.1e})")
+                           f"(smallest relative eigenvalue gap {relative:.1e})")
+    ratio = np.linalg.norm(a @ eigvecs - eigvecs * eigvals, axis=0) / gaps
+    worst = ratio.argmax()
+    if ratio[worst] > SPHERICAL_RESIDUAL_TOL:
+        raise BugTrapError(f"spherical eigenvector not certified by its residual: "
+                           f"r/gap {ratio[worst]:.1e} at eigenvalue gap {gaps[worst]:.1e}")
     if np.any(np.abs(eigvecs[0]) < 1e-12):
         raise BugTrapError("spherical eigenvector vanishes at the identity class")
     vectors = eigvecs.T / root
     vectors /= vectors[:, :1]
     vectors[:, 0] = 1.0     # exact by construction; drop division residue
-    return vectors, gap
+    return vectors
 
 
 def hecke_structure(space: CosetSpace) -> _HeckeStructure:

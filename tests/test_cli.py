@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -109,15 +110,15 @@ def test_memory_error_without_a_message_prints_out_of_memory(z8_file, monkeypatc
 
 
 def test_spherical_self_check_failure_exits_3(tmp_path, monkeypatch, capsys):
-    """A float spherical table that fails its functional-equation check is a
-    bug trap: with a negative tolerance every residual fails it, and a Z20
-    `finite check` exits 3 with an error line instead of a traceback."""
+    """A float spherical table whose eigenvectors fail their residual check
+    is a bug trap: with a negative tolerance every r/gap fails it, and a Z20
+    `finite check` exits 3 with one error line instead of a traceback."""
     monkeypatch.setattr(hecke, "SPHERICAL_RESIDUAL_TOL", -1.0)
     code = main(["finite", "check", "--group", _cyclic_file(tmp_path, 20),
                  "--set", "0,5,10,15", "--out", str(tmp_path / "report.json")])
     assert code == 3
-    assert capsys.readouterr().err.startswith(
-        "error: spherical candidate failed functional equation")
+    assert re.fullmatch(r"error: spherical eigenvector not certified by its residual: "
+                        r"r/gap \S+ at eigenvalue gap \S+\n", capsys.readouterr().err)
 
 
 def test_orbit_check_failure_exits_3(disk_file, tmp_path, monkeypatch, capsys):
@@ -182,10 +183,9 @@ def test_finite_check_reports_the_decided_subset(z8_file, tmp_path):
 
 @pytest.mark.parametrize("n", [56, 157, 164])
 def test_finite_check_on_crowded_real_spectra(n, tmp_path):
-    """D56, D157 and D164 with a reflection: real coefficients crowd the
-    generic element's real eigenvalues (relative gaps down to 3.5e-7) and
-    their table fails the functional equation, so the complex draw gives
-    the table.  `finite check` exits 0 and its three verdicts agree."""
+    """D56, D157 and D164 with a reflection, where real coefficients would
+    crowd the generic element's real eigenvalues (relative gaps down to
+    3.5e-7): `finite check` exits 0 and its three verdicts agree."""
     path = tmp_path / f"d{n}.json"
     path.write_text(json.dumps({"family": "dihedral", "n": n,
                                 "subgroup_generators": [[(-i) % n for i in range(n)]]}))

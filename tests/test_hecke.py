@@ -1,6 +1,5 @@
 import cmath
 import gc
-import itertools
 import re
 import weakref
 from fractions import Fraction
@@ -420,13 +419,12 @@ def test_dihedral_sphericals_are_cosines():
         assert len(found) == len(funcs), n
 
 
-def test_crowded_real_spectra_fall_back_to_complex_coefficients(monkeypatch):
+def test_complex_draw_separates_crowded_real_spectra():
     """On D_n with a reflection every spherical function is real, so a real
-    combination of the operators has d real eigenvalues.  For these n two
-    of them crowd (relative gap 3.5e-7 to 9.2e-6) and the real draw's table
-    fails the functional equation; the complex draw gives the cosines of
-    `test_dihedral_sphericals_are_cosines`.  Alone, the real draw is a bug
-    trap that names its gap."""
+    combination of the operators would have d real eigenvalues, and for
+    these n two of them would crowd (relative gap 3.5e-7 to 9.2e-6).  The
+    complex draw spreads them over the plane and gives the cosines of
+    `test_dihedral_sphericals_are_cosines`."""
     for n in (56, 157, 164, 191, 199):
         space = dihedral_space(n)
         funcs = spherical_functions(space)
@@ -435,13 +433,43 @@ def test_crowded_real_spectra_fall_back_to_complex_coefficients(monkeypatch):
         table = np.array([[complex(v) for v in f.on_group()] for f in funcs])
         cosines = np.cos(2 * np.pi * np.arange(n // 2 + 1)[:, None] * vertex / n)
         assert np.abs(table[:, None, :] - cosines[None]).max(axis=2).min(axis=1).max() < 1e-9
-    draws = hecke._generic_coefficients
-    monkeypatch.setattr(hecke, "_generic_coefficients",
-                        lambda d: itertools.islice(draws(d), 1))
-    with pytest.raises(BugTrapError, match=r"failed functional equation \(residual "
-                       r"\S+, smallest relative eigenvalue gap 8.1e-06\) on D56.* with "
-                       r"real coefficients$"):
-        spherical_functions(dihedral_space(56))
+
+
+def test_moved_eigenvector_value_is_a_bug_trap(monkeypatch):
+    """A float eigenvector with one class value moved by 1e-6 leaves the
+    generic element's eigen-equation by far more than its eigenvalue gap
+    allows: a bug trap naming r/gap and the gap, never a table."""
+    solve = np.linalg.eig
+
+    def moved(a):
+        eigvals, eigvecs = solve(a)
+        eigvecs[1, 3] += 1e-6
+        return eigvals, eigvecs
+    monkeypatch.setattr(hecke.np.linalg, "eig", moved)
+    for space in (cyclic_space(20), dihedral_space(24)):
+        with pytest.raises(BugTrapError) as err:
+            spherical_functions(space)
+        assert re.fullmatch(r"spherical eigenvector not certified by its residual: "
+                            r"r/gap \S+ at eigenvalue gap \S+", str(err.value)), str(err.value)
+        assert "_spherical_table" not in vars(hecke_structure(space))
+
+
+class _Unreadable:
+    def __getitem__(self, index):
+        raise AssertionError("multiplication table read")
+
+
+def test_float_tables_never_read_the_multiplication_table(monkeypatch):
+    """A float table is certified by its eigensolve alone; only the exact
+    check of the functional equation reads group.mul."""
+    for space in (cyclic_space(20), dihedral_space(24), dihedral_space(56)):
+        monkeypatch.setattr(space.group, "mul", _Unreadable())
+        assert len(spherical_functions(space)) == space.double_cosets.num_classes
+        assert not hecke_structure(space).exact
+    space = symmetric_space(4, fixed_point=3)
+    monkeypatch.setattr(space.group, "mul", _Unreadable())
+    with pytest.raises(AssertionError, match="multiplication table read"):
+        spherical_functions(space)
 
 
 def test_sphericals_sorted_by_rounded_eigenvalues():
@@ -472,19 +500,16 @@ def _cyclic_pair_coefficients(d):
 ])
 def test_non_separating_element_is_a_bug_trap(coefficients, spaces, monkeypatch):
     """An element that gives two characters one eigenvalue has eigenvectors
-    that need not be spherical: a bug trap, never a table.  Both draws are
-    such elements here (the complex one a complex multiple of the real
-    one), and the error states the eigenvalue gap of each."""
-    monkeypatch.setattr(hecke, "_generic_coefficients", lambda d: iter(
-        [("real", coefficients(d)), ("complex", (1 + 2j) * coefficients(d))]))
+    that need not be spherical: a bug trap naming the eigenvalue gap, never
+    a table."""
+    monkeypatch.setattr(hecke, "_generic_coefficients", coefficients)
     for space in spaces():
         for _ in range(2):
-            with pytest.raises(BugTrapError, match="does not separate") as err:
+            with pytest.raises(BugTrapError) as err:
                 spherical_functions(space)
-            assert re.fullmatch(
-                r"(the generic Hecke element does not separate the characters "
-                r"\(smallest relative eigenvalue gap \S+\) with (real|complex) "
-                r"coefficients(; )?){2}", str(err.value)), str(err.value)
+            assert re.fullmatch(r"the generic Hecke element does not separate the characters "
+                                r"\(smallest relative eigenvalue gap \S+\)", str(err.value)), \
+                str(err.value)
         assert "_spherical_table" not in vars(hecke_structure(space))
         assert "sphericals" not in vars(hecke_structure(space))
 
