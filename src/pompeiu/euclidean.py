@@ -10,7 +10,9 @@ integral checks that re-verify every candidate failure frequency.
 
 Transforms are evaluated in batches: a polytope's value at N frequencies
 comes from one `exp_divided_difference` call on the N x simplices rows of
-nodes, the simplices fanned from one vertex.  The orbit scan of a
+nodes, the simplices fanned from one vertex (stacked once on the shape).  A
+real frequency z keeps z.v real, and the divided differences run in real
+arithmetic on those phases t = -i x.  The orbit scan of a
 non-radial shape evaluates frequencies x directions x simplices in blocks
 of at most SCAN_CHUNK triples, one direction per antipodal pair at a real
 frequency (|F(-z)| = |F(z)|), keeping a running maximum per frequency, so
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import ball3_profile, besselj0, j1_over_z, sinc
+from .bessel import _as_array, ball3_profile, besselj0, j1_over_z, sinc
 from .groups import BugTrapError
 from .quadrature import DEFAULT_TOL, integrate_over
 from .shapes import (Annulus, Ball, DisjointUnion, EuclideanSet,
@@ -52,10 +54,10 @@ BISECT_TOL = 1e-10
 ROTATION_SAMPLES = {2: 64, 3: 72}
 # (frequency, direction, simplex) triples per block of the orbit scan.  One
 # seed-1 round of the polytope benchmark (2 vCPUs, best of 4, three processes
-# each) took 0.11-0.22, 0.07-0.09, 0.06-0.07, 0.05-0.07, 0.07-0.10 and
-# 0.07-0.10 s at blocks of 256, 1024, 2048, 4096, 8192 and 65536 triples, at a
-# peak RSS of 80.5, 81.3, 82.3, 85.3, 89.0 and 100.1 MB: 2048 keeps within
-# 2 MB of the floor, and no larger block is reliably faster.
+# each) took 0.15-0.22, 0.09-0.10, 0.06-0.08, 0.05-0.07, 0.05-0.06 and
+# 0.05-0.06 s at blocks of 256, 1024, 2048, 4096, 8192 and 65536 triples, at a
+# peak RSS of 80.1, 80.8, 81.5, 83.4, 87.7 and 93.4 MB: 2048 is the largest
+# block within 2 MB of the floor.
 SCAN_CHUNK = 2048
 # Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
@@ -162,101 +164,103 @@ def exp_divided_difference(nodes):
     """Divided difference of exp at each row of an N x m array of complex
     nodes, as N values; a 1-D list of nodes gives one complex.
 
-    Each row takes one of three regimes (McCurdy, Ng & Parlett, Math. Comp.
-    1984): a centred series when the nodes are clustered (every node within
-    0.8 of their mean; for two nodes the closed form e^c sinh(d) / d, c their
-    mean and d half their gap), the Lagrange form when they are pairwise at
-    least 0.5 apart, and otherwise a split on the farthest pair (x_a, x_b),
+    It is (-i)^(m-1) g[t] for g(t) = e^{it} at t = -i x, which is real at a
+    real frequency (every node on the imaginary axis): such a batch runs in
+    real arithmetic, any other in complex.  Each row takes one of three
+    regimes (McCurdy, Ng & Parlett, Math. Comp. 1984), the same on t as on
+    x since |t| = |x|: a centred series when the nodes are clustered (every
+    node within 0.8 of their mean; for two nodes the closed form
+    i e^{ic} sinc(d), c their mean and d half their gap), the Lagrange form
+    when they are pairwise at least 0.5 apart, and otherwise a split on the
+    farthest pair (t_a, t_b),
 
-        exp[X] = (exp[X - {x_a}] - exp[X - {x_b}]) / (x_b - x_a),
+        g[T] = (g[T - {t_a}] - g[T - {t_b}]) / (t_b - t_a),
 
     both halves of every split row evaluated as one batch of m - 1 nodes.
     Some node of a split row lies more than 0.8 from the mean, which is in
-    the nodes' convex hull, so |x_b - x_a| > 0.8 and each level of split
+    the nodes' convex hull, so |t_b - t_a| > 0.8 and each level of split
     multiplies the absolute error of its halves by at most 2 / 0.8 = 2.5.
     Two nodes are never split (a gap above 1.6 is above 0.5), so a simplex
     in 3-space (m = 4) is split at most twice.
     """
     x = np.asarray(nodes, dtype=complex)
+    m = x.shape[-1]
+    rows = x.reshape(-1, m)
+    t = rows.imag - 1j * rows.real if rows.real.any() else rows.imag
     # one node per row: the reductions over a row's nodes run on contiguous
-    # arrays, about ten times faster than over the columns of x
-    out = _divided_difference_columns(np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T))
+    # arrays, about ten times faster than over the columns of t
+    out = _divided_difference_columns(np.ascontiguousarray(t.T)) * (1, -1j, -1, 1j)[(m - 1) % 4]
     return complex(out[0]) if x.ndim == 1 else out
 
 
-def _divided_difference_columns(x: np.ndarray) -> np.ndarray:
-    """exp[x_0, ..., x_{m-1}] for each column of an m x N array of nodes."""
-    m, n = x.shape
+def _divided_difference_columns(t: np.ndarray) -> np.ndarray:
+    """g[t_0, ..., t_{m-1}] for g(t) = e^{it} and each column of an m x N
+    array of nodes, in real arithmetic for real nodes."""
+    m, n = t.shape
     if m == 1:
-        return np.exp(x[0])
-    center = x.sum(axis=0) / m
-    deltas = x - center
+        return np.exp(1j * t[0])
+    center = t.sum(axis=0) / m
+    deltas = t - center
     series = np.abs(deltas).max(axis=0) <= 0.8
-    # x_i - x_j for each pair i < j, formed once: the gaps, the farthest pair
-    # and the Lagrange denominators read it (fl(x_j - x_i) = -fl(x_i - x_j))
+    # t_i - t_j for each pair i < j, formed once: the gaps, the farthest pair
+    # and the Lagrange denominators read it (fl(t_j - t_i) = -fl(t_i - t_j))
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     i, j = np.array(pairs).T
-    diff = x[i] - x[j]
+    diff = t[i] - t[j]
     gaps = np.abs(diff)
     lagrange = ~series & (gaps.min(axis=0) >= 0.5)
     split = ~(series | lagrange)
     out = np.empty(n, dtype=complex)
     if series.any():
         if m == 2:
-            out[series] = np.exp(center[series]) * _sinh_ratio(-0.5 * diff[0, series])
+            out[series] = 1j * np.exp(1j * center[series]) * sinc(0.5 * diff[0, series])
         else:
-            out[series] = np.exp(center[series]) * _centered_series(deltas[:, series])
+            out[series] = np.exp(1j * center[series]) * _centered_series(deltas[:, series])
     if lagrange.any():
-        out[lagrange] = _lagrange_form(x[:, lagrange], diff[:, lagrange], pairs)
+        out[lagrange] = _lagrange_form(t[:, lagrange], diff[:, lagrange], pairs)
     if split.any():
         cols = np.flatnonzero(split)
         far = gaps[:, cols].argmax(axis=0)
         # row a of rest: the node indices without a
         rest = np.array([[c for c in range(m) if c != a] for a in range(m)])
         drop = np.concatenate([i[far], j[far]])
-        halves = _divided_difference_columns(x[rest[drop].T, np.tile(cols, 2)])
+        halves = _divided_difference_columns(t[rest[drop].T, np.concatenate([cols, cols])])
         k = len(cols)
         out[split] = (halves[k:] - halves[:k]) / diff[far, cols]
     return out
 
 
-def _sinh_ratio(d: np.ndarray) -> np.ndarray:
-    """sinh(d) / d, exactly 1 at d = 0."""
-    out = np.ones(len(d), dtype=complex)
-    nz = d != 0
-    out[nz] = np.sinh(d[nz]) / d[nz]
-    return out
-
-
 def _centered_series(deltas: np.ndarray) -> np.ndarray:
-    # sum_j h_j(deltas) / (j + k)!  per column, with h_j the complete
-    # homogeneous symmetric polynomials of the column's k + 1 entries, via the
-    # standard variable-by-variable recurrence.  Individual h_j can vanish
+    # sum_j i^(j+k) h_j(deltas) / (j+k)!  per column, with h_j the complete
+    # homogeneous symmetric polynomials of the column's k + 1 entries: row r
+    # of terms[j], h_j of the first r + 1 entries, is the running sum over
+    # the rows of deltas * terms[j - 1].  Individual h_j can vanish
     # (symmetric clusters), so the sum runs to a fixed depth rather than
     # stopping on a small term.  At spread <= 0.8, |h_j| <= C(j+k, k) 0.8^j,
     # so term j is at most 0.8^j / j! of the first, 1/k!: the tail beyond 20
     # terms is below 0.8^20 / 20! ~ 5e-21 relative.
-    max_terms = 20
-    k = len(deltas) - 1
-    h = np.zeros((max_terms, deltas.shape[1]), dtype=complex)
-    h[0] = 1.0
-    for d in deltas:
-        for j in range(1, max_terms):
-            h[j] += d * h[j - 1]
-    fact = np.array([float(math.factorial(j + k)) for j in range(max_terms)])
-    return (h / fact[:, None]).sum(axis=0)
+    max_terms, k = 20, len(deltas) - 1
+    terms = np.empty((max_terms,) + deltas.shape, dtype=deltas.dtype)
+    terms[0] = 1.0
+    running = np.tril(np.ones((k + 1, k + 1)))
+    for j in range(1, max_terms):
+        np.matmul(running, deltas * terms[j - 1], out=terms[j])
+    coef = np.array([(1, 1j, -1, -1j)[(j + k) % 4] / math.factorial(j + k)
+                     for j in range(max_terms)])
+    return coef.real @ terms[:, k] + 1j * (coef.imag @ terms[:, k])
 
 
-def _lagrange_form(x: np.ndarray, diff: np.ndarray, pairs: list) -> np.ndarray:
-    """sum_i exp(x_i) / prod_{j != i} (x_i - x_j) per column of distinct
-    nodes, diff[p] holding x_a - x_b for the pair (a, b) = pairs[p], a < b."""
+def _lagrange_form(t: np.ndarray, diff: np.ndarray, pairs: list) -> np.ndarray:
+    """sum_i cis(t_i) / prod_{j != i} (t_i - t_j), cis(t) = e^{it}, per column
+    of distinct nodes, diff[p] holding t_a - t_b for the pair (a, b) =
+    pairs[p], a < b: the denominators are real for real nodes."""
     total = 0
-    for i in range(len(x)):
+    for i in range(len(t)):
         denom = 1.0
         for p, (a, b) in enumerate(pairs):
             if i == a or i == b:
                 denom = denom * (diff[p] if i == a else -diff[p])
-        total = total + np.exp(x[i]) / denom
+        total = total + np.exp(1j * t[i]) * (1.0 / denom)
     return total
 
 
@@ -300,7 +304,7 @@ def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
     simplex exponential divided differences for polytopes, all simplices of
     the whole batch in one divided-difference call.
     """
-    zv = z.as_array() if isinstance(z, ComplexVector) else np.asarray(z, dtype=complex)
+    zv = z.as_array() if isinstance(z, ComplexVector) else _as_array(z)    # a real z stays real
     if zv.ndim not in (1, 2) or zv.shape[-1] != shape.dim:
         raise ValueError(f"frequency must have {shape.dim} components")
     if zv.size and np.abs(zv.imag).max() > imag_cap:
@@ -311,14 +315,14 @@ def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
 
 def _transform_rows(shape, z: np.ndarray) -> np.ndarray:
     if shape.is_radial:
+        z = z.astype(complex, copy=False)
         s = (z * z).sum(axis=1)            # bilinear square, not Hermitian
         return _radial_profile_w(shape, np.sqrt(s))
     if isinstance(shape, Polytope):
-        verts = np.stack(shape.simplices())             # S x m x dim
-        dets = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-        phases = -1j * (z @ verts.reshape(-1, shape.dim).T)
+        verts = shape.simplices()                       # S x m x dim
+        phases = -1j * (z @ verts.reshape(-1, shape.dim).T)     # z.v real for a real z
         dd = exp_divided_difference(phases.reshape(-1, verts.shape[1]))
-        return (dd.reshape(len(z), len(verts)) * dets).sum(axis=1)
+        return (dd.reshape(len(z), len(verts)) * shape.simplex_dets).sum(axis=1)
     if isinstance(shape, DisjointUnion):
         return sum(_transform_rows(m, z) for m in shape.members)
     raise TypeError(f"not a shape: {shape!r}")

@@ -135,7 +135,16 @@ class _HeckeStructure:
         # so coset c counts at [k, c] = (k d + j*) d + i of a flat [k, j*, i] array
         self._places = (np.arange(self.d)[:, None] * self.d + orb[0]) * self.d + orb[r]
         self.class_sizes = dcp.class_sizes
-        self._witness = self._find_witness()
+        # one pass over the slices op[:, k, :]: commutativity, op[j, k, i] =
+        # op[i, k, j], and row k of the generic element sum_j a_j op[j]
+        coefficients, asymmetric, generic = _generic_coefficients(self.d), 0, []
+        for s in self._slices():
+            asymmetric = asymmetric + (s != s.T)
+            generic.append(coefficients @ s)
+        self._generic = np.array(generic)
+        bad = np.argwhere(asymmetric)
+        reps = dcp.representatives
+        self._witness = (reps[bad[0, 0]], reps[bad[0, 1]]) if len(bad) else None
 
     def _slices(self):
         """op[:, k, :] for k = 0, 1, ..., d - 1, counted a block of at most
@@ -149,12 +158,6 @@ class _HeckeStructure:
     # the d x d x d operators op[j, k, i], which only `convolve` reads
     op = cached_property(lambda self: np.stack(list(self._slices()), axis=1))
 
-    def _find_witness(self):
-        # commutativity of the basis: op[j, k, i] equals op[i, k, j]
-        bad = np.argwhere(sum(s != s.T for s in self._slices()))
-        reps = self.space.double_cosets.representatives
-        return (reps[bad[0, 0]], reps[bad[0, 1]]) if len(bad) else None
-
     @cached_property
     def _spherical_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """(phi_matrix, class_values, exact), rows sorted by the eigenvalues
@@ -163,9 +166,7 @@ class _HeckeStructure:
         an integer and it certifies exactly, the float one otherwise."""
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
-        coefficients = _generic_coefficients(self.d)
-        vectors = _eigenvectors_float(np.array([coefficients @ s for s in self._slices()]),
-                                      self.class_sizes)
+        vectors = _eigenvectors_float(self._generic, self.class_sizes)
         # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
         inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
         phi = vectors.take(inv, axis=1) * sizes + 0j      # -0 becomes +0

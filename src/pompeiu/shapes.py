@@ -130,7 +130,7 @@ class Polytope:
             raise ValueError(f"degenerate polytope: {first}") from None
         if self.dim == 2:
             self.vertices = v = pts[hull.vertices]      # counter-clockwise
-            self._simplices = [v[[0, i, i + 1]] for i in range(1, len(v) - 1)]
+            simplices = [v[[0, i, i + 1]] for i in range(1, len(v) - 1)]
         else:
             apex = hull.vertices.min()                  # vertices[0]
             self.vertices = pts[sorted(set(hull.vertices))]
@@ -138,7 +138,10 @@ class Polytope:
             # triangles of one facet share its equation exactly)
             through = hull.equations[(hull.simplices == apex).any(axis=1)]
             off = ~(hull.equations[:, None] == through).all(axis=2).any(axis=1)
-            self._simplices = [pts[[apex, *s]] for s in hull.simplices[off]]
+            simplices = [pts[[apex, *s]] for s in hull.simplices[off]]
+        # stacked once for the transform, with the |det| of each one's edges
+        self._simplices = np.stack(simplices)
+        self.simplex_dets = np.abs(np.linalg.det(self._simplices[:, 1:] - self._simplices[:, :1]))
         self._volume = float(hull.volume)
 
     @property
@@ -151,7 +154,7 @@ class Polytope:
 
     def simplices(self):
         """Triangles (2-D) or tetrahedra (3-D) partitioning the polytope,
-        fanned from vertices[0]."""
+        fanned from vertices[0], as an S x (dim + 1) x dim array."""
         return self._simplices
 
     def bounding_box(self):

@@ -216,23 +216,34 @@ def test_divided_difference_batch_matches_mpmath(m, kind):
         assert exp_divided_difference(x) == pytest.approx(value, rel=1e-14)
 
 
+def _record_columns(monkeypatch):
+    """Record the node count and dtype of every `_divided_difference_columns`
+    call, the recursive ones included."""
+    calls = []
+    inner = euclidean._divided_difference_columns
+
+    def recorded(t):
+        calls.append((len(t), t.dtype))
+        return inner(t)
+
+    monkeypatch.setattr(euclidean, "_divided_difference_columns", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["imag", "real", "complex"])
 def test_two_close_pairs_far_apart_split_twice(kind, monkeypatch):
     """The rows `_node_rows` adds for this go through both levels of split
-    (their values are held to 50 digits by the batch test)."""
+    (their values are held to 50 digits by the batch test), in real
+    arithmetic at every level when the nodes are on the imaginary axis and
+    in complex arithmetic otherwise."""
     unit = {"imag": 1j, "real": 1.0, "complex": (1 + 1j) / math.sqrt(2)}[kind]
-    sizes = []
-    inner = euclidean._divided_difference_columns
-
-    def recorded(x):
-        sizes.append(len(x))
-        return inner(x)
-
-    monkeypatch.setattr(euclidean, "_divided_difference_columns", recorded)
+    calls = _record_columns(monkeypatch)
     for row in ([0.0, 0.01, 3.0, 3.01], [-20.0, -19.9, 20.0, 20.2]):
-        sizes.clear()
+        calls.clear()
         exp_divided_difference(np.array(row) * unit)
-        assert sizes == [4, 3, 2]
+        assert [size for size, _ in calls] == [4, 3, 2]
+        want = np.float64 if kind == "imag" else np.complex128
+        assert all(dtype == want for _, dtype in calls), calls
 
 
 def test_two_nodes():
@@ -254,8 +265,38 @@ def test_two_nodes():
         assert abs(value - ref) <= 1e-12 * abs(ref), (x, value, ref)
 
 
+def test_two_nodes_on_the_imaginary_axis(monkeypatch):
+    """The narrow and wide pairs of `test_two_nodes` moved onto the
+    imaginary axis, where they run in real arithmetic: i e^{ic} sinc(d) on
+    t = -i x up to a gap of 1.6, the Lagrange form past it."""
+    calls = _record_columns(monkeypatch)
+    gaps = (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7, 40.0)
+    rows = np.array([[-0.4j, (gap - 0.4) * 1j] for gap in gaps])
+    assert {_regime(x) for x in rows} == {"series", "lagrange"}
+    for x, value in zip(rows, exp_divided_difference(rows)):
+        ref = _mp_divided_difference(x)
+        assert abs(value - ref) <= 1e-12 * abs(ref), (x, value, ref)
+    assert calls == [(2, np.float64)]
+
+
 MOVED_SQUARE = Polytope(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ _rot2(0.7).T
                         + [0.4, -1.1])
+MOVED_CUBE = Polytope(np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+                      @ np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
+                      + [0.3, -0.8, 1.1])
+
+
+@pytest.mark.parametrize("shape", [MOVED_SQUARE, MOVED_CUBE], ids=["square", "cube"])
+def test_real_frequencies_give_the_complex_transform(shape, monkeypatch):
+    """A real z is kept real down to the divided differences; the values
+    are complex and equal those at the same z passed as a complex array."""
+    calls = _record_columns(monkeypatch)
+    z = np.random.default_rng(6).uniform(-15, 15, (300, shape.dim))
+    values = fourier_laplace(shape, z)
+    assert calls and all(dtype == np.float64 for _, dtype in calls)
+    assert values.dtype == np.complex128
+    assert isinstance(fourier_laplace(shape, z[0]), complex)
+    np.testing.assert_allclose(values, fourier_laplace(shape, z.astype(complex)), rtol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [
