@@ -10,14 +10,15 @@ integral checks that re-verify every candidate failure frequency.
 
 Transforms are evaluated in batches: a polytope's value at N frequencies
 comes from one `exp_divided_difference` call on the N x simplices rows of
-nodes, the simplices fanned from one vertex (stacked once on the shape).  A
-real frequency z keeps z.v real, and the divided differences run in real
-arithmetic on those phases t = -i x.  The orbit scan of a
-non-radial shape evaluates frequencies x directions x simplices in blocks
-of at most SCAN_CHUNK triples, one direction per antipodal pair at a real
-frequency (|F(-z)| = |F(z)|), keeping a running maximum per frequency, so
-its memory stays flat whatever the grid.  A search of more than
-MAX_GRID_POINTS grid steps, or orbit directions, is refused with ValueError.
+nodes, the simplices fanned from one vertex (stacked once on the shape).  At
+a real frequency z every node x = -i z.v is on the imaginary axis, and the
+divided differences run in real arithmetic on t = -i x = -z.v.  The orbit
+scan of a non-radial shape evaluates frequencies x directions x simplices
+in blocks of at most SCAN_CHUNK triples, one direction per antipodal pair
+at a real frequency (|F(-z)| = |F(z)|), keeping a running maximum per
+frequency, so its memory stays flat whatever the grid.  A search of more
+than MAX_GRID_POINTS grid steps, or orbit directions, is refused with
+ValueError.
 
 The radial search is in arrays too: one `radial_profile` call covers the
 whole grid (each entry bit-identical to a scalar call, so witnesses do not
