@@ -17,15 +17,14 @@ from .hecke import (BiinvariantMeasure, SphericalFunction, NotGelfandPairError,
                     project_biinvariant, convolve, is_gelfand_pair,
                     gelfand_witness, spherical_functions, check_spherical,
                     phi_hom, reverse_measure, reverse_function, unit_measure,
-                    class_indicator, delta_sharp, measure_from_function,
-                    spherical_table_csv)
+                    class_indicator, delta_sharp, measure_from_function)
 from .finite_pompeiu import (EmptySetError, PompeiuInstance, DecisionReport,
                              pompeiu_oracle, ideal_generators, zero_set,
                              zero_set_ideal, pompeiu_spectral,
                              pompeiu_convolution, radial_shortcut,
                              enumerate_all, recheck_witness)
 from .shapes import Ball, Annulus, Polytope, DisjointUnion, parse_set, load_set_spec
-from .euclidean import (ComplexVector, RigidMotion, spherical_phi,
+from .euclidean import (RigidMotion, spherical_phi,
                         fourier_laplace, radial_profile,
                         complex_sphere_vanishes, find_failure_lambdas,
                         convolution_test, pompeiu_integral_check,

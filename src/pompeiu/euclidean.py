@@ -71,7 +71,6 @@ MAX_GRID_POINTS = 10 ** 6
 RESIDUAL_BLOCK = 1 << 14
 
 __all__ = [
-    "ComplexVector",
     "RigidMotion",
     "OrbitCheck",
     "EuclidReport",
@@ -86,29 +85,6 @@ __all__ = [
     "rotation_directions",
     "random_motions",
 ]
-
-
-@dataclass(frozen=True)
-class ComplexVector:
-    """A complex frequency vector; the bilinear square is z.z (no
-    conjugation), recomputed on every access."""
-
-    coords: tuple
-
-    @classmethod
-    def of(cls, seq) -> "ComplexVector":
-        return cls(tuple(complex(x) for x in seq))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def bilinear_square(self) -> complex:
-        return sum(z * z for z in self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -305,7 +281,7 @@ def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
     simplex exponential divided differences for polytopes, all simplices of
     the whole batch in one divided-difference call.
     """
-    zv = z.as_array() if isinstance(z, ComplexVector) else _as_array(z)    # a real z stays real
+    zv = _as_array(z)    # a real z stays real
     if zv.ndim not in (1, 2) or zv.shape[-1] != shape.dim:
         raise ValueError(f"frequency must have {shape.dim} components")
     if zv.size and np.abs(zv.imag).max() > imag_cap:

@@ -32,8 +32,8 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 5040
 # Most Hecke structure constants (d^3, d the number of double-coset
-# classes, counted a block of d x d slices at a time) and largest
-# elimination (group order x cosets^2 entry updates) that the finite
+# classes, of which only the at most d x cosets nonzero are counted) and
+# largest elimination (group order x cosets^2 entry updates) that the finite
 # deciders will start.  With K = {e} both are n^3 for Z_n: Z_215 decides,
 # Z_216 is refused.  Z_200 and Z_215 peak at 55 MB RSS on x86-64 Linux.
 WORK_BUDGET = 10 ** 7

@@ -11,8 +11,10 @@ commuting convolution operators given by the class-indicator basis; they
 satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
 from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
 characters differ on some basis element, hence on a generic combination.
-No decision holds all d^3 structure constants op[j][k, i]: they are
-counted from the orbital table a block of slices op[:, k, :] at a time.
+The d^3 structure constants op[j][k, i] are kept as one sorted table of
+the at most d n nonzero ones, counted from the d x n orbital table;
+`combine` contracts it with coefficients, and commutativity compares
+each count with the count at its transpose op[i][k, j].
 The coefficients are one fixed complex draw.  A float table is certified
 by its eigensolve's own residual over eigenvalue gap, so it never reads
 the multiplication table.  When every eigenvalue rounds to an integer,
@@ -46,7 +48,7 @@ from .groups import BugTrapError, CosetSpace, check_work_budget
 
 SPHERICAL_RESIDUAL_TOL = 1e-10  # most residual over eigenvalue gap of a float eigenvector
 EIG_CLUSTER_TOL = 1e-8          # least eigenvalue gap of the generic element, relative to it
-_BLOCK = 2 ** 18        # most counts of op, or functional-equation terms, held at once
+_BLOCK = 2 ** 18        # most functional-equation terms held at once
 
 __all__ = [
     "BiinvariantMeasure",
@@ -66,7 +68,6 @@ __all__ = [
     "phi_hom",
     "reverse_measure",
     "reverse_function",
-    "spherical_table_csv",
 ]
 
 
@@ -116,47 +117,48 @@ class SphericalFunction:
 
 
 class _HeckeStructure:
-    """Per-space data, kept on the space: the operators, read one slice at
-    a time, commutativity, sphericals."""
+    """Per-space data, kept on the space: the operators as one sorted table
+    of their nonzero counts, commutativity, sphericals."""
 
     def __init__(self, space: CosetSpace):
         self.space = space
         dcp = space.double_cosets
-        self.d = dcp.num_classes
+        self.d = d = dcp.num_classes
         group = space.group
-        check_work_budget(self.d ** 3, f"{group.name} with {self.d} double cosets: "
-                                       "the Hecke operators")
+        check_work_budget(d ** 3, f"{group.name} with {d} double cosets: the Hecke operators")
         # op[j][k, i] = #{y in class j : rep_k y^-1 in class i}.  y^-1 runs
         # over the |K| elements of each coset c with orb[0, c] = j*, and
         # rep_k y^-1 then lies in class orb[r_k, c], r_k the coset of rep_k^-1
         orb = space.orbitals
         r = space.coset_of[group.inv[list(dcp.representatives)]]
         self.inverse_class = tuple(orb[0, r].tolist())
-        # so coset c counts at [k, c] = (k d + j*) d + i of a flat [k, j*, i] array
-        self._places = (np.arange(self.d)[:, None] * self.d + orb[0]) * self.d + orb[r]
         self.class_sizes = dcp.class_sizes
-        # one pass over the slices op[:, k, :]: commutativity, op[j, k, i] =
-        # op[i, k, j], and row k of the generic element sum_j a_j op[j]
-        coefficients, asymmetric, generic = _generic_coefficients(self.d), 0, []
-        for s in self._slices():
-            asymmetric = asymmetric + (s != s.T)
-            generic.append(coefficients @ s)
-        self._generic = np.array(generic)
+        # so coset c counts |K| at the flat key (j d + k) d + i: op holds the
+        # counts at the keys, sorted, at most d n of them, and 0 elsewhere
+        j = np.asarray(self.inverse_class)[orb[0]]
+        self.keys, counts = np.unique((j * d + np.arange(d)[:, None]) * d + orb[r],
+                                      return_counts=True)
+        self.counts = space.k_size * counts
+        # commutativity, op[j, k, i] = op[i, k, j]: each key against its
+        # transpose, looked up in increasing order (a cache-friendly search)
+        j, k, i = np.unravel_index(self.keys, (d, d, d))
+        twin = (i * d + k) * d + j
+        order = np.argsort(twin)
+        at = np.minimum(np.searchsorted(self.keys, twin[order]), len(self.keys) - 1)
+        odd = order[(self.keys[at] != twin[order]) | (self.counts[at] != self.counts[order])]
+        asymmetric = np.zeros((d, d), dtype=bool)
+        asymmetric[j[odd], i[odd]] = asymmetric[i[odd], j[odd]] = True
         bad = np.argwhere(asymmetric)
         reps = dcp.representatives
         self._witness = (reps[bad[0, 0]], reps[bad[0, 1]]) if len(bad) else None
 
-    def _slices(self):
-        """op[:, k, :] for k = 0, 1, ..., d - 1, counted a block of at most
-        _BLOCK counts at a time."""
-        d, step = self.d, max(1, _BLOCK // self.d ** 2)
-        for start in range(0, d, step):
-            places = self._places[start:start + step] - start * d * d
-            counts = np.bincount(places.ravel(), minlength=len(places) * d * d)
-            yield from self.space.k_size * counts.reshape(-1, d, d)[:, list(self.inverse_class)]
-
-    # the d x d x d operators op[j, k, i], which only `convolve` reads
-    op = cached_property(lambda self: np.stack(list(self._slices()), axis=1))
+    def combine(self, a: np.ndarray) -> np.ndarray:
+        """sum_j a_j op[j] as a d x d array [k, i] in a's dtype: each count
+        times its a_j, summed into its (k, i) in increasing j."""
+        d = self.d
+        out = np.zeros(d * d, dtype=a.dtype)
+        np.add.at(out, self.keys % (d * d), a[self.keys // (d * d)] * self.counts)
+        return out.reshape(d, d)
 
     @cached_property
     def _spherical_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -166,7 +168,8 @@ class _HeckeStructure:
         an integer and it certifies exactly, the float one otherwise."""
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
-        vectors = _eigenvectors_float(self._generic, self.class_sizes)
+        generic = self.combine(_generic_coefficients(self.d))
+        vectors = _eigenvectors_float(generic, self.class_sizes)
         # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
         inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
         phi = vectors.take(inv, axis=1) * sizes + 0j      # -0 becomes +0
@@ -380,9 +383,7 @@ def convolve(mu: BiinvariantMeasure, nu: BiinvariantMeasure) -> BiinvariantMeasu
     if mu.space is not nu.space:
         raise ValueError("measures live on different spaces")
     a, b = _algebra_arrays(mu.coeffs, nu.coeffs)
-    ia, ib = _nonzero(a), _nonzero(b)
-    left = hecke_structure(mu.space).op[:, :, ia] @ a[ia]       # [j, k]
-    return BiinvariantMeasure(mu.space, tuple(b[ib] @ left[ib]))
+    return BiinvariantMeasure(mu.space, tuple(hecke_structure(mu.space).combine(b) @ a))
 
 
 def gelfand_witness(space: CosetSpace):
@@ -439,18 +440,3 @@ def reverse_function(f: SphericalFunction) -> SphericalFunction:
     table, = _algebra_arrays(f.values)
     # eigenvalue (op[j] @ values)[0] = |C_j| values[j*] = |C_j| f(class j)
     return SphericalFunction(f.space, values, tuple(table * st.class_sizes), f.exact)
-
-
-def spherical_table_csv(space: CosetSpace) -> str:
-    """CSV table of spherical function values, one row per double coset."""
-    funcs = spherical_functions(space)
-    dcp = space.double_cosets
-    labels = space.group.element_labels
-    lines = ["class_representative," + ",".join(f"f{i}" for i in range(len(funcs)))]
-    for j, rep in enumerate(dcp.representatives):
-        row = [labels[rep]]
-        for f in funcs:
-            z = complex(f.values[j])
-            row.append(f"{z.real:.12g}{z.imag:+.12g}j")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

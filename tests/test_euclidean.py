@@ -9,13 +9,12 @@ import scipy.special
 from scipy.spatial import ConvexHull
 
 import pompeiu.euclidean as euclidean
-from pompeiu.euclidean import (ComplexVector, RigidMotion,
-                               complex_sphere_vanishes, convolution_test,
-                               euclid_decide, exp_divided_difference,
-                               find_failure_lambdas, fourier_laplace,
-                               pompeiu_integral_check, radial_profile,
-                               random_motions, rotation_directions,
-                               spherical_phi)
+from pompeiu.euclidean import (RigidMotion, complex_sphere_vanishes,
+                               convolution_test, euclid_decide,
+                               exp_divided_difference, find_failure_lambdas,
+                               fourier_laplace, pompeiu_integral_check,
+                               radial_profile, random_motions,
+                               rotation_directions, spherical_phi)
 from pompeiu.quadrature import QuadratureError, integrate_over
 from pompeiu.shapes import Annulus, Ball, DisjointUnion, Polytope
 
@@ -673,14 +672,6 @@ def test_imag_cap_enforced():
         fourier_laplace(DISK, [0.0, 60.0j])
     val = fourier_laplace(DISK, [0.0, 60.0j], imag_cap=100.0)
     assert np.isfinite(abs(val))
-
-
-def test_complex_vector_bilinear_square():
-    v = ComplexVector.of([3.0, 4.0j])
-    assert v.dim == 2
-    assert abs(v.bilinear_square - (9.0 - 16.0)) < 1e-15
-    assert abs(fourier_laplace(DISK, v)
-               - fourier_laplace(DISK, v.as_array())) < 1e-15
 
 
 # ---------------------------------------------------------------------------

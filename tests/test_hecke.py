@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from pompeiu import exact_linalg, hecke
 from pompeiu.finite_pompeiu import pompeiu_convolution, pompeiu_spectral
-from pompeiu.groups import BugTrapError, build_coset_space, build_group
+from pompeiu.groups import (BugTrapError, build_coset_space, build_group,
+                            group_from_permutations)
 from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            check_spherical, class_indicator, convolve,
                            delta_sharp, gelfand_witness, hecke_structure,
                            is_gelfand_pair, measure_from_function, phi_hom,
                            project_biinvariant, reverse_function,
                            reverse_measure, spherical_functions,
-                           spherical_table_csv, unit_measure)
+                           unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
@@ -26,6 +27,23 @@ from conftest import (acceptance_suite, cyclic_space, dihedral_space,
 
 def _pair(f, u):
     return sum(a * b for a, b in zip(f, u))
+
+
+def _dense_op(space):
+    """The d x d x d operators op[j, k, i]: the structure's sorted nonzero
+    counts at their flat keys (j d + k) d + i, and 0 elsewhere."""
+    st = hecke_structure(space)
+    op = np.zeros(st.d ** 3, dtype=np.int64)
+    op[st.keys] = st.counts
+    return op.reshape(st.d, st.d, st.d)
+
+
+def _f21_space():
+    """F21 = <(0 1 2 3 4 5 6), x -> 2x mod 7> over the stabilizer of 0:
+    d = 3 with the two nontrivial double cosets inverse to each other, and
+    non-abelian, so neither self-paired nor abelian, yet a Gelfand pair."""
+    g = group_from_permutations([[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]])
+    return build_coset_space(g, [i for i, p in enumerate(g.perms) if p[0] == 0])
 
 
 def test_projection_fixes_constants(s3_space):
@@ -109,11 +127,11 @@ def test_convolution_associative_small_bases():
 
 
 def test_sparse_convolution_matches_dense_and_stays_exact():
-    """convolve and phi_hom contract over nonzero coefficients only; the
-    result equals the dense contraction, and exact inputs, the zero measure
-    included, still give Fractions."""
+    """convolve over the sorted nonzero counts equals the dense contraction,
+    and exact inputs, the zero measure included, still give Fractions;
+    phi_hom contracts over the nonzero coefficients only."""
     space = cyclic_space(12)
-    structure = hecke_structure(space)
+    structure, op = hecke_structure(space), _dense_op(space)
     d = space.double_cosets.num_classes
     zero = BiinvariantMeasure(space, tuple(Fraction(0) for _ in range(d)))
     measures = [zero, class_indicator(space, 3),
@@ -123,7 +141,7 @@ def test_sparse_convolution_matches_dense_and_stays_exact():
         for b in measures:
             out = convolve(a, b).coeffs
             dense = np.asarray(b.coeffs, dtype=object) @ (
-                structure.op @ np.asarray(a.coeffs, dtype=object))
+                op @ np.asarray(a.coeffs, dtype=object))
             assert out == tuple(dense)
             assert all(type(x) is Fraction for x in out)
         assert abs(complex(phi_hom(f, a)) - sum(
@@ -133,14 +151,16 @@ def test_sparse_convolution_matches_dense_and_stays_exact():
 
 def test_hecke_operators_match_their_definition():
     """op[j][k, i] = #{y in C_j : rep_k y^-1 in C_i}, counted on the group
-    table."""
-    for space in orbital_test_spaces():
+    table, on Gelfand pairs and on the spaces where commutativity fails."""
+    for space in [*orbital_test_spaces(), _f21_space(), *_non_gelfand_spaces()]:
         g, dcp = space.group, space.double_cosets
         d = dcp.num_classes
         classes = dcp.class_of[g.mul[np.ix_(list(dcp.representatives), g.inv)]]   # [k, y]
         expected = np.zeros((d, d, d), dtype=np.int64)
         np.add.at(expected, (dcp.class_of[None, :], np.arange(d)[:, None], classes), 1)
-        assert np.array_equal(hecke_structure(space).op, expected), space.name
+        assert np.array_equal(_dense_op(space), expected), space.name
+        st = hecke_structure(space)
+        assert np.all(np.diff(st.keys) > 0) and np.all(st.counts > 0), space.name
 
 
 def test_gelfand_pairs():
@@ -149,6 +169,28 @@ def test_gelfand_pairs():
     assert is_gelfand_pair(symmetric_space(3, fixed_point=2))
     assert is_gelfand_pair(dihedral_space(6))
     assert is_gelfand_pair(symmetric_space(4, fixed_point=3))
+
+
+def test_f21_is_a_gelfand_pair_neither_self_paired_nor_abelian():
+    """On F21 over the stabilizer of 0 the operators commute although the
+    two nontrivial double cosets are inverse to each other and the group is
+    not abelian; the three spherical functions hold to 1e-12, two of them
+    complex, -1/6 +- i sqrt(7)/6 on the class of 1."""
+    space = _f21_space()
+    g = space.group
+    assert space.double_cosets.num_classes == 3
+    assert hecke_structure(space).inverse_class == (0, 2, 1)
+    assert not np.array_equal(g.mul, g.mul.T)
+    assert is_gelfand_pair(space)
+    funcs = spherical_functions(space)
+    assert len(funcs) == 3
+    for f in funcs:
+        assert check_spherical(space, f.on_group()) < 1e-12
+    shift = int(np.flatnonzero(g.perms[:, 0] == 1)[0])     # some x with x(0) = 1
+    at_one = sorted((complex(f.values[space.double_cosets.class_of[shift]]) for f in funcs),
+                    key=lambda z: z.imag)
+    expected = [complex(-1, -np.sqrt(7)) / 6, 1, complex(-1, np.sqrt(7)) / 6]
+    assert np.allclose(at_one, expected, rtol=0, atol=1e-12)
 
 
 def test_not_gelfand_with_witness():
@@ -162,7 +204,10 @@ def test_not_gelfand_with_witness():
 
 
 def _non_gelfand_spaces():
-    """S3, S4, D4 and D6 over {e}, and S5 over the S3 of <(1 2), (2 3)>."""
+    """S3, S4, D4 and D6 over {e}, S5 over the S3 of <(1 2), (2 3)>, and
+    AGL(1, 13) = <x -> x + 1, x -> 2x> over <x -> 8x + 2>, where the least
+    non-commuting pair of classes shows only as two nonzero counts that
+    differ, op[j, k, i] != op[i, k, j]."""
     yield symmetric_space(3)
     yield symmetric_space(4)
     for n in (4, 6):
@@ -171,6 +216,9 @@ def _non_gelfand_spaces():
     swaps = [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4)]
     yield build_coset_space(s5, [int(np.flatnonzero((s5.perms == p).all(axis=1))[0])
                                  for p in swaps])
+    x = np.arange(13)
+    agl = group_from_permutations([(x + 1) % 13, 2 * x % 13])
+    yield build_coset_space(agl, np.flatnonzero((agl.perms == (8 * x + 2) % 13).all(axis=1)))
 
 
 def test_gelfand_witness_is_the_least_non_commuting_pair():
@@ -369,13 +417,6 @@ def test_delta_sharp_density(s3_space):
     cls = int(s3_space.double_cosets.class_of[g])
     assert mu.coeffs[cls] == Fraction(1, 4)
     assert sum(c * s for c, s in zip(mu.coeffs, s3_space.double_cosets.class_sizes)) == 1
-
-
-def test_spherical_csv_export(d6_space):
-    text = spherical_table_csv(d6_space)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("class_representative,")
-    assert len(lines) == 1 + d6_space.double_cosets.num_classes
 
 
 def test_space_mismatch_raises(s3_space, d6_space):
@@ -592,9 +633,9 @@ def _blocked_tables():
 
 @pytest.mark.parametrize("block", [1, 2 ** 62], ids=["one", "all"])
 def test_blocks_change_no_bit(block, monkeypatch):
-    """op counted one class at a time or all at once, and the functional
-    equation checked one row at a time or all at once, give the witness,
-    tables and excesses of the default blocks, bit for bit."""
+    """The functional equation checked one row at a time or all at once
+    gives the witness, tables and excesses of the default block, bit for
+    bit."""
     expected = _blocked_tables()
     monkeypatch.setattr(hecke, "_BLOCK", block)
     assert _blocked_tables() == expected
