@@ -16,11 +16,12 @@ the at most d n nonzero ones, counted from the d x n orbital table;
 `combine` contracts it with coefficients, and commutativity compares
 each count with the count at its transpose op[i][k, j].
 The coefficients are one fixed complex draw.  A float table is certified
-by its eigensolve's own residual over eigenvalue gap, so it never reads
-the multiplication table.  When every eigenvalue rounds to an integer,
-they give every value as a rational, kept (marked exact) only if it
-satisfies the functional equation exactly, in scaled integers, on
-double-coset representatives.
+by its eigensolve's own residual over eigenvalue gap.  When every
+eigenvalue rounds to an integer, they give every value as a rational,
+kept (marked exact) only if the scaled integer values satisfy every
+eigen-equation op[j] f = lambda_j f exactly, on the same sorted table.
+So no table reads the multiplication table; `check_spherical`, the
+functional equation on all of G, is the independent reference.
 
 The per-space Hecke structure keeps them as arrays, one row per function,
 sorted by eigenvalue: `phi_matrix`, the eigenvalues |C_c| f(c^{-1}) under
@@ -48,7 +49,7 @@ from .groups import BugTrapError, CosetSpace, check_work_budget
 
 SPHERICAL_RESIDUAL_TOL = 1e-10  # most residual over eigenvalue gap of a float eigenvector
 EIG_CLUSTER_TOL = 1e-8          # least eigenvalue gap of the generic element, relative to it
-_BLOCK = 2 ** 18        # most functional-equation terms held at once
+_BLOCK = 2 ** 18        # most eigen-equation terms gathered at once
 
 __all__ = [
     "BiinvariantMeasure",
@@ -78,10 +79,10 @@ class NotGelfandPairError(Exception):
         self.space = space
         self.witness = witness
         a, b = witness
-        labels = space.group.element_labels
+        label = space.group.label
         super().__init__(
             f"{space.name}: convolution not commutative; witnessing double-coset "
-            f"representatives {labels[a]!r}, {labels[b]!r}")
+            f"representatives {label(a)!r}, {label(b)!r}")
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,12 @@ class _HeckeStructure:
         rounded = np.rint(phi.real)
         if np.all(np.abs(phi - rounded) <= EIG_CLUSTER_TOL * (1.0 + sizes)):
             ints = rounded.astype(np.int64)
-            # class c holds lambda at the inverse class (an involution) over its size
-            rows = [list(map(Fraction, row, sizes[inv].tolist())) for row in ints[:, inv].tolist()]
-            table, scale = _scaled_integers(rows, self.space.k_size)
-            if len(np.unique(ints, axis=0)) == len(ints) and self._excess(table, scale) == 0:
-                phi, values, exact = ints, table, True
+            # class c holds lambda at the inverse class (an involution) over
+            # its size, here times the lcm L of the sizes; each |KgK| divides
+            # |K|^2, so no term of the check exceeds |G| |K|^2 in int64
+            scaled = ints[:, inv] * (math.lcm(*self.class_sizes) // sizes[inv])
+            if len(np.unique(ints, axis=0)) == len(ints) and self._joint(scaled, ints):
+                phi, values, exact = ints, scaled, True
         key = np.round(phi.astype(complex).view(float), 9)
         order = np.lexsort(key.T[::-1])
         return phi[order], values[order], exact
@@ -210,48 +212,37 @@ class _HeckeStructure:
         ic = _nonzero(coeffs)
         return table[:, ic] @ coeffs[ic]
 
-    def _excess(self, table: np.ndarray, scale=1):
-        """`_equation_excess` of class-value rows table = scale * f, checked
-        on double-coset representatives."""
-        dcp = self.space.double_cosets
-        return _equation_excess(self.space, table[:, dcp.class_of],
-                                dcp.representatives, scale)
+    def _joint(self, table: np.ndarray, eigenvalues: np.ndarray) -> bool:
+        """Whether sum_i op[j][k, i] t_i = lambda_j t_k for every row t of
+        the integer table, its row lambda of eigenvalues, every j and every
+        k: one reduceat of count * t_i over the runs of (j, k) in the sorted
+        keys, rows in blocks of at most _BLOCK gathered terms.  Every (j, k)
+        has a run, since each row of op[j] sums to |C_j|.  With the algebra
+        commutative, the rows of eigenvalues distinct and no row of the
+        table zero, it makes the rows scaled values of the d characters."""
+        d = self.d
+        i = self.keys % d
+        starts = np.flatnonzero(np.diff(self.keys // d, prepend=-1))
+        step = max(1, _BLOCK // len(self.keys))
+        for s in range(0, len(table), step):
+            t, lam = table[s:s + step], eigenvalues[s:s + step]
+            # the block's sums stay unnamed, so none outlives its comparison
+            if not np.array_equal(np.add.reduceat(t[:, i] * self.counts, starts, axis=1),
+                                  (lam[:, :, None] * t[:, None, :]).reshape(len(t), -1)):
+                return False
+        return True
 
 
-def _scaled_integers(rows, k_size: int) -> tuple[np.ndarray, int]:
-    """Rows of rationals as (integer table, scale) with table = scale * rows,
-    scale the lcm of the denominators.  The table holds Python ints when
-    the functional-equation terms could overflow int64."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    top = max(abs(x) for row in ints for x in row)
+def _scaled_integers(values, k_size: int) -> tuple[np.ndarray, int]:
+    """Rationals as (integer array, scale) with array = scale * values,
+    scale the lcm of the denominators.  The array holds Python ints when
+    the terms of `check_spherical` could overflow int64."""
+    values = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    top = max(map(abs, ints))
     dtype = np.int64 if k_size * top * (top + scale) < 2 ** 62 else object
     return np.asarray(ints, dtype=dtype), scale
-
-
-def _equation_excess(space: CosetSpace, table: np.ndarray, points, scale=1):
-    """max over x, y in points of |scale * sum_{k in K} t(xky) - |K| t(x) t(y)|
-    over the rows t of table (values on the group), a block of at most
-    _BLOCK terms, and at least one row, at a time.
-
-    A table t = scale * f turns the functional equation of f into this
-    integer identity, so the check is exact for integer tables.  For a
-    biinvariant f the double-coset representatives are enough as points:
-    f(k1 a k2 k k3 b k4) averages over k to the value at a, b."""
-    mul = space.group.mul
-    points = np.asarray(points, dtype=np.intp)
-    step = max(1, _BLOCK // len(points) ** 2)
-    check_work_budget(min(step, len(table)) * len(points) ** 2,
-                      f"{space.group.name}: the functional-equation check")
-    excess = []
-    for start in range(0, len(table), step):
-        block = table[start:start + step]
-        acc = np.zeros((len(block), len(points), len(points)), dtype=table.dtype)
-        for k in space.k_members:
-            acc += block[:, mul[mul[points, k][:, None], points[None, :]]]
-        at = block[:, points]
-        excess.append(np.abs(scale * acc - space.k_size * at[:, :, None] * at[:, None, :]).max())
-    return np.max(excess)
 
 
 def _generic_coefficients(d: int) -> np.ndarray:
@@ -404,18 +395,26 @@ def spherical_functions(space: CosetSpace) -> list[SphericalFunction]:
 
 
 def check_spherical(space: CosetSpace, f: Sequence) -> float:
-    """Max over x, y of |avg_K f(xky) - f(x) f(y)| for a value table on G.
+    """Max over x, y of |avg_K f(xky) - f(x) f(y)| for a value table on G,
+    the functional equation read off the multiplication table: a reference
+    independent of how the spherical functions are found and certified.
 
-    Exact (then rounded to float) when the values are ints/Fractions."""
-    if len(f) != space.group.order:
+    Exact (then rounded to float) when the values are ints/Fractions: with
+    t = scale * f, scale the lcm of the denominators, it is the integer
+    max |scale sum_{k in K} t(xky) - |K| t(x) t(y)| over |K| scale^2."""
+    group = space.group
+    if len(f) != group.order:
         raise ValueError("value table length != group order")
-    points = np.arange(space.group.order)
-    if all(isinstance(x, (int, Fraction)) for x in f):
-        table, scale = _scaled_integers([[Fraction(x) for x in f]], space.k_size)
-        excess = _equation_excess(space, table, points, scale)
+    check_work_budget(group.order ** 2, f"{group.name}: the functional-equation check")
+    exact = all(isinstance(x, (int, Fraction)) for x in f)
+    t, scale = _scaled_integers(f, space.k_size) if exact else \
+        (np.asarray([complex(x) for x in f]), 1)
+    mul = group.mul
+    total = sum(t[mul[mul[:, k]]] for k in space.k_members)
+    excess = np.abs(scale * total - space.k_size * t[:, None] * t).max()
+    if exact:
         return float(Fraction(int(excess), space.k_size * scale * scale))
-    table = np.asarray([[complex(x) for x in f]])
-    return float(_equation_excess(space, table, points) / space.k_size)
+    return float(excess / space.k_size)
 
 
 def phi_hom(f: SphericalFunction, mu: BiinvariantMeasure):

@@ -500,17 +500,23 @@ class _Unreadable:
         raise AssertionError("multiplication table read")
 
 
-def test_float_tables_never_read_the_multiplication_table(monkeypatch):
-    """A float table is certified by its eigensolve alone; only the exact
-    check of the functional equation reads group.mul."""
-    for space in (cyclic_space(20), dihedral_space(24), dihedral_space(56)):
+def _z2_power(m):
+    """(Z2)^m over K = {e}, from m disjoint transpositions: d = 2^m classes."""
+    swaps = [list(range(2 * m)) for _ in range(m)]
+    for i, p in enumerate(swaps):
+        p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+    return build_coset_space(group_from_permutations(swaps), [])
+
+
+def test_spherical_tables_never_read_the_multiplication_table(monkeypatch):
+    """A float table is certified by its eigensolve alone, an exact one by
+    its eigen-equations on the sorted Hecke table: neither reads group.mul."""
+    spaces = [cyclic_space(20), dihedral_space(24), dihedral_space(56)]
+    exact = [symmetric_space(4, fixed_point=3), symmetric_space(7, fixed_point=6), _z2_power(6)]
+    for space in spaces + exact:
         monkeypatch.setattr(space.group, "mul", _Unreadable())
         assert len(spherical_functions(space)) == space.double_cosets.num_classes
-        assert not hecke_structure(space).exact
-    space = symmetric_space(4, fixed_point=3)
-    monkeypatch.setattr(space.group, "mul", _Unreadable())
-    with pytest.raises(AssertionError, match="multiplication table read"):
-        spherical_functions(space)
+        assert hecke_structure(space).exact == (space in exact)
 
 
 def test_sphericals_sorted_by_rounded_eigenvalues():
@@ -585,8 +591,7 @@ def test_representative_certification_holds_on_whole_group():
         funcs = spherical_functions(space)
         assert len(funcs) == space.double_cosets.num_classes
         if funcs[0].exact:
-            assert st._excess(*hecke._scaled_integers(
-                [f.values for f in funcs], space.k_size)) == 0
+            assert st._joint(st.class_values, st.phi_matrix)
         for f in funcs:
             res = check_spherical(space, f.on_group())
             if f.exact:
@@ -598,15 +603,25 @@ def test_representative_certification_holds_on_whole_group():
 
 
 def test_certification_rejects_shifted_value():
+    """A table with one value moved by 1/|G| (scaled by |G|), or paired with
+    its eigenvalue rows reversed, leaves the eigen-equations."""
+    for space in acceptance_suite() + _larger_pairs():
+        st = hecke_structure(space)
+        if st.exact and st.d > 1:
+            assert not st._joint(st.class_values, st.phi_matrix[::-1])
     for space in (symmetric_space(4, fixed_point=3), _larger_pairs()[1]):
         funcs = spherical_functions(space)
         st = hecke_structure(space)
         n = space.group.order
+        table, phi = st.class_values, st.phi_matrix
+        assert st._joint(n * table, phi)
         for i in range(len(funcs)):
             for c in range(space.double_cosets.num_classes):
+                moved = n * table
+                moved[i, c] += table[i, 0]
+                assert not st._joint(moved, phi)
                 values = [list(f.values) for f in funcs]
                 values[i][c] += Fraction(1, n)
-                assert st._excess(*hecke._scaled_integers(values, space.k_size)) != 0
                 shifted = [values[i][k] for k in space.double_cosets.class_of]
                 assert check_spherical(space, shifted) > 0
 
@@ -616,27 +631,27 @@ def _bits(a):
 
 
 def _blocked_tables():
-    """Witness, or tables, exactness and functional-equation excesses, of
-    fresh spaces, a non-Gelfand one among them."""
+    """Witness, or tables, exactness and eigen-equation verdicts, of fresh
+    spaces, a non-Gelfand one among them."""
     out = []
     for space in acceptance_suite() + _larger_pairs() + [symmetric_space(4)]:
         st = hecke_structure(space)
         if st._witness is not None:
             out.append(st._witness)
             continue
-        table, scale = st.class_values, (st.class_values[0, 0] if st.exact else 1)
-        f = spherical_functions(space)[-1].on_group()
-        out.append((_bits(st.phi_matrix), _bits(table), st.exact, st._excess(table, scale),
-                    st._excess(table + 1, scale), check_spherical(space, f)))
+        table, phi = st.class_values, st.phi_matrix
+        joint = (st._joint(table, phi), st._joint(table + 1, phi)) if st.exact else None
+        out.append((_bits(phi), _bits(table), st.exact, joint))
     return out
 
 
 @pytest.mark.parametrize("block", [1, 2 ** 62], ids=["one", "all"])
 def test_blocks_change_no_bit(block, monkeypatch):
-    """The functional equation checked one row at a time or all at once
-    gives the witness, tables and excesses of the default block, bit for
+    """The eigen-equations checked one row at a time or all rows at once
+    give the witness, tables and verdicts of the default block, bit for
     bit."""
     expected = _blocked_tables()
+    assert any(t[-1] == (True, False) for t in expected)
     monkeypatch.setattr(hecke, "_BLOCK", block)
     assert _blocked_tables() == expected
 
