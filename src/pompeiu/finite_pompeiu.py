@@ -12,13 +12,13 @@ space G/K, three independent ways:
 
 Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset; the single-subset functions (`pompeiu_oracle`,
-`pompeiu_spectral`, `pompeiu_convolution`, `ideal_generators`) run them
-with B = 1.  The oracle's one test, the translate test, eliminates the
-translate matrix M modulo PRIME = 2^31 - 1: full rank there proves full
-rational rank (a minor nonzero modulo PRIME is nonzero), and up to 22
-columns a deficiency there is rational too (`_rank_exact`).  A sweep runs
-one elimination per batch and computes no kernel; `pompeiu_oracle` takes
-its witness from `exact_linalg.nullspace` when the test finds a deficiency.
+`pompeiu_spectral`, `pompeiu_convolution`) run them with B = 1.  The
+oracle's one test, the translate test, eliminates the translate matrix M
+modulo PRIME = 2^31 - 1: full rank there proves full rational rank (a
+minor nonzero modulo PRIME is nonzero), and up to 22 columns a deficiency
+there is rational too (`_rank_exact`).  A sweep runs one elimination per
+batch and computes no kernel; `pompeiu_oracle` takes its witness from
+`exact_linalg.nullspace` when the test finds a deficiency.
 
 The three criteria are invariant under translation, so `enumerate_all`
 decides only the least mask of each G-orbit, found by walking the
@@ -37,15 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import exact_linalg as xla
 from .groups import BugTrapError, CosetSpace, check_work_budget
-from .hecke import (BiinvariantMeasure, SphericalFunction, hecke_structure,
-                    spherical_functions)
+from .hecke import hecke_structure, spherical_functions
 
 PHI_ZERO_TOL = 1e-9
 CONV_ZERO_TOL = 1e-9
@@ -64,9 +61,6 @@ __all__ = [
     "DecisionReport",
     "SweepResult",
     "pompeiu_oracle",
-    "ideal_generators",
-    "zero_set",
-    "zero_set_ideal",
     "pompeiu_spectral",
     "pompeiu_convolution",
     "radial_shortcut",
@@ -254,9 +248,9 @@ class _DecisionCache:
 
 
 def _vanishing(values: np.ndarray, tol) -> np.ndarray:
-    """Elementwise zero test: exact on integer tables, below tol on
-    complex ones."""
-    if values.dtype.kind in "iO":
+    """Elementwise zero test: exact on the int64 tables of an exact space,
+    below tol on complex ones."""
+    if values.dtype.kind == "i":
         return values == 0
     return np.abs(values) < tol
 
@@ -274,25 +268,6 @@ def _generator_rows(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     cache = _cache(space)
     support = _support(bits)
     return (bits[:, support] @ cache.generators[cache.shift[:, support]]).transpose(1, 0, 2)
-
-
-def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]:
-    """One biinvariant measure per transversal element g: the reversed
-    lifted indicator of E convolved with the indicator of the coset gK."""
-    inst = _instance(space_or_instance, subset)
-    rows = _generator_rows(inst.space, _bits(inst))[0]
-    return [BiinvariantMeasure(inst.space, tuple(Fraction(int(v)) for v in row))
-            for row in rows]
-
-
-def zero_set(mu: BiinvariantMeasure,
-             funcs: Sequence[SphericalFunction] | None = None) -> frozenset:
-    """Indices of spherical functions whose homomorphism kills mu."""
-    if funcs is None:
-        funcs = spherical_functions(mu.space)
-    phi = hecke_structure(mu.space).phi(funcs, mu)
-    hits = _vanishing(phi, PHI_ZERO_TOL * (1.0 + mu.one_norm()))
-    return frozenset(int(i) for i in np.nonzero(hits)[0])
 
 
 def _common_zeros(space: CosetSpace, rows: np.ndarray) -> np.ndarray:
@@ -315,14 +290,6 @@ def _common_zeros(space: CosetSpace, rows: np.ndarray) -> np.ndarray:
             phi = phi.view(complex)
         zeros.append(_vanishing(phi, tol[i:i + step, None]))
     return np.concatenate(zeros).reshape(rows.shape[0], rows.shape[1], -1).all(axis=1)
-
-
-def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
-    """Common zero set of the ideal generators (they generate, and the
-    homomorphisms are multiplicative, so the generators suffice)."""
-    inst = _instance(space_or_instance, subset)
-    zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
-    return frozenset(np.flatnonzero(zeros).tolist())
 
 
 def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray) -> DecisionReport:

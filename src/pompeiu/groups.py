@@ -47,9 +47,6 @@ __all__ = [
     "check_work_budget",
     "build_group",
     "build_coset_space",
-    "double_cosets",
-    "lift_set",
-    "check_function_invariance",
     "subgroup_closure",
     "load_group_spec",
 ]
@@ -349,11 +346,16 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     import itertools
-    import math
     if n < 1:
         raise GroupSpecError("symmetric parameter must be >= 1")
-    if math.factorial(n) > order_cap:
-        raise GroupSpecError(f"order {math.factorial(n)} exceeds cap {order_cap}")
+    # refuse as soon as a partial product k! passes the cap, so a huge n
+    # never computes (or prints) its factorial
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > order_cap:
+            shown = order if k == n else f"{n}!"
+            raise GroupSpecError(f"order {shown} exceeds cap {order_cap}")
     perms = np.asarray(list(itertools.permutations(range(n))), dtype=np.int32)
     # the transposition (1 2), which is e for n = 1, and the n-cycle
     swap = tuple(range(min(n, 2)))[::-1] + tuple(range(2, n))
@@ -426,42 +428,6 @@ def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> list[int]
 
 def build_coset_space(group: FiniteGroup, k_generators: Iterable[int]) -> CosetSpace:
     return CosetSpace(group, k_generators)
-
-
-def double_cosets(space: CosetSpace) -> DoubleCosetPartition:
-    return space.double_cosets
-
-
-# ---------------------------------------------------------------------------
-# set lifting and invariance checks
-
-
-def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
-    """All group elements whose coset lies in the given coset-index set."""
-    wanted = set(int(c) for c in cosets)
-    for c in wanted:
-        if not 0 <= c < space.num_cosets:
-            raise ValueError(f"coset index {c} out of range")
-    return frozenset(np.flatnonzero(np.isin(space.coset_of, list(wanted))).tolist())
-
-
-def check_function_invariance(space: CosetSpace, f: Sequence, side: str) -> bool:
-    """Exact invariance of a value table on the group under K.
-
-    side 'right' tests f(xk) = f(x), 'left' tests f(kx) = f(x), 'bi' both.
-    """
-    if len(f) != space.group.order:
-        raise ValueError("value table length != group order")
-    mul = space.group.mul
-    if side not in ("left", "right", "bi"):
-        raise ValueError(f"side must be left|right|bi, got {side!r}")
-    table = np.asarray(f)
-    k = np.asarray(space.k_members)
-    if side != "left" and np.any(table[mul[:, k]] != table[:, None]):
-        return False
-    if side != "right" and np.any(table[mul[k, :]] != table[None, :]):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

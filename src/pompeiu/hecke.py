@@ -26,8 +26,8 @@ functional equation on all of G, is the independent reference.
 The per-space Hecke structure keeps them as arrays, one row per function,
 sorted by eigenvalue: `phi_matrix`, the eigenvalues |C_c| f(c^{-1}) under
 the class operators, which are the homomorphism Phi_f at the class
-indicators (contracted with a measure by `phi`), and `class_values`, the
-values on the classes, which the convolution decider reads along the
+indicators (contracted with a measure by `phi_hom`), and `class_values`,
+the values on the classes, which the convolution decider reads along the
 orbital table.  Both are integers on an exact space (the values scaled)
 and complex otherwise; the public `SphericalFunction` tuples are read
 from them.  The measure-algebra operations compute in one dtype, picked
@@ -60,7 +60,6 @@ __all__ = [
     "class_indicator",
     "delta_sharp",
     "measure_from_function",
-    "project_biinvariant",
     "convolve",
     "is_gelfand_pair",
     "gelfand_witness",
@@ -95,11 +94,6 @@ class BiinvariantMeasure:
     def __post_init__(self):
         if len(self.coeffs) != self.space.double_cosets.num_classes:
             raise ValueError("coefficient count != double-coset class count")
-
-    def one_norm(self) -> float:
-        dcp = self.space.double_cosets
-        return float(sum(abs(complex(c)) * s
-                         for c, s in zip(self.coeffs, dcp.class_sizes)))
 
 
 @dataclass(frozen=True)
@@ -204,13 +198,6 @@ class _HeckeStructure:
             eigenvalues = [map(Fraction, row) for row in eigenvalues]
         return [SphericalFunction(self.space, tuple(v), tuple(e), self.exact)
                 for v, e in zip(values, eigenvalues)]
-
-    def phi(self, funcs, mu: BiinvariantMeasure) -> np.ndarray:
-        """Phi_f(mu) = sum_c mu_c lambda_{f,c} for every f in funcs, in the
-        algebra's dtype, summed over the nonzero coefficients of mu only."""
-        table, coeffs = _algebra_arrays([f.eigenvalue_tuple for f in funcs], mu.coeffs)
-        ic = _nonzero(coeffs)
-        return table[:, ic] @ coeffs[ic]
 
     def _joint(self, table: np.ndarray, eigenvalues: np.ndarray) -> bool:
         """Whether sum_i op[j][k, i] t_i = lambda_j t_k for every row t of
@@ -356,18 +343,6 @@ def measure_from_function(space: CosetSpace, values: Sequence,
 # operations
 
 
-def project_biinvariant(space: CosetSpace, f: Sequence) -> list:
-    """Average f over K on both sides: x -> avg_{l,k} f(l x k).
-
-    Exact (Fractions) when the input values are ints/Fractions, complex
-    otherwise."""
-    mul = space.group.mul
-    k = np.asarray(space.k_members)
-    table, = _algebra_arrays(f)
-    right = table[mul[:, k]].sum(axis=1) / space.k_size
-    return list(right[mul[k, :]].sum(axis=0) / space.k_size)
-
-
 def convolve(mu: BiinvariantMeasure, nu: BiinvariantMeasure) -> BiinvariantMeasure:
     """Convolution of biinvariant measures via the class structure constants:
     out[k] = sum_{i,j} mu_i nu_j op[j, k, i]."""
@@ -419,10 +394,14 @@ def check_spherical(space: CosetSpace, f: Sequence) -> float:
 
 def phi_hom(f: SphericalFunction, mu: BiinvariantMeasure):
     """The algebra homomorphism attached to f, evaluated at mu: the pairing
-    of f with the reversed measure, sum_x f(x^{-1}) d mu(x)."""
+    of f with the reversed measure, sum_x f(x^{-1}) d mu(x) = sum_c mu_c
+    lambda_{f,c}, in the algebra's dtype, summed over the nonzero
+    coefficients of mu only."""
     if f.space is not mu.space:
         raise ValueError("function and measure live on different spaces")
-    return hecke_structure(f.space).phi([f], mu)[0]
+    table, coeffs = _algebra_arrays(f.eigenvalue_tuple, mu.coeffs)
+    ic = _nonzero(coeffs)
+    return table[ic] @ coeffs[ic]
 
 
 def reverse_measure(mu: BiinvariantMeasure) -> BiinvariantMeasure:

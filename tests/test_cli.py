@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ def test_finite_check_parse_error(tmp_path):
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps({"family": "moebius", "n": 3}))
     assert main(["finite", "check", "--group", str(odd), "--set", "0"]) == 2
+
+
+def test_finite_check_huge_symmetric_exits_2_at_once(tmp_path, capsys):
+    """S_n for n = 10^6 is refused by the order cap without computing n!."""
+    path = tmp_path / "s_huge.json"
+    path.write_text(json.dumps({"family": "symmetric", "n": 10 ** 6}))
+    start = time.perf_counter()
+    code = main(["finite", "check", "--group", str(path), "--set", "0,1"])
+    assert code == 2 and time.perf_counter() - start < 2
+    assert "order 1000000! exceeds cap 5040" in capsys.readouterr().err
 
 
 def test_finite_check_empty_set(z8_file):

@@ -13,18 +13,18 @@ from pompeiu import finite_pompeiu as fp
 from pompeiu.exact_linalg import nullspace
 from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
                                     PompeiuInstance, _biinvariant_lift,
-                                    enumerate_all, ideal_generators,
-                                    pompeiu_convolution, pompeiu_oracle,
-                                    pompeiu_spectral, radial_shortcut,
-                                    recheck_witness, zero_set, zero_set_ideal)
-from pompeiu.groups import (GroupSpecError, build_coset_space, build_group,
-                            check_function_invariance, lift_set)
+                                    enumerate_all, pompeiu_convolution,
+                                    pompeiu_oracle, pompeiu_spectral,
+                                    radial_shortcut, recheck_witness)
+from pompeiu.groups import GroupSpecError, build_coset_space, build_group
 from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
                            hecke_structure, phi_hom, spherical_functions,
                            unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
+from references import (check_function_invariance, ideal_generators, lift_set,
+                        zero_set, zero_set_ideal)
 
 
 def _dft_pompeiu(n, subset):

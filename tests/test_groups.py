@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from pompeiu import groups
 from pompeiu.groups import (FiniteGroup, GroupSpecError, build_coset_space,
-                            build_group, check_function_invariance,
-                            cycle_label, double_cosets, lift_set,
-                            load_group_spec, subgroup_closure)
+                            build_group, cycle_label, load_group_spec,
+                            subgroup_closure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
+from references import check_function_invariance, lift_set
 
 
 def test_cyclic_8_table():
@@ -67,6 +67,18 @@ def test_order_cap_boundary():
     for spec in ({"family": "cyclic", "n": 11}, {"family": "dihedral", "n": 6}):
         with pytest.raises(GroupSpecError, match="cap 10"):
             build_group(spec, order_cap=10)
+
+
+def test_symmetric_order_cap_names_the_order():
+    """S8 prints its order; past it the order is named n!, never computed,
+    so n = 1700 (whose n! has more digits than Python prints) and n = 10^6
+    are refused at once, as cap violations."""
+    with pytest.raises(GroupSpecError, match="^order 40320 exceeds cap 5040$"):
+        build_group({"family": "symmetric", "n": 8})
+    assert build_group({"family": "symmetric", "n": 7}).order == 5040
+    for n in (1700, 10 ** 6):
+        with pytest.raises(GroupSpecError, match=f"^order {n}! exceeds cap 5040$"):
+            build_group({"family": "symmetric", "n": n})
 
 
 def test_generators_must_share_domain():
@@ -162,13 +174,13 @@ def test_action_law_randomized_s5():
 
 
 def test_double_cosets_z8_singletons(z8_space):
-    dcp = double_cosets(z8_space)
+    dcp = z8_space.double_cosets
     assert dcp.num_classes == 8
     assert set(dcp.class_sizes) == {1}
 
 
 def test_double_cosets_s3(s3_space):
-    dcp = double_cosets(s3_space)
+    dcp = s3_space.double_cosets
     assert dcp.num_classes == 2
     assert sorted(dcp.class_sizes) == [2, 4]
     # independent orbit computation straight from the multiplication table
@@ -184,7 +196,7 @@ def test_double_cosets_s3(s3_space):
 
 
 def test_double_cosets_d6(d6_space):
-    assert double_cosets(d6_space).num_classes == 4
+    assert d6_space.double_cosets.num_classes == 4
 
 
 def test_double_cosets_partition_group():
@@ -192,7 +204,7 @@ def test_double_cosets_partition_group():
     rep_j its least element; the class sizes add up to |G|.  The orbital
     table holds the class of t_r^-1 t_c."""
     for space in orbital_test_spaces():
-        g, dcp = space.group, double_cosets(space)
+        g, dcp = space.group, space.double_cosets
         k = np.asarray(space.k_members)
         assert sum(dcp.class_sizes) == g.order, space.name
         for j, rep in enumerate(dcp.representatives):
@@ -206,7 +218,7 @@ def test_double_cosets_partition_group():
 
 def test_abelian_trivial_k_classes_match_cosets():
     space = cyclic_space(10)
-    assert double_cosets(space).num_classes == space.num_cosets
+    assert space.double_cosets.num_classes == space.num_cosets
 
 
 def test_lift_set_cases(s3_space):

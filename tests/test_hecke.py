@@ -17,12 +17,12 @@ from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            check_spherical, class_indicator, convolve,
                            delta_sharp, gelfand_witness, hecke_structure,
                            is_gelfand_pair, measure_from_function, phi_hom,
-                           project_biinvariant, reverse_function,
-                           reverse_measure, spherical_functions,
-                           unit_measure)
+                           reverse_function, reverse_measure,
+                           spherical_functions, unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
+from references import project_biinvariant
 
 
 def _pair(f, u):
