@@ -193,6 +193,8 @@ class FiniteGroup:
         table = np.asarray(mul, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupSpecError("multiplication table must be square")
+        if not len(table):
+            raise GroupSpecError("multiplication table is empty: a group holds its identity")
         # the walk fills the table of the rows x -> g x: this one if g e = g
         if not np.array_equal(table[:, 0], np.arange(len(table))):
             raise GroupSpecError("index 0 is not a two-sided identity")
@@ -376,6 +378,8 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
     npts = len(gens[0])
     if any(len(g) != npts for g in gens):
         raise GroupSpecError("generators must permute a common domain")
+    if not npts:
+        raise GroupSpecError("generators must permute at least one point")
     elements = [tuple(range(npts))]
     seen = set(elements)
     for p in elements:

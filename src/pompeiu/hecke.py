@@ -13,8 +13,8 @@ from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
 characters differ on some basis element, hence on a generic combination.
 The d^3 structure constants op[j][k, i] are kept as one sorted table of
 the at most d n nonzero ones, counted from the d x n orbital table;
-`combine` contracts it with coefficients, and commutativity compares
-each count with the count at its transpose op[i][k, j].
+`combine` contracts it with coefficients, and commutativity compares it
+with the table of the transposes op[i][k, j], counted the same way.
 The coefficients are one fixed complex draw.  A float table is certified
 by its eigensolve's own residual over eigenvalue gap.  When every
 eigenvalue rounds to an integer, they give every value as a rational,
@@ -130,22 +130,19 @@ class _HeckeStructure:
         self.class_sizes = dcp.class_sizes
         # so coset c counts |K| at the flat key (j d + k) d + i: op holds the
         # counts at the keys, sorted, at most d n of them, and 0 elsewhere
-        j = np.asarray(self.inverse_class)[orb[0]]
-        self.keys, counts = np.unique((j * d + np.arange(d)[:, None]) * d + orb[r],
-                                      return_counts=True)
+        j, k = np.asarray(self.inverse_class)[orb[0]], np.arange(d)[:, None]
+        self.keys, counts = np.unique((j * d + k) * d + orb[r], return_counts=True)
         self.counts = space.k_size * counts
-        # commutativity, op[j, k, i] = op[i, k, j]: each key against its
-        # transpose, looked up in increasing order (a cache-friendly search)
-        j, k, i = np.unravel_index(self.keys, (d, d, d))
-        twin = (i * d + k) * d + j
-        order = np.argsort(twin)
-        at = np.minimum(np.searchsorted(self.keys, twin[order]), len(self.keys) - 1)
-        odd = order[(self.keys[at] != twin[order]) | (self.counts[at] != self.counts[order])]
-        asymmetric = np.zeros((d, d), dtype=bool)
-        asymmetric[j[odd], i[odd]] = asymmetric[i[odd], j[odd]] = True
-        bad = np.argwhere(asymmetric)
-        reps = dcp.representatives
-        self._witness = (reps[bad[0, 0]], reps[bad[0, 1]]) if len(bad) else None
+        # commutative iff the same places keyed (i d + k) d + j count the same table
+        twin, twin_counts = np.unique((orb[r] * d + k) * d + j, return_counts=True)
+        self._witness = None
+        if not (np.array_equal(twin, self.keys) and np.array_equal(twin_counts, counts)):
+            # the keys where the two differ, told apart with their counts (at
+            # most n), are symmetric in (j, i): the least j d + i is the least pair
+            m = space.num_cosets + 1
+            odd = np.setxor1d(self.keys * m + counts, twin * m + twin_counts, assume_unique=True) // m
+            j, i = divmod(int((odd // (d * d) * d + odd % d).min()), d)
+            self._witness = (dcp.representatives[j], dcp.representatives[i])
 
     def combine(self, a: np.ndarray) -> np.ndarray:
         """sum_j a_j op[j] as a d x d array [k, i] in a's dtype: each count

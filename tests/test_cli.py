@@ -165,6 +165,13 @@ def test_finite_check_parse_error(tmp_path):
     assert main(["finite", "check", "--group", str(odd), "--set", "0"]) == 2
 
 
+def test_finite_check_on_permutations_of_no_points_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"family": "permutations", "generators": [[]]}))
+    assert main(["finite", "check", "--group", str(path), "--set", "0"]) == 2
+    assert "generators must permute at least one point" in capsys.readouterr().err
+
+
 def test_finite_check_huge_symmetric_exits_2_at_once(tmp_path, capsys):
     """S_n for n = 10^6 is refused by the order cap without computing n!."""
     path = tmp_path / "s_huge.json"

@@ -86,6 +86,8 @@ def test_generators_must_share_domain():
         build_group({"family": "permutations", "generators": [[1, 0], [1, 2, 0]]})
     with pytest.raises(GroupSpecError, match="not a permutation"):
         build_group({"family": "permutations", "generators": [[0, 0, 1]]})
+    with pytest.raises(GroupSpecError, match="^generators must permute at least one point$"):
+        build_group({"family": "permutations", "generators": [[]]})
 
 
 @pytest.mark.parametrize("spec", [
@@ -416,12 +418,13 @@ def test_cosets_are_numbered_by_their_least_element():
 @pytest.mark.parametrize("mul, message", [
     ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "two-sided identity"),
     ([[0, 1], [1, 1]], "inverse"),
-], ids=["left-identity-only", "monoid"])
+    (np.zeros((0, 0), int), "^multiplication table is empty"),
+], ids=["left-identity-only", "monoid", "empty"])
 def test_raw_tables_that_are_not_groups_are_refused(mul, message):
     """The rows of the first table are the rotations of Z3, a group under
     composition, yet 1 * 0 = 2: only the check of column 0 tells that the
     table is not theirs.  The second is closed and associative, {e, z} with
-    z z = z, but z has no inverse."""
+    z z = z, but z has no inverse.  The third has no identity at all."""
     with pytest.raises(GroupSpecError, match=message):
         FiniteGroup(np.array(mul), "bad", None, [1])
 

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu import exact_linalg, hecke
+from pompeiu import exact_linalg, groups, hecke
 from pompeiu.finite_pompeiu import pompeiu_convolution, pompeiu_spectral
 from pompeiu.groups import (BugTrapError, build_coset_space, build_group,
                             group_from_permutations)
@@ -241,6 +242,22 @@ def test_gelfand_witness_is_the_least_non_commuting_pair():
         assert str(err.value) == (
             f"{space.name}: convolution not commutative; witnessing double-coset "
             f"representatives {labels[reps[j]]!r}, {labels[reps[i]]!r}")
+
+
+def test_structure_build_peaks_near_the_table_it_keeps(monkeypatch):
+    """Building the sorted table of Z400 over {e} (d = 400, 160000 keys)
+    and its commutativity test holds at most 4.5 times the kept table."""
+    monkeypatch.setattr(groups, "WORK_BUDGET", 10 ** 9)
+    space = cyclic_space(400)
+    space.orbitals                      # built before the trace starts
+    tracemalloc.start()
+    try:
+        structure = hecke._HeckeStructure(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert structure._witness is None and len(structure.keys) == 400 ** 2
+    assert peak <= 4.5 * (structure.keys.nbytes + structure.counts.nbytes)
 
 
 def test_spherical_functions_are_characters_on_cyclic():
