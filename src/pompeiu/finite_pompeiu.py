@@ -12,7 +12,9 @@ space G/K, three independent ways:
 
 Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset; the single-subset functions (`pompeiu_oracle`,
-`pompeiu_spectral`, `pompeiu_convolution`) run them with B = 1.  The
+`pompeiu_spectral`, `pompeiu_convolution`) run them with B = 1.  Both
+spherical kernels gather the indicators of t^{-1}E over the transversal
+elements t and multiply them by one table with a row per coset.  The
 oracle's one test, the translate test, eliminates the translate matrix M
 modulo PRIME = 2^31 - 1: full rank there proves full rational rank (a
 minor nonzero modulo PRIME is nonzero), and up to 22 columns a deficiency
@@ -110,11 +112,6 @@ def _bits(inst: PompeiuInstance) -> np.ndarray:
     return bits
 
 
-def _support(bits: np.ndarray) -> np.ndarray:
-    """The cosets that lie in at least one of the subsets."""
-    return np.flatnonzero(bits.any(axis=0))
-
-
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -208,43 +205,43 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
 
 
 # ---------------------------------------------------------------------------
-# ideal machinery
+# spherical criteria
 
 class _DecisionCache:
-    """The per-space tables of the spectral decider and the radial
-    shortcut: the Phi table of the Hecke structure
-    (`hecke.hecke_structure`) in product form, and the ideal generators.
+    """The per-coset tables of the two spherical deciders, rows c in G/K:
+    phi[c], the Phi values of the ideal generator of coset c for the
+    identity, generators[c] @ phi_matrix.T, with its mass phi_weight[c] =
+    generators[c] @ class_sizes; and conv[c], |K| times the values of the
+    spherical functions on the class of c, class_values[:, orbitals[0]].T,
+    with its mass conv_weight[c] = |K|.  A complex table is kept as
+    interleaved real and imaginary columns: real rows times it, viewed as
+    complex, give the complex product, which numpy would hand to several
+    BLAS threads at a sweep batch's size.
 
     generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
     ideal generator of coset c for the identity, on the double-coset
     representatives: the density #{k in K : k u = c} at u, the coset of
-    rep_j^{-1}.  Translating by t^{-1} carries the generator of coset c
-    for the transversal element t onto that of coset t^{-1}c for the
-    identity; shift[r, c] is the coset t_r^{-1}c, for r in G/K.  Every
-    density column is checked constant on the K-orbits of u here, once,
-    which makes every row biinvariant, with its translates and every sum
-    of rows, so no subset is checked again."""
+    rep_j^{-1}.  Every density column is checked constant on the K-orbits
+    of u here, once, which makes every row biinvariant, with every sum of
+    rows, so no subset is checked again."""
 
     def __init__(self, space: CosetSpace):
         spherical_functions(space)      # raises NotGelfandPairError up front
-        group, n = space.group, space.num_cosets
+        n = space.num_cosets
         reps = list(space.double_cosets.representatives)
         density = np.bincount((space.action[list(space.k_members)] * n + np.arange(n)).ravel(),
                               minlength=n * n).reshape(n, n)
         # column u against the column of the least coset of its K-orbit
         if not np.array_equal(density, density[:, space.coset_of[reps][space.orbitals[0]]]):
             raise BugTrapError("ideal generator is not biinvariant")
-        self.generators = density[:, space.coset_of[group.inv[reps]]]
-        self.shift = space.action[group.inv[list(space.transversal)]]
-        self.class_sizes = np.asarray(space.double_cosets.class_sizes)
-        # The Phi table, transposed.  A complex one is kept as interleaved
-        # real and imaginary columns: real rows times it, viewed as
-        # complex, give the complex product, which numpy would hand to
-        # several BLAS threads at a sweep batch's size.
-        phi = hecke_structure(space).phi_matrix.T
-        if phi.dtype.kind == "c":
-            phi = np.stack([phi.real, phi.imag], axis=2).reshape(len(phi), -1)
-        self.phi_table = phi
+        self.generators = density[:, space.coset_of[space.group.inv[reps]]]
+        structure = hecke_structure(space)
+        tables = (self.generators @ structure.phi_matrix.T,
+                  space.k_size * structure.class_values[:, space.orbitals[0]].T)
+        self.phi, self.conv = (np.ascontiguousarray(t).view(float) if t.dtype.kind == "c"
+                               else t for t in tables)
+        self.phi_weight = self.generators @ np.asarray(space.double_cosets.class_sizes)
+        self.conv_weight = np.full(n, space.k_size)
 
 
 def _vanishing(values: np.ndarray, tol) -> np.ndarray:
@@ -259,37 +256,40 @@ def _cache(space: CosetSpace) -> _DecisionCache:
     return space.cached("decision", _DecisionCache)
 
 
-def _generator_rows(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
-    """Class-coefficient rows of the ideal generators, B x |transversal| x
-    classes: row r of subset E is the sum over c in E of the generator of
-    coset t_r^{-1}c.  One product over the cosets of the support, so the
-    table it gathers covers those cosets only: at most 20 in a sweep, |E|
-    when B = 1."""
+def _row_zeros(space: CosetSpace, bits: np.ndarray, table: np.ndarray,
+               weight: np.ndarray, tol: float) -> np.ndarray:
+    """B x transversal x spherical functions: whether row r of subset E,
+    the sum of the rows of a per-coset table over the cosets of t_r^{-1}E,
+    vanishes (within tol times one plus the same sum of weight).
+    translates[b, r] is the indicator of t_r^{-1}E: c lies there exactly
+    when t_r c lies in E.  The product needs no blocks: a sweep batch's
+    translates hold B n n <= B |G| n <= SCAN_CHUNK entries, its products
+    at most twice as many (two columns a spherical function, at most n)."""
+    translates = bits[:, space.action[list(space.transversal)]]
+    values = translates @ table
+    if table.dtype.kind == "f":
+        values = values.view(complex)
+    return _vanishing(values, tol * (1.0 + translates @ weight)[..., None])
+
+
+def _spectral_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """Per t_r: whether f_i's homomorphism kills the ideal generator of E
+    for t_r, the sum over c in E of the generator of coset c for t_r.
+    Translating by t_r^{-1} carries that onto the generator of coset
+    t_r^{-1}c for the identity, so its Phi values are row r of the phi
+    table.  E fails exactly when some f_i kills every row."""
     cache = _cache(space)
-    support = _support(bits)
-    return (bits[:, support] @ cache.generators[cache.shift[:, support]]).transpose(1, 0, 2)
+    return _row_zeros(space, bits, cache.phi, cache.phi_weight, PHI_ZERO_TOL)
 
 
-def _common_zeros(space: CosetSpace, rows: np.ndarray) -> np.ndarray:
-    """B x spherical functions: whether the homomorphism of f_i kills every
-    measure of batch b, one measure per row of rows[b] (class
-    coefficients), each tested against its own tolerance.
-
-    The measures go through the Phi table in blocks of at most SCAN_CHUNK
-    multiply-adds, so that the tables stay small and each product runs on
-    one BLAS thread."""
+def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
+    """Per t_r: whether f_i convolves the reversed lifted indicator of E to
+    zero at every x with x^{-1} in t_r K.  Over z in t_c K the convolution
+    sum_{z in lifted E} f(xz) is |K| f_i(x t_c), |K| times f_i on the class
+    orb[r, c] = orb[0, t_r^{-1}c]: the sum is row r of the conv table, and
+    it vanishes on G exactly when it does at every r."""
     cache = _cache(space)
-    flat = rows.reshape(-1, rows.shape[2])
-    tol = PHI_ZERO_TOL * (1.0 + (np.abs(flat) * cache.class_sizes).sum(axis=1))
-    table = cache.phi_table
-    step = max(1, SCAN_CHUNK // table.size)
-    zeros = []
-    for i in range(0, len(flat), step):
-        phi = flat[i:i + step] @ table
-        if table.dtype.kind == "f":
-            phi = phi.view(complex)
-        zeros.append(_vanishing(phi, tol[i:i + step, None]))
-    return np.concatenate(zeros).reshape(rows.shape[0], rows.shape[1], -1).all(axis=1)
+    return _row_zeros(space, bits, cache.conv, cache.conv_weight, CONV_ZERO_TOL)
 
 
 def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray) -> DecisionReport:
@@ -306,53 +306,15 @@ def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray) -> Deci
 def pompeiu_spectral(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function kills the whole ideal."""
     inst = _instance(space_or_instance, subset)
-    zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
+    zeros = _spectral_zeros(inst.space, _bits(inst))[0].all(axis=0)
     return _spherical_report("spectral", inst.space, zeros)
-
-
-# ---------------------------------------------------------------------------
-# convolution criterion
-
-
-def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
-    """For each row f of table (values on G): whether x -> sum_{z in lifted}
-    f(xz) vanishes identically, lifted the elements whose coset is in
-    subset.  The definition, element by element; `recheck_witness` holds
-    the deciders to it.  The x run in blocks whose gather holds at most
-    SCAN_CHUNK values, one block when the whole gather fits."""
-    lifted = np.nonzero(np.isin(space.coset_of, sorted(subset)))[0]
-    mul = space.group.mul
-    step = max(1, SCAN_CHUNK // (len(table) * len(lifted)))
-    conv = np.concatenate([table[:, mul[x:x + step, lifted]].sum(axis=2)
-                           for x in range(0, len(mul), step)], axis=1)
-    tol = CONV_ZERO_TOL * (1 + len(lifted))
-    return _vanishing(conv, tol).all(axis=1)
-
-
-def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
-    """B x spherical functions: whether f_i convolves the reversed lifted
-    indicator of subset b to zero on all of G.
-
-    The convolution sum_{z in lifted E} f(xz) is grouped by coset: over
-    z in t_c K it is |K| f_i(x t_c), which for x^{-1} in t_r K is |K| times
-    f_i on the class orb[r, c].  So conv[b, i, r] is that sum over c in E,
-    one column of the orbital table per coset of the support, and it
-    vanishes on G exactly when it does at every r in G/K."""
-    class_values = hecke_structure(space).class_values
-    orb = space.orbitals
-    conv = np.zeros((len(bits), len(class_values), space.num_cosets), dtype=class_values.dtype)
-    for c in _support(bits):
-        np.add(conv, class_values[:, orb[:, c]] * space.k_size, out=conv,
-               where=bits[:, c, None, None] == 1)
-    tol = CONV_ZERO_TOL * (1 + bits.sum(axis=1) * space.k_size)
-    return _vanishing(conv, tol[:, None, None]).all(axis=2)
 
 
 def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function convolves the reversed
     lifted indicator to zero; checked exhaustively on the group."""
     inst = _instance(space_or_instance, subset)
-    zeros = _convolution_zeros(inst.space, _bits(inst))[0]
+    zeros = _convolution_zeros(inst.space, _bits(inst))[0].all(axis=0)
     return _spherical_report("convolution", inst.space, zeros)
 
 
@@ -374,18 +336,15 @@ def _biinvariant_lift(space: CosetSpace, subset) -> np.ndarray | None:
 
 
 def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
-    """Single-measure decision, available when the lifted indicator is
-    already biinvariant; returns None when not applicable."""
+    """Single-measure decision when the lifted indicator E~ is biinvariant,
+    None otherwise.  Then the identity's ideal generator, row 0 of the
+    spectral zeros, is |K| times the reversed indicator [x^{-1} in E~]: it
+    counts the k in K with k x^{-1} in E~, all of them or none."""
     inst = _instance(space_or_instance, subset)
-    space = inst.space
-    inside = _biinvariant_lift(space, inst.subset)
-    if inside is None:
+    if _biinvariant_lift(inst.space, inst.subset) is None:
         return None
-    # class coefficients of the reversed indicator x -> [x^{-1} lies in E~]
-    reps = np.asarray(space.double_cosets.representatives)
-    coeffs = inside[space.coset_of[space.group.inv[reps]]].astype(np.int64)
-    zeros = _common_zeros(space, coeffs[None, None, :])[0]
-    return _spherical_report("radial-shortcut", space, zeros)
+    zeros = _spectral_zeros(inst.space, _bits(inst))[0, 0]
+    return _spherical_report("radial-shortcut", inst.space, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +395,8 @@ def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
         raise BugTrapError(f"PRIME does not exceed Hadamard's bound for "
                            f"{space.num_cosets} columns")
     full = _translate_full_rank(space, bits)
-    spectral = _common_zeros(space, _generator_rows(space, bits))
-    conv = _convolution_zeros(space, bits)
+    spectral = _spectral_zeros(space, bits).all(axis=1)
+    conv = _convolution_zeros(space, bits).all(axis=1)
     # argmax + 1 is the first flag + 1, and any() zeroes it when none is set
     return (full | (spectral.argmax(axis=1) + 1) * spectral.any(axis=1) << 1
             | (conv.argmax(axis=1) + 1) * conv.any(axis=1) << 16)
@@ -496,6 +455,21 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
 
 # ---------------------------------------------------------------------------
 # witness rechecking
+
+
+def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
+    """For each row f of table (values on G): whether x -> sum_{z in lifted}
+    f(xz) vanishes identically, lifted the elements whose coset is in
+    subset.  The definition, element by element; `recheck_witness` holds
+    the deciders to it.  The x run in blocks whose gather holds at most
+    SCAN_CHUNK values, one block when the whole gather fits."""
+    lifted = np.nonzero(np.isin(space.coset_of, sorted(subset)))[0]
+    mul = space.group.mul
+    step = max(1, SCAN_CHUNK // (len(table) * len(lifted)))
+    conv = np.concatenate([table[:, mul[x:x + step, lifted]].sum(axis=2)
+                           for x in range(0, len(mul), step)], axis=1)
+    tol = CONV_ZERO_TOL * (1 + len(lifted))
+    return _vanishing(conv, tol).all(axis=1)
 
 
 def recheck_witness(inst: PompeiuInstance, report: DecisionReport) -> bool:

@@ -33,10 +33,14 @@ __all__ = [
 
 
 def _ball_volume(dim: int, radius: float) -> float:
-    if dim == 2:
-        return math.pi * radius ** 2
-    if dim == 3:
-        return 4.0 / 3.0 * math.pi * radius ** 3
+    """The volume, inf when it overflows."""
+    try:
+        if dim == 2:
+            return math.pi * radius ** 2
+        if dim == 3:
+            return 4.0 / 3.0 * math.pi * radius ** 3
+    except OverflowError:
+        return math.inf
     raise ValueError(f"unsupported dimension {dim}")
 
 
@@ -50,6 +54,8 @@ class Ball:
             raise ValueError(f"unsupported dimension {self.dim}")
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        if not math.isfinite(self.volume):
+            raise ValueError(f"ball of radius {self.radius:g}: its volume overflows")
 
     @property
     def volume(self) -> float:
@@ -84,6 +90,8 @@ class Annulus:
             raise ValueError(f"unsupported dimension {self.dim}")
         if not 0 < self.inner < self.outer < math.inf:
             raise ValueError("need 0 < inner < outer < inf")
+        if not math.isfinite(self.volume):
+            raise ValueError(f"annulus of outer radius {self.outer:g}: its volume overflows")
 
     @property
     def volume(self) -> float:

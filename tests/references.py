@@ -9,8 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from pompeiu.finite_pompeiu import (PHI_ZERO_TOL, _bits, _common_zeros,
-                                    _generator_rows, _instance)
+from pompeiu.finite_pompeiu import PHI_ZERO_TOL, _instance
 from pompeiu.groups import CosetSpace
 from pompeiu.hecke import (BiinvariantMeasure, SphericalFunction,
                            _algebra_arrays, phi_hom, spherical_functions)
@@ -57,12 +56,18 @@ def project_biinvariant(space: CosetSpace, f: Sequence) -> list:
 
 
 def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]:
-    """One biinvariant measure per transversal element g: the reversed
-    lifted indicator of E convolved with the indicator of the coset gK."""
+    """One biinvariant measure per transversal element t: the reversed
+    lifted indicator of E convolved with the indicator of the coset tK,
+    whose coefficient at the class of x is #{k in K : t k x^{-1} in E~},
+    counted on the group table."""
     inst = _instance(space_or_instance, subset)
-    rows = _generator_rows(inst.space, _bits(inst))[0]
-    return [BiinvariantMeasure(inst.space, tuple(Fraction(int(v)) for v in row))
-            for row in rows]
+    space = inst.space
+    mul, inv = space.group.mul, space.group.inv
+    lifted = lift_set(space, inst.subset)
+    return [BiinvariantMeasure(space, tuple(
+                Fraction(sum(int(mul[mul[t, k], inv[x]]) in lifted for k in space.k_members))
+                for x in space.double_cosets.representatives))
+            for t in space.transversal]
 
 
 def zero_set(mu: BiinvariantMeasure,
@@ -81,7 +86,7 @@ def zero_set(mu: BiinvariantMeasure,
 
 def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     """Common zero set of the ideal generators (they generate, and the
-    homomorphisms are multiplicative, so the generators suffice)."""
-    inst = _instance(space_or_instance, subset)
-    zeros = _common_zeros(inst.space, _generator_rows(inst.space, _bits(inst)))[0]
-    return frozenset(np.flatnonzero(zeros).tolist())
+    homomorphisms are multiplicative, so the generators suffice): the
+    intersection of their zero sets."""
+    return frozenset.intersection(*(zero_set(mu) for mu in
+                                    ideal_generators(space_or_instance, subset)))

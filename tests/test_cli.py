@@ -865,13 +865,18 @@ _UNION = {"dim": 2, "shape": "union", "members": [{"dim": 2, "shape": "ball", "r
     ("finite", {"family": "cyclic", "n": 6, "subgroup_generators": [2.5]}),
     ("finite", {"family": "cyclic", "n": True}),
     ("euclid", {"dim": 2, "shape": "polytope", "vertices": [[0, 0], [1, 0], [2, 0]]}),
+    ("euclid", {"shape": "ball", "radius": 1e155}),
+    ("euclid", {"dim": 3, "shape": "ball", "radius": 1e103}),
+    ("euclid", {"dim": 2, "shape": "annulus", "inner": 1.0, "outer": 1e155}),
 ], ids=["group-list", "group-null", "shape-list", "shape-null", "union-member-list",
         "n-list", "subgroup-generators-int", "generators-int", "radius-null",
-        "group-directory", "subgroup-generator-float", "n-true", "polytope-flat"])
+        "group-directory", "subgroup-generator-float", "n-true", "polytope-flat",
+        "disk-volume-overflow", "ball-volume-overflow", "annulus-volume-overflow"])
 def test_malformed_spec_exits_2(command, spec, tmp_path):
     """A spec that is not an object, a field of the wrong type, a path
-    that is not a file or a flat polytope exits 2 with one `error:` line,
-    never a traceback (exit 1) or a silent reading (exit 0)."""
+    that is not a file, a flat polytope or a radial shape whose volume
+    overflows exits 2 with one `error:` line, never a traceback (exit 1)
+    or a silent reading (exit 0)."""
     proc = _run_spec(command, spec, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr

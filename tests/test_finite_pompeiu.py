@@ -221,19 +221,38 @@ def _sampled_instances(per_space=12):
             yield PompeiuInstance(space, frozenset(np.flatnonzero(mask).tolist()))
 
 
-def test_generator_rows_match_direct_densities():
-    """Summed per-coset rows equal the density #{y in tK : y x^{-1} in E~}
-    at the double-coset representatives, counted per subset."""
-    from pompeiu.finite_pompeiu import _bits, _generator_rows
+def test_spectral_rows_match_reference_generators():
+    """Row r of the spectral kernel is the reference ideal generator of t_r,
+    #{k in K : t_r k x^{-1} in E~} at the double-coset representatives x:
+    the translates times the generator table give its counts, and the
+    kernel's zeros on that row are its zero set, per subset."""
     for inst in _sampled_instances():
-        space = inst.space
-        mul, inv = space.group.mul, space.group.inv
-        lifted = lift_set(space, inst.subset)
-        expected = [[sum(int(mul[mul[t, k], inv[x]]) in lifted
-                         for k in space.k_members)
-                     for x in space.double_cosets.representatives]
-                    for t in space.transversal]
-        assert _generator_rows(space, _bits(inst))[0].tolist() == expected
+        space, bits = inst.space, fp._bits(inst)
+        gens = ideal_generators(inst)
+        translates = bits[:, space.action[list(space.transversal)]]
+        assert (translates @ fp._cache(space).generators)[0].tolist() == \
+            [[int(c) for c in mu.coeffs] for mu in gens]
+        zeros = fp._spectral_zeros(space, bits)[0]
+        assert [set(np.flatnonzero(row).tolist()) for row in zeros] == \
+            [zero_set(mu) for mu in gens], space.name
+
+
+def test_spherical_deciders_peak_under_5_mb_on_z215():
+    """Z215 with K = {e} and every other coset, after a warm-up call that
+    builds the per-space tables: each spherical decider holds one 215 x
+    215 gather of translates and its products, and peaks under 5 MB
+    traced.  Its verdict is the DFT's."""
+    space, subset = cyclic_space(215), set(range(0, 215, 2))
+    for decide in (pompeiu_spectral, pompeiu_convolution):
+        decide(space, subset)
+        tracemalloc.start()
+        try:
+            report = decide(space, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.has_property == _dft_pompeiu(215, subset)
+        assert peak < 5 * 2 ** 20, (decide.__name__, peak / 2 ** 20)
 
 
 def test_generator_table_matches_its_definition():
@@ -596,7 +615,7 @@ def test_orbit_labels_are_the_least_translates():
 
 
 # The kernels that every sweep batch runs on all its subsets.
-DECIDERS = ("_translate_full_rank", "_generator_rows", "_convolution_zeros")
+DECIDERS = ("_translate_full_rank", "_spectral_zeros", "_convolution_zeros")
 
 
 def _decided_masks(monkeypatch):

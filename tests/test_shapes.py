@@ -28,6 +28,10 @@ def test_shape_invariants_rejected():
         Annulus(0.0, 1.0, 2)
     with pytest.raises(ValueError, match="degenerate"):
         Polytope([[0, 0], [1, 1], [2, 2]])    # collinear
+    # finite radii whose volume overflows a float
+    for make in (lambda: Ball(1e155, 2), lambda: Ball(1e103, 3), lambda: Annulus(1.0, 1e155, 2)):
+        with pytest.raises(ValueError, match="volume overflows"):
+            make()
 
 
 def test_union_disjointness():
