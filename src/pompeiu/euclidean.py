@@ -23,15 +23,16 @@ ValueError.
 The radial search is in arrays too: one `radial_profile` call covers the
 whole grid (each entry bit-identical to a scalar call, so witnesses do not
 depend on how the grid is cut), and all sign-change brackets are bisected
-together, one call per step.  All convolution residuals are one adaptive
-integration of phi_lam(x + y) per sample point x and frequency lam: |x + y|
-once per rule and x, the pending lam on it in blocks of RESIDUAL_BLOCK
-entries (real and complex lam in separate blocks, a real lam in real
-arithmetic), each row summed as it comes.  On a radial shape the integral
-depends on x only through |x|: x moves to (|x|, 0) and the rule is the
-shape's `MeridianRule`, the full rule folded onto the meridian half-plane
-(in 3-space without its azimuthal sum, 2 * order times fewer nodes; in the
-plane on half of its angles).  A report is a frozen value, with no timing.
+together, one call on the heap of up to BISECT_LEVELS levels of midpoints.
+All convolution residuals are one adaptive integration of phi_lam(x + y) per
+sample point x and frequency lam: |x + y| once per rule and x, the pending
+lam on it in blocks of RESIDUAL_BLOCK entries (real and complex lam in
+separate blocks, a real lam in real arithmetic), each row summed as it
+comes.  On a radial shape the integral depends on x only through |x|: x
+moves to (|x|, 0) and the rule is the shape's `MeridianRule`, the full rule
+folded onto the meridian half-plane (in 3-space without its azimuthal sum,
+2 * order times fewer nodes; in the plane on half of its angles), radii
+balanced to each shell's width.  A report is a frozen value, with no timing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ DEFAULT_VANISH_TOL = 1e-6
 DEFAULT_GRID = 0.05
 DEFAULT_LAMBDA_RANGE = (0.0, 20.0)
 BISECT_TOL = 1e-10
+# Bisection steps per radial_profile call, on the heap of 2^levels - 1
+# midpoints of every open bracket: at 5 levels a 0.05-wide bracket takes 6
+# calls, not 29.  The five radial benchmark shapes (5-12 brackets; 2 vCPUs,
+# median of 40 interleaved runs) took 23.5, 14.7, 10.5, 9.3, 8.8, 9.6, 11.8
+# and 12.7 ms at 1-8 levels.  Many brackets take fewer levels, a heap within
+# BISECT_POINTS points: the 636 of a disk over 0:2000 took 6.2 ms at 2048 (2
+# levels), 6.7 ms one step a call and 20.7 ms at 5 levels.
+BISECT_LEVELS, BISECT_POINTS = 5, 2048
 ROTATION_SAMPLES = {2: 64, 3: 72}
 # (frequency, direction, simplex) triples per block of the orbit scan.  One
 # seed-1 round of the polytope benchmark (2 vCPUs, best of 4, three processes
@@ -468,27 +477,31 @@ def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
 def _bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
                      fa: np.ndarray) -> np.ndarray:
     """Bisect every bracket [a, b] of the real profile at once, fa the
-    profile at a: one profile call per step on the midpoints of the
-    brackets still open.  Each bracket takes its own steps: it halves
-    while b - a > BISECT_TOL, ends at a midpoint where the profile is
-    exactly 0, and otherwise ends at its final midpoint."""
+    profile at a.  Each bracket takes its own steps: it halves while
+    b - a > BISECT_TOL, ends at a midpoint where the profile is exactly 0,
+    and otherwise ends at its final midpoint.  One profile call evaluates
+    the next levels of midpoints (BISECT_LEVELS, fewer past BISECT_POINTS
+    points), each formed as its step would form it; the steps walk down."""
     a, b, fa = a.astype(float), b.astype(float), fa.astype(float)
-    roots = 0.5 * (a + b)
     live = np.nonzero(b - a > BISECT_TOL)[0]
     while live.size:
-        m = 0.5 * (a[live] + b[live])
-        fm = radial_profile(shape, m).real
-        exact = fm == 0.0
-        roots[live[exact]] = m[exact]
-        left = fa[live] * fm < 0
-        b[live[left]] = m[left]
-        right = ~left & ~exact
-        a[live[right]] = m[right]
-        fa[live[right]] = fm[right]
-        live = live[~exact]
-        roots[live] = 0.5 * (a[live] + b[live])
-        live = live[b[live] - a[live] > BISECT_TOL]
-    return roots
+        levels = max(1, min(BISECT_LEVELS, int(math.log2(BISECT_POINTS / len(live) + 1))))
+        lo, hi, mids = a[live], b[live], [0.5 * (a[live] + b[live])]
+        for _ in range(levels - 1):     # node f's halves [lo, m], [m, hi]: 2f, 2f + 1
+            lo, hi = np.array([lo, mids[-1]]).T.ravel(), np.array([mids[-1], hi]).T.ravel()
+            mids.append(0.5 * (lo + hi))
+        vals = radial_profile(shape, np.concatenate(mids)).real
+        node, start = np.arange(len(live)), 0   # level's values: vals[start:]
+        for m in mids:
+            m, fm, start = m[node], vals[start + node], start + len(m)
+            exact = fm == 0.0
+            left = fa[live] * fm < 0
+            right = ~left & ~exact
+            b[live[left]] = m[left]
+            a[live[right]], fa[live[right]] = m[right], fm[right]
+            keep = ~exact & (b[live] - a[live] > BISECT_TOL)
+            live, node = live[keep], (2 * node + right)[keep]
+    return 0.5 * (a + b)                # an exact zero m leaves a, b as it found them
 
 
 # ---------------------------------------------------------------------------

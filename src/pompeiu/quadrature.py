@@ -17,8 +17,9 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 _START_ORDER = 8
 _MAX_ORDER = 512
-# most nodes in a rule: the 3-D radial rule of order 128 (2^22 nodes) fits,
-# the next one (2^25) does not
+# most nodes in a rule: the 3-D ball's order-128 rule (2^22 nodes) fits, the
+# next (2^25) does not; the largest built is the order-256 rule of a 3-D
+# annulus a quarter as wide as its outer radius (2^23 nodes, 200 MB of points)
 _NODE_BUDGET = 2 ** 23
 
 

@@ -273,13 +273,22 @@ def gauss_nodes(order: int):
     return _leggauss_cache[order]
 
 
+def _radial_order(r0: float, r1: float, order: int) -> int:
+    """order >> k, k = min(2, floor(log2(r1 / (r1 - r0)))), at least
+    min(order, 2) (exact for r^2): the angles need about lam * r1 points,
+    the radii about lam * (r1 - r0).  A ball keeps order; from the start
+    order 8 the count doubles with the order, as the doubling test needs."""
+    return max(min(order, 2), order >> min(2, int(math.log2(r1 / (r1 - r0)))))
+
+
 def _radii(r0: float, r1: float, order: int):
-    """Gauss nodes and weights of the given order on [r0, r1]."""
-    t, wt = gauss_nodes(order)
+    """Gauss nodes and weights on [r0, r1], of the balanced radial order."""
+    t, wt = gauss_nodes(_radial_order(r0, r1, order))
     return (r1 - r0) / 2.0 * (t + 1.0) + r0, (r1 - r0) / 2.0 * wt
 
 
 def _radial_nodes(dim: int, r0: float, r1: float, order: int):
+    """`_radii` x 2 order angles (x order Gauss polar nodes in 3-space)."""
     r, wr = _radii(r0, r1, order)
     n_ang = 2 * order
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
@@ -301,7 +310,7 @@ def _radial_nodes(dim: int, r0: float, r1: float, order: int):
 
 
 def _meridian_nodes(dim: int, r0: float, r1: float, order: int):
-    """_radial_nodes on r0 <= |y| <= r1 folded onto the half-plane q >= 0:
+    """_radial_nodes, on the same radii, folded onto the half-plane q >= 0:
     nodes (p, q) with weights that carry the folded sum.  In the plane the
     angles theta_k and theta_{n-k} of the n = 2 order equispaced ones are
     mirror images, so k runs over 0..n/2 with weight 2 but at both ends;

@@ -1,6 +1,7 @@
 """Element-by-element references that the tests hold the package to: each
 computes from the definition, on group elements or one measure at a time,
-what the package computes on cosets, classes or batches of subsets."""
+what the package computes on cosets, classes or batches of subsets; and
+the radial root search one bisection step per profile call."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from pompeiu import euclidean
 from pompeiu.finite_pompeiu import PHI_ZERO_TOL, _instance
 from pompeiu.groups import CosetSpace
 from pompeiu.hecke import (BiinvariantMeasure, SphericalFunction,
@@ -90,3 +92,29 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     intersection of their zero sets."""
     return frozenset.intersection(*(zero_set(mu) for mu in
                                     ideal_generators(space_or_instance, subset)))
+
+
+def bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
+                    fa: np.ndarray) -> np.ndarray:
+    """The brackets [a, b] of the real profile bisected together, fa the
+    profile at a, one `radial_profile` call per step on the midpoints of
+    the brackets still open.  Each bracket halves while b - a > BISECT_TOL,
+    ends at a midpoint where the profile is exactly 0, and otherwise ends
+    at its final midpoint."""
+    a, b, fa = a.astype(float), b.astype(float), fa.astype(float)
+    roots = 0.5 * (a + b)
+    live = np.nonzero(b - a > euclidean.BISECT_TOL)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        fm = euclidean.radial_profile(shape, m).real
+        exact = fm == 0.0
+        roots[live[exact]] = m[exact]
+        left = fa[live] * fm < 0
+        b[live[left]] = m[left]
+        right = ~left & ~exact
+        a[live[right]] = m[right]
+        fa[live[right]] = fm[right]
+        live = live[~exact]
+        roots[live] = 0.5 * (a[live] + b[live])
+        live = live[b[live] - a[live] > euclidean.BISECT_TOL]
+    return roots

@@ -15,8 +15,10 @@ from pompeiu.euclidean import (RigidMotion, complex_sphere_vanishes,
                                fourier_laplace, pompeiu_integral_check,
                                radial_profile, random_motions,
                                rotation_directions, spherical_phi)
+import pompeiu.shapes as shapes
 from pompeiu.quadrature import QuadratureError, integrate_over
 from pompeiu.shapes import Annulus, Ball, DisjointUnion, Polytope
+from references import bisect_brackets
 
 J1_1 = 3.8317059702075123
 PI_J1_2 = 1.8118344191919792          # pi * J1(2), the disk transform at (2,0)
@@ -985,6 +987,84 @@ def test_all_at_once_bisection_equals_scalar_reference(shape, hi):
         assert all(type(r) is float for r in got)
 
 
+# disk and annulus (3, 3.02): a shell 1/151 of its outer radius wide
+DISK_AND_THIN_RING = DisjointUnion([DISK, Annulus(3.0, 3.02, 2)])
+
+
+@pytest.mark.parametrize("grid", [0.013, 0.05, 0.1])
+@pytest.mark.parametrize("shape,hi", RADIAL_WORKLOAD + [(DISK_AND_THIN_RING, 20.0)],
+                         ids=["disk", "ball3", "annulus", "rings", "annulus3", "disk+ring"])
+def test_heap_bisection_equals_the_step_by_step_reference(shape, hi, grid, monkeypatch):
+    """Roots bisected on the heap of BISECT_LEVELS levels of midpoints per
+    profile call have the bits of one profile call per step
+    (`references.bisect_brackets`), with and without a count; the search
+    makes the grid call, ceil(30 / BISECT_LEVELS) heap calls at most (no
+    bracket of these grids takes more than 30 steps) and the orbit check."""
+    profile = euclidean.radial_profile
+    for count in (None, 3):
+        calls = []
+        monkeypatch.setattr(euclidean, "radial_profile",
+                            lambda shape, lam: calls.append(lam) or profile(shape, lam))
+        got = find_failure_lambdas(shape, (0.0, hi), count=count, grid=grid)
+        assert len(calls) <= 2 + math.ceil(30 / euclidean.BISECT_LEVELS)
+        monkeypatch.setattr(euclidean, "_bisect_brackets", bisect_brackets)
+        want = find_failure_lambdas(shape, (0.0, hi), count=count, grid=grid)
+        monkeypatch.undo()
+        assert got and [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_heap_bisection_ends_each_bracket_at_its_own_depth(monkeypatch):
+    """A stub profile, x - root on [i, i + 1) times a sign alternating with
+    i, over six brackets: an exact zero at the heap's second level (0.25
+    in [0, 1]), 2 steps, 29 steps (across six heaps), 14 steps, none (a
+    bracket already shorter than BISECT_TOL) and an exact zero at the
+    second level of the second heap (6 + 37/128, the 7th midpoint of
+    [6, 7]).  The heap and the step-by-step reference give the same bits."""
+    a = np.array([0.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b = a + np.array([1.0, 3e-10, 0.05, 2.0 ** -20, 5e-11, 1.0])
+    roots = np.array([0.25, 2 + 1e-10, 3.0123, 4 + 3e-7, 5 + 2e-11, 6 + 37 / 128])
+    root_on, sign_on = np.zeros(7), np.zeros(7)     # by floor(x)
+    root_on[a.astype(int)], sign_on[a.astype(int)] = roots, [1, -1, 1, -1, 1, -1]
+    calls = []
+
+    def stub(shape, lam):
+        calls.append(np.size(lam))
+        i = np.floor(lam).astype(int)
+        return (lam - root_on[i]) * sign_on[i] + 0j
+
+    monkeypatch.setattr(euclidean, "radial_profile", stub)
+    fa = stub(None, a).real
+    calls.clear()
+    got = euclidean._bisect_brackets(None, a, b, fa)
+    heap_calls, calls[:] = len(calls), []
+    want = bisect_brackets(None, a, b, fa)
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert got[0] == 0.25 and got[5] == 6 + 37 / 128 and got[4] == 0.5 * (a[4] + b[4])
+    assert (np.abs(got - roots) < 1e-10).all()
+    assert heap_calls == 6 and len(calls) == 29
+
+
+@pytest.mark.parametrize("shape,hi,levels", [(DISK, 600.0, 3), (Annulus(1.0, 2.0, 2), 200.0, 4),
+                                              (RINGS, 2000.0, 1)],
+                         ids=["disk-190", "annulus-126", "rings-1909"])
+def test_heap_bisection_takes_fewer_levels_on_many_brackets(shape, hi, levels, monkeypatch):
+    """With many brackets a call takes the levels whose heap stays within
+    BISECT_POINTS points (190 brackets: 3 levels, 126: 4, 1909: 1), so a
+    0.05-wide bracket's 29 steps take ceil(29 / levels) calls; the roots
+    have the bits of the step-by-step reference."""
+    xs = np.arange(0.0, hi + 1e-9, 0.05)
+    vals = radial_profile(shape, xs).real
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    profile, sizes = euclidean.radial_profile, []
+    monkeypatch.setattr(euclidean, "radial_profile",
+                        lambda shape, lam: sizes.append(np.size(lam)) or profile(shape, lam))
+    got = euclidean._bisect_brackets(shape, xs[i], xs[i + 1], vals[i])
+    assert sizes == [len(i) * (2 ** levels - 1)] * math.ceil(29 / levels)
+    assert max(sizes) <= max(euclidean.BISECT_POINTS, len(i))
+    want = bisect_brackets(shape, xs[i], xs[i + 1], vals[i])
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
 def test_bisection_takes_exact_zeros_on_the_grid_and_at_midpoints(monkeypatch):
     """A stub profile with exact zeros at a grid point, at the first
     midpoint of a bracket and at the last grid point, next to an ordinary
@@ -1190,6 +1270,48 @@ def test_convolution_test_on_the_meridian_equals_the_full_rule(shape, witness):
         for lam, val in zip(lams, got):
             full = integrate_over(shape, lambda p: spherical_phi(lam, p + x, shape.dim))
             assert abs(val - abs(full)) < 1e-12, (lam, x, val, abs(full))
+
+
+# radial shapes whose residuals have a closed form: disk, annuli 1/2 and
+# 1/20 of their outer radius wide, the rings, disk and annulus (3, 3.02); the
+# 3-D ball and annuli 1/3 and 1/30 wide
+CLOSED_FORM_SHAPES = [DISK, ANNULUS, Annulus(1.9, 2.0, 2), RINGS, DISK_AND_THIN_RING,
+                      BALL3, ANNULUS3, Annulus(2.9, 3.0, 3)]
+
+
+def _closed_form_gap(shape):
+    """Largest distance of the residual at x from |phi_lam(x) F(lam)|, F
+    the radial profile, over lam in {3, 7.5, 12.3, 19.9} and
+    |x| in {0, 0.7, 2.5, 5, 8}."""
+    lams = np.array([3.0, 7.5, 12.3, 19.9])
+    unit = np.full(shape.dim, 1.0 / math.sqrt(shape.dim))
+    gap = 0.0
+    for r in (0.0, 0.7, 2.5, 5.0, 8.0):
+        x = r * unit
+        got = convolution_test(shape, lams, [x])
+        want = np.abs(spherical_phi(1.0, np.outer(lams, x), shape.dim) * radial_profile(shape, lams))
+        gap = max(gap, float(np.abs(got - want).max()))
+    return gap
+
+
+@pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES,
+                         ids=["disk", "annulus", "annulus-1/20", "rings", "disk+ring",
+                              "ball3", "annulus3", "annulus3-1/30"])
+def test_residuals_match_the_closed_form(shape):
+    """For a radial E, the integral over E of phi_lam(x + y) dy is
+    phi_lam(x) F_E(lam): Graf's addition theorem in the plane (Watson,
+    Treatise on Bessel Functions, 11.3), Funk-Hecke in 3-space.  Each
+    residual is within 1e-9 of it."""
+    assert _closed_form_gap(shape) < 1e-9
+
+
+def test_closed_form_catches_a_stalled_radial_count(monkeypatch):
+    """Not vacuous: with a radial rule held at 4 nodes at orders 8 and 16,
+    two successive estimates share their radii, the doubling test settles
+    early and the disk's residuals miss the closed form."""
+    radii = shapes._radii
+    monkeypatch.setattr(shapes, "_radii", lambda r0, r1, order: radii(r0, r1, max(4, order >> 2)))
+    assert _closed_form_gap(DISK) > 1e-3
 
 
 @pytest.mark.parametrize("shape", [DISK, BALL3, ANNULUS, ANNULUS3, RINGS],

@@ -117,12 +117,40 @@ def test_meridian_weights_sum_to_the_volume(shape):
 def test_meridian_rule_is_the_full_rule_folded():
     """At order 4 the disk's meridian rule has 4 x 5 nodes, its folded
     angles 0, pi/4, ..., pi; the 3-D ball's has 4 x 4, one per radius and
-    polar node."""
+    polar node.  At order 8 the annulus (1, 2), half as wide as its outer
+    radius, has 4 radii: 4 x 9 meridian nodes, 4 x 16 in the full rule."""
     pts, _ = MeridianRule(Ball(1.0, 2)).quad_nodes(4)
     assert len(pts) == 20 and len(Ball(1.0, 2).quad_nodes(4)[0]) == 32
     angles = np.unique(np.round(np.arctan2(pts[:, 1], pts[:, 0]), 12))
     assert np.allclose(angles, np.pi * np.arange(5) / 4)
     assert len(MeridianRule(Ball(1.0, 3)).quad_nodes(4)[0]) == 16
+    pts, _ = MeridianRule(Annulus(1.0, 2.0, 2)).quad_nodes(8)
+    assert len(pts) == 4 * 9 and len(Annulus(1.0, 2.0, 2).quad_nodes(8)[0]) == 4 * 16
+    assert len(np.unique(np.round(np.hypot(*pts.T), 12))) == 4
+
+
+# (inner, outer) at widths 1, 1/2, 1/3 and 1/151 of the outer radius: the
+# radial order is halved 0, 1, 1 and 2 times
+SHELLS = [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.0, 3.0, 1), (3.0, 3.02, 2)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("inner,outer,halvings", SHELLS, ids=["1", "1/2", "1/3", "1/151"])
+def test_radial_count_doubles_with_the_order(inner, outer, halvings, dim):
+    """From the integrator's start order 8 to 512, both rules have
+    8 >> halvings radii at order 8 and twice as many at every doubling,
+    so two successive estimates never share a radial rule (the 3-D full
+    rule to order 64: at 128 it is millions of nodes).  The angular and
+    polar rules keep the order."""
+    shape = Ball(outer, dim) if inner == 0.0 else Annulus(inner, outer, dim)
+    meridian = {2: lambda n: n + 1, 3: lambda n: n}[dim]   # angles (or polar nodes) per radius
+    full = {2: lambda n: 2 * n, 3: lambda n: 2 * n * n}[dim]
+    for rule, per_radius, top in ((MeridianRule(shape), meridian, 512),
+                                  (shape, full, 512 if dim == 2 else 64)):
+        orders = [8 << i for i in range(top.bit_length() - 3)]
+        assert orders[-1] == top
+        counts = [len(rule.quad_nodes(n)[0]) / per_radius(n) for n in orders]
+        assert counts == [(8 >> halvings) << i for i in range(len(orders))], counts
 
 
 def test_nested_unions_are_flattened():
