@@ -25,14 +25,14 @@ whole grid (each entry bit-identical to a scalar call, so witnesses do not
 depend on how the grid is cut), and all sign-change brackets are bisected
 together, one call on the heap of up to BISECT_LEVELS levels of midpoints.
 All convolution residuals are one adaptive integration of phi_lam(x + y) per
-sample point x and frequency lam: |x + y| once per rule and x, the pending
-lam on it in blocks of RESIDUAL_BLOCK entries (real and complex lam in
-separate blocks, a real lam in real arithmetic), each row summed as it
-comes.  On a radial shape the integral depends on x only through |x|: x
-moves to (|x|, 0) and the rule is the shape's `MeridianRule`, the full rule
-folded onto the meridian half-plane (in 3-space without its azimuthal sum,
-2 * order times fewer nodes; in the plane on half of its angles), radii
-balanced to each shell's width.  A report is a frozen value, with no timing.
+sample point x and frequency lam, the pending lam on each rule in blocks of
+RESIDUAL_BLOCK entries (real and complex lam in separate blocks, a real lam
+in real arithmetic), each row summed as it comes.  On a polytope |x + y| is
+computed once per rule and x.  On a radial shape the integrand is
+phi_lam(r) on the sphere of radius r about -x, so the rule is the shape's
+`PolarRule`: radii r and weights that carry the measure of each sphere
+inside the shape, S x N for the S sample points, split where a sphere
+touches a boundary.  A report is a frozen value, with no timing.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 from .bessel import _as_array, ball3_profile, besselj0, j1_over_z, sinc
 from .groups import BugTrapError
 from .quadrature import DEFAULT_TOL, integrate_over
-from .shapes import (Annulus, Ball, DisjointUnion, EuclideanSet,
-                     MeridianRule, Polytope)
+from .shapes import (Annulus, Ball, DisjointUnion, EuclideanSet, PolarRule,
+                     Polytope)
 
 DEFAULT_IMAG_CAP = 50.0
 DEFAULT_VANISH_TOL = 1e-6
@@ -74,10 +74,11 @@ MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
 # quadrature.  The kernels are elementwise, so a block only batches them and
 # the residuals do not depend on its size.  One seed-1 round of the radial
-# benchmark, each in a fresh process (2 vCPUs, 3 runs each), took 0.28-0.31 s
-# at both 2^14 and 2^17 entries and peaked at 81.5-81.8 MB against
-# 84.9-85.3 MB: the meridian rules are at most a few 10^4 nodes.
-RESIDUAL_BLOCK = 1 << 14
+# benchmark in-process (2 vCPUs, best of 10 rounds, 4 fresh processes each)
+# took 0.053-0.055, 0.051-0.054 and 0.053-0.055 s at 2^12, 2^13 and 2^14
+# entries, peaking at 80.3-80.6, 80.7-80.8 and 81.4-81.5 MB: the polar rules
+# stop at order 16 or 32, 128-384 nodes per sample point.
+RESIDUAL_BLOCK = 1 << 13
 
 __all__ = [
     "RigidMotion",
@@ -513,22 +514,29 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
     """Max over the sample points x of |integral over the shape of
     phi_lam(x + y) dy|; zero exactly at failure frequencies.  One float for
     a scalar lam, one per entry for a 1-D array, each bit-identical to the
-    scalar call, from one integration (see the module docstring)."""
+    scalar call, from one integration (see the module docstring).  A
+    frequency or sample point that is not finite raises ValueError."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
     lams = np.asarray(lam, dtype=complex)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    rule = shape
-    if shape.is_radial:
-        # the integral depends on x through |x| only: x goes to (|x|, 0) in
-        # the meridian coordinates of the rule
-        rule = MeridianRule(shape)
-        pts = np.stack([np.linalg.norm(pts, axis=1), np.zeros(len(pts))], axis=1)
+    if not (np.isfinite(lams).all() and np.isfinite(pts).all()):
+        raise ValueError("frequencies and sample points must be finite")
     # real frequencies first, so that a block never mixes the two kinds
     order = np.argsort(lams.ravel().imag != 0, kind="stable")
     freqs = lams.ravel()[order]
-    n, n_real = len(freqs), int((freqs.imag == 0).sum())
+    n, n_real, m = len(freqs), int((freqs.imag == 0).sum()), len(pts)
     kernel = besselj0 if shape.dim == 2 else sinc
+
+    def polar_rows(r, idx):
+        # integrand j * m + s is frequency freqs[j] on sample point s's radii r[s]
+        idx = np.asarray(idx)
+        per_block = max(1, RESIDUAL_BLOCK // r.shape[1])
+        for kind in (idx[idx < n_real * m], idx[idx >= n_real * m]):
+            for b in range(0, len(kind), per_block):
+                j, s = np.divmod(kind[b:b + per_block], m)
+                f = freqs[j]
+                yield kernel((f if f.imag.any() else f.real)[:, None] * r[s])
 
     def rows(nodes, idx):
         # integrand s * n + j is sample point s at frequency freqs[j]
@@ -537,7 +545,7 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
         r, col = np.empty(len(nodes)), np.empty(len(nodes))
         for s in np.unique(sample):
             r.fill(0.0)     # r = |x + y| with the bits of spherical_phi: 0 + a == a
-            for i in range(rule.dim):
+            for i in range(shape.dim):
                 np.add(nodes[:, i], pts[s, i], out=col)
                 r += np.multiply(col, col, out=col)
             np.sqrt(r, out=r)
@@ -547,9 +555,12 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
                     f = freqs[kind[b:b + per_block]]
                     yield from kernel(np.multiply.outer(f if f.imag.any() else f.real, r))
 
-    vals = integrate_over(rule, rows, tol, len(pts) * n)
-    res = np.array([max([0.0] + [abs(vals[s * n + j]) for s in range(len(pts))])
-                    for j in range(n)], dtype=float)[np.argsort(order)]
+    if shape.is_radial:
+        rule = PolarRule(shape, np.linalg.norm(pts, axis=1))
+        vals = np.reshape(integrate_over(rule, polar_rows, tol, n * m), (n, m))
+    else:
+        vals = np.reshape(integrate_over(shape, rows, tol, m * n), (m, n)).T
+    res = np.abs(vals).max(axis=1, initial=0.0)[np.argsort(order)]
     return float(res[0]) if lams.ndim == 0 else res
 
 

@@ -27,47 +27,57 @@ class QuadratureError(RuntimeError):
     """Adaptive order doubling failed to reach the requested tolerance."""
 
 
-def _weighted_sum(wts: np.ndarray, vals: np.ndarray) -> complex:
-    if np.iscomplexobj(vals):
-        return complex(wts @ vals.real, wts @ vals.imag)
-    return complex(wts @ vals)
-
-
 def integrate_over(shape, integrand, tol: float = DEFAULT_TOL,
                    count: int | None = None):
     """Integral over the shape of a vectorized integrand on N x dim points,
     as one complex.  With a count, integrand(pts, idx) yields the values on
     pts of each integrand in the ascending list idx (a subset of
-    range(count)), one row per index in that order, and the list of the
-    count integrals is returned; count = 0 builds no rule.
+    range(count)), in that order, and the list of the count integrals is
+    returned; count = 0 builds no rule.  A rule with one weight per node
+    takes a row per integrand; one with S weight rows (`PolarRule`) takes
+    blocks of rows and serves integrand i with weight row i mod S.  Each
+    row is summed as it comes, a block's by (vals * w).sum(axis=1), which
+    does not depend on the rows beside it.
 
     Each integrand stops at the first doubling whose estimate moves by
     less than tol; the others carry on with the next rule.  Doubling the
     order multiplies the node count by about 2^dim; a rule past order
     _MAX_ORDER or _NODE_BUDGET nodes is never built, and QuadratureError
-    is raised if any integrand has not settled by then."""
+    is raised if any integrand has not settled by then.  A NaN step is
+    reported as NaN."""
     rows = integrand if count is not None else lambda pts, idx: [integrand(pts)]
     total = 1 if count is None else count
-    prev, done = [None] * total, [None] * total
+    prev, done, step = [None] * total, [None] * total, [0.0] * total
     pending = list(range(total))
-    order, nodes, delta = _START_ORDER // 2, 0, float("inf")
+    order, nodes = _START_ORDER // 2, 0
     while pending and 2 * order <= _MAX_ORDER \
             and nodes * 2 ** shape.dim <= _NODE_BUDGET:
         order *= 2
         pts, wts = shape.quad_nodes(order)
-        nodes = len(pts)
-        unsettled, delta = [], 0.0
-        for i, vals in zip(pending, rows(pts, pending), strict=True):
-            cur = _weighted_sum(wts, vals)
-            step = float("inf") if prev[i] is None else abs(cur - prev[i])
-            if step < tol:
+        nodes = wts.size
+        for i, cur in zip(pending, _sums(wts, pending, rows(pts, pending)), strict=True):
+            step[i] = float("inf") if prev[i] is None else abs(cur - prev[i])
+            if step[i] < tol:
                 done[i] = cur
-            else:
-                prev[i], delta = cur, max(delta, step)
-                unsettled.append(i)
-        pending = unsettled
+            prev[i] = cur
+        pending = [i for i in pending if done[i] is None]
     if pending:
+        delta = np.max([step[i] for i in pending])      # nan if any step is
         raise QuadratureError(
             f"no convergence to {tol:g} by order {order} ({nodes} nodes, "
             f"last delta {delta:.3e}, {len(pending)} of {total} integrands)")
     return done[0] if count is None else done
+
+
+def _sums(wts: np.ndarray, pending: list, values):
+    """The weighted sum of each row of values, one complex per integrand."""
+    at = 0
+    for vals in values:
+        if wts.ndim == 2:
+            w = wts[np.asarray(pending[at:at + len(vals)]) % len(wts)]
+            at += len(vals)
+            yield from (complex(v) for v in (vals * w).sum(axis=1))
+        elif np.iscomplexobj(vals):
+            yield complex(wts @ vals.real, wts @ vals.imag)
+        else:
+            yield complex(wts @ vals)

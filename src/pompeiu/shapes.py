@@ -3,9 +3,9 @@ at the origin), convex polytopes, and disjoint unions.
 
 Every shape knows its exact volume, its bounding box, whether it is
 invariant under all rotations, and how to produce mapped tensor quadrature
-nodes of a given order for integrals over itself.  A radial shape also
-gives its rule folded onto the meridian half-plane, `MeridianRule`, for
-integrands that depend only on the distance to a point.
+nodes of a given order for integrals over itself.  On a radial shape an
+integrand that depends only on the distance to a point has a 1-D rule in
+polar coordinates about that point, `PolarRule`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "Polytope",
     "DisjointUnion",
     "EuclideanSet",
-    "MeridianRule",
+    "PolarRule",
     "parse_set",
     "load_set_spec",
     "set_to_spec",
@@ -75,9 +75,6 @@ class Ball:
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, 0.0, self.radius, order)
 
-    def meridian_nodes(self, order: int):
-        return _meridian_nodes(self.dim, 0.0, self.radius, order)
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -110,9 +107,6 @@ class Annulus:
 
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, self.inner, self.outer, order)
-
-    def meridian_nodes(self, order: int):
-        return _meridian_nodes(self.dim, self.inner, self.outer, order)
 
 
 class Polytope:
@@ -226,31 +220,61 @@ class DisjointUnion:
         pts, wts = zip(*(m.quad_nodes(order) for m in self.members))
         return np.vstack(pts), np.concatenate(wts)
 
-    def meridian_nodes(self, order: int):
-        pts, wts = zip(*(m.meridian_nodes(order) for m in self.members))
-        return np.vstack(pts), np.concatenate(wts)
-
 
 EuclideanSet = Ball | Annulus | Polytope | DisjointUnion
 
 
-@dataclass(frozen=True)
-class MeridianRule:
-    """The rule of a radial shape folded onto its meridian half-plane.
+class PolarRule:
+    """For S sample points x, a rule for integrals over a radial shape of
+    functions g of |x + y|: S x N radii r and weights w, sum_k w[s, k]
+    g(r[s, k]) the integral for x_s.  About -x, g(r) is weighted by the
+    measure of the sphere of radius r inside the shape, which depends on
+    a = |x| (`radii`) and is a signed sum of ball terms (`_sphere_in_ball`).
+    Each term has square-root ends at r = |a - R| and a + R, so [0, a +
+    R_max] is split there, and r = r0 + h (1 - cos phi), h = (r1 - r0) / 2,
+    maps phi in [0, pi] onto a piece [r0, r1] with analytic ends.  A piece
+    has 4 order Gauss-Legendre nodes in phi: order doubling doubles the
+    node count, and the rule's `dim` is 1."""
 
-    Put e = e_1.  An integrand that depends on y only through
-    p = y.e and q = |y - p e| has the same integral over the shape on the
-    2-column nodes (p, q) of `meridian_nodes` as on the full rule of
-    `quad_nodes`: the 3-D rule's azimuthal sum, and in the plane the pair
-    of mirror angles theta and -theta, are summed into the weights.  Its
-    `dim` is the node width, 2, and order doubling multiplies its node
-    count by about 4."""
+    dim = 1
 
-    shape: EuclideanSet
-    dim = 2
+    def __init__(self, shape: EuclideanSet, radii):
+        self.shape = shape
+        # the shape as a signed sum of balls: (radius, sign) pairs
+        self._balls = [(r, sign) for m in getattr(shape, "members", (shape,))
+                       for r, sign in zip(m.radial_interval()[::-1], (1.0, -1.0)) if r > 0]
+        self._a = a = np.asarray(radii, dtype=float)[:, None]
+        bound = np.array([r for r, _ in self._balls])
+        self.edges = np.sort(np.hstack([np.zeros_like(a), np.abs(a - bound), a + bound]), axis=1)
 
     def quad_nodes(self, order: int):
-        return self.shape.meridian_nodes(order)
+        t, wt = gauss_nodes(4 * order)
+        phi = np.pi / 2.0 * (t + 1.0)
+        lo = self.edges[:, :-1, None]
+        h = np.diff(self.edges, axis=1)[:, :, None] / 2.0
+        r = (lo + h * (1.0 - np.cos(phi))).reshape(len(lo), -1)
+        w = (h * (np.pi / 2.0 * wt * np.sin(phi))).reshape(len(lo), -1)
+        w *= sum(sign * _sphere_in_ball(self.shape.dim, radius, self._a, r)
+                 for radius, sign in self._balls)
+        return r, w
+
+
+def _sphere_in_ball(dim: int, radius: float, a: np.ndarray, r: np.ndarray):
+    """Measure of the part of the sphere of radius r about a point at
+    distance a from the origin that lies in the ball of the given radius R:
+    all of it at r <= R - a, the cap of half-angle alpha, cos alpha = (r^2 +
+    a^2 - R^2) / (2 a r), at |a - R| < r < a + R, none elsewhere.  The cap
+    is 2 r alpha in the plane, alpha from atan2 of the factored 2 a r sin
+    alpha, and pi r (R^2 - (r - a)^2) / a in 3-space; a = 0 has no cap."""
+    p = (radius - r + a) * (radius + r - a)             # R^2 - (r - a)^2
+    if dim == 2:
+        whole = 2.0 * np.pi * r
+        sine = np.sqrt(np.maximum(p * ((r + a - radius) * (r + a + radius)), 0.0))
+        cap = 2.0 * r * np.arctan2(sine, r * r + a * a - radius * radius)
+    else:
+        whole = 4.0 * np.pi * r * r
+        cap = np.pi * r * p / np.where(a > 0, a, 1.0)
+    return np.where(r <= radius - a, whole, np.where(p > 0, cap, 0.0))
 
 
 def _disjoint(a, b) -> bool:
@@ -281,15 +305,11 @@ def _radial_order(r0: float, r1: float, order: int) -> int:
     return max(min(order, 2), order >> min(2, int(math.log2(r1 / (r1 - r0)))))
 
 
-def _radii(r0: float, r1: float, order: int):
-    """Gauss nodes and weights on [r0, r1], of the balanced radial order."""
-    t, wt = gauss_nodes(_radial_order(r0, r1, order))
-    return (r1 - r0) / 2.0 * (t + 1.0) + r0, (r1 - r0) / 2.0 * wt
-
-
 def _radial_nodes(dim: int, r0: float, r1: float, order: int):
-    """`_radii` x 2 order angles (x order Gauss polar nodes in 3-space)."""
-    r, wr = _radii(r0, r1, order)
+    """Gauss radii on [r0, r1], of the balanced radial order, x 2 order
+    angles (x order Gauss polar nodes in 3-space)."""
+    t, wt = gauss_nodes(_radial_order(r0, r1, order))
+    r, wr = (r1 - r0) / 2.0 * (t + 1.0) + r0, (r1 - r0) / 2.0 * wt
     n_ang = 2 * order
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     w_theta = 2.0 * np.pi / n_ang
@@ -307,28 +327,6 @@ def _radial_nodes(dim: int, r0: float, r1: float, order: int):
     wts = (wr * r ** 2)[:, None, None] * wu[None, :, None] * w_theta
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     return pts, np.broadcast_to(wts, x.shape).ravel()
-
-
-def _meridian_nodes(dim: int, r0: float, r1: float, order: int):
-    """_radial_nodes, on the same radii, folded onto the half-plane q >= 0:
-    nodes (p, q) with weights that carry the folded sum.  In the plane the
-    angles theta_k and theta_{n-k} of the n = 2 order equispaced ones are
-    mirror images, so k runs over 0..n/2 with weight 2 but at both ends;
-    in 3-space the theta sum of the r x u x theta grid is 2 pi."""
-    r, wr = _radii(r0, r1, order)
-    if dim == 2:
-        n_ang = 2 * order
-        theta = 2.0 * np.pi * np.arange(order + 1) / n_ang
-        w_theta = 2.0 * np.pi / n_ang
-        fold = np.full(order + 1, 2.0 * w_theta)
-        fold[[0, -1]] = w_theta
-        pts = np.stack([np.outer(r, np.cos(theta)).ravel(),
-                        np.outer(r, np.sin(theta)).ravel()], axis=1)
-        return pts, np.outer(wr * r, fold).ravel()
-    u, wu = gauss_nodes(order)
-    pts = np.stack([np.outer(r, u).ravel(),
-                    np.outer(r, np.sqrt(1.0 - u ** 2)).ravel()], axis=1)
-    return pts, np.outer(wr * r ** 2, wu * (2.0 * np.pi)).ravel()
 
 
 def _simplex_nodes(simplex: np.ndarray, order: int):

@@ -15,12 +15,12 @@ import pytest
 import pompeiu
 from pompeiu import cli, euclidean, finite_pompeiu, hecke
 from pompeiu.cli import main
-from pompeiu.euclidean import spherical_phi
+from pompeiu.bessel import besselj0
 from pompeiu.finite_pompeiu import enumerate_all
 from pompeiu.groups import CosetSpace, load_group_spec
 from pompeiu.hecke import spherical_functions
 from pompeiu.quadrature import integrate_over
-from pompeiu.shapes import Ball, MeridianRule, load_set_spec
+from pompeiu.shapes import Ball, PolarRule, load_set_spec
 
 
 def _cyclic_file(tmp_path, n):
@@ -418,13 +418,22 @@ def test_euclid_residuals_csv(disk_file, tmp_path):
         assert float(residual) < 1e-6
 
 
+def test_euclid_residuals_that_never_settle_exit_5(disk_file, tmp_path, capsys):
+    """At a quadrature tolerance of 1e-300 no residual settles, and the
+    polar rules stop at the order cap with QuadratureError: exit 5."""
+    assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:4",
+                 "--seed", "1", "--quad-tol", "1e-300", "--out", str(tmp_path / "r.json"),
+                 "--residuals", str(tmp_path / "residuals.csv")]) == 5
+    assert "no convergence to 1e-300 by order 512" in capsys.readouterr().err
+
+
 def test_euclid_residuals_without_witnesses_build_no_rule(disk_file, tmp_path,
                                                           monkeypatch):
     """The disk has no failure frequency below 3.83: the residual CSV is its
-    header alone, and no quadrature rule, full or meridian, is built."""
+    header alone, and no quadrature rule, full or polar, is built."""
     orders = []
     monkeypatch.setattr(Ball, "quad_nodes", lambda self, order: orders.append(order))
-    monkeypatch.setattr(Ball, "meridian_nodes", lambda self, order: orders.append(order))
+    monkeypatch.setattr(PolarRule, "quad_nodes", lambda self, order: orders.append(order))
     res = tmp_path / "residuals.csv"
     assert main(["euclid", "decide", "--set", disk_file, "--lambda-range", "0:3",
                  "--seed", "1", "--out", str(tmp_path / "r.json"),
@@ -434,9 +443,9 @@ def test_euclid_residuals_without_witnesses_build_no_rule(disk_file, tmp_path,
 
 def test_euclid_residual_csv_equals_per_witness_integrations(tmp_path):
     """The residual CSV, from one batched call, equals a reference built
-    here with one integration of spherical_phi(lam, p + x) per witness and
-    sample point, on the meridian rule at x = (|x|, 0): the unit disk and
-    the annulus (2, 3) over (0, 10]."""
+    here with one integration of besselj0(lam |x + y|) per witness and
+    sample point, on the polar rule about x alone: the unit disk and the
+    annulus (2, 3) over (0, 10]."""
     spec = tmp_path / "rings.json"
     spec.write_text(json.dumps({"dim": 2, "shape": "union", "members": [
         {"dim": 2, "shape": "ball", "radius": 1.0},
@@ -450,12 +459,11 @@ def test_euclid_residual_csv_equals_per_witness_integrations(tmp_path):
     lo, hi = shape.bounding_box()
     span = float(np.linalg.norm(hi - lo))
     pts = np.random.default_rng(7).uniform(-span, span, size=(16, 2))
-    axis = [np.array([r, 0.0]) for r in np.linalg.norm(pts, axis=1)]
+    rules = [PolarRule(shape, [a]) for a in np.linalg.norm(pts, axis=1)]
     want = ["lambda,conv_residual"]
     for lam in witnesses:
-        worst = max([0.0] + [abs(integrate_over(
-            MeridianRule(shape), lambda p, x=x: spherical_phi(lam, p + x, 2), 1e-8))
-            for x in axis])
+        worst = max([0.0] + [abs(integrate_over(rule, lambda r: besselj0(lam * r), 1e-8))
+                             for rule in rules])
         want.append(f"{lam:.10g},{worst:.12e}")
     assert res.read_text().splitlines() == want
 

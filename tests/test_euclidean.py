@@ -1138,6 +1138,34 @@ def test_integrate_over_rows_raise_when_one_integrand_never_settles():
     assert calls["growing"] == 7            # orders 8, 16, ..., 512
 
 
+@pytest.mark.parametrize("shape", [DISK, SQUARE], ids=["disk", "square"])
+@pytest.mark.parametrize("lam,point", [
+    (3.0, [math.nan, 0.0]), (3.0, [0.0, math.inf]), (math.nan, [0.0, 0.0]),
+    (-math.inf, [0.0, 0.0]), (complex(2.0, math.nan), [0.5, 0.0]),
+    ([3.0, math.inf], [0.5, 0.0]),
+], ids=["nan-point", "inf-point", "nan-lam", "inf-lam", "nan-imag", "inf-in-array"])
+def test_convolution_test_refuses_non_finite_input(shape, lam, point, monkeypatch):
+    """A frequency or sample point that is not finite is refused before
+    any rule is built; before, a NaN point doubled to order 512 and raised
+    QuadratureError with a last delta of 0."""
+    monkeypatch.setattr(euclidean, "integrate_over", None)
+    with pytest.raises(ValueError, match="must be finite"):
+        convolution_test(shape, lam, [[0.0, 0.0], point])
+
+
+def test_integrate_over_reports_a_nan_step_as_nan():
+    """An integrand that is NaN never settles, and the error says its last
+    delta was nan, not 0, whatever steps the other integrands took."""
+    def rows(p, idx):
+        return (np.full(len(p), math.nan if i == 1 else float(len(p))) for i in idx)
+
+    for count in (2, 3):
+        with pytest.raises(QuadratureError, match=f"last delta nan, {count} of {count} "):
+            integrate_over(DISK, rows, 1e-8, count)
+    with pytest.raises(QuadratureError, match="last delta nan, 1 of 1 "):
+        integrate_over(DISK, lambda p: np.full(len(p), math.nan))
+
+
 def test_convolution_test_complex_lambda_stays_complex(monkeypatch):
     pts = _sample_ring(5, 1.5)
     lam = 1.0 + 0.5j
@@ -1190,7 +1218,7 @@ def test_integral_check_is_one_integration(monkeypatch):
 
 
 class _RuleCounter:
-    """A shape whose rules, full or meridian, are counted."""
+    """A shape whose full rules are counted."""
 
     def __init__(self, shape):
         self.shape, self.dim, self.orders = shape, shape.dim, []
@@ -1200,9 +1228,17 @@ class _RuleCounter:
         self.orders.append(order)
         return self.shape.quad_nodes(order)
 
-    def meridian_nodes(self, order):
-        self.orders.append(order)
-        return self.shape.meridian_nodes(order)
+
+def _count_polar_rules(monkeypatch):
+    """The orders of the polar rules built from here on, in a list."""
+    orders, build = [], shapes.PolarRule.quad_nodes
+
+    def counted(self, order):
+        orders.append(order)
+        return build(self, order)
+
+    monkeypatch.setattr(shapes.PolarRule, "quad_nodes", counted)
+    return orders
 
 
 def test_integrate_over_zero_integrands_builds_no_rule():
@@ -1242,10 +1278,15 @@ def test_convolution_test_array_equals_scalar_calls(shape, lams, block, monkeypa
     assert got.tolist() == want
 
 
-def test_convolution_test_without_frequencies_builds_no_rule():
-    shape = _RuleCounter(DISK)
-    got = convolution_test(shape, np.array([], dtype=complex), _sample_ring())
-    assert got.shape == (0,) and shape.orders == []
+def test_convolution_test_without_frequencies_builds_no_rule(monkeypatch):
+    """Neither the polar rule of a radial shape nor the full rule of a
+    polytope is built."""
+    orders = _count_polar_rules(monkeypatch)
+    got = convolution_test(DISK, np.array([], dtype=complex), _sample_ring())
+    assert got.shape == (0,) and orders == []
+    square = _RuleCounter(SQUARE)
+    got = convolution_test(square, np.array([], dtype=complex), _sample_ring())
+    assert got.shape == (0,) and square.orders == []
 
 
 ANNULUS = Annulus(1.0, 2.0, 2)
@@ -1255,11 +1296,11 @@ ANNULUS = Annulus(1.0, 2.0, 2)
     (DISK, J1_1), (BALL3, 4.493409457909064),
     (ANNULUS, None), (ANNULUS3, 1.2396787044126543), (RINGS, None),
 ], ids=["disk", "ball3", "annulus", "annulus3", "rings"])
-def test_convolution_test_on_the_meridian_equals_the_full_rule(shape, witness):
-    """On a radial shape each residual, integrated on the meridian rule at
-    (|x|, 0), is within 1e-12 of the full rule's integral at the sample
-    point x itself: at a witness, at the off-root frequencies 3.0 and 5.5
-    and at a complex frequency."""
+def test_convolution_test_on_the_polar_rule_equals_the_full_rule(shape, witness):
+    """On a radial shape each residual, integrated on the polar rule about
+    the sample point x, is within 1e-12 of the full rule's integral at x:
+    at a witness, at the off-root frequencies 3.0 and 5.5 and at a complex
+    frequency."""
     if witness is None:
         witness = find_failure_lambdas(shape, (0.0, 4.0), count=1)[0]
     lams = [witness, 3.0, 5.5, 2.0 + 0.3j]
@@ -1281,15 +1322,21 @@ CLOSED_FORM_SHAPES = [DISK, ANNULUS, Annulus(1.9, 2.0, 2), RINGS, DISK_AND_THIN_
 
 def _closed_form_gap(shape):
     """Largest distance of the residual at x from |phi_lam(x) F(lam)|, F
-    the radial profile, over lam in {3, 7.5, 12.3, 19.9} and
-    |x| in {0, 0.7, 2.5, 5, 8}."""
-    lams = np.array([3.0, 7.5, 12.3, 19.9])
+    the radial profile, over lam in {3, 7.5, 12.3, 19.9, 2 + 0.3i} and x at
+    |x| in {0, 0.7, 2.5, 5, 8} on the diagonal and, on the first axis, at
+    each boundary radius R of the shape, where the polar rule's split
+    points 0 and |a - R| coincide."""
+    lams = np.array([3.0, 7.5, 12.3, 19.9, 2.0 + 0.3j])
     unit = np.full(shape.dim, 1.0 / math.sqrt(shape.dim))
+    boundary = {r for m in getattr(shape, "members", (shape,))
+                for r in m.radial_interval() if r > 0}
+    points = [r * unit for r in (0.0, 0.7, 2.5, 5.0, 8.0)]
+    points += [r * np.eye(shape.dim)[0] for r in sorted(boundary)]
     gap = 0.0
-    for r in (0.0, 0.7, 2.5, 5.0, 8.0):
-        x = r * unit
+    for x in points:
         got = convolution_test(shape, lams, [x])
-        want = np.abs(spherical_phi(1.0, np.outer(lams, x), shape.dim) * radial_profile(shape, lams))
+        phi = np.array([spherical_phi(lam, x, shape.dim) for lam in lams])
+        want = np.abs(phi * radial_profile(shape, lams))
         gap = max(gap, float(np.abs(got - want).max()))
     return gap
 
@@ -1306,36 +1353,59 @@ def test_residuals_match_the_closed_form(shape):
 
 
 def test_closed_form_catches_a_stalled_radial_count(monkeypatch):
-    """Not vacuous: with a radial rule held at 4 nodes at orders 8 and 16,
-    two successive estimates share their radii, the doubling test settles
-    early and the disk's residuals miss the closed form."""
-    radii = shapes._radii
-    monkeypatch.setattr(shapes, "_radii", lambda r0, r1, order: radii(r0, r1, max(4, order >> 2)))
-    assert _closed_form_gap(DISK) > 1e-3
+    """Not vacuous: with the polar rule held at 32 nodes a piece at orders 8
+    and 16, two successive estimates share their radii, the doubling test
+    settles early and the disk's residuals miss the closed form by more
+    than ten times the bound of `test_residuals_match_the_closed_form`."""
+    nodes = shapes.gauss_nodes
+    monkeypatch.setattr(shapes, "gauss_nodes", lambda count: nodes(max(32, count // 2)))
+    assert _closed_form_gap(DISK) > 1e-8
+
+
+class _UnsplitPolarRule(shapes.PolarRule):
+    """The polar rule on as many pieces, of equal width, of [0, a + R_max]:
+    the square-root ends of the measure fall inside pieces."""
+
+    def __init__(self, shape, radii):
+        super().__init__(shape, radii)
+        self.edges = np.linspace(0.0, self.edges[:, -1], self.edges.shape[1], axis=1)
+
+
+@pytest.mark.parametrize("shape", [DISK, BALL3], ids=["disk", "ball3"])
+def test_closed_form_needs_the_breakpoint_split(shape, monkeypatch):
+    """Not vacuous: without the split at |a - R| and a + R the measure's
+    square-root kinks fall inside pieces, Gauss-Legendre converges only
+    algebraically there, and the residuals do not settle to 1e-8 by order
+    512 (2048 nodes a piece)."""
+    monkeypatch.setattr(euclidean, "PolarRule", _UnsplitPolarRule)
+    with pytest.raises(QuadratureError, match="by order 512 "):
+        _closed_form_gap(shape)
 
 
 @pytest.mark.parametrize("shape", [DISK, BALL3, ANNULUS, ANNULUS3, RINGS],
                          ids=["disk", "ball3", "annulus", "annulus3", "rings"])
 def test_convolution_test_builds_no_full_rule_on_a_radial_shape(shape, monkeypatch):
-    """A radial shape's residuals build meridian rules only: quad_nodes is
-    never called."""
+    """A radial shape's residuals build polar rules only: the shape's
+    quad_nodes is never called."""
     def refuse(self, order):
         raise AssertionError("full rule built")
 
     for kind in (Ball, Annulus, DisjointUnion):
         monkeypatch.setattr(kind, "quad_nodes", refuse)
-    counted = _RuleCounter(shape)
-    res = convolution_test(counted, np.array([3.0, 1.0 + 0.5j]),
+    orders = _count_polar_rules(monkeypatch)
+    res = convolution_test(shape, np.array([3.0, 1.0 + 0.5j]),
                            _sample_ring(3, 1.5, shape.dim))
-    assert res.shape == (2,) and counted.orders
+    assert res.shape == (2,) and orders
 
 
 def test_convolution_residual_pass_streams_its_rows():
     """All residuals of the 3-D annulus (2, 3) over (0, 6] in one call stay
-    under 45 MiB of traced memory, the peak of the largest single-witness
-    call when each witness had an integration of its own (44.5 MiB at
-    order 64, 524 288 nodes per rule).  Holding a rule's rows, or the 16
-    radii |x + y|, would take more."""
+    under 0.6 MiB of traced memory: 0.40 MiB measured (numpy 2.4), all at
+    the order-16 polar rule of 16 sample points (4 pieces of 64 nodes
+    each), plus a margin of 0.2 MiB.  The same call without blocks, every
+    pending row of an order at once, peaks at 0.88 MiB; when each witness
+    had an integration of its own on the full rule, the largest call
+    peaked at 44.5 MiB."""
     witnesses = find_failure_lambdas(ANNULUS3, (0.0, 6.0))
     assert len(witnesses) == 5
     lo, hi = ANNULUS3.bounding_box()
@@ -1348,4 +1418,4 @@ def test_convolution_residual_pass_streams_its_rows():
     finally:
         tracemalloc.stop()
     assert (res < 1e-6 * ANNULUS3.volume).all()
-    assert peak < 45 * 2 ** 20, peak / 2 ** 20
+    assert peak < 0.6 * 2 ** 20, peak / 2 ** 20

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pompeiu.shapes import (Annulus, Ball, DisjointUnion, MeridianRule, Polytope,
+from pompeiu.shapes import (Annulus, Ball, DisjointUnion, PolarRule, Polytope,
                             load_set_spec, parse_set, set_to_spec)
 
 
@@ -88,45 +88,54 @@ def test_quad_nodes_integrate_one_to_volume(shape):
 
 
 RADIAL = [Ball(1.0, 2), Ball(1.0, 3), Annulus(1.0, 2.0, 2), Annulus(2.0, 3.0, 3),
-          DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)])]
+          DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)]),
+          DisjointUnion([Ball(1.0, 3), Annulus(2.0, 3.0, 3)])]
 
 
-@pytest.mark.parametrize("shape", RADIAL, ids=["disk", "ball3", "annulus", "annulus3", "rings"])
-def test_meridian_weights_sum_to_the_volume(shape):
-    """At every order up to 64 the meridian rule's weights sum to those of
-    the full rule, and to the volume once the Gauss radial rule is exact
-    for r^(dim - 1) (one node in the plane, two in 3-space); its nodes lie
-    on the shape's half of the meridian plane."""
-    rule = MeridianRule(shape)
-    assert rule.dim == 2
-    for order in range(1, 65):
-        pts, wts = rule.quad_nodes(order)
-        full = shape.quad_nodes(order)[1].sum()
-        assert pts.shape == (len(wts), 2) and (wts > 0).all()
-        assert (pts[:, 1] > -1e-12).all()       # sin(pi) rounds either way
-        assert abs(wts.sum() - full) < 1e-12 * full
-        if order >= shape.dim - 1:
-            assert abs(wts.sum() - shape.volume) < 1e-12 * shape.volume, order
-    r = np.hypot(*pts.T)
-    members = getattr(shape, "members", (shape,))
-    inside = [(m.radial_interval()[0] - 1e-12 <= r) & (r <= m.radial_interval()[1] + 1e-12)
-              for m in members]
-    assert np.logical_or.reduce(inside).all()
+def _sample_radii(shape):
+    """a = 0 and 1e-9, each boundary radius, the middle of each member and
+    of each gap between members (the hole of an annulus), and a = R_max + 1
+    and 10 outside."""
+    ends = sorted({0.0} | {r for m in getattr(shape, "members", (shape,))
+                           for r in m.radial_interval()})
+    middles = [(lo + hi) / 2.0 for lo, hi in zip(ends, ends[1:])]
+    return np.array([0.0, 1e-9] + ends[1:] + middles + [ends[-1] + 1.0, 10.0])
 
 
-def test_meridian_rule_is_the_full_rule_folded():
-    """At order 4 the disk's meridian rule has 4 x 5 nodes, its folded
-    angles 0, pi/4, ..., pi; the 3-D ball's has 4 x 4, one per radius and
-    polar node.  At order 8 the annulus (1, 2), half as wide as its outer
-    radius, has 4 radii: 4 x 9 meridian nodes, 4 x 16 in the full rule."""
-    pts, _ = MeridianRule(Ball(1.0, 2)).quad_nodes(4)
-    assert len(pts) == 20 and len(Ball(1.0, 2).quad_nodes(4)[0]) == 32
-    angles = np.unique(np.round(np.arctan2(pts[:, 1], pts[:, 0]), 12))
-    assert np.allclose(angles, np.pi * np.arange(5) / 4)
-    assert len(MeridianRule(Ball(1.0, 3)).quad_nodes(4)[0]) == 16
-    pts, _ = MeridianRule(Annulus(1.0, 2.0, 2)).quad_nodes(8)
-    assert len(pts) == 4 * 9 and len(Annulus(1.0, 2.0, 2).quad_nodes(8)[0]) == 4 * 16
-    assert len(np.unique(np.round(np.hypot(*pts.T), 12))) == 4
+@pytest.mark.parametrize("shape", RADIAL,
+                         ids=["disk", "ball3", "annulus", "annulus3", "rings", "rings3"])
+def test_polar_weights_sum_to_the_volume(shape):
+    """At every order from 8 to 512 the polar rule's weights sum, for every
+    sample radius, to the volume within 1e-12 relative: the measures of the
+    spheres about -x inside the shape integrate to its volume wherever x
+    is, on a boundary or not.  Its radii lie in [0, a + R_max]."""
+    radii = _sample_radii(shape)
+    rule = PolarRule(shape, radii)
+    assert rule.dim == 1
+    top = max(m.radial_interval()[1] for m in getattr(shape, "members", (shape,)))
+    for order in (8 << i for i in range(7)):
+        r, w = rule.quad_nodes(order)
+        assert r.shape == w.shape == (len(radii), r.shape[1])
+        assert (r >= 0).all() and (r <= (radii + top)[:, None] * (1 + 1e-15)).all()
+        assert np.abs(w.sum(axis=1) / shape.volume - 1.0).max() < 1e-12, order
+
+
+def test_polar_rule_splits_at_the_tangent_radii():
+    """[0, a + R_max] is split at 0 and at |a - R| and a + R for every
+    boundary radius R, 2K pieces for K radii (some may be empty), each of
+    4 order nodes, so the node count doubles with the order.  Off the
+    shape's support the weights vanish: the disk about a point at
+    distance 2 takes nothing from r < 1."""
+    rule = PolarRule(Ball(1.0, 2), [0.5, 2.0])
+    assert rule.edges.tolist() == [[0.0, 0.5, 1.5], [0.0, 1.0, 3.0]]
+    rings = PolarRule(DisjointUnion([Ball(1.0, 2), Annulus(2.0, 3.0, 2)]), [2.5])
+    # |a - 2| = |a - 3|: a piece of width zero, whose weights are zero
+    assert rings.edges.tolist() == [[0.0, 0.5, 0.5, 1.5, 3.5, 4.5, 5.5]]
+    for order in (8 << i for i in range(7)):
+        assert rule.quad_nodes(order)[0].shape == (2, 2 * 4 * order)
+        assert rings.quad_nodes(order)[0].shape == (1, 6 * 4 * order)
+    r, w = rule.quad_nodes(8)
+    assert (w[1, r[1] < 1.0] == 0.0).all() and (w[1, r[1] > 1.0] > 0.0).all()
 
 
 # (inner, outer) at widths 1, 1/2, 1/3 and 1/151 of the outer radius: the
@@ -137,20 +146,18 @@ SHELLS = [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.0, 3.0, 1), (3.0, 3.02, 2)]
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("inner,outer,halvings", SHELLS, ids=["1", "1/2", "1/3", "1/151"])
 def test_radial_count_doubles_with_the_order(inner, outer, halvings, dim):
-    """From the integrator's start order 8 to 512, both rules have
-    8 >> halvings radii at order 8 and twice as many at every doubling,
-    so two successive estimates never share a radial rule (the 3-D full
-    rule to order 64: at 128 it is millions of nodes).  The angular and
-    polar rules keep the order."""
+    """From the integrator's start order 8 to 512 (64 in 3-space: at 128
+    the rule is millions of nodes), the full rule has 8 >> halvings radii
+    at order 8 and twice as many at every doubling, so two successive
+    estimates never share a radial rule.  The angular and polar rules
+    keep the order."""
     shape = Ball(outer, dim) if inner == 0.0 else Annulus(inner, outer, dim)
-    meridian = {2: lambda n: n + 1, 3: lambda n: n}[dim]   # angles (or polar nodes) per radius
-    full = {2: lambda n: 2 * n, 3: lambda n: 2 * n * n}[dim]
-    for rule, per_radius, top in ((MeridianRule(shape), meridian, 512),
-                                  (shape, full, 512 if dim == 2 else 64)):
-        orders = [8 << i for i in range(top.bit_length() - 3)]
-        assert orders[-1] == top
-        counts = [len(rule.quad_nodes(n)[0]) / per_radius(n) for n in orders]
-        assert counts == [(8 >> halvings) << i for i in range(len(orders))], counts
+    per_radius = {2: lambda n: 2 * n, 3: lambda n: 2 * n * n}[dim]
+    top = 512 if dim == 2 else 64
+    orders = [8 << i for i in range(top.bit_length() - 3)]
+    assert orders[-1] == top
+    counts = [len(shape.quad_nodes(n)[0]) / per_radius(n) for n in orders]
+    assert counts == [(8 >> halvings) << i for i in range(len(orders))], counts
 
 
 def test_nested_unions_are_flattened():
