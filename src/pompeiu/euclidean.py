@@ -8,17 +8,15 @@ vanishing on the full complex quadric z.z = lambda^2), sign-change root
 searches on radial profiles, and direct convolution / rigid-motion
 integral checks that re-verify every candidate failure frequency.
 
-Transforms are evaluated in batches: a polytope's value at N frequencies
-comes from one `exp_divided_difference` call on the N x simplices rows of
-nodes, the simplices fanned from one vertex (stacked once on the shape).  At
-a real frequency z every node x = -i z.v is on the imaginary axis, and the
-divided differences run in real arithmetic on t = -i x = -z.v.  The orbit
-scan of a non-radial shape evaluates frequencies x directions x simplices
-in blocks of at most SCAN_CHUNK triples, one direction per antipodal pair
-at a real frequency (|F(-z)| = |F(z)|), keeping a running maximum per
-frequency, so its memory stays flat whatever the grid.  A search of more
-than MAX_GRID_POINTS grid steps, or orbit directions, is refused with
-ValueError.
+Transforms are evaluated in batches.  A polytope's divided differences run
+on t = -z.v over simplices fanned from one vertex, in real arithmetic at a
+real z.  The orbit scan writes t = lam q, q = -u.v fixed per direction u and
+simplex, and forms series coefficients, Lagrange weights and splits once per
+such column for all frequencies of a block of at most SCAN_CHUNK triples.
+It takes one direction per antipodal pair at a real frequency (|F(-z)| =
+|F(z)|) and keeps a running maximum per frequency: memory stays flat however
+long the grid.  A search of more than MAX_GRID_POINTS grid steps, or orbit
+directions, is refused with ValueError.
 
 The radial search is in arrays too: one `radial_profile` call covers the
 whole grid (each entry bit-identical to a scalar call, so witnesses do not
@@ -37,6 +35,7 @@ touches a boundary.  A report is a frozen value, with no timing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,13 +61,14 @@ BISECT_TOL = 1e-10
 # levels), 6.7 ms one step a call and 20.7 ms at 5 levels.
 BISECT_LEVELS, BISECT_POINTS = 5, 2048
 ROTATION_SAMPLES = {2: 64, 3: 72}
-# (frequency, direction, simplex) triples per block of the orbit scan.  One
-# seed-1 round of the polytope benchmark (2 vCPUs, best of 4, three processes
-# each) took 0.15-0.22, 0.09-0.10, 0.06-0.08, 0.05-0.07, 0.05-0.06 and
-# 0.05-0.06 s at blocks of 256, 1024, 2048, 4096, 8192 and 65536 triples, at a
-# peak RSS of 80.1, 80.8, 81.5, 83.4, 87.7 and 93.4 MB: 2048 is the largest
-# block within 2 MB of the floor.
-SCAN_CHUNK = 2048
+# Radius and depth of the divided differences' centred series (see _series).
+SERIES_RADIUS, SERIES_TERMS = 2.0, 28
+# (frequency, direction, simplex) triples per block of the orbit scan.  The
+# polytope benchmark at seed 1 (2 vCPUs, two 4 s runs each) read 14 000-15 100,
+# 15 400-16 600, 17 900-19 400, 19 600-21 000 and 19 000-21 600 frequencies/s at
+# 2^12-2^16, at a peak RSS of 83.7-83.8, 83.7-83.8, 83.8-83.9, 84.2 and 85.9-86.1
+# MB: 2^14 is the largest block within the per-row kernel's 83.7-83.9 MB.
+SCAN_CHUNK = 1 << 14
 # Most grid steps, (hi - lo) / grid, of one search, and most orbit directions.
 MAX_GRID_POINTS = 10 ** 6
 # Kernel entries (frequencies x nodes) per besselj0/sinc call of the residual
@@ -153,102 +153,109 @@ def exp_divided_difference(nodes):
 
     It is (-i)^(m-1) g[t] for g(t) = e^{it} at t = -i x, which is real at a
     real frequency (every node on the imaginary axis): such a batch runs in
-    real arithmetic, any other in complex.  Each row takes one of three
-    regimes (McCurdy, Ng & Parlett, Math. Comp. 1984), the same on t as on
-    x since |t| = |x|: a centred series when the nodes are clustered (every
-    node within 0.8 of their mean; for two nodes the closed form
-    i e^{ic} sinc(d), c their mean and d half their gap), the Lagrange form
-    when they are pairwise at least 0.5 apart, and otherwise a split on the
-    farthest pair (t_a, t_b),
-
-        g[T] = (g[T - {t_a}] - g[T - {t_b}]) / (t_b - t_a),
-
-    both halves of every split row evaluated as one batch of m - 1 nodes.
-    Some node of a split row lies more than 0.8 from the mean, which is in
-    the nodes' convex hull, so |t_b - t_a| > 0.8 and each level of split
-    multiplies the absolute error of its halves by at most 2 / 0.8 = 2.5.
-    Two nodes are never split (a gap above 1.6 is above 0.5), so a simplex
-    in 3-space (m = 4) is split at most twice.
+    real arithmetic, any other in complex: `_divided_differences` at lam = 1.
+    Rows within SERIES_RADIUS = 2 of their mean take the centred series: its
+    terms sum to at most e^2 ~ 7.4 times the first, the tail past 28 to 9e-22.
     """
     x = np.asarray(nodes, dtype=complex)
-    m = x.shape[-1]
-    rows = x.reshape(-1, m)
+    rows, m = x.reshape(-1, x.shape[-1]), x.shape[-1]
     t = rows.imag - 1j * rows.real if rows.real.any() else rows.imag
     # one node per row: the reductions over a row's nodes run on contiguous
     # arrays, about ten times faster than over the columns of t
-    out = _divided_difference_columns(np.ascontiguousarray(t.T)) * (1, -1j, -1, 1j)[(m - 1) % 4]
+    out = _divided_differences(np.ones(1), np.ascontiguousarray(t.T)) * (1, -1j, -1, 1j)[(m - 1) % 4]
     return complex(out[0]) if x.ndim == 1 else out
 
 
-def _divided_difference_columns(t: np.ndarray) -> np.ndarray:
-    """g[t_0, ..., t_{m-1}] for g(t) = e^{it} and each column of an m x N
-    array of nodes, in real arithmetic for real nodes."""
-    m, n = t.shape
-    if m == 1:
-        return np.exp(1j * t[0])
-    center = t.sum(axis=0) / m
-    deltas = t - center
-    series = np.abs(deltas).max(axis=0) <= 0.8
-    # t_i - t_j for each pair i < j, formed once: the gaps, the farthest pair
-    # and the Lagrange denominators read it (fl(t_j - t_i) = -fl(t_i - t_j))
+def _divided_differences(lam: np.ndarray, q: np.ndarray, l=None, c=None) -> np.ndarray:
+    """g[lam q_0, ..., lam q_{m-1}] for g(t) = e^{it} at every frequency of the
+    1-D lam and column of the m x P q (L P values, frequency-major), or at the
+    entries (lam[l], q[:, c]); real arithmetic for real lam and q.  An entry's
+    regime is set by |lam| times a constant of its column (McCurdy, Ng &
+    Parlett, Math. Comp. 1984): `_series` when every node is within
+    SERIES_RADIUS = 2 of their mean; the Lagrange form, weights per column,
+    when the nodes are pairwise at least 0.5 apart; else a split on the
+    farthest pair, g[T] = (g[T - {t_a}] - g[T - {t_b}]) / (t_b - t_a), all
+    halves in one call.  Then |t_b - t_a| > 2 (the mean is in the hull), so a
+    split does not grow the absolute error of its halves, and two nodes are
+    never split (a gap over 4 is over 0.5): a tetrahedron splits at most twice."""
+    m, n = q.shape
+    if l is None:
+        l, c = np.divmod(np.arange(len(lam) * n, dtype=np.int32), n)
+    mean = q.sum(axis=0) / m
+    # q_a - q_b for each pair a < b: the gaps and the farthest pair
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    i, j = np.array(pairs).T
-    diff = t[i] - t[j]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    diff = q[i] - q[j]
     gaps = np.abs(diff)
-    lagrange = ~series & (gaps.min(axis=0) >= 0.5)
+    series = np.abs(lam)[l] * np.abs(q - mean).max(axis=0)[c] <= SERIES_RADIUS
+    lagrange = ~series & (np.abs(lam)[l] * gaps.min(axis=0, initial=np.inf)[c] >= 0.5)
     split = ~(series | lagrange)
-    out = np.empty(n, dtype=complex)
-    if series.any():
-        if m == 2:
-            out[series] = 1j * np.exp(1j * center[series]) * sinc(0.5 * diff[0, series])
-        else:
-            out[series] = np.exp(1j * center[series]) * _centered_series(deltas[:, series])
-    if lagrange.any():
-        out[lagrange] = _lagrange_form(t[:, lagrange], diff[:, lagrange], pairs)
+    out = np.empty(len(l), dtype=complex)
     if split.any():
-        cols = np.flatnonzero(split)
+        ls, cs = l[split], c[split]
+        cols, at = _distinct(cs, n)
         far = gaps[:, cols].argmax(axis=0)
         # row a of rest: the node indices without a
-        rest = np.array([[c for c in range(m) if c != a] for a in range(m)])
-        drop = np.concatenate([i[far], j[far]])
-        halves = _divided_difference_columns(t[rest[drop].T, np.concatenate([cols, cols])])
-        k = len(cols)
-        out[split] = (halves[k:] - halves[:k]) / diff[far, cols]
+        rest = np.array([[k for k in range(m) if k != a] for a in range(m)])
+        halves = q[rest[np.concatenate([i[far], j[far]])].T, np.concatenate([cols, cols])]
+        h = _divided_differences(lam, halves, np.concatenate([ls, ls]),
+                                 np.concatenate([at, at + len(cols)]))
+        out[split] = (h[len(ls):] - h[:len(ls)]) / (lam[ls] * diff[far[at], cs])
+    if series.any():
+        out[series] = _series(lam, q - mean, mean, l[series], c[series])
+    if lagrange.any():
+        # sum_k e^{i lam q_k} / w_k / lam^(m - 1), w_k = prod_{j != k} (q_k - q_j)
+        w = [np.prod([q[k] - q[j] for j in range(m) if j != k], axis=0) for k in range(m)]
+        e, ce = lam[l[lagrange]], c[lagrange]
+        out[lagrange] = sum(np.exp(1j * (e * q[k, ce])) / w[k][ce] for k in range(m)) / e ** (m - 1)
     return out
 
 
-def _centered_series(deltas: np.ndarray) -> np.ndarray:
-    # sum_j i^(j+k) h_j(deltas) / (j+k)!  per column, with h_j the complete
-    # homogeneous symmetric polynomials of the column's k + 1 entries: row r
-    # of terms[j], h_j of the first r + 1 entries, is the running sum over
-    # the rows of deltas * terms[j - 1].  Individual h_j can vanish
-    # (symmetric clusters), so the sum runs to a fixed depth rather than
-    # stopping on a small term.  At spread <= 0.8, |h_j| <= C(j+k, k) 0.8^j,
-    # so term j is at most 0.8^j / j! of the first, 1/k!: the tail beyond 20
-    # terms is below 0.8^20 / 20! ~ 5e-21 relative.
-    max_terms, k = 20, len(deltas) - 1
-    terms = np.empty((max_terms,) + deltas.shape, dtype=deltas.dtype)
-    terms[0] = 1.0
-    running = np.tril(np.ones((k + 1, k + 1)))
-    for j in range(1, max_terms):
-        np.matmul(running, deltas * terms[j - 1], out=terms[j])
-    coef = np.array([(1, 1j, -1, -1j)[(j + k) % 4] / math.factorial(j + k)
-                     for j in range(max_terms)])
-    return coef.real @ terms[:, k] + 1j * (coef.imag @ terms[:, k])
+def _distinct(idx: np.ndarray, n: int):
+    """The sorted distinct values of idx, in range(n), and each entry's place."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.int32) - 1)[idx]
 
 
-def _lagrange_form(t: np.ndarray, diff: np.ndarray, pairs: list) -> np.ndarray:
-    """sum_i cis(t_i) / prod_{j != i} (t_i - t_j), cis(t) = e^{it}, per column
-    of distinct nodes, diff[p] holding t_a - t_b for the pair (a, b) =
-    pairs[p], a < b: the denominators are real for real nodes."""
-    total = 0
-    for i in range(len(t)):
-        denom = 1.0
-        for p, (a, b) in enumerate(pairs):
-            if i == a or i == b:
-                denom = denom * (diff[p] if i == a else -diff[p])
-        total = total + np.exp(1j * t[i]) * (1.0 / denom)
-    return total
+def _series(lam, deltas, mean, l, c):
+    """i^k e^{i lam mean} sum_j (i lam)^j h_j(deltas) / (j+k)! at the entries
+    (lam[l], column c), k + 1 nodes a column, h_j the complete homogeneous
+    symmetric polynomial (of the first r + 1 deltas in row r of terms).  At
+    |lam| max|deltas| <= R = SERIES_RADIUS term j is at most R^j / j! of the
+    first, 1/k!: all sum to at most e^R ~ 7.4 of it, the tail past SERIES_TERMS
+    to 2^28 / 28! ~ 9e-22 (an h_j can vanish, so the depth is fixed).  The
+    coefficients are per column, all polynomials one product with the powers
+    of lam, in bands of a factor 2^20 (one from 2^-10 to 2^10) scaled exactly
+    to lam / 2^b and deltas * 2^b so that nothing overflows."""
+    k = len(deltas) - 1
+    if k == 1:      # h_j(d, -d) = d^j at even j, 0 at odd: the sum is sinc(lam d)
+        return 1j * np.exp(1j * (lam[l] * mean[c])) * sinc(lam[l] * deltas[0, c])
+    out = np.empty(len(l), dtype=complex)
+    rows, row_at = _distinct(l, len(lam))
+    band = 20 * ((np.frexp(np.abs(lam[rows]))[1] + 10) // 20)
+    for b in np.unique(band).tolist():
+        e = slice(None) if band.min() == b == band.max() else np.flatnonzero(band[row_at] == b)
+        cols, at = _distinct(c[e], deltas.shape[1])
+        d = deltas[:, cols] * 2.0 ** b
+        coef = np.empty((SERIES_TERMS, len(cols)), dtype=d.dtype)
+        coef[0], terms, step = 1.0, np.ones_like(d), np.empty_like(d)
+        for j in range(1, SERIES_TERMS):        # running sums of d * the last terms
+            np.add.accumulate(np.multiply(d, terms, out=step), axis=0, out=terms)
+            coef[j] = terms[-1]
+        coef /= np.array([math.factorial(j + k) for j in range(SERIES_TERMS)], dtype=float)[:, None]
+        # the powers of lam / 2^b, and of 0 on the rows of other bands
+        x = (np.where(band == b, lam[rows], 0) * 2.0 ** -b)[:, None] ** np.arange(SERIES_TERMS)
+        if np.iscomplexobj(x) or np.iscomplexobj(d):
+            out[e] = ((x * np.array([1, 1j, -1, -1j])[np.arange(SERIES_TERMS) % 4]) @ coef)[row_at[e], at]
+        else:       # i^j is (-1)^(j // 2) on even j and i (-1)^(j // 2) on odd j
+            x[:, 2::4] *= -1
+            x[:, 3::4] *= -1
+            out.real[e] = (x[:, 0::2] @ coef[0::2])[row_at[e], at]
+            out.imag[e] = (x[:, 1::2] @ coef[1::2])[row_at[e], at]
+    phase = 1j * (lam[l] * mean[c])
+    out *= np.exp(phase, out=phase)
+    return out * (1, 1j, -1, -1j)[k % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +312,11 @@ def _transform_rows(shape, z: np.ndarray) -> np.ndarray:
         z = z.astype(complex, copy=False)
         s = (z * z).sum(axis=1)            # bilinear square, not Hermitian
         return _radial_profile_w(shape, np.sqrt(s))
-    if isinstance(shape, Polytope):
-        verts = shape.simplices()                       # S x m x dim
-        phases = -1j * (z @ verts.reshape(-1, shape.dim).T)     # z.v real for a real z
-        dd = exp_divided_difference(phases.reshape(-1, verts.shape[1]))
-        return (dd.reshape(len(z), len(verts)) * shape.simplex_dets).sum(axis=1)
+    if isinstance(shape, Polytope):     # the rows of z as directions, at lam = 1
+        return _orbit_values(shape, np.ones(1), z if np.imag(z).any() else np.real(z))[0]
     if isinstance(shape, DisjointUnion):
         return sum(_transform_rows(m, z) for m in shape.members)
     raise TypeError(f"not a shape: {shape!r}")
-
-
-def _simplex_count(shape) -> int:
-    """Divided differences per transform value: a polytope's simplices,
-    summed over a union's members; 1 for a radial shape."""
-    if isinstance(shape, Polytope):
-        return len(shape.simplices())
-    if isinstance(shape, DisjointUnion):
-        return sum(_simplex_count(m) for m in shape.members)
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +355,26 @@ def complex_sphere_vanishes(shape: EuclideanSet, lam: complex,
     whether it vanishes there (relative to the volume).  Vanishing on this
     real orbit certifies vanishing on the whole quadric z.z = lam^2, since
     the transform is analytic.  lam = 0 is rejected: the transform at the
-    origin is the volume, which is positive."""
+    origin is the volume, which is positive.  So are a lam that is not
+    finite and a count of rotation samples outside 1..MAX_GRID_POINTS."""
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"frequency must be finite, got {lam}")
     if lam == 0:
         raise ValueError("lambda = 0 is never a failure frequency for a set "
                          "of positive volume")
-    count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
-    dirs = rotation_directions(shape.dim, count)
+    dirs = rotation_directions(shape.dim, _orbit_count(shape, rotation_samples))
     maxima, worst = _orbit_maxima(shape, np.array([lam]), dirs)
     mag = float(maxima[0])
     return OrbitCheck(mag < tol * shape.volume, mag, tuple(dirs[worst[0]]))
+
+
+def _orbit_count(shape, rotation_samples: int | None) -> int:
+    if rotation_samples is None:
+        return ROTATION_SAMPLES[shape.dim]
+    if not 1 <= rotation_samples <= MAX_GRID_POINTS:
+        raise ValueError(f"rotation samples must be in 1..{MAX_GRID_POINTS}, got {rotation_samples}")
+    return rotation_samples
 
 
 def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
@@ -382,12 +386,19 @@ def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
     At a real frequency |F(-z)| = |F(z)|, so only the first half of dirs is
     scanned when the second half negates it.  Frequency x direction x
     simplex triples go in blocks of at most SCAN_CHUNK (unless one transform
-    value alone has more simplices): memory does not grow with the grid."""
-    h = len(dirs) // 2
-    if not np.imag(lams).any() and np.array_equal(dirs[h:], -dirs[:h]):
-        dirs = dirs[:h]
-    per_dir = _simplex_count(shape)
-    cols = min(len(dirs), max(1, SCAN_CHUNK // per_dir))
+    value alone has more simplices), all frequencies in one block when they
+    fit: memory does not grow with the grid."""
+    if not np.imag(lams).any():
+        lams = np.real(lams)
+        h = len(dirs) // 2
+        if np.array_equal(dirs[h:], -dirs[:h]):
+            dirs = dirs[:h]
+    elif np.abs(lams.imag).max() * np.abs(dirs).max() > DEFAULT_IMAG_CAP:
+        raise ValueError(f"imaginary parts exceed the cap {DEFAULT_IMAG_CAP}")
+    # values per direction: a polytope's simplices, 1 for a radial member
+    per_dir = sum(len(m.simplices()) if isinstance(m, Polytope) else 1
+                  for m in getattr(shape, "members", [shape]))
+    cols = min(len(dirs), max(1, SCAN_CHUNK // (len(lams) * per_dir)))
     rows = max(1, SCAN_CHUNK // (cols * per_dir))
     best = np.full(len(lams), -np.inf)
     worst = np.zeros(len(lams), dtype=int)
@@ -395,9 +406,7 @@ def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
         lam = lams[r:r + rows]
         seg = slice(r, r + len(lam))
         for c in range(0, len(dirs), cols):
-            z = lam[:, None, None] * dirs[None, c:c + cols]
-            mags = np.abs(fourier_laplace(shape, z.reshape(-1, shape.dim)))
-            mags = mags.reshape(len(lam), -1)
+            mags = np.abs(_orbit_values(shape, lam, dirs[c:c + cols]))
             i = np.where(np.isnan(mags), -np.inf, mags).argmax(axis=1)
             top = mags[np.arange(len(lam)), i]
             gain = top > best[seg]
@@ -405,6 +414,22 @@ def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
             worst[seg] = np.where(gain, c + i, worst[seg])
     best[best < 0] = np.nan
     return best, worst
+
+
+def _orbit_values(shape, lams: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The transform at lam * u, lam in lams and u a row of dirs, as L x D
+    values: a polytope's nodes are t = lam q, q = -u.v for each vertex v of
+    a simplex, one kernel call for all; a radial member is its profile at lam."""
+    if shape.is_radial:
+        return np.broadcast_to(radial_profile(shape, lams)[:, None], (len(lams), len(dirs)))
+    if isinstance(shape, Polytope):
+        verts = shape.simplices()                       # S x m x dim
+        s, m = verts.shape[:2]
+        q = -(dirs @ verts.reshape(-1, shape.dim).T)    # D x S m
+        dd = _divided_differences(lams, np.ascontiguousarray(q.reshape(-1, m).T))
+        dets = shape.simplex_dets * (1, -1j, -1, 1j)[(m - 1) % 4]
+        return dd.reshape(len(lams), len(dirs), s) @ dets
+    return sum(_orbit_values(m, lams, dirs) for m in shape.members)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +683,10 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
             raise ValueError(f"{name} tolerance must be finite and positive, got {tol}")
     if not float(lam_range[0]) < float(lam_range[1]):
         raise ValueError(f"empty frequency range {lam_range[0]}:{lam_range[1]}")
-    if rotation_samples is not None and not 1 <= rotation_samples <= MAX_GRID_POINTS:
-        raise ValueError(f"rotation samples must be in 1..{MAX_GRID_POINTS}, got {rotation_samples}")
-    count = ROTATION_SAMPLES[shape.dim] if rotation_samples is None else rotation_samples
+    count = _orbit_count(shape, rotation_samples)
+    extra_lambdas = [complex(lam) for lam in extra_lambdas]
+    if not all(map(cmath.isfinite, extra_lambdas)):
+        raise ValueError(f"extra frequencies must be finite, got {extra_lambdas}")
     landscape = [] if collect_landscape else None
     witnesses: list = []
     if shape.is_radial:
@@ -679,7 +705,6 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
             if mag < threshold and _confirm_candidate(shape, x, quad_tol, vanish_tol):
                 witnesses.append(x)
     for lam in extra_lambdas:
-        lam = complex(lam)
         check = complex_sphere_vanishes(shape, lam, count, vanish_tol)
         if check.vanishes and _confirm_candidate(shape, lam, quad_tol, vanish_tol):
             witnesses.append(lam if lam.imag else lam.real)

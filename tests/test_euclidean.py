@@ -172,12 +172,34 @@ def _mp_divided_difference(nodes):
         return complex(mpmath.expm(a)[0, m - 1])
 
 
+def _spread(x):
+    """The largest distance of a row of nodes from their mean, and the
+    smallest gap between two of them."""
+    gaps = [abs(a - b) for i, a in enumerate(x) for b in x[i + 1:]]
+    return np.abs(x - x.mean()).max(), min(gaps)
+
+
 def _regime(x):
     """The regime the kernel documents for one row of nodes."""
-    if np.abs(x - x.mean()).max() <= 0.8:
+    dev, gap = _spread(x)
+    if dev <= euclidean.SERIES_RADIUS:
         return "series"
-    gaps = [abs(a - b) for i, a in enumerate(x) for b in x[i + 1:]]
-    return "lagrange" if min(gaps) >= 0.5 else "split"
+    return "lagrange" if gap >= 0.5 else "split"
+
+
+def _boundary_rows(m, unit):
+    """Rows on either side of each regime boundary, to 1e-9: spread
+    SERIES_RADIUS (1 -+ 1e-9) with well spread nodes and with a close pair
+    (series against Lagrange and split), and smallest gap 0.5 (1 -+ 1e-9)
+    past the series radius (Lagrange against split)."""
+    rows = []
+    for base in (np.linspace(-1.0, 1.0, m), np.array([0.0, 0.01, 1.0, 1.7][:m])):
+        for side in (1 - 1e-9, 1 + 1e-9):
+            rows.append(base * (euclidean.SERIES_RADIUS * side / _spread(base)[0]))
+    base = np.array([0.0, 1.0, 8.0, 17.0][:m])
+    for side in (1 - 1e-9, 1 + 1e-9):
+        rows.append(base * (0.5 * side / _spread(base)[1]))
+    return [row * unit for row in rows]
 
 
 def _node_rows(m, kind, rng):
@@ -199,8 +221,9 @@ def _node_rows(m, kind, rng):
     rows.append(np.array([0.0, 0.0] + [5.0] * (m - 2)) * unit)
     # two close pairs far apart: at m = 4 each half of the first split
     # still holds a close pair and a far node, and is split again
-    for far_pairs in ([0.0, 0.01, 3.0, 3.01], [-20.0, -19.9, 20.0, 20.2]):
+    for far_pairs in ([0.0, 0.01, 6.0, 6.01], [-20.0, -19.9, 20.0, 20.2]):
         rows.append(np.array(far_pairs[:m]) * unit)
+    rows.extend(_boundary_rows(m, unit))
     return np.asarray(rows, dtype=complex)
 
 
@@ -218,16 +241,16 @@ def test_divided_difference_batch_matches_mpmath(m, kind):
 
 
 def _record_columns(monkeypatch):
-    """Record the node count and dtype of every `_divided_difference_columns`
-    call, the recursive ones included."""
+    """Record the node count and the dtype of the nodes t = lam q of every
+    `_divided_differences` call, the recursive ones included."""
     calls = []
-    inner = euclidean._divided_difference_columns
+    inner = euclidean._divided_differences
 
-    def recorded(t):
-        calls.append((len(t), t.dtype))
-        return inner(t)
+    def recorded(lam, q, *entries):
+        calls.append((len(q), np.result_type(lam, q)))
+        return inner(lam, q, *entries)
 
-    monkeypatch.setattr(euclidean, "_divided_difference_columns", recorded)
+    monkeypatch.setattr(euclidean, "_divided_differences", recorded)
     return calls
 
 
@@ -239,7 +262,7 @@ def test_two_close_pairs_far_apart_split_twice(kind, monkeypatch):
     in complex arithmetic otherwise."""
     unit = {"imag": 1j, "real": 1.0, "complex": (1 + 1j) / math.sqrt(2)}[kind]
     calls = _record_columns(monkeypatch)
-    for row in ([0.0, 0.01, 3.0, 3.01], [-20.0, -19.9, 20.0, 20.2]):
+    for row in ([0.0, 0.01, 6.0, 6.01], [-20.0, -19.9, 20.0, 20.2]):
         calls.clear()
         exp_divided_difference(np.array(row) * unit)
         assert [size for size, _ in calls] == [4, 3, 2]
@@ -248,8 +271,9 @@ def test_two_close_pairs_far_apart_split_twice(kind, monkeypatch):
 
 
 def test_two_nodes():
-    """e^c sinh(d) / d for a narrow pair (gap at most 1.6, c the mean and d
-    half the gap), the Lagrange form for a wider one."""
+    """The centred series for a narrow pair (gap at most 4, twice
+    SERIES_RADIUS), the Lagrange form for a wider one; the gaps include
+    1.6 (1 -+ 1e-9) and both sides of the boundary 4."""
     assert exp_divided_difference([0.0, 0.0]) == 1.0
     ref = _mp_divided_difference([0.0, 1e-300])
     assert abs(exp_divided_difference([0.0, 1e-300]) - ref) <= 1e-15 * abs(ref)
@@ -257,7 +281,8 @@ def test_two_nodes():
     assert exp_divided_difference([-1500.0, 0.0]) == pytest.approx(1 / 1500, rel=1e-15)
     rows = []
     for unit in (1.0, 1j, (3 + 4j) / 5):
-        for gap in (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7, 40.0):
+        for gap in (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7,
+                    4 * (1 - 1e-9), 4 * (1 + 1e-9), 40.0):
             rows.append([0.7 - 0.4j, 0.7 - 0.4j + gap * unit])
     rows = np.array(rows)
     assert {_regime(x) for x in rows} == {"series", "lagrange"}
@@ -268,10 +293,11 @@ def test_two_nodes():
 
 def test_two_nodes_on_the_imaginary_axis(monkeypatch):
     """The narrow and wide pairs of `test_two_nodes` moved onto the
-    imaginary axis, where they run in real arithmetic: i e^{ic} sinc(d) on
-    t = -i x up to a gap of 1.6, the Lagrange form past it."""
+    imaginary axis, where they run in real arithmetic: the centred series
+    on t = -i x up to a gap of 4, the Lagrange form past it."""
     calls = _record_columns(monkeypatch)
-    gaps = (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7, 40.0)
+    gaps = (1e-12, 0.3, 1.5, 1.6 * (1 - 1e-9), 1.6 * (1 + 1e-9), 1.7,
+            4 * (1 - 1e-9), 4 * (1 + 1e-9), 40.0)
     rows = np.array([[-0.4j, (gap - 0.4) * 1j] for gap in gaps])
     assert {_regime(x) for x in rows} == {"series", "lagrange"}
     for x, value in zip(rows, exp_divided_difference(rows)):
@@ -322,35 +348,59 @@ def _box_orbit_max(lams, rotation, count):
     return np.abs(np.sinc(w / (2.0 * np.pi))).prod(axis=2).max(axis=1)
 
 
-@pytest.mark.parametrize("dim,lam_hi,samples", [(2, 18.5, 64), (3, 7.4, 400)])
-def test_polytope_landscape_matches_moved_box_across_chunks(dim, lam_hi, samples,
+def _record_blocks(monkeypatch):
+    """Record the frequencies and directions of every block the orbit scan
+    evaluates."""
+    blocks = []
+    inner = euclidean._orbit_values
+
+    def recorded(shape, lams, dirs):
+        blocks.append((len(lams), len(dirs)))
+        return inner(shape, lams, dirs)
+
+    monkeypatch.setattr(euclidean, "_orbit_values", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("dim,lam_hi,samples,chunk", [
+    pytest.param(2, 18.5, 64, 2048, id="2-18.5-64"),
+    pytest.param(3, 7.4, 400, 2048, id="3-7.4-400"),
+    pytest.param(2, 18.5, 1000, None, id="2-18.5-1000"),
+    pytest.param(3, 7.4, 3000, None, id="3-7.4-3000"),
+    pytest.param(3, 7.4, 400, 97, id="3-7.4-400-97"),
+])
+def test_polytope_landscape_matches_moved_box_across_chunks(dim, lam_hi, samples, chunk,
                                                             monkeypatch):
     """37 frequencies: a grid that is not a multiple of the block in either
-    dimension; with 400 directions the cube's orbit (6 tetrahedra) also
-    spans two blocks.  The square's scan takes one direction per antipodal
-    pair, the cube's all 400.  No block holds more than SCAN_CHUNK
-    (frequency, direction, simplex) triples."""
+    dimension.  In blocks of 2048 triples the square's orbit (one direction
+    per antipodal pair of 64) spans two blocks of directions and the cube's
+    (6 tetrahedra, all 400 directions) many; in blocks of SCAN_CHUNK the
+    square's orbit of 1000 spans three and the cube's of 3000 many; in
+    blocks of 97 the cube's grid also spans three blocks of frequencies.  No
+    block holds more than its bound of (frequency, direction, simplex)
+    triples."""
+    if chunk is not None:
+        monkeypatch.setattr(euclidean, "SCAN_CHUNK", chunk)
+    chunk = euclidean.SCAN_CHUNK
     rng = np.random.default_rng(dim)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     rot = q * np.sign(np.linalg.det(q))
     unit = np.array([[(k >> i) & 1 for i in range(dim)] for k in range(2 ** dim)])
     box = Polytope(unit @ rot.T + rng.uniform(-1, 1, dim))
     grid = lam_hi / 37
-    assert len(box.simplices()) == (2 if dim == 2 else 6)
-    triples = (samples // 2 if dim == 2 else samples) * len(box.simplices())
-    assert 37 * triples % euclidean.SCAN_CHUNK != 0
-    assert (triples > euclidean.SCAN_CHUNK) == (dim == 3)
-    blocks = []
-
-    def recorded(shape, z):
-        blocks.append(len(z) * len(box.simplices()))
-        return fourier_laplace(shape, z)
-
-    monkeypatch.setattr(euclidean, "fourier_laplace", recorded)
+    per_dir = len(box.simplices())
+    assert per_dir == (2 if dim == 2 else 6)
+    triples = (samples // 2 if dim == 2 else samples) * per_dir
+    assert 37 * triples % chunk != 0
+    assert (triples > chunk) == (dim == 3)
+    blocks = _record_blocks(monkeypatch)
     report = euclid_decide(box, (0.0, lam_hi), grid=grid,
                            rotation_samples=samples, collect_landscape=True)
-    assert sum(blocks) == 37 * triples
-    assert max(blocks) <= euclidean.SCAN_CHUNK
+    sizes = [lams * dirs * per_dir for lams, dirs in blocks]
+    assert sum(sizes) == 37 * triples
+    assert max(sizes) <= chunk
+    assert len(blocks) > 1
+    assert (max(lams for lams, _ in blocks) < 37) == (37 * per_dir > chunk)
     monkeypatch.undo()
     lams, mags = np.array(report.landscape).T
     assert len(lams) == 37
@@ -372,13 +422,13 @@ def test_orbit_maximum_keeps_the_first_direction_across_blocks(monkeypatch):
     values[[13, 21]] = 5.0
     seen = []
 
-    def by_direction(shape, z):
-        angle = np.arctan2(z[:, 1].real, z[:, 0].real) % (2 * np.pi)
+    def by_direction(shape, lams, block):
+        angle = np.arctan2(block[:, 1], block[:, 0]) % (2 * np.pi)
         index = np.rint(angle / (2 * np.pi / 46)).astype(int) % 46
         seen.append(index)
-        return values[index] + 0j
+        return np.broadcast_to(values[index] + 0j, (len(lams), len(block)))
 
-    monkeypatch.setattr(euclidean, "fourier_laplace", by_direction)
+    monkeypatch.setattr(euclidean, "_orbit_values", by_direction)
     check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=46)
     assert [b.tolist() for b in seen] == [list(range(0, 8)), list(range(8, 16)),
                                           list(range(16, 23))]
@@ -417,14 +467,18 @@ def _random_polygon(seed):
 def test_halved_orbit_scan_equals_the_full_orbit(shape):
     """At real frequencies the scan of one direction per antipodal pair
     gives the maximum of |transform| over all 64 directions, evaluated
-    directly, to 1e-15 relative."""
+    directly by the scan's block evaluator, to 1e-15 relative, and by
+    `fourier_laplace` at the points lam u, whose nodes -(lam u).v round
+    differently from the scan's lam (-u.v), to 1e-13."""
     lams = np.linspace(0.3, 25.0, 41)
     dirs = rotation_directions(2, 64)
     got, worst = euclidean._orbit_maxima(shape, lams, dirs)
     assert worst.max() < 32
-    z = (lams[:, None, None] * dirs[None]).reshape(-1, 2)
-    full = np.abs(fourier_laplace(shape, z)).reshape(len(lams), 64).max(axis=1)
+    full = np.abs(euclidean._orbit_values(shape, lams, dirs)).max(axis=1)
     assert np.all(np.abs(got - full) <= 1e-15 * full)
+    z = (lams[:, None, None] * dirs[None]).reshape(-1, 2)
+    points = np.abs(fourier_laplace(shape, z)).reshape(len(lams), 64).max(axis=1)
+    assert np.all(np.abs(got - points) <= 1e-13 * points)
 
 
 def test_complex_frequencies_and_odd_counts_scan_every_direction(monkeypatch):
@@ -432,12 +486,13 @@ def test_complex_frequencies_and_odd_counts_scan_every_direction(monkeypatch):
     complex frequency, an odd count, the 3-D lattice and directions that
     are antipodal only to rounding scan every direction."""
     rows = []
+    inner = euclidean._orbit_values
 
-    def counted(shape, z):
-        rows.append(len(z))
-        return fourier_laplace(shape, z)
+    def counted(shape, lams, dirs):
+        rows.append(len(lams) * len(dirs))
+        return inner(shape, lams, dirs)
 
-    monkeypatch.setattr(euclidean, "fourier_laplace", counted)
+    monkeypatch.setattr(euclidean, "_orbit_values", counted)
     cube = Polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     for shape, lam, count, scanned in [(TRIANGLE, 2.0, 64, 32),
                                        (TRIANGLE, 2.0 + 0j, 64, 32),
@@ -506,15 +561,113 @@ def test_vertex_fan_partitions_the_polytope(vertices, count):
 def test_orbit_maximum_passes_over_nan(monkeypatch):
     """A NaN value never becomes the maximum; an orbit of NaN values only
     reports NaN, which does not count as vanishing."""
-    monkeypatch.setattr(euclidean, "fourier_laplace", lambda shape, z: np.where(
-        np.arange(len(z)) % 2 == 0, np.nan, 3.0 + 0j))
+    monkeypatch.setattr(euclidean, "_orbit_values", lambda shape, lams, dirs: np.where(
+        np.arange(len(dirs)) % 2 == 0, np.nan, 3.0 + 0j) * np.ones((len(lams), 1)))
     check = complex_sphere_vanishes(TRIANGLE, 1.5, rotation_samples=6)
     assert check.max_magnitude == 3.0
     assert check.worst_direction == tuple(rotation_directions(2, 6)[1])
-    monkeypatch.setattr(euclidean, "fourier_laplace",
-                        lambda shape, z: np.full(len(z), np.nan + 0j))
+    monkeypatch.setattr(euclidean, "_orbit_values",
+                        lambda shape, lams, dirs: np.full((len(lams), len(dirs)), np.nan + 0j))
     check = complex_sphere_vanishes(TRIANGLE, 1.5)
     assert math.isnan(check.max_magnitude) and not check.vanishes
+
+
+def _mp_orbit_maximum(shape, lam, dirs):
+    """max over the rows u of dirs of |transform at lam u| at 50 digits: a
+    polytope's simplices by `_mp_divided_difference` at the nodes
+    i lam (-u.v), radial members by their closed forms."""
+    def value(member, u):
+        if isinstance(member, DisjointUnion):
+            return sum(value(part, u) for part in member.members)
+        if isinstance(member, Ball):
+            w = mpmath.mpc(lam) * member.radius
+            if member.dim == 2:
+                return 2 * mpmath.pi * member.radius ** 2 * mpmath.besselj(1, w) / w
+            return 4 * mpmath.pi * member.radius ** 3 * (mpmath.sin(w) - w * mpmath.cos(w)) / w ** 3
+        m = member.simplices().shape[1]
+        total = 0
+        for verts, det in zip(member.simplices(), member.simplex_dets):
+            q = -(u @ verts.T)
+            with mpmath.workdps(50):
+                total += det * mpmath.mpc(_mp_divided_difference(1j * lam * q))
+        return total
+
+    with mpmath.workdps(50):
+        return max(float(abs(value(shape, u))) for u in dirs)
+
+
+def _boundary_frequencies(shape, dirs):
+    """Frequencies lam at which |lam| times a column constant of the scan
+    crosses a regime boundary to 1e-9 on either side: the spread of the
+    nodes q = -u.v of a (direction, simplex) column from their mean at
+    SERIES_RADIUS, and the smallest gap of a column with a close pair at
+    0.5 (past the series radius there), each at the smallest such frequency
+    and the largest below 40."""
+    polytopes = [m for m in getattr(shape, "members", [shape]) if isinstance(m, Polytope)]
+    q = np.concatenate([-(dirs @ p.simplices().transpose(0, 2, 1)).reshape(-1, p.dim + 1)
+                        for p in polytopes])
+    dev = np.abs(q - q.mean(axis=1, keepdims=True)).max(axis=1)
+    gap = np.min([np.abs(q[:, a] - q[:, b]) for a in range(q.shape[1])
+                  for b in range(a + 1, q.shape[1])], axis=0)
+    close = 0.5 / gap[(dev > 4 * gap * euclidean.SERIES_RADIUS) & (gap > 0.5 / 40)]
+    wide = euclidean.SERIES_RADIUS / dev
+    crossings = [wide.min(), wide[wide < 40].max(), close.min(), close.max()]
+    lams = np.array([x * side for x in crossings for side in (1 - 1e-9, 1 + 1e-9)])
+    return lams, q, dev, gap
+
+
+@pytest.mark.parametrize("shape,count", [
+    (_random_polygon(1), 64),
+    (MOVED_CUBE, 16),
+    (DisjointUnion([TRIANGLE, Polytope([[2, 2], [3, 2], [2.5, 3], [2, 3]])]), 64),
+    (DisjointUnion([Ball(0.5, 2), Polytope(_random_polygon(4).vertices + 4.0)]), 64),
+], ids=["polygon", "polyhedron", "polytope-union", "disk-polygon-union"])
+def test_orbit_scan_matches_fifty_digits_across_regime_boundaries(shape, count):
+    """The orbit maxima of the scan against `_mp_orbit_maximum`, to 1e-12
+    relative, at real and complex frequencies, on grids holding every
+    regime boundary of the scan's columns to 1e-9 on either side: the
+    columns at those frequencies take all three regimes."""
+    dirs = rotation_directions(shape.dim, count)
+    lams, q, dev, gap = _boundary_frequencies(shape, dirs)
+    lams = np.concatenate([lams, [0.37, 7.5]])
+    size = np.abs(lams)[:, None]
+    series = size * dev <= euclidean.SERIES_RADIUS
+    lagrange = ~series & (size * gap >= 0.5)
+    assert series.any() and lagrange.any() and (~series & ~lagrange).any()
+    for grid in (lams, lams * (0.6 + 0.8j)):
+        got, _ = euclidean._orbit_maxima(shape, grid, dirs)
+        ref = [_mp_orbit_maximum(shape, lam, dirs) for lam in grid]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (grid, got, ref)
+
+
+def test_orbit_scan_at_extreme_frequencies_stays_finite():
+    """At 1e-12, 1e12 and 3e15 the scan meets no overflow, division by zero
+    or invalid operation (numpy would warn of each) and gives finite maxima:
+    a split half with a confluent pair (the triangle's edge orthogonal to a
+    direction) takes the series at any frequency, whose powers of lam would
+    overflow unscaled.  At 1e-12 the maximum is the volume."""
+    shape = DisjointUnion([TRIANGLE, Polytope([[2, 2], [3, 2], [2.5, 3], [2, 3]])])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got, _ = euclidean._orbit_maxima(shape, np.array([1e-12, 1e12, 3e15]),
+                                         rotation_directions(2, 64))
+    assert np.isfinite(got).all() and (got > 0).all()
+    assert got[0] == pytest.approx(shape.volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [TRIANGLE, DISK], ids=["triangle", "disk"])
+def test_orbit_checks_refuse_invalid_input(shape, monkeypatch):
+    """A count of rotation samples below 1 and a frequency that is not
+    finite raise ValueError, before any scan; so does a non-finite extra
+    frequency of euclid_decide."""
+    monkeypatch.setattr(euclidean, "_orbit_maxima", None)
+    for count in (0, -1, -64):
+        with pytest.raises(ValueError, match=r"rotation samples must be in 1\.\."):
+            complex_sphere_vanishes(shape, 1.5, rotation_samples=count)
+    for lam in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            complex_sphere_vanishes(shape, lam)
+        with pytest.raises(ValueError, match="must be finite"):
+            euclid_decide(shape, (0, 1), grid=0.5, extra_lambdas=[2.0, lam])
 
 
 def test_complex_extra_lambda_past_imag_cap_raises():
