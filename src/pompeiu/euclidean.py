@@ -450,8 +450,11 @@ def find_failure_lambdas(shape: EuclideanSet, lam_range: tuple,
 def _frequency_grid(lam_range: tuple, grid: float) -> np.ndarray:
     """The searched frequencies: steps of grid from max(lo, grid) to hi;
     lambda = 0 is excluded, since the transform there is the volume.  A
-    range of more than MAX_GRID_POINTS grid steps, or one that holds no
-    grid point, raises ValueError before anything is allocated."""
+    grid step that is not finite and positive, a range of more than
+    MAX_GRID_POINTS grid steps, or one that holds no grid point, raises
+    ValueError before anything is allocated."""
+    if not (math.isfinite(grid) and grid > 0):
+        raise ValueError(f"grid step must be finite and positive, got {grid}")
     lo, hi = float(lam_range[0]), float(lam_range[1])
     steps = (hi - lo) / grid
     if steps > MAX_GRID_POINTS:
@@ -676,8 +679,6 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
     NoFailureFoundInRange is deliberately weaker than "has the property".
     The scan runs in one thread.
     """
-    if not (math.isfinite(grid) and grid > 0):
-        raise ValueError(f"grid step must be finite and positive, got {grid}")
     for name, tol in (("vanishing", vanish_tol), ("quadrature", quad_tol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} tolerance must be finite and positive, got {tol}")

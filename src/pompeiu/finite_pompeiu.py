@@ -38,6 +38,7 @@ a report is a frozen value, the decision and its witness, with no timing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,9 @@ class PompeiuInstance:
         if not self.subset:
             raise EmptySetError("subset of cosets must be nonempty")
         for c in self.subset:
-            if not 0 <= int(c) < self.space.num_cosets:
+            if not isinstance(c, numbers.Integral):     # numpy integers too
+                raise ValueError(f"coset index {c!r} is not an integer")
+            if not 0 <= c < self.space.num_cosets:
                 raise ValueError(f"coset index {c} out of range")
 
 
@@ -102,7 +105,7 @@ class DecisionReport:
 def _instance(space_or_instance, subset=None) -> PompeiuInstance:
     if isinstance(space_or_instance, PompeiuInstance):
         return space_or_instance
-    return PompeiuInstance(space_or_instance, frozenset(int(c) for c in subset))
+    return PompeiuInstance(space_or_instance, frozenset(subset))
 
 
 def _bits(inst: PompeiuInstance) -> np.ndarray:
@@ -188,20 +191,17 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     _check_oracle_budget(space)
     if _translate_full_rank(space, _bits(inst))[0]:
         return DecisionReport("Pompeiu", "oracle", None)
-    matrix = translate_matrix(inst)
-    kernel = xla.nullspace(matrix)
+    kernel = xla.nullspace(translate_matrix(inst))
     if not kernel:
         if _rank_exact(space.num_cosets):
             raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None)
     h = kernel[0]
     scale = math.lcm(*(x.denominator for x in h))
-    scaled = np.asarray([x.numerator * (scale // x.denominator) for x in h],
-                        dtype=object)
-    if np.any(np.asarray(matrix, dtype=object) @ scaled):
+    scaled = np.asarray([int(x * scale) for x in h], dtype=object)
+    if np.any(scaled[space.action[:, sorted(inst.subset)]].sum(axis=1)):
         raise BugTrapError("oracle kernel witness failed recheck")
-    witness = {"kernel": [float(x) for x in h]}
-    return DecisionReport("NotPompeiu", "oracle", witness)
+    return DecisionReport("NotPompeiu", "oracle", {"kernel": [float(x) for x in h]})
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,6 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
 # ---------------------------------------------------------------------------
 # shortcut for biinvariant lifted indicators
 
-
 def _biinvariant_lift(space: CosetSpace, subset) -> np.ndarray | None:
     """The indicator of E on the cosets when E is a union of K-orbits, else
     None.  The lifted indicator of E is always right K-invariant; it is
@@ -349,7 +348,6 @@ def radial_shortcut(space_or_instance, subset=None) -> DecisionReport | None:
 
 # ---------------------------------------------------------------------------
 # sweep
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -456,35 +454,28 @@ def enumerate_all(space: CosetSpace, max_size: int | None = None,
 # ---------------------------------------------------------------------------
 # witness rechecking
 
-
-def _annihilating(table: np.ndarray, space: CosetSpace, subset) -> np.ndarray:
-    """For each row f of table (values on G): whether x -> sum_{z in lifted}
-    f(xz) vanishes identically, lifted the elements whose coset is in
-    subset.  The definition, element by element; `recheck_witness` holds
-    the deciders to it.  The x run in blocks whose gather holds at most
-    SCAN_CHUNK values, one block when the whole gather fits."""
-    lifted = np.nonzero(np.isin(space.coset_of, sorted(subset)))[0]
-    mul = space.group.mul
-    step = max(1, SCAN_CHUNK // (len(table) * len(lifted)))
-    conv = np.concatenate([table[:, mul[x:x + step, lifted]].sum(axis=2)
-                           for x in range(0, len(mul), step)], axis=1)
-    tol = CONV_ZERO_TOL * (1 + len(lifted))
-    return _vanishing(conv, tol).all(axis=1)
-
-
 def recheck_witness(inst: PompeiuInstance, report: DecisionReport) -> bool:
-    """Verify a NotPompeiu witness for inst against the definition itself."""
+    """Verify a NotPompeiu witness for inst against the definition itself:
+    as a function h on the cosets, nonzero, it sums to zero over every
+    translate gE (exactly on integers).  A kernel is h as printed; a
+    spherical f gives h(c) = f on the class of c, and sum_{z in lifted E}
+    f(xz), |K| times the sum of h over xE, is held to CONV_ZERO_TOL."""
     if report.witness is None:
         return False
-    space = inst.space
+    space, size = inst.space, len(inst.subset)
     if "kernel" in report.witness:
-        # one constraint per translate gE, over every g in G
         h = np.asarray(report.witness["kernel"], dtype=float)
-        totals = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
-        return bool(np.all(np.abs(totals) <= 1e-9 * (1 + len(inst.subset))))
-    idx = report.witness["spherical_index"]
-    table = hecke_structure(space).class_values[idx:idx + 1, space.double_cosets.class_of]
-    return bool(_annihilating(table, space, inst.subset)[0])
+        scale, tol = 1, 1e-9 * (1 + size)
+    else:
+        values, idx = hecke_structure(space).class_values, report.witness["spherical_index"]
+        if not 0 <= idx < len(values):
+            return False
+        h = values[idx, space.orbitals[0]]
+        scale, tol = space.k_size, CONV_ZERO_TOL * (1 + space.k_size * size)
+    if h.shape != (space.num_cosets,) or not h.any():
+        return False
+    sums = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
+    return bool(_vanishing(scale * sums, tol).all())
 
 
 def _c2pair(v) -> list:

@@ -4,6 +4,13 @@ import pytest
 from pompeiu.groups import build_coset_space, build_group
 
 
+class NoTable:
+    """Stands in for a multiplication table that must not be read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("group.mul was read")
+
+
 def cyclic_space(n):
     return build_coset_space(build_group({"family": "cyclic", "n": n}), [])
 

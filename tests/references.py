@@ -11,10 +11,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pompeiu import euclidean
-from pompeiu.finite_pompeiu import PHI_ZERO_TOL, _instance
+from pompeiu.finite_pompeiu import CONV_ZERO_TOL, PHI_ZERO_TOL, _instance
 from pompeiu.groups import CosetSpace
 from pompeiu.hecke import (BiinvariantMeasure, SphericalFunction,
-                           _algebra_arrays, phi_hom, spherical_functions)
+                           _algebra_arrays, hecke_structure, phi_hom,
+                           spherical_functions)
 
 
 def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
@@ -93,6 +94,21 @@ def zero_set_ideal(space_or_instance, subset=None) -> frozenset:
     return frozenset.intersection(*(zero_set(mu) for mu in
                                     ideal_generators(space_or_instance, subset)))
 
+
+def convolution_zero_set(space: CosetSpace, subset) -> frozenset:
+    """Indices of the spherical functions f that convolve the reversed
+    lifted indicator of E to zero: x -> sum_{z in lifted E} f(xz) vanishes
+    at every x in G, counted on the group table; exactly on the integer
+    tables of an exact space, else to within CONV_ZERO_TOL times one plus
+    the number of lifted elements."""
+    table = hecke_structure(space).class_values[:, space.double_cosets.class_of]
+    lifted = sorted(lift_set(space, subset))
+    conv = table[:, space.group.mul[:, lifted]].sum(axis=2)
+    if conv.dtype.kind == "i":
+        zeros = conv == 0
+    else:
+        zeros = np.abs(conv) < CONV_ZERO_TOL * (1 + len(lifted))
+    return frozenset(np.flatnonzero(zeros.all(axis=1)).tolist())
 
 def bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
                     fa: np.ndarray) -> np.ndarray:

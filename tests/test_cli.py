@@ -22,6 +22,8 @@ from pompeiu.hecke import spherical_functions
 from pompeiu.quadrature import integrate_over
 from pompeiu.shapes import Ball, PolarRule, load_set_spec
 
+from conftest import NoTable
+
 
 def _cyclic_file(tmp_path, n):
     path = tmp_path / f"z{n}.json"
@@ -82,6 +84,38 @@ def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
                  "--out", str(tmp_path / "report.json")])
     assert code == 3
     assert capsys.readouterr().err == "error: the spectral witness failed its recheck\n"
+
+
+@pytest.mark.parametrize("command", [["check", "--set", "0,1,2,3,4,5"], ["sweep"]])
+def test_finite_commands_read_no_group_table(command, tmp_path, monkeypatch):
+    """Once the coset space is built, neither finite command reads the
+    multiplication table: on S6/S5, a check of all six cosets (NotPompeiu,
+    its spherical witness rechecked) and a full sweep exit 0 with the
+    table made unreadable right after `CosetSpace.__init__`, and write the
+    bytes of an unpatched run."""
+    group = tmp_path / "s6_s5.json"
+    group.write_text(json.dumps({"family": "symmetric", "n": 6, "subgroup_generators": [
+        [0, 2, 1, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 4, 3, 5], [0, 1, 2, 3, 5, 4]]}))
+
+    def run(name):
+        out, summary = tmp_path / f"{name}.out", tmp_path / f"{name}.summary.json"
+        argv = ["finite", command[0], "--group", str(group), *command[1:], "--out", str(out)]
+        if command[0] == "sweep":
+            argv += ["--summary", str(summary)]
+        assert main(argv) == 0
+        return [path.read_bytes() for path in (out, summary) if path.exists()]
+
+    expected = run("fresh")
+    init = CosetSpace.__init__
+
+    def init_then_hide_the_table(self, *args):
+        init(self, *args)
+        monkeypatch.setattr(self.group, "mul", NoTable())
+    monkeypatch.setattr(CosetSpace, "__init__", init_then_hide_the_table)
+    assert run("unreadable") == expected
+    if command[0] == "check":
+        report = json.loads(expected[0])
+        assert report["verdict"] == "NotPompeiu" and "spherical_index" in report["witness"]
 
 
 def test_bug_trap_exits_3_with_an_error_line(tmp_path, monkeypatch, capsys):

@@ -890,6 +890,15 @@ def test_nonradial_rejected():
         find_failure_lambdas(SQUARE, (0, 20))
 
 
+@pytest.mark.parametrize("grid", [0.0, -0.5, math.nan, math.inf])
+def test_failure_search_refuses_a_bad_grid_step(grid):
+    """The radial search shares `euclid_decide`'s grid check: a step that
+    is not finite and positive is a ValueError, not a division by zero or
+    numpy's arange error."""
+    with pytest.raises(ValueError, match="grid step must be finite and positive"):
+        find_failure_lambdas(DISK, (0, 20), grid=grid)
+
+
 def test_annulus_roots_match_scipy_profile():
     shape = Annulus(1.0, 2.0, 2)
     roots = find_failure_lambdas(shape, (0, 10))

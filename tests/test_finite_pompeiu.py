@@ -21,10 +21,10 @@ from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
                            hecke_structure, phi_hom, spherical_functions,
                            unit_measure)
 
-from conftest import (acceptance_suite, cyclic_space, dihedral_space,
+from conftest import (NoTable, acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
-from references import (check_function_invariance, ideal_generators, lift_set,
-                        zero_set, zero_set_ideal)
+from references import (check_function_invariance, convolution_zero_set,
+                        ideal_generators, lift_set, zero_set, zero_set_ideal)
 
 
 def _dft_pompeiu(n, subset):
@@ -71,6 +71,23 @@ def test_empty_set_rejected(z8_space):
                    radial_shortcut, ideal_generators, zero_set_ideal):
         with pytest.raises(EmptySetError):
             decide(z8_space, set())
+
+
+def test_non_integer_coset_index_rejected():
+    """A coset index that is not an integer is a ValueError, in the
+    single-subset deciders and in PompeiuInstance: 3.7 is not read as 3.
+    numpy integers are indices."""
+    space = cyclic_space(6)
+    for subset in ([0, 3.7], [0, "1"], [np.float64(3.0)]):
+        for decide in (pompeiu_oracle, pompeiu_spectral, pompeiu_convolution):
+            with pytest.raises(ValueError, match="not an integer"):
+                decide(space, subset)
+    for subset in ({1.5}, {"1"}):
+        with pytest.raises(ValueError, match="not an integer"):
+            PompeiuInstance(space, frozenset(subset))
+    assert pompeiu_oracle(space, np.array([0, 3])).verdict == "NotPompeiu"
+    inst = PompeiuInstance(space, frozenset({np.int64(0), np.int32(3)}))
+    assert pompeiu_spectral(inst).verdict == "NotPompeiu"
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +283,11 @@ def test_generator_table_matches_its_definition():
         assert np.array_equal(fp._cache(space).generators, expected), space.name
 
 
-class _NoTable:
-    """Stands in for a multiplication table that must not be read."""
-
-    def __getitem__(self, key):
-        raise AssertionError("group.mul was read")
-
-
 def _without_table(space, monkeypatch):
     """The space with its spherical functions built, which certifies them
     on the group table, and the table then made unreadable."""
     spherical_functions(space)
-    monkeypatch.setattr(space.group, "mul", _NoTable())
+    monkeypatch.setattr(space.group, "mul", NoTable())
     return space
 
 
@@ -899,33 +909,63 @@ def test_kernel_witness_rechecked_against_every_translate():
         assert not recheck_witness(inst, report)
 
 
-@pytest.mark.parametrize("chunk", [1, None, 1 << 30])
-def test_witness_recheck_sums_in_blocks(chunk, monkeypatch):
-    """`_annihilating` sums f(xz) over z in lifted E for every x, in blocks
-    of x whose gather holds at most SCAN_CHUNK values (one block when all
-    of it fits).  On S6/S5 with E = all six cosets the whole gather is
-    2 x 720 x 720 values, 10 MB traced; in blocks it stays under 3 MB.
-    The verdicts equal the definition, one x at a time."""
-    if chunk is not None:
-        monkeypatch.setattr(fp, "SCAN_CHUNK", chunk)
+def _rechecked(inst):
+    """The spherical indices whose witness recheck_witness accepts for inst."""
+    return {i for i in range(len(spherical_functions(inst.space))) if recheck_witness(
+        inst, DecisionReport("NotPompeiu", "convolution", {"spherical_index": i}))}
+
+
+def test_spherical_recheck_matches_the_convolution_definition():
+    """recheck_witness sums f over every translate gE on the cosets; the
+    reference sums f(xz) over z in lifted E for every x in G, on the group
+    table.  They agree on every spherical function and nonempty subset of
+    every acceptance-suite space (90 483 pairs), on S6/S5 with E = {0, 2,
+    3} and with all six cosets (exact tables), and on sampled subsets of
+    S5/S4, D24 with a reflection and Z20."""
+    pairs = 0
+    for space in acceptance_suite():
+        n = space.num_cosets
+        for mask in range(1, 1 << n):
+            inst = PompeiuInstance(space, frozenset(c for c in range(n) if mask >> c & 1))
+            assert _rechecked(inst) == convolution_zero_set(space, inst.subset), \
+                (space.name, inst.subset)
+            pairs += len(spherical_functions(space))
+    assert pairs == 90483
     space = symmetric_space(6, fixed_point=0)
-    table = hecke_structure(space).class_values[:, space.double_cosets.class_of]
-    assert table.dtype.kind == "i"          # exact values: zero means zero
-    mul = space.group.mul
-    for subset in ({0, 2, 3}, set(range(6))):
-        lifted = np.nonzero(np.isin(space.coset_of, sorted(subset)))[0]
-        conv = np.stack([table[:, mul[x, lifted]].sum(axis=1)
-                         for x in range(space.group.order)], axis=1)
-        tracemalloc.start()
-        try:
-            got = fp._annihilating(table, space, subset)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.tolist() == (conv == 0).all(axis=1).tolist()
-        if chunk is None:
-            assert peak < 3 * 2 ** 20, peak / 2 ** 20
-    assert got.tolist() == [True, False]
+    assert hecke_structure(space).class_values.dtype.kind == "i"
+    for subset, expected in (({0, 2, 3}, set()), (set(range(6)), {0})):
+        assert _rechecked(PompeiuInstance(space, frozenset(subset))) == expected \
+            == convolution_zero_set(space, subset)
+    for inst in _sampled_instances():
+        assert _rechecked(inst) == convolution_zero_set(inst.space, inst.subset), inst.space.name
+
+
+@pytest.mark.parametrize("space,subset,witness", [
+    (cyclic_space(5), {0}, {"kernel": [0.0] * 5}),
+    (cyclic_space(5), {0}, {"kernel": [0.0] * 5 + [1.0]}),
+    (cyclic_space(6), {0, 3}, {"spherical_index": -1}),
+    (cyclic_space(6), {0, 3}, {"spherical_index": -2}),
+    (cyclic_space(6), {0, 3}, {"spherical_index": 6}),
+    (cyclic_space(6), {0, 3}, {"spherical_index": 7}),
+], ids=["zero-kernel", "kernel-of-length-6", "index-minus-1", "index-minus-2", "index-6",
+        "index-7"])
+def test_recheck_refuses_forged_witnesses(space, subset, witness):
+    """A kernel that is zero or not of length n, or a spherical index
+    outside 0..d-1, is no witness: the translate sums read only the first
+    n entries of a vector, and index -2 would read function 4, which does
+    vanish over every translate of {0, 3}."""
+    inst = PompeiuInstance(space, frozenset(subset))
+    assert not recheck_witness(inst, DecisionReport("NotPompeiu", "oracle", witness))
+
+
+def test_recheck_accepts_the_witnesses_beside_the_forgeries():
+    """The real witnesses on Z6 with E = {0, 3} recheck: the oracle's kernel
+    and the spherical functions 0, 3 and 4, which vanish over every
+    translate."""
+    inst = PompeiuInstance(cyclic_space(6), frozenset({0, 3}))
+    for decide in (pompeiu_oracle, pompeiu_spectral, pompeiu_convolution):
+        assert recheck_witness(inst, decide(inst))
+    assert _rechecked(inst) == {0, 3, 4}
 
 
 def test_zero_set_ideal_examples(z8_space, s3_space):
