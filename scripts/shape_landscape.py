@@ -12,7 +12,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pompeiu.cli import _write_csv
 from pompeiu.euclidean import euclid_decide
 from pompeiu.shapes import Annulus, Ball, DisjointUnion, Polytope
 
@@ -39,9 +38,8 @@ def main() -> int:
     for name, shape in SHAPES.items():
         report = euclid_decide(shape, (0.0, args.lambda_max), grid=args.grid,
                                collect_landscape=True)
-        path = out_dir / f"{name}.csv"
-        _write_csv(str(path), ["lambda", "orbit_max"],
-                   [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])
+        (out_dir / f"{name}.csv").write_text("".join(["lambda,orbit_max\n", *(
+            f"{lam:.10g},{mag:.12e}\n" for lam, mag in report.landscape)]))
         witnesses = ", ".join(f"{float(w):.10f}" for w in report.lambda_witnesses)
         print(f"{name:<10} {report.verdict:<22} {witnesses}")
     print(f"\nlandscape CSVs written to {out_dir}/")

@@ -8,15 +8,18 @@ fixed config and seed.  Every command runs in one thread: --threads and
 the POMPEIU_THREADS environment variable are accepted for old scripts and
 ignored.  The argument parser is built once per process: `main` can run
 many commands in one process, and parsing leaves the parser unchanged.
+Output files are rewritten in place, then cut to the bytes written even
+on an error (only SIGKILL or a power loss can leave an old tail).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -40,20 +43,20 @@ EXIT_NOT_GELFAND = 4
 EXIT_QUADRATURE = 5
 
 
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """Opened without O_TRUNC, which makes ext4 flush the old blocks at close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    with _rewrite(path) if path not in (None, "-") else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +116,7 @@ def cmd_finite_sweep(args: argparse.Namespace) -> int:
             # old file.  These are csv.writer's rows, as no field holds a
             # comma, a quote or a newline.
             if not out:
-                out.append(files.enter_context(open(args.out, "w", newline="")))
+                out.append(files.enter_context(_rewrite(args.out)))
                 out[0].write(SWEEP_HEADER)
             tails = {code: f",{_TEXT[o]},{_TEXT[s]},{_TEXT[c]},{_TEXT[o == s == c]},{w}\n"
                      for code, (o, s, c, w) in verdicts.items()}
@@ -160,8 +163,9 @@ def cmd_euclid(args: argparse.Namespace) -> int:
         payload["complex_witnesses"] = complex_wits
     _dump_json(payload, args.out)
     if args.landscape:
-        _write_csv(args.landscape, ["lambda", "orbit_max"],
-                   [[f"{lam:.10g}", f"{mag:.12e}"] for lam, mag in report.landscape])
+        with _rewrite(args.landscape) as fh:
+            fh.write("".join(["lambda,orbit_max\n", *(
+                f"{lam:.10g},{mag:.12e}\n" for lam, mag in report.landscape)]))
     if args.residuals:
         rng = np.random.default_rng(args.seed)
         lo, hi = shape.bounding_box()
@@ -169,8 +173,9 @@ def cmd_euclid(args: argparse.Namespace) -> int:
         pts = rng.uniform(-span, span, size=(16, shape.dim))
         wits = report.lambda_witnesses
         res = convolution_test(shape, np.asarray(wits, dtype=complex), pts, args.quad_tol)
-        _write_csv(args.residuals, ["lambda", "conv_residual"],
-                   [[f"{complex(w).real:.10g}", f"{r:.12e}"] for w, r in zip(wits, res)])
+        with _rewrite(args.residuals) as fh:
+            fh.write("".join(["lambda,conv_residual\n", *(
+                f"{complex(w).real:.10g},{r:.12e}\n" for w, r in zip(wits, res))]))
     return EXIT_OK
 
 

@@ -459,16 +459,24 @@ def recheck_witness(inst: PompeiuInstance, report: DecisionReport) -> bool:
     as a function h on the cosets, nonzero, it sums to zero over every
     translate gE (exactly on integers).  A kernel is h as printed; a
     spherical f gives h(c) = f on the class of c, and sum_{z in lifted E}
-    f(xz), |K| times the sum of h over xE, is held to CONV_ZERO_TOL."""
+    f(xz), |K| times the sum of h over xE, is held to CONV_ZERO_TOL, as are
+    its printed values against f's.  A malformed witness is refused."""
     if report.witness is None:
         return False
-    space, size = inst.space, len(inst.subset)
-    if "kernel" in report.witness:
-        h = np.asarray(report.witness["kernel"], dtype=float)
+    space, size, witness = inst.space, len(inst.subset), report.witness
+    try:
+        kernel = "kernel" in witness
+        h = np.asarray(witness["kernel" if kernel else "values"], dtype=float)
+        idx = None if kernel else witness["spherical_index"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    if kernel:
         scale, tol = 1, 1e-9 * (1 + size)
     else:
-        values, idx = hecke_structure(space).class_values, report.witness["spherical_index"]
-        if not 0 <= idx < len(values):
+        values = hecke_structure(space).class_values
+        if not (isinstance(idx, numbers.Integral) and 0 <= idx < len(values)
+                and h.shape == (len(values), 2)
+                and (abs(h @ [1, 1j] - values[idx] / values[0, 0]) < CONV_ZERO_TOL).all()):
             return False
         h = values[idx, space.orbitals[0]]
         scale, tol = space.k_size, CONV_ZERO_TOL * (1 + space.k_size * size)

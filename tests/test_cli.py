@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -5,8 +6,10 @@ import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -69,8 +72,9 @@ def test_finite_check_not_pompeiu(z8_file, tmp_path):
 def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
         z8_file, tmp_path, monkeypatch, capsys):
     """`finite check` rechecks the witness it prints against the definition:
-    a spectral witness moved to the constant spherical function, which
-    annihilates no nonempty subset, is a bug trap and exits 3."""
+    a spectral witness moved, index and printed values, to the constant
+    spherical function, which annihilates no nonempty subset, is a bug trap
+    and exits 3."""
     spectral = cli.pompeiu_spectral
 
     def wrong_witness(inst):
@@ -78,6 +82,7 @@ def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
         report.witness["spherical_index"] = next(
             i for i, f in enumerate(spherical_functions(inst.space))
             if all(abs(complex(v) - 1) < 1e-9 for v in f.values))
+        report.witness["values"] = [[1.0, 0.0]] * len(report.witness["values"])
         return report
     monkeypatch.setattr(cli, "pompeiu_spectral", wrong_witness)
     code = main(["finite", "check", "--group", z8_file, "--set", "0,4",
@@ -631,6 +636,89 @@ def test_euclid_report_byte_identical(disk_file, tmp_path):
                      "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _output_commands(z8_file, disk_file, paths):
+    """A command writing each output kind, its paths taken from paths."""
+    return [["finite", "check", "--group", z8_file, "--set", "0,4", "--out", paths["check"]],
+            ["finite", "sweep", "--group", z8_file, "--out", paths["sweep"],
+             "--summary", paths["summary"]],
+            ["euclid", "decide", "--set", disk_file, "--lambda-range", "0:8", "--seed", "3",
+             "--out", paths["decide"], "--landscape", paths["landscape"],
+             "--residuals", paths["residuals"]]]
+
+
+def test_outputs_rewritten_over_longer_files_equal_fresh_ones(z8_file, disk_file, tmp_path):
+    """Every output kind (the two reports, sweep CSV and summary, landscape
+    and residual CSVs) written over a longer file is cut to the bytes that
+    a write to a fresh path gives: no tail of the old file is left."""
+    kinds = ("check", "sweep", "summary", "decide", "landscape", "residuals")
+    old, new = ({kind: tmp_path / f"{tag}_{kind}" for kind in kinds} for tag in ("old", "new"))
+    filler = b"x,y\n" * 20000
+    for path in old.values():
+        path.write_bytes(filler)
+    for paths in (old, new):
+        for command in _output_commands(z8_file, disk_file, {k: str(p) for k, p in paths.items()}):
+            assert main(command) == 0
+    for kind in kinds:
+        assert 0 < len(new[kind].read_bytes()) < len(filler)
+        assert old[kind].read_bytes() == new[kind].read_bytes(), kind
+
+
+def test_outputs_to_dev_null(z8_file, disk_file, tmp_path):
+    """--out /dev/null works for `finite check`, `finite sweep` and `euclid
+    decide`, and leaves /dev/null a character device."""
+    paths = {kind: os.devnull for kind in ("check", "sweep", "decide")}
+    paths.update({kind: str(tmp_path / kind) for kind in ("summary", "landscape", "residuals")})
+    for command in _output_commands(z8_file, disk_file, paths):
+        assert main(command) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_finite_check_report_into_a_fifo(z8_file, tmp_path):
+    """A report written into a FIFO reaches its reader whole: the FIFO is
+    not cut (it cannot be) and the command exits 0."""
+    fifo, fresh = tmp_path / "fifo", tmp_path / "fresh.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["finite", "check", "--group", z8_file, "--set", "0,4",
+                     "--out", str(fifo)]) == 0
+    finally:
+        with contextlib.suppress(OSError):      # free a reader still waiting to open
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(10)
+    assert not reader.is_alive()
+    assert main(["finite", "check", "--group", z8_file, "--set", "0,4",
+                 "--out", str(fresh)]) == 0
+    assert received == [fresh.read_bytes()]
+
+
+def test_sweep_failing_at_its_second_chunk_leaves_the_rows_before_it(tmp_path, monkeypatch):
+    """A sink that raises on the second chunk of a Z11 sweep (23 chunks at
+    SCAN_CHUNK = 2^10) exits 2 and leaves exactly the header and the rows
+    of the first chunk, over a full sweep's CSV, with no stale tail."""
+    monkeypatch.setattr(finite_pompeiu, "SCAN_CHUNK", 1 << 10)
+    group, out = _cyclic_file(tmp_path, 11), tmp_path / "sweep.csv"
+    assert main(["finite", "sweep", "--group", group, "--out", str(out),
+                 "--summary", str(tmp_path / "summary.json")]) == 0
+    full = out.read_bytes()
+    chunks = []
+
+    def fail_at_the_second_chunk(space, max_size, sink):
+        def second_raises(*chunk):
+            if chunks:
+                raise OSError("no space left on the device")
+            chunks.append(chunk)
+            sink(*chunk)
+        return enumerate_all(space, max_size, second_raises)
+    monkeypatch.setattr(cli, "enumerate_all", fail_at_the_second_chunk)
+    assert main(["finite", "sweep", "--group", group, "--out", str(out),
+                 "--summary", str(tmp_path / "summary.json")]) == 2
+    assert len(chunks) == 1 and out.read_bytes() == _csv_reference(chunks)
+    assert full.startswith(out.read_bytes()) and len(full) > len(out.read_bytes())
 
 
 def test_stdout_default(z8_file, capsys):

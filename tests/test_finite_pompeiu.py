@@ -909,10 +909,17 @@ def test_kernel_witness_rechecked_against_every_translate():
         assert not recheck_witness(inst, report)
 
 
+def _spherical_witness(space, i, index=None):
+    """The witness a report prints for spherical function i: its index
+    (index, when given, in its place) and its values as [re, im] pairs."""
+    values = [[complex(v).real, complex(v).imag] for v in spherical_functions(space)[i].values]
+    return {"spherical_index": i if index is None else index, "values": values}
+
+
 def _rechecked(inst):
     """The spherical indices whose witness recheck_witness accepts for inst."""
     return {i for i in range(len(spherical_functions(inst.space))) if recheck_witness(
-        inst, DecisionReport("NotPompeiu", "convolution", {"spherical_index": i}))}
+        inst, DecisionReport("NotPompeiu", "convolution", _spherical_witness(inst.space, i)))}
 
 
 def test_spherical_recheck_matches_the_convolution_definition():
@@ -943,19 +950,75 @@ def test_spherical_recheck_matches_the_convolution_definition():
 @pytest.mark.parametrize("space,subset,witness", [
     (cyclic_space(5), {0}, {"kernel": [0.0] * 5}),
     (cyclic_space(5), {0}, {"kernel": [0.0] * 5 + [1.0]}),
-    (cyclic_space(6), {0, 3}, {"spherical_index": -1}),
-    (cyclic_space(6), {0, 3}, {"spherical_index": -2}),
-    (cyclic_space(6), {0, 3}, {"spherical_index": 6}),
-    (cyclic_space(6), {0, 3}, {"spherical_index": 7}),
+    (cyclic_space(6), {0, 3}, _spherical_witness(cyclic_space(6), 5, index=-1)),
+    (cyclic_space(6), {0, 3}, _spherical_witness(cyclic_space(6), 4, index=-2)),
+    (cyclic_space(6), {0, 3}, _spherical_witness(cyclic_space(6), 0, index=6)),
+    (cyclic_space(6), {0, 3}, _spherical_witness(cyclic_space(6), 1, index=7)),
 ], ids=["zero-kernel", "kernel-of-length-6", "index-minus-1", "index-minus-2", "index-6",
         "index-7"])
 def test_recheck_refuses_forged_witnesses(space, subset, witness):
     """A kernel that is zero or not of length n, or a spherical index
     outside 0..d-1, is no witness: the translate sums read only the first
     n entries of a vector, and index -2 would read function 4, which does
-    vanish over every translate of {0, 3}."""
+    vanish over every translate of {0, 3}.  Each forged index prints the
+    values of the function it would read if it wrapped."""
     inst = PompeiuInstance(space, frozenset(subset))
     assert not recheck_witness(inst, DecisionReport("NotPompeiu", "oracle", witness))
+
+
+def test_recheck_refuses_a_report_whose_printed_values_are_corrupted():
+    """On Z6 with E = {0, 3} the spectral witness, function 0, rechecks;
+    with every printed value replaced by [9.0, 9.0], or one value moved by
+    1e-6, it does not, though its index still names a function that
+    vanishes over every translate."""
+    inst = PompeiuInstance(cyclic_space(6), frozenset({0, 3}))
+    report = pompeiu_spectral(inst)
+    assert report.witness["spherical_index"] == 0 and recheck_witness(inst, report)
+    values = report.witness["values"]
+    for corrupted in ([[9.0, 9.0]] * len(values), [[values[0][0] + 1e-6, values[0][1]],
+                                                    *values[1:]]):
+        forged = DecisionReport("NotPompeiu", "spectral",
+                                {"spherical_index": 0, "values": corrupted})
+        assert not recheck_witness(inst, forged)
+
+
+_Z6_WITNESS = _spherical_witness(cyclic_space(6), 0)
+
+
+@pytest.mark.parametrize("witness", [
+    {"spherical_index": 0.0, "values": _Z6_WITNESS["values"]},
+    {},
+    {"spherical_index": "x", "values": _Z6_WITNESS["values"]},
+    {"spherical_index": None, "values": _Z6_WITNESS["values"]},
+    {"spherical_index": 0},
+    {"spherical_index": 0, "values": _Z6_WITNESS["values"][:5]},
+    {"spherical_index": 0, "values": _Z6_WITNESS["values"] + [[1.0, 0.0]]},
+    {"spherical_index": 0, "values": [v[0] for v in _Z6_WITNESS["values"]]},
+    {"spherical_index": 0, "values": [[1.0, 0.0, 0.0]] * 6},
+    {"spherical_index": 0, "values": [[1.0, 0.0]] * 5 + [[1.0]]},
+    {"spherical_index": 0, "values": "values"},
+    {"kernel": [1.0, -1.0, 1.0, -1.0, 1.0]},
+    {"kernel": [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]},
+    {"kernel": [[1.0], [-1.0]] * 3},
+    {"kernel": [1.0, [-1.0]] * 3},
+    {"kernel": ["one"] * 6},
+    {"kernel": None},
+    [0.0] * 6,
+    7,
+], ids=["index-float", "empty", "index-str", "index-none", "no-values", "values-short",
+        "values-long", "values-real-only", "values-triples", "values-ragged", "values-str",
+        "kernel-short", "kernel-long", "kernel-column", "kernel-ragged", "kernel-str",
+        "kernel-none", "list", "int"])
+def test_recheck_returns_false_on_a_malformed_witness(witness):
+    """On Z6 with E = {0, 3}, which is not Pompeiu, a witness of the wrong
+    shape or type is refused with False instead of an exception: beside
+    each malformed spherical witness the well-formed one, function 0,
+    rechecks, and so would a kernel of alternating signs of length 6."""
+    inst = PompeiuInstance(cyclic_space(6), frozenset({0, 3}))
+    assert recheck_witness(inst, DecisionReport("NotPompeiu", "spectral", _Z6_WITNESS))
+    assert recheck_witness(inst, DecisionReport("NotPompeiu", "oracle",
+                                                {"kernel": [1.0, -1.0] * 3}))
+    assert recheck_witness(inst, DecisionReport("NotPompeiu", "spectral", witness)) is False
 
 
 def test_recheck_accepts_the_witnesses_beside_the_forgeries():
