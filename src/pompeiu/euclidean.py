@@ -506,13 +506,16 @@ def _bracketed_roots(shape, xs: np.ndarray, vals: np.ndarray,
 def _bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
                      fa: np.ndarray) -> np.ndarray:
     """Bisect every bracket [a, b] of the real profile at once, fa the
-    profile at a.  Each bracket takes its own steps: it halves while
-    b - a > BISECT_TOL, ends at a midpoint where the profile is exactly 0,
-    and otherwise ends at its final midpoint.  One profile call evaluates
-    the next levels of midpoints (BISECT_LEVELS, fewer past BISECT_POINTS
-    points), each formed as its step would form it; the steps walk down."""
+    profile at a.  Each bracket takes its own steps: it halves while b - a
+    exceeds BISECT_TOL and one ulp of b (past 2^19 an ulp exceeds
+    BISECT_TOL, and a bracket one ulp wide has its midpoint on an end),
+    ends at a midpoint where the profile is exactly 0, and otherwise ends
+    at its final midpoint.  One profile call evaluates the next levels of
+    midpoints (BISECT_LEVELS, fewer past BISECT_POINTS points), each formed
+    as its step would form it; the steps walk down."""
     a, b, fa = a.astype(float), b.astype(float), fa.astype(float)
-    live = np.nonzero(b - a > BISECT_TOL)[0]
+    tol = np.maximum(BISECT_TOL, np.spacing(b))
+    live = np.flatnonzero(b - a > tol)
     while live.size:
         levels = max(1, min(BISECT_LEVELS, int(math.log2(BISECT_POINTS / len(live) + 1))))
         lo, hi, mids = a[live], b[live], [0.5 * (a[live] + b[live])]
@@ -528,7 +531,7 @@ def _bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
             right = ~left & ~exact
             b[live[left]] = m[left]
             a[live[right]], fa[live[right]] = m[right], fm[right]
-            keep = ~exact & (b[live] - a[live] > BISECT_TOL)
+            keep = ~exact & (b[live] - a[live] > tol[live])
             live, node = live[keep], (2 * node + right)[keep]
     return 0.5 * (a + b)                # an exact zero m leaves a, b as it found them
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact_linalg as xla
-from .groups import BugTrapError, CosetSpace, check_work_budget
+from .groups import BugTrapError, CosetSpace, check_work_budget, orbit_minima
 from .hecke import hecke_structure, spherical_functions
 
 PHI_ZERO_TOL = 1e-9
@@ -367,20 +367,16 @@ class SweepResult:
 def _orbit_labels(space: CosetSpace) -> np.ndarray:
     """label[m], the least mask of the G-orbit of mask m (bit c is coset c),
     as int32.  image, s.m for every m, is rebuilt for each generator s in
-    each round: memory does not grow with the generators.  Labels start at
-    m and fall to masks of the orbit, label[s.m] and label[label[m]], until
-    label[m] <= label[s.m] <= ... <= label[s^k.m] = label[m] for every s."""
+    each round: memory does not grow with the generators."""
     n = space.num_cosets
     image = np.zeros(1 << n, dtype=np.int32)
-    label, last = np.arange(1 << n, dtype=np.int32), None
-    while not np.array_equal(label, last):
-        last = label
+
+    def images():
         for bits in 1 << space.action[list(space.group.generators)]:
             for c in range(n):
                 image[1 << c:2 << c] = image[:1 << c] | bits[c]
-            label = np.minimum(label, label[image])
-        label = label[label]
-    return label
+            yield image
+    return orbit_minima(1 << n, images)
 
 
 def _decide(space: CosetSpace, bits: np.ndarray) -> np.ndarray:

@@ -14,9 +14,12 @@ composition on the full images, which for a table is Light's test, and one
 breadth-first walk of the Cayley graph fills the table and must reach every
 element, so every table is proved associative.
 
-A coset space reads the table once, for its action on the cosets.  Its
-double cosets are the K-orbits on the cosets and its orbitals the G-orbits
-on pairs of cosets, so K-biinvariant data is built on n cosets, not |G|.
+Every orbit is numbered by one walk, `orbit_minima`: the cosets gK are the
+orbits of x -> x k for K's generators k, so a coset space reads the table
+only at their columns and, for its action on the cosets, at the columns of
+its transversal.  Its double cosets are the K-orbits on the cosets and its
+orbitals the G-orbits on pairs of cosets, so K-biinvariant data is built
+on n cosets, not |G|.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "check_work_budget",
     "build_group",
     "build_coset_space",
-    "subgroup_closure",
     "load_group_spec",
 ]
 
@@ -121,22 +123,22 @@ def _cayley_table(images: np.ndarray, generators: np.ndarray) -> tuple:
 
     An element is known by its images of a base, the shortest run of leading
     points whose images tell all rows apart (1 point for a table, n - 1 for
-    S_n), keyed as digits base npts.  Such a key may wrap int64, so each
-    generator's left translation x -> s x is looked up by key and checked on
-    the full images: for a table, Light's test.  One breadth-first walk of
-    the Cayley graph fills the rows, row s a being row a mapped by x -> s x,
-    so the rows are products of generators, closed under composition, which
-    is associative, and a group once each row holds the identity."""
+    S_n), keyed exactly by their bytes.  Each generator's left translation
+    x -> s x is looked up by key and checked on the full images: for a
+    table, Light's test.  One breadth-first walk of the Cayley graph fills
+    the rows, row s a being row a mapped by x -> s x, so the rows are
+    products of generators, closed under composition, which is associative,
+    and a group once each row holds the identity."""
     n, npts = images.shape
     if images.min() < 0 or images.max() >= npts:
         raise GroupSpecError("group table entries out of range")
     if not np.array_equal(images[0], np.arange(npts)):
         raise GroupSpecError("index 0 is not the identity")
-    weights = (npts ** np.arange(npts)).astype(np.int64)
-    keys = np.zeros(n, dtype=np.int64)
+
+    def key(rows):      # one void scalar per row: its bytes
+        return np.ascontiguousarray(rows, dtype=np.int32).view(f"V{4 * rows.shape[1]}").ravel()
     for m in range(1, npts + 1):
-        keys += images[:, m - 1] * weights[m - 1]
-        sorted_keys, order = np.unique(keys, return_index=True)
+        sorted_keys, order = np.unique(key(images[:, :m]), return_index=True)
         if len(order) == n:
             break
     else:
@@ -144,7 +146,7 @@ def _cayley_table(images: np.ndarray, generators: np.ndarray) -> tuple:
     step = max(1, (1 << 18) // npts)
     left = []
     for s in generators:
-        found = np.searchsorted(sorted_keys, s[images[:, :m]] @ weights[:m])
+        found = np.searchsorted(sorted_keys, key(s[images[:, :m]]))
         left.append(order[np.minimum(found, n - 1)].astype(np.int32))
         # s o x on the full images, in blocks of about 2^18 entries
         if not all(np.array_equal(images[left[-1][i:i + step]], s[images[i:i + step]])
@@ -171,6 +173,21 @@ def _cayley_table(images: np.ndarray, generators: np.ndarray) -> tuple:
     mul.setflags(write=False)
     inv.setflags(write=False)
     return mul, inv, tuple(int(trans[0]) for trans in left)
+
+
+def orbit_minima(size: int, rounds) -> np.ndarray:
+    """label[x], the least point of the orbit of x in range(size) under the
+    permutations that rounds() yields, as int32; rounds() is called once a
+    round and may rebuild its arrays.  Labels start at x and fall to points
+    of the orbit, label[s x] and label[label[x]], until label[x] <= label[s
+    x] <= ... <= label[s^k x] = label[x] for every s."""
+    label, last = np.arange(size, dtype=np.int32), None
+    while not np.array_equal(label, last):
+        last = label
+        for image in rounds():
+            label = np.minimum(label, label[image])
+        label = label[label]
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +270,22 @@ class CosetSpace:
     def __init__(self, group: FiniteGroup, k_generators: Iterable[int],
                  name: str | None = None):
         self.group = group
-        self.k_members = tuple(subgroup_closure(group, k_generators))
+        self.k_generators = sorted({int(g) for g in k_generators})
+        for g in self.k_generators:
+            if not 0 <= g < group.order:
+                raise GroupSpecError(f"generator index {g} out of range")
+        # each coset gK, the orbit of g under x -> x k, is named by its least
+        # element, in increasing order; K is the identity's coset
+        columns = group.mul.take(self.k_generators, axis=1).T
+        least = orbit_minima(group.order, lambda: columns)
+        self.k_members = tuple(np.flatnonzero(least == 0).tolist())
         self.k_size = len(self.k_members)
-        mul = group.mul
-        # each coset gK is named by its least element, in increasing order; the
-        # products gk in blocks of about 2^18 (2^20 put S7/S6's peak 2.6 MB up)
-        step = max(1, (1 << 18) // self.k_size)
-        least = [mul[i:i + step].take(self.k_members, axis=1).min(axis=1)
-                 for i in range(0, group.order, step)]
-        t_arr, coset_of = np.unique(np.concatenate(least), return_inverse=True)
+        t_arr, coset_of = np.unique(least, return_inverse=True)
         self.transversal = tuple(t_arr.tolist())
         self.coset_of = coset_of.astype(np.int32)
         self.coset_of.setflags(write=False)
         self.num_cosets = len(t_arr)
-        self.action = self.coset_of[mul.take(t_arr, axis=1)]
+        self.action = self.coset_of[group.mul.take(t_arr, axis=1)]
         self.action.setflags(write=False)
         self.name = name or f"{group.name}/{self.subgroup_label()}"
         self._cache: dict = {}
@@ -290,10 +309,10 @@ class CosetSpace:
         return value
 
     def _compute_double_cosets(self) -> DoubleCosetPartition:
-        # KxK is the union of the cosets in the K-orbit of xK.  Orbits are
-        # numbered by their least coset, whose transversal element is the
-        # least element of KxK.
-        least = self.action[list(self.k_members)].min(axis=0)
+        # KxK is the union of the cosets in the K-orbit of xK, the orbit
+        # under the action of K's generators.  Orbits are numbered by their
+        # least coset, whose transversal element is the least element of KxK.
+        least = orbit_minima(self.num_cosets, lambda: self.action[self.k_generators])
         cosets, orbit_of, counts = np.unique(least, return_inverse=True, return_counts=True)
         return DoubleCosetPartition(orbit_of.astype(np.int32)[self.coset_of],
                                     tuple(np.asarray(self.transversal)[cosets].tolist()),
@@ -410,24 +429,6 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         return group_from_permutations([_integers(g, "generator") for g in gens],
                                        order_cap=order_cap)
     raise GroupSpecError(f"unknown group family: {family!r}")
-
-
-def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> list[int]:
-    """Sorted element indices of the subgroup generated by the given elements."""
-    mul = group.mul
-    gens = sorted({int(g) for g in generators} | {group.identity})
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise GroupSpecError(f"generator index {g} out of range")
-    members = [group.identity]
-    seen = set(members)
-    for x in members:
-        for g in gens:
-            y = int(mul[x, g])
-            if y not in seen:
-                seen.add(y)
-                members.append(y)
-    return sorted(members)
 
 
 def build_coset_space(group: FiniteGroup, k_generators: Iterable[int]) -> CosetSpace:

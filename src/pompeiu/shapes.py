@@ -10,6 +10,7 @@ polar coordinates about that point, `PolarRule`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +31,13 @@ __all__ = [
     "load_set_spec",
     "set_to_spec",
 ]
+
+
+def _check_volume(shape, what: str) -> None:
+    """ValueError naming what unless the shape's volume is positive and finite."""
+    if not 0 < shape.volume < math.inf:
+        fault = "overflows" if shape.volume else "underflows to 0"
+        raise ValueError(f"{what}: its volume {fault}")
 
 
 def _ball_volume(dim: int, radius: float) -> float:
@@ -54,8 +62,7 @@ class Ball:
             raise ValueError(f"unsupported dimension {self.dim}")
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
-        if not math.isfinite(self.volume):
-            raise ValueError(f"ball of radius {self.radius:g}: its volume overflows")
+        _check_volume(self, f"ball of radius {self.radius:g}")
 
     @property
     def volume(self) -> float:
@@ -87,8 +94,7 @@ class Annulus:
             raise ValueError(f"unsupported dimension {self.dim}")
         if not 0 < self.inner < self.outer < math.inf:
             raise ValueError("need 0 < inner < outer < inf")
-        if not math.isfinite(self.volume):
-            raise ValueError(f"annulus of outer radius {self.outer:g}: its volume overflows")
+        _check_volume(self, f"annulus of outer radius {self.outer:g}")
 
     @property
     def volume(self) -> float:
@@ -141,7 +147,7 @@ class Polytope:
             through = hull.equations[(hull.simplices == apex).any(axis=1)]
             off = ~(hull.equations[:, None] == through).all(axis=2).any(axis=1)
             simplices = [pts[[apex, *s]] for s in hull.simplices[off]]
-        # stacked once for the transform, with the |det| of each one's edges
+        # stacked once for the transform and the rule, with each one's |det|
         self._simplices = np.stack(simplices)
         self.simplex_dets = np.abs(np.linalg.det(self._simplices[:, 1:] - self._simplices[:, :1]))
         self._volume = float(hull.volume)
@@ -163,12 +169,19 @@ class Polytope:
         return (self.vertices.min(axis=0), self.vertices.max(axis=0))
 
     def quad_nodes(self, order: int):
-        pts, wts = [], []
-        for simplex in self._simplices:
-            p, w = _simplex_nodes(simplex, order)
-            pts.append(p)
-            wts.append(w)
-        return np.vstack(pts), np.concatenate(wts)
+        """Tensor Gauss nodes u in [0, 1]^d on every simplex through the
+        collapsed map v0 + sum_j u_1...u_j (v_j - v_(j-1)), of Jacobian
+        u_1^(d-1) u_2^(d-2)... times the simplex's |det|."""
+        d, (t, w) = self.dim, gauss_nodes(order)
+        u, wu = (np.stack(np.meshgrid(*[x] * d, indexing="ij"), -1).reshape(-1, d)
+                 for x in ((t + 1.0) / 2.0, w / 2.0))
+        prods, pts = np.cumprod(u, axis=1), self._simplices[:, :1]
+        for j, edge in enumerate(np.diff(self._simplices, axis=1).transpose(1, 0, 2)):
+            pts = pts + prods[:, j, None] * edge[:, None]
+        # w_1...w_d u_1^(d-1) u_2^(d-2)..., one factor at a time, left to right
+        jac = functools.reduce(np.multiply, np.hstack(
+            [wu, np.repeat(u[:, :-1], np.arange(d - 1, 0, -1), axis=1)]).T)
+        return pts.reshape(-1, d), np.outer(self.simplex_dets, jac).ravel()
 
     def translated(self, shift) -> "Polytope":
         return Polytope(self.vertices + np.asarray(shift, dtype=float))
@@ -329,32 +342,6 @@ def _radial_nodes(dim: int, r0: float, r1: float, order: int):
     return pts, np.broadcast_to(wts, x.shape).ravel()
 
 
-def _simplex_nodes(simplex: np.ndarray, order: int):
-    """Tensor Gauss nodes on a triangle/tetrahedron via the collapsed map."""
-    t, w = gauss_nodes(order)
-    u = (t + 1.0) / 2.0
-    wu = w / 2.0
-    v = simplex
-    if len(v) == 3:
-        A, B = np.meshgrid(u, u, indexing="ij")
-        WA, WB = np.meshgrid(wu, wu, indexing="ij")
-        pts = (v[0][None, :]
-               + A.ravel()[:, None] * (v[1] - v[0])[None, :]
-               + (A * B).ravel()[:, None] * (v[2] - v[1])[None, :])
-        area2 = abs(np.linalg.det(np.stack([v[1] - v[0], v[2] - v[0]])))
-        wts = (WA * WB * A).ravel() * area2
-        return pts, wts
-    A, B, C = np.meshgrid(u, u, u, indexing="ij")
-    WA, WB, WC = np.meshgrid(wu, wu, wu, indexing="ij")
-    pts = (v[0][None, :]
-           + A.ravel()[:, None] * (v[1] - v[0])[None, :]
-           + (A * B).ravel()[:, None] * (v[2] - v[1])[None, :]
-           + (A * B * C).ravel()[:, None] * (v[3] - v[2])[None, :])
-    vol6 = abs(np.linalg.det(np.stack([v[1] - v[0], v[2] - v[0], v[3] - v[0]])))
-    wts = (WA * WB * WC * A * A * B).ravel() * vol6
-    return pts, wts
-
-
 # ---------------------------------------------------------------------------
 # JSON specs
 
@@ -375,8 +362,11 @@ def parse_set(spec: dict) -> EuclideanSet:
                           for x in _spec_value(v, "vertex", "a list")]
                          for v in _spec_field(spec, "vertices", "a list")], dim)
     if kind == "union":
-        return DisjointUnion([parse_set(_spec_value(m, "union member", "an object"))
-                              for m in _spec_field(spec, "members", "a list")])
+        union = DisjointUnion([parse_set(_spec_value(m, "union member", "an object"))
+                               for m in _spec_field(spec, "members", "a list")])
+        if "dim" in spec and union.dim != dim:
+            raise ValueError(f"union of {union.dim}-D members given dim {dim}")
+        return union
     raise ValueError(f"unknown shape kind: {kind!r}")
 
 

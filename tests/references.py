@@ -1,7 +1,8 @@
 """Element-by-element references that the tests hold the package to: each
 computes from the definition, on group elements or one measure at a time,
-what the package computes on cosets, classes or batches of subsets; and
-the radial root search one bisection step per profile call."""
+what the package computes on cosets, classes or batches of subsets; the
+quadrature rule of one simplex at a time; and the radial root search one
+bisection step per profile call."""
 
 from __future__ import annotations
 
@@ -25,6 +26,55 @@ def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
         if not 0 <= c < space.num_cosets:
             raise ValueError(f"coset index {c} out of range")
     return frozenset(np.flatnonzero(np.isin(space.coset_of, list(wanted))).tolist())
+
+
+def subgroup_closure(group, generators: Iterable[int]) -> list[int]:
+    """Sorted element indices of the subgroup generated by the given
+    elements: a breadth-first walk of products on the table."""
+    members, seen = [group.identity], {group.identity}
+    for x in members:
+        for g in generators:
+            y = int(group.mul[x, g])
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return sorted(members)
+
+
+def least_in_coset(group, k_members: Sequence[int]) -> np.ndarray:
+    """Per element x, the least element of its coset xK: min over k of xk."""
+    return group.mul[:, list(k_members)].min(axis=1)
+
+
+def least_in_double_coset(group, k_members: Sequence[int]) -> np.ndarray:
+    """Per element x, the least element of KxK: the least over k in K of
+    the least element of the coset kxK."""
+    return least_in_coset(group, k_members)[group.mul[list(k_members)]].min(axis=0)
+
+
+def simplex_nodes(simplex: np.ndarray, order: int):
+    """Tensor Gauss nodes on one triangle or tetrahedron through the
+    collapsed map, each dimension written out, weighted by its own |det|."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    u = (t + 1.0) / 2.0
+    wu = w / 2.0
+    v = simplex
+    if len(v) == 3:
+        A, B = np.meshgrid(u, u, indexing="ij")
+        WA, WB = np.meshgrid(wu, wu, indexing="ij")
+        pts = (v[0][None, :]
+               + A.ravel()[:, None] * (v[1] - v[0])[None, :]
+               + (A * B).ravel()[:, None] * (v[2] - v[1])[None, :])
+        area2 = abs(np.linalg.det(np.stack([v[1] - v[0], v[2] - v[0]])))
+        return pts, (WA * WB * A).ravel() * area2
+    A, B, C = np.meshgrid(u, u, u, indexing="ij")
+    WA, WB, WC = np.meshgrid(wu, wu, wu, indexing="ij")
+    pts = (v[0][None, :]
+           + A.ravel()[:, None] * (v[1] - v[0])[None, :]
+           + (A * B).ravel()[:, None] * (v[2] - v[1])[None, :]
+           + (A * B * C).ravel()[:, None] * (v[3] - v[2])[None, :])
+    vol6 = abs(np.linalg.det(np.stack([v[1] - v[0], v[2] - v[0], v[3] - v[0]])))
+    return pts, (WA * WB * WC * A * A * B).ravel() * vol6
 
 
 def check_function_invariance(space: CosetSpace, f: Sequence, side: str) -> bool:
@@ -114,12 +164,16 @@ def bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
                     fa: np.ndarray) -> np.ndarray:
     """The brackets [a, b] of the real profile bisected together, fa the
     profile at a, one `radial_profile` call per step on the midpoints of
-    the brackets still open.  Each bracket halves while b - a > BISECT_TOL,
-    ends at a midpoint where the profile is exactly 0, and otherwise ends
-    at its final midpoint."""
+    the brackets still open.  Each bracket halves while b - a > BISECT_TOL
+    and its midpoint lies strictly between a and b, ends at a midpoint
+    where the profile is exactly 0, and otherwise ends at its final
+    midpoint."""
     a, b, fa = a.astype(float), b.astype(float), fa.astype(float)
     roots = 0.5 * (a + b)
-    live = np.nonzero(b - a > euclidean.BISECT_TOL)[0]
+
+    def open_(i):
+        return (b[i] - a[i] > euclidean.BISECT_TOL) & (a[i] < roots[i]) & (roots[i] < b[i])
+    live = np.nonzero(open_(slice(None)))[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
         fm = euclidean.radial_profile(shape, m).real
@@ -132,5 +186,5 @@ def bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
         fa[live[right]] = fm[right]
         live = live[~exact]
         roots[live] = 0.5 * (a[live] + b[live])
-        live = live[b[live] - a[live] > euclidean.BISECT_TOL]
+        live = live[open_(live)]
     return roots

@@ -211,6 +211,30 @@ def test_finite_check_on_permutations_of_no_points_exits_2(tmp_path, capsys):
     assert "generators must permute at least one point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("npts, first", [(24, 20), (40, 30), (64, 60)])
+def test_finite_check_on_s4_acting_on_late_points(npts, first, tmp_path):
+    """S4 on points first..first+3 of npts, over the stabilizer S3 of the
+    last, decides as S4 on 4 points does.  Its elements differ only from
+    point first on, where weights npts^k in int64 would have wrapped to 0."""
+    reports = []
+    for size, lo in ((4, 0), (npts, first)):
+        def cycle(*points):
+            p = list(range(size))
+            for a, b in zip(points, points[1:] + points[:1]):
+                p[lo + a] = lo + b
+            return p
+        path = tmp_path / f"s4_on_{size}.json"
+        path.write_text(json.dumps({"family": "permutations",
+                                    "generators": [cycle(0, 1), cycle(0, 1, 2, 3)],
+                                    "subgroup_generators": [cycle(0, 1), cycle(0, 1, 2)]}))
+        assert main(["finite", "check", "--group", str(path), "--set", "0,1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        reports.append(json.loads((tmp_path / "report.json").read_text()))
+        del reports[-1]["subgroup"]         # cycle labels name the points
+    assert load_group_spec(str(path))[0].order == 24
+    assert reports[1] == reports[0]
+
+
 def test_finite_check_huge_symmetric_exits_2_at_once(tmp_path, capsys):
     """S_n for n = 10^6 is refused by the order cap without computing n!."""
     path = tmp_path / "s_huge.json"
@@ -619,6 +643,39 @@ def test_euclid_grid_cap_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"dim": 2, "shape": "ball", "radius": 1e-300},
+    {"dim": 3, "shape": "ball", "radius": 1e-110},
+    {"dim": 2, "shape": "annulus", "inner": 1e-300, "outer": 2e-300},
+], ids=["disk", "ball3", "annulus"])
+def test_euclid_volume_that_underflows_exits_2(spec, tmp_path, capsys):
+    """A positive radius whose volume rounds to 0 is refused, as one whose
+    volume overflows is: every root checked against a volume of 0 fails."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(spec))
+    assert main(["euclid", "decide", "--set", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "volume underflows to 0" in err
+
+
+def test_euclid_union_whose_dim_differs_from_its_members_exits_2(tmp_path, capsys):
+    """A union's "dim", when given, must be its members' dimension; left
+    out, the members' dimension is the union's."""
+    ball3 = {"dim": 3, "shape": "ball", "radius": 1.0}
+    codes = []
+    for spec in ({"dim": 2, "shape": "union", "members": [ball3]},
+                 {"dim": 3, "shape": "union", "members": [ball3]},
+                 {"shape": "union", "members": [ball3]}):
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps(spec))
+        codes.append(main(["euclid", "decide", "--set", str(path), "--lambda-range", "0:5",
+                           "--out", str(tmp_path / "r.json")]))
+        if not codes[-1]:
+            assert json.loads((tmp_path / "r.json").read_text())["set"]["dim"] == 3
+    assert codes == [2, 0, 0]
+    assert "union of 3-D members given dim 2" in capsys.readouterr().err
 
 
 def test_euclid_bad_spec(tmp_path):

@@ -1227,6 +1227,34 @@ def test_heap_bisection_takes_fewer_levels_on_many_brackets(shape, hi, levels, m
     assert [r.hex() for r in got] == [r.hex() for r in want]
 
 
+@pytest.mark.parametrize("shape, profile", [
+    (Ball(1.0), scipy.special.j1),
+    (Ball(1.0, 3), lambda x: np.sin(x) - x * np.cos(x)),
+], ids=["disk", "ball3"])
+def test_bisection_ends_where_an_ulp_exceeds_the_tolerance(shape, profile, monkeypatch):
+    """Above 2^19 one ulp of lambda, 2^-33, exceeds BISECT_TOL, so a bracket
+    one ulp wide has its midpoint on an end; it stops there.  The roots in
+    600000:600010, J1's zeros for the disk and those of sin x - x cos x
+    for the 3-D ball, are found within two ulps, in a few profile calls."""
+    calls, radial_profile = [], euclidean.radial_profile
+
+    def counted(shape, lams):
+        calls.append(len(lams))
+        assert len(calls) < 100, "the bisection does not end"
+        return radial_profile(shape, lams)
+    monkeypatch.setattr(euclidean, "radial_profile", counted)
+    roots = euclidean.find_failure_lambdas(shape, (600000.0, 600010.0))
+    xs = np.linspace(600000.0, 600010.0, 201)
+    want = [scipy.optimize.brentq(profile, x0, x1, xtol=1e-12)
+            for x0, x1 in zip(xs, xs[1:]) if profile(x0) * profile(x1) < 0]
+    assert len(roots) == len(want) == 3
+    assert np.max(np.abs(np.subtract(roots, want))) <= 2 ** -32
+    monkeypatch.setattr(euclidean, "radial_profile", radial_profile)
+    a, b = np.array([600000.0]), np.array([np.nextafter(600000.0, np.inf)])
+    for bisect in (euclidean._bisect_brackets, bisect_brackets):
+        assert bisect(shape, a, b, radial_profile(shape, a).real)[0] in (a[0], b[0])
+
+
 def test_bisection_takes_exact_zeros_on_the_grid_and_at_midpoints(monkeypatch):
     """A stub profile with exact zeros at a grid point, at the first
     midpoint of a bracket and at the last grid point, next to an ordinary

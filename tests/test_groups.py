@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from pompeiu import groups
 from pompeiu.groups import (FiniteGroup, GroupSpecError, build_coset_space,
-                            build_group, cycle_label, load_group_spec,
-                            subgroup_closure)
+                            build_group, cycle_label, load_group_spec)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
-from references import check_function_invariance, lift_set
+from references import (check_function_invariance, least_in_coset,
+                        least_in_double_coset, lift_set, subgroup_closure)
 
 
 def test_cyclic_8_table():
@@ -285,9 +285,91 @@ def test_lift_and_invariance_match_loops():
 
 
 def test_subgroup_closure_s4(s4_space):
-    g = s4_space.group
-    assert len(subgroup_closure(g, [])) == 1
+    assert build_coset_space(s4_space.group, []).k_members == (0,)
     assert len(s4_space.k_members) == 6
+
+
+def _transpositions(npts, runs):
+    """Adjacent transpositions along each run of points: they generate the
+    product of the symmetric groups of the runs."""
+    gens = []
+    for run in runs:
+        for a, b in zip(run, run[1:]):
+            p = list(range(npts))
+            p[a], p[b] = b, a
+            gens.append(p)
+    return gens
+
+
+def _reference_test_spaces():
+    """The acceptance suite, S5 and S7 over the stabilizer of a point and
+    of a 2-set, D24 and D1260 with a reflection, Z20 and Z24 over {e}, and
+    (S5 x S4) over (S4 x S3) on 5 + 4 points, one at a time."""
+    yield from acceptance_suite()
+    for n in (5, 7):
+        for fixed in ([n - 1], [n - 2, n - 1]):
+            rest = [p for p in range(n) if p not in fixed]
+            yield build_coset_space(*load_group_spec(
+                {"family": "symmetric", "n": n,
+                 "subgroup_generators": _transpositions(n, [rest, fixed])}))
+    yield dihedral_space(24)
+    yield dihedral_space(1260)
+    yield cyclic_space(20)
+    yield cyclic_space(24)
+    yield build_coset_space(*load_group_spec(
+        {"family": "permutations", "generators": _transpositions(9, [range(5), range(5, 9)]),
+         "subgroup_generators": _transpositions(9, [range(4), range(5, 8)])}))
+
+
+def test_cosets_and_double_cosets_equal_the_brute_force_reference():
+    """K is the breadth-first closure of its generators; the transversal
+    holds the least element of each coset, min over k of xk, with coset_of
+    pointing each x at its own; each double coset's representative is the
+    least element of KxK."""
+    for space in _reference_test_spaces():
+        g, dcp = space.group, space.double_cosets
+        k = subgroup_closure(g, space.k_generators)
+        assert space.k_members == tuple(k), space.name
+        least = least_in_coset(g, k)
+        assert space.transversal == tuple(np.unique(least).tolist()), space.name
+        assert np.array_equal(np.asarray(space.transversal)[space.coset_of], least), space.name
+        assert np.array_equal(np.asarray(dcp.representatives)[dcp.class_of],
+                              least_in_double_coset(g, k)), space.name
+
+
+class _ReadLog:
+    """Stands in for a multiplication table and records what is read."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, []
+
+    def take(self, indices, axis=None):
+        self.reads.append(("take", np.asarray(indices).tolist(), axis))
+        return self.table.take(indices, axis=axis)
+
+    def __getitem__(self, key):
+        self.reads.append(("getitem", key))
+        return self.table[key]
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "symmetric", "n": 5, "subgroup_generators": [[0, 2, 1, 3, 4], [0, 1, 3, 2, 4],
+                                                            [0, 1, 2, 4, 3]]},
+    {"family": "dihedral", "n": 24, "subgroup_generators": [[(-i) % 24 for i in range(24)]]},
+    {"family": "cyclic", "n": 12, "subgroup_generators": [4, 6, 4]},
+    {"family": "cyclic", "n": 6},
+])
+def test_coset_space_reads_the_table_at_k_generators_and_transversal(spec):
+    """Building a coset space, its double cosets and its orbitals reads the
+    multiplication table twice: at the columns of K's distinct generators,
+    whose walk numbers the cosets, and at the columns of the transversal,
+    for the action."""
+    group, k_gens = load_group_spec(spec)
+    group.mul = log = _ReadLog(group.mul)
+    space = build_coset_space(group, k_gens)
+    space.double_cosets, space.orbitals
+    assert log.reads == [("take", sorted(set(k_gens)), 1),
+                         ("take", list(space.transversal), 1)]
 
 
 def test_load_group_spec_roundtrip(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from pompeiu.shapes import (Annulus, Ball, DisjointUnion, PolarRule, Polytope,
                             load_set_spec, parse_set, set_to_spec)
 
+from references import simplex_nodes
+
 
 def test_volumes():
     assert Ball(1.0, 2).volume == math.pi
@@ -85,6 +87,27 @@ def test_quad_nodes_integrate_one_to_volume(shape):
     pts, wts = shape.quad_nodes(24)
     assert pts.shape[1] == shape.dim
     assert abs(wts.sum() - shape.volume) < 1e-9 * max(1.0, shape.volume)
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [1, 0], [0, 1]],
+    [[np.cos(a), np.sin(a)] for a in np.linspace(0, 2 * np.pi, 41)[:-1]],
+    [[0.3, -1.2], [2.5, 0.1], [1.7, 2.2], [-0.4, 1.9], [-1.1, 0.4]],
+    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+    [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+], ids=["triangle", "40-gon", "pentagon", "tetrahedron", "cube"])
+def test_polytope_rule_equals_the_rules_of_its_simplices(vertices):
+    """The rule on the whole simplex stack is, bit for bit, the rules of
+    its simplices one at a time, stacked in order, at orders 8 to 64 (up
+    to 2^20 points: the cube stops at 32)."""
+    p = Polytope(vertices)
+    for order in (8, 16, 24, 32, 64):
+        if len(p.simplices()) * order ** p.dim > 2 ** 20:
+            continue
+        pts, wts = p.quad_nodes(order)
+        want = [simplex_nodes(simplex, order) for simplex in p.simplices()]
+        assert np.array_equal(pts, np.vstack([w[0] for w in want]))
+        assert np.array_equal(wts, np.concatenate([w[1] for w in want]))
 
 
 RADIAL = [Ball(1.0, 2), Ball(1.0, 3), Annulus(1.0, 2.0, 2), Annulus(2.0, 3.0, 3),
