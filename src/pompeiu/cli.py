@@ -28,7 +28,7 @@ from .euclidean import (DEFAULT_GRID, DEFAULT_LAMBDA_RANGE, DEFAULT_VANISH_TOL,
                         EuclidReport, convolution_test, euclid_decide)
 from .finite_pompeiu import (BugTrapError, PompeiuInstance, enumerate_all,
                              pompeiu_convolution, pompeiu_oracle,
-                             pompeiu_spectral, recheck_witness)
+                             pompeiu_spectral, recheck_witness, zero_set_vector)
 from .groups import CosetSpace, load_group_spec
 from .hecke import NotGelfandPairError
 from .quadrature import DEFAULT_TOL, QuadratureError
@@ -67,9 +67,9 @@ def cmd_finite_check(args: argparse.Namespace) -> int:
     group, k_gens = load_group_spec(args.group)
     space = CosetSpace(group, k_gens)
     inst = PompeiuInstance(space, frozenset(args.set))
-    oracle = pompeiu_oracle(inst)
     spectral = pompeiu_spectral(inst)
     conv = pompeiu_convolution(inst)
+    oracle = pompeiu_oracle(inst, kernel=None if conv.has_property else zero_set_vector(inst))
     agreement = oracle.verdict == spectral.verdict == conv.verdict
     shown = spectral if spectral.witness is not None else oracle
     witness = shown.witness
@@ -88,9 +88,9 @@ def cmd_finite_check(args: argparse.Namespace) -> int:
         "verdict": oracle.verdict,
         "witness": witness,
     }
-    _dump_json(payload, args.out)
     if witness is not None and not recheck_witness(inst, shown):
         raise BugTrapError(f"the {shown.method} witness failed its recheck")
+    _dump_json(payload, args.out)
     return EXIT_OK if agreement else EXIT_DISAGREE
 
 

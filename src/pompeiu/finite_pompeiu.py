@@ -19,8 +19,9 @@ oracle's one test, the translate test, eliminates the translate matrix M
 modulo PRIME = 2^31 - 1: full rank there proves full rational rank (a
 minor nonzero modulo PRIME is nonzero), and up to 22 columns a deficiency
 there is rational too (`_rank_exact`).  A sweep runs one elimination per
-batch and computes no kernel; `pompeiu_oracle` takes its witness from
-`exact_linalg.nullspace` when the test finds a deficiency.
+batch and computes no kernel; `pompeiu_oracle` tries a candidate kernel
+(`zero_set_vector`), then takes its witness from `exact_linalg.nullspace`
+when the test finds a deficiency.
 
 The three criteria are invariant under translation, so `enumerate_all`
 decides only the least mask of each G-orbit, found by walking the
@@ -66,6 +67,7 @@ __all__ = [
     "pompeiu_oracle",
     "pompeiu_spectral",
     "pompeiu_convolution",
+    "zero_set_vector",
     "radial_shortcut",
     "enumerate_all",
     "recheck_witness",
@@ -179,16 +181,21 @@ def _full_rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
-def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
+def pompeiu_oracle(space_or_instance, subset=None, kernel=None) -> DecisionReport:
     """Definition-level decision: the subset has the property iff the
-    translate matrix has trivial kernel.  The translate test proves full
-    rank; on a deficiency modulo PRIME the exact kernel decides, and its
-    first vector, rechecked in integers against every translate, is the
-    witness.  Up to 22 columns that deficiency is proven, so a trivial
-    kernel there is a bug; past 22 columns the kernel decides alone."""
+    translate matrix has trivial kernel.  A candidate kernel, an integer
+    array not all 0 summing to 0 over every translate gE, is the witness;
+    else the translate test proves full rank; on a deficiency modulo PRIME
+    the exact kernel decides, and its first vector, rechecked in integers
+    against every translate, is the witness.  Up to 22 columns that
+    deficiency is proven, so a trivial kernel there is a bug; past 22
+    columns the kernel decides alone."""
     inst = _instance(space_or_instance, subset)
     space = inst.space
     _check_oracle_budget(space)
+    translates = space.action[:, sorted(inst.subset)]
+    if kernel is not None and np.any(kernel) and not np.any(kernel[translates].sum(axis=1)):
+        return DecisionReport("NotPompeiu", "oracle", {"kernel": [float(x) for x in kernel]})
     if _translate_full_rank(space, _bits(inst))[0]:
         return DecisionReport("Pompeiu", "oracle", None)
     kernel = xla.nullspace(translate_matrix(inst))
@@ -199,7 +206,7 @@ def pompeiu_oracle(space_or_instance, subset=None) -> DecisionReport:
     h = kernel[0]
     scale = math.lcm(*(x.denominator for x in h))
     scaled = np.asarray([int(x * scale) for x in h], dtype=object)
-    if np.any(scaled[space.action[:, sorted(inst.subset)]].sum(axis=1)):
+    if np.any(scaled[translates].sum(axis=1)):
         raise BugTrapError("oracle kernel witness failed recheck")
     return DecisionReport("NotPompeiu", "oracle", {"kernel": [float(x) for x in h]})
 
@@ -316,6 +323,24 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     inst = _instance(space_or_instance, subset)
     zeros = _convolution_zeros(inst.space, _bits(inst))[0].all(axis=0)
     return _spherical_report("convolution", inst.space, zeros)
+
+
+def zero_set_vector(space_or_instance, subset=None) -> np.ndarray | None:
+    """L sum_{i in Z} f_i on the cosets, Z the convolution zero set of E and
+    L the lcm of the class sizes (None if Z is empty): int64, as Galois maps
+    Z to itself (Bannai & Ito 1984, ch. II), else a bug trap; |Z| L at K,
+    and in the translate matrix's kernel iff every f_i in Z is."""
+    inst = _instance(space_or_instance, subset)
+    zeros = _convolution_zeros(inst.space, _bits(inst))[0].all(axis=0)
+    if not zeros.any():
+        return None
+    st = hecke_structure(inst.space)    # exact values are scaled by L already
+    total = st.class_values[zeros][:, inst.space.orbitals[0]].sum(axis=0) * (
+        1 if st.exact else math.lcm(*st.class_sizes))
+    ints = np.rint(total.real)
+    if np.abs(total - ints).max() > 0.25:
+        raise BugTrapError("the zero set's sum is not an integer vector")
+    return ints.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

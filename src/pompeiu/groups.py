@@ -203,6 +203,7 @@ class FiniteGroup:
     # one-line images of the elements, row g for element g, as a read-only
     # int32 array for a group built from permutations; None otherwise
     perms: np.ndarray | None = None
+    rotation: tuple | None = None   # set by cyclic_group, dihedral_group: (family, rotation index)
 
     def __init__(self, mul: np.ndarray, name: str,
                  element_labels: Sequence[str] | None,
@@ -351,7 +352,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     # row k, (k + x) mod n, is a window of the residues written twice
     twice = np.tile(np.arange(n, dtype=np.int32), 2)
     mul = np.lib.stride_tricks.sliding_window_view(twice, n)[:n]
-    return FiniteGroup(mul, f"Z{n}", [str(i) for i in range(n)], [1 % n])
+    group = FiniteGroup(mul, f"Z{n}", [str(i) for i in range(n)], [1 % n])
+    group.rotation = ("cyclic", 1 % n)
+    return group
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -362,7 +365,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     # the rotations i -> i + k, then the reflections i -> k - i
     k, i = np.arange(n, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
     perms = np.concatenate([(i + k) % n, (k - i) % n])
-    return _table_from_perms(perms, perms[[1, n]], f"D{n}")
+    group = _table_from_perms(perms, perms[[1, n]], f"D{n}")
+    group.rotation = ("dihedral", 1)
+    return group
 
 
 def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -8,15 +8,15 @@ identity), and that measure is idempotent under convolution.
 
 Spherical functions are the normalized joint eigenfunctions of the
 commuting convolution operators given by the class-indicator basis; they
-satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  They come
-from one eigensolve of a fixed generic element sum_j a_j op[j]: distinct
-characters differ on some basis element, hence on a generic combination.
-The d^3 structure constants op[j][k, i] are kept as one sorted table of
-the at most d n nonzero ones, counted from the d x n orbital table;
-`combine` contracts it with coefficients, and commutativity compares it
-with the table of the transposes op[i][k, j], counted the same way.
-The coefficients are one fixed complex draw.  A float table is certified
-by its eigensolve's own residual over eigenvalue gap.  When every
+satisfy  avg_{k in K} f(xky) = f(x) f(y)  and f(identity) = 1.  On Z_n
+over any K and D_n over one reflection they come in closed form, else from
+one eigensolve of a generic element sum_j a_j op[j], a fixed complex draw:
+distinct characters differ on some basis element, hence on a generic
+combination.  The d^3 structure constants op[j][k, i] are kept as one
+sorted table of the at most d n nonzero ones, counted from the d x n
+orbital table; `combine` contracts it with coefficients, and commutativity
+compares it with the table of the transposes op[i][k, j], counted the same
+way.  A float table is certified by residual over gap.  When every
 eigenvalue rounds to an integer, they give every value as a rational,
 kept (marked exact) only if the scaled integer values satisfy every
 eigen-equation op[j] f = lambda_j f exactly, on the same sorted table.
@@ -160,8 +160,9 @@ class _HeckeStructure:
         an integer and it certifies exactly, the float one otherwise."""
         if self._witness is not None:
             raise NotGelfandPairError(self.space, self._witness)
-        generic = self.combine(_generic_coefficients(self.d))
-        vectors = _eigenvectors_float(generic, self.class_sizes)
+        closed = self._closed_form()
+        vectors = _certify(*closed) if closed else _eigenvectors_float(
+            self.combine(_generic_coefficients(self.d)), self.class_sizes)
         # (op[j] @ v)[0] = |C_j| v[j*], and every row of op[j] sums to |C_j|
         inv, sizes = list(self.inverse_class), np.asarray(self.class_sizes)
         phi = vectors.take(inv, axis=1) * sizes + 0j      # -0 becomes +0
@@ -195,6 +196,32 @@ class _HeckeStructure:
             eigenvalues = [map(Fraction, row) for row in eigenvalues]
         return [SphericalFunction(self.space, tuple(v), tuple(e), self.exact)
                 for v, e in zip(values, eigenvalues)]
+
+    def _closed_form(self) -> tuple | None:
+        """`_certify`'s arguments on Z_n over any K or D_n over one reflection,
+        else None: with j a coset's place on the rotation's walk from K, t = j
+        or min(j, N - j) (N cosets), classes the level sets of t, row k exp(2
+        pi i k t / N) or cos(2 pi k t / N) (Terras 1999), A = op[class of 1]."""
+        space, (family, rotation) = self.space, self.space.group.rotation or (None, 0)
+        # D_n lists its n rotations first: K is one reflection iff its second element is none
+        if family is None or family == "dihedral" and \
+                space.k_members[1:2] < (space.group.order // 2,):
+            return None
+        n, step, walk = space.num_cosets, space.action[rotation].tolist(), [0]
+        while len(walk) < n:
+            walk.append(step[walk[-1]])
+        j, classes, at = np.argsort(walk), space.orbitals[0], np.zeros(self.d, dtype=np.int64)
+        at[classes] = t = np.minimum(j, n - j) if family == "dihedral" else j
+        if len(set(walk)) < n or self.d != t.max() + 1 or not np.array_equal(at[classes], t):
+            raise BugTrapError(f"{space.name}: the classes are not those of the rotation's walk")
+        angle = 2 * np.pi * (np.arange(self.d)[:, None] * at % n) / n
+        values = np.exp(1j * angle) if family == "cyclic" else np.cos(angle) + 0j
+        d, s, sizes = self.d, classes[walk[1 % n]], np.asarray(self.class_sizes)
+        lo, hi = np.searchsorted(self.keys, [s * d * d, (s + 1) * d * d])
+        ki = self.keys[lo:hi] % (d * d)     # k d + i in order, a run for each k
+        image = np.add.reduceat(values[:, ki % d] * self.counts[lo:hi],
+                                np.flatnonzero(np.diff(ki // d, prepend=-1)), axis=1)
+        return values, image, image[:, 0], np.sqrt(sizes), sizes[s]   # mu = (op[s] f)[0] / 1
 
     def _joint(self, table: np.ndarray, eigenvalues: np.ndarray) -> bool:
         """Whether sum_i op[j][k, i] t_i = lambda_j t_k for every row t of
@@ -240,33 +267,36 @@ def _generic_coefficients(d: int) -> np.ndarray:
 
 
 def _eigenvectors_float(generic: np.ndarray, class_sizes) -> np.ndarray:
-    """The eigenvectors of the generic element, one row each, normalized to
-    1 at the identity class.  It is solved in the coordinates sqrt(|C_i|) v_i,
-    the L2 norm of G, where it is a normal matrix A, so a unit eigenvector u
-    of eigenvalue mu lies within angle r/gap of the true one, r = |A u - mu u|
-    and gap the distance from mu to the rest of the spectrum (Davis & Kahan,
-    1970).  With the operators commuting (checked exactly), a simple spectrum
-    makes each eigenvector a joint one, hence spherical.  Bug traps: a least
-    gap below EIG_CLUSTER_TOL relative to the element's size, an r/gap above
-    SPHERICAL_RESIDUAL_TOL, or a vector vanishing at the identity class."""
+    """The eigenvectors of the generic element, one row each, certified and
+    normalized to 1 at the identity class (a bug trap where one vanishes)."""
     root = np.sqrt(np.asarray(class_sizes, dtype=float))
-    a = generic * root[:, None] / root
-    eigvals, eigvecs = np.linalg.eig(a)
-    gaps = (np.abs(eigvals[:, None] - eigvals) + np.diag(np.full(len(a), np.inf))).min(axis=1)
-    relative = gaps.min() / (1.0 + np.abs(generic).sum(axis=1).max())
+    eigvals, eigvecs = np.linalg.eig(generic * root[:, None] / root)
+    vectors = eigvecs.T / root
+    _certify(vectors, vectors @ generic.T, eigvals, root, np.abs(generic).sum(axis=1).max())
+    if np.any(np.abs(eigvecs[0]) < 1e-12):
+        raise BugTrapError("spherical eigenvector vanishes at the identity class")
+    vectors /= vectors[:, :1]
+    vectors[:, 0] = 1.0     # exact by construction; drop division residue
+    return vectors
+
+
+def _certify(vectors, images, eigvals, root, size) -> np.ndarray:
+    """vectors, unless a bug trap: in the L2 coordinates root v, A (of largest
+    absolute row sum size) is normal, so row v is within angle r/gap of an
+    eigenvector, r = |A v - mu v| / |v| and gap mu's distance to the rest
+    (Davis & Kahan, 1970), spherical if the spectrum is simple.  Traps: a
+    least gap below EIG_CLUSTER_TOL * (1 + size), an r/gap above SPHERICAL_RESIDUAL_TOL."""
+    gaps = (np.abs(eigvals[:, None] - eigvals) + np.diag(np.full(len(eigvals), np.inf))).min(axis=1)
+    relative = gaps.min() / (1.0 + size)
     if relative < EIG_CLUSTER_TOL:
         raise BugTrapError(f"the generic Hecke element does not separate the characters "
                            f"(smallest relative eigenvalue gap {relative:.1e})")
-    ratio = np.linalg.norm(a @ eigvecs - eigvecs * eigvals, axis=0) / gaps
+    ratio = np.linalg.norm((images - eigvals[:, None] * vectors) * root, axis=1) \
+        / np.linalg.norm(vectors * root, axis=1) / gaps
     worst = ratio.argmax()
     if ratio[worst] > SPHERICAL_RESIDUAL_TOL:
         raise BugTrapError(f"spherical eigenvector not certified by its residual: "
                            f"r/gap {ratio[worst]:.1e} at eigenvalue gap {gaps[worst]:.1e}")
-    if np.any(np.abs(eigvecs[0]) < 1e-12):
-        raise BugTrapError("spherical eigenvector vanishes at the identity class")
-    vectors = eigvecs.T / root
-    vectors /= vectors[:, :1]
-    vectors[:, 0] = 1.0     # exact by construction; drop division residue
     return vectors
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pompeiu.groups import build_coset_space, build_group
+from pompeiu.groups import build_coset_space, build_group, group_from_permutations
 
 
 class NoTable:
@@ -31,6 +31,19 @@ def dihedral_space(n):
     reflection = (-np.arange(n)) % n
     idx = int(np.flatnonzero((g.perms == reflection).all(axis=1))[0])
     return build_coset_space(g, [idx])
+
+
+def untagged_cyclic_space(n):
+    """Z_n over K = {e}, built from the permutation x -> x + 1: no rotation
+    tag, so its spherical functions come from the eigensolve."""
+    return build_coset_space(group_from_permutations([[(i + 1) % n for i in range(n)]]), [])
+
+
+def untagged_dihedral_space(n):
+    """D_n over the reflection i -> -i, built from permutations: untagged."""
+    reflection = [(-i) % n for i in range(n)]
+    g = group_from_permutations([[(i + 1) % n for i in range(n)], reflection])
+    return build_coset_space(g, [int(np.flatnonzero((g.perms == reflection).all(axis=1))[0])])
 
 
 def acceptance_suite():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pompeiu
-from pompeiu import cli, euclidean, finite_pompeiu, hecke
+from pompeiu import cli, euclidean, exact_linalg, finite_pompeiu, hecke
 from pompeiu.cli import main
 from pompeiu.bessel import besselj0
 from pompeiu.finite_pompeiu import enumerate_all
@@ -85,10 +85,44 @@ def test_finite_check_exits_3_when_its_witness_fails_the_recheck(
         report.witness["values"] = [[1.0, 0.0]] * len(report.witness["values"])
         return report
     monkeypatch.setattr(cli, "pompeiu_spectral", wrong_witness)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
     code = main(["finite", "check", "--group", z8_file, "--set", "0,4",
-                 "--out", str(tmp_path / "report.json")])
+                 "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == "error: the spectral witness failed its recheck\n"
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def _refuse_nullspace(matrix):
+    raise AssertionError("nullspace called")
+
+
+@pytest.mark.parametrize("spec, subset", [
+    ({"family": "cyclic", "n": 200}, "0,1"),
+    ({"family": "cyclic", "n": 215}, ",".join(map(str, range(0, 215, 2)))),
+    ({"family": "cyclic", "n": 24}, "0,2,6,8,12,14,18,20"),
+    ({"family": "dihedral", "n": 24, "subgroup_generators": [[(-i) % 24 for i in range(24)]]},
+     "0,12"),
+    ({"family": "symmetric", "n": 5, "subgroup_generators": [
+        [1, 0, 2, 3, 4], [0, 2, 1, 3, 4], [0, 1, 2, 4, 3]]}, "0,1,3,6"),
+], ids=["Z200", "Z215-evens", "Z24-periodic", "D24", "S5-S3xS2"])
+def test_finite_check_needs_no_exact_kernel(spec, subset, tmp_path, monkeypatch):
+    """`finite check` on a Gelfand pair needs no exact kernel: NotPompeiu
+    is proved by the zero-set vector, and Z215 with every other coset is
+    Pompeiu by the translate test.  With `nullspace` made to raise, each
+    check exits 0 and writes the bytes of a run whose oracle is given no
+    candidate."""
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(spec))
+    argv = ["finite", "check", "--group", str(group), "--set", subset, "--out"]
+    oracle = cli.pompeiu_oracle
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "pompeiu_oracle", lambda inst, kernel: oracle(inst))
+        assert main(argv + [str(tmp_path / "default.json")]) == 0
+    monkeypatch.setattr(exact_linalg, "nullspace", _refuse_nullspace)
+    assert main(argv + [str(tmp_path / "proved.json")]) == 0
+    assert (tmp_path / "proved.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", [["check", "--set", "0,1,2,3,4,5"], ["sweep"]])

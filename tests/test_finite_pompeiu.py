@@ -16,7 +16,7 @@ from pompeiu.finite_pompeiu import (DecisionReport, EmptySetError,
                                     enumerate_all, pompeiu_convolution,
                                     pompeiu_oracle, pompeiu_spectral,
                                     radial_shortcut, recheck_witness)
-from pompeiu.groups import GroupSpecError, build_coset_space, build_group
+from pompeiu.groups import BugTrapError, GroupSpecError, build_coset_space, build_group
 from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
                            hecke_structure, phi_hom, spherical_functions,
                            unit_measure)
@@ -858,6 +858,68 @@ def test_rank_deficient_check_returns_the_kernel_witness():
         expected = nullspace(translate_matrix(inst))[0]
         assert report.witness["kernel"] == [float(x) for x in expected]
         assert recheck_witness(inst, report)
+
+
+def test_zero_set_vector_proves_every_flagged_subset(monkeypatch):
+    """On every subset of Z12, D6 and S4/S3 over a point stabilizer, and on
+    seeded subsets of Z24 and D24, a subset that the convolution decider
+    flags gets an integer vector, |Z| L at K, that the oracle takes as its
+    witness without the exact kernel; a subset with no zero gets none."""
+    monkeypatch.setattr(exact_linalg, "nullspace", _raise_on_call)
+    rng = np.random.default_rng(5)
+    cases = [(space, range(1, 1 << space.num_cosets)) for space in
+             (cyclic_space(12), dihedral_space(6), symmetric_space(4, fixed_point=3))]
+    cases += [(space, rng.integers(1, 1 << 24, 40)) for space in (cyclic_space(24), dihedral_space(24))]
+    proved = 0
+    for space, masks in cases:
+        for mask in masks:
+            inst = PompeiuInstance(space, frozenset(_cosets(int(mask))))
+            kernel = fp.zero_set_vector(inst)
+            if pompeiu_convolution(inst).verdict == "Pompeiu":
+                assert kernel is None
+                continue
+            assert kernel.dtype == np.int64 and kernel[0] % math.lcm(
+                *space.double_cosets.class_sizes) == 0 and kernel[0] > 0
+            report = pompeiu_oracle(inst, kernel=kernel)
+            assert report.witness == {"kernel": kernel.tolist()}
+            assert recheck_witness(inst, report)
+            proved += 1
+    assert proved > 300
+
+
+def test_zero_set_missing_a_galois_conjugate_is_a_bug_trap(monkeypatch):
+    """E = {0, 6} on Z12 is killed by the characters of odd k.  Dropping
+    one non-real character from that zero set leaves its conjugate -k
+    unpaired, a sum with imaginary parts of size 1: a bug trap."""
+    space = cyclic_space(12)
+    values = hecke_structure(space).class_values
+    zeros = fp._convolution_zeros
+
+    def drop_one(space, bits):
+        flagged = zeros(space, bits)
+        i = next(i for i in np.flatnonzero(flagged[0].all(axis=0))
+                 if np.abs(values[i].imag).max() > 0.5)
+        flagged[..., i] = False
+        return flagged
+    assert fp.zero_set_vector(space, {0, 6}) is not None
+    monkeypatch.setattr(fp, "_convolution_zeros", drop_one)
+    with pytest.raises(BugTrapError, match="not an integer vector"):
+        fp.zero_set_vector(space, {0, 6})
+
+
+def test_failing_candidate_falls_back_to_the_exact_kernel():
+    """A candidate with one entry moved by +1 sums to 1 over some translate:
+    the oracle refuses it and returns today's verdict and exact-kernel
+    witness."""
+    cases = [(cyclic_space(20), {0, 10}), (dihedral_space(24), {0, 12}),
+             (dihedral_space(6), {0, 3}), (symmetric_space(5, fixed_point=4), {0, 1, 2, 3, 4})]
+    for space, subset in cases:
+        inst = PompeiuInstance(space, frozenset(subset))
+        kernel = fp.zero_set_vector(inst)
+        kernel[1] += 1
+        report = pompeiu_oracle(inst, kernel=kernel)
+        assert report == pompeiu_oracle(inst)
+        assert report.witness["kernel"] == [float(x) for x in nullspace(fp.translate_matrix(inst))[0]]
 
 
 # ---------------------------------------------------------------------------

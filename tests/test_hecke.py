@@ -22,7 +22,8 @@ from pompeiu.hecke import (BiinvariantMeasure, NotGelfandPairError,
                            spherical_functions, unit_measure)
 
 from conftest import (acceptance_suite, cyclic_space, dihedral_space,
-                      orbital_test_spaces, symmetric_space)
+                      orbital_test_spaces, symmetric_space, untagged_cyclic_space,
+                      untagged_dihedral_space)
 from references import project_biinvariant
 
 
@@ -482,9 +483,11 @@ def test_complex_draw_separates_crowded_real_spectra():
     combination of the operators would have d real eigenvalues, and for
     these n two of them would crowd (relative gap 3.5e-7 to 9.2e-6).  The
     complex draw spreads them over the plane and gives the cosines of
-    `test_dihedral_sphericals_are_cosines`."""
+    `test_dihedral_sphericals_are_cosines`.  The closed form is switched
+    off, so that these tagged spaces reach the eigensolve."""
     for n in (56, 157, 164, 191, 199):
         space = dihedral_space(n)
+        hecke_structure(space)._closed_form = lambda: None
         funcs = spherical_functions(space)
         assert len(funcs) == n // 2 + 1 and not hecke_structure(space).exact
         vertex = np.array([p[0] for p in space.group.perms])
@@ -496,7 +499,8 @@ def test_complex_draw_separates_crowded_real_spectra():
 def test_moved_eigenvector_value_is_a_bug_trap(monkeypatch):
     """A float eigenvector with one class value moved by 1e-6 leaves the
     generic element's eigen-equation by far more than its eigenvalue gap
-    allows: a bug trap naming r/gap and the gap, never a table."""
+    allows: a bug trap naming r/gap and the gap, never a table.  Z20 and
+    D24 are built from permutations, untagged, so they reach the eigensolve."""
     solve = np.linalg.eig
 
     def moved(a):
@@ -504,12 +508,83 @@ def test_moved_eigenvector_value_is_a_bug_trap(monkeypatch):
         eigvecs[1, 3] += 1e-6
         return eigvals, eigvecs
     monkeypatch.setattr(hecke.np.linalg, "eig", moved)
+    for space in (untagged_cyclic_space(20), untagged_dihedral_space(24)):
+        with pytest.raises(BugTrapError) as err:
+            spherical_functions(space)
+        assert re.fullmatch(r"spherical eigenvector not certified by its residual: "
+                            r"r/gap \S+ at eigenvalue gap \S+", str(err.value)), str(err.value)
+        assert "_spherical_table" not in vars(hecke_structure(space))
+
+
+def _tagged_spaces():
+    """Z1..Z40 over {e}, <2>, <3>, <4> and <6>, and D3..D40 over the
+    reflections i -> -i, i -> 2 - i and i -> 1 - i (an edge reflection for
+    even n): the spaces whose spherical functions come in closed form."""
+    for n in range(1, 41):
+        g = build_group({"family": "cyclic", "n": n})
+        for k in (None, 2, 3, 4, 6):
+            yield build_coset_space(g, [] if k is None else [k % n])
+    for n in range(3, 41):
+        g = build_group({"family": "dihedral", "n": n})
+        for a in (0, 2, 1):
+            reflection = (a - np.arange(n)) % n
+            yield build_coset_space(g, [int(np.flatnonzero((g.perms == reflection).all(axis=1))[0])])
+
+
+def test_closed_form_tables_equal_the_eigensolve():
+    """On every tagged space the closed-form table is the eigensolve's: the
+    same rows in the same order, to 1e-12, and the same exact flag."""
+    for space in _tagged_spaces():
+        closed = hecke_structure(space)._spherical_table
+        twin = hecke_structure(build_coset_space(space.group, space.k_generators))
+        twin._closed_form = lambda: None
+        assert closed[2] == twin._spherical_table[2], space
+        for a, b in zip(closed[:2], twin._spherical_table[:2]):
+            assert a.shape == b.shape and np.abs(a - b).max(initial=0) <= 1e-12, space
+
+
+def test_tagged_spaces_never_call_the_eigensolve(monkeypatch):
+    """A tagged space builds its table without np.linalg.eig; S5/(S3 x S2)
+    and Z20 built from a permutation, untagged, still call it."""
+    def refuse(a):
+        raise AssertionError("np.linalg.eig called")
+    monkeypatch.setattr(hecke.np.linalg, "eig", refuse)
+    for space in _tagged_spaces():
+        assert len(spherical_functions(space)) == space.double_cosets.num_classes
+    s5 = build_group({"family": "symmetric", "n": 5})
+    young = [i for i, p in enumerate(s5.perms) if set(p[:3]) == {0, 1, 2}]
+    for space in (build_coset_space(s5, young), untagged_cyclic_space(20)):
+        assert space.group.rotation is None
+        with pytest.raises(AssertionError, match="eig called"):
+            spherical_functions(space)
+
+
+def test_moved_closed_form_value_is_a_bug_trap(monkeypatch):
+    """A closed-form class value moved by 1e-6 leaves the eigen-equation of
+    the rotation's class operator by far more than its eigenvalue gap
+    allows: a bug trap naming r/gap, never a table."""
+    closed_form = hecke._HeckeStructure._closed_form
+
+    def moved(self):
+        closed = closed_form(self)
+        closed[0][1, 3] += 1e-6     # the values, after their images under op[s]
+        return closed
+    monkeypatch.setattr(hecke._HeckeStructure, "_closed_form", moved)
     for space in (cyclic_space(20), dihedral_space(24)):
         with pytest.raises(BugTrapError) as err:
             spherical_functions(space)
         assert re.fullmatch(r"spherical eigenvector not certified by its residual: "
                             r"r/gap \S+ at eigenvalue gap \S+", str(err.value)), str(err.value)
         assert "_spherical_table" not in vars(hecke_structure(space))
+
+
+def test_a_walk_that_misses_the_classes_is_a_bug_trap():
+    """A cyclic tag forced on D6 over a reflection, whose classes pair
+    coset j with coset -j, is refused, never read as a cyclic table."""
+    space = untagged_dihedral_space(6)
+    space.group.rotation = ("cyclic", 1)    # element 1, the first generator
+    with pytest.raises(BugTrapError, match="the classes are not those of the rotation's walk"):
+        spherical_functions(space)
 
 
 class _Unreadable:
@@ -526,9 +601,10 @@ def _z2_power(m):
 
 
 def test_spherical_tables_never_read_the_multiplication_table(monkeypatch):
-    """A float table is certified by its eigensolve alone, an exact one by
-    its eigen-equations on the sorted Hecke table: neither reads group.mul."""
-    spaces = [cyclic_space(20), dihedral_space(24), dihedral_space(56)]
+    """A float table is certified by its eigensolve or its closed form
+    alone, an exact one by its eigen-equations on the sorted Hecke table:
+    none reads group.mul."""
+    spaces = [cyclic_space(20), dihedral_space(24), dihedral_space(56), untagged_cyclic_space(20)]
     exact = [symmetric_space(4, fixed_point=3), symmetric_space(7, fixed_point=6), _z2_power(6)]
     for space in spaces + exact:
         monkeypatch.setattr(space.group, "mul", _Unreadable())
@@ -558,14 +634,15 @@ def _cyclic_pair_coefficients(d):
 
 
 @pytest.mark.parametrize("coefficients, spaces", [
-    (lambda d: np.eye(d)[0], lambda: [cyclic_space(8), dihedral_space(6),
+    (lambda d: np.eye(d)[0], lambda: [untagged_cyclic_space(8), untagged_dihedral_space(6),
                                       symmetric_space(4, fixed_point=3)]),
-    (_cyclic_pair_coefficients, lambda: [cyclic_space(n) for n in (3, 8, 20)]),
+    (_cyclic_pair_coefficients, lambda: [untagged_cyclic_space(n) for n in (3, 8, 20)]),
 ])
 def test_non_separating_element_is_a_bug_trap(coefficients, spaces, monkeypatch):
     """An element that gives two characters one eigenvalue has eigenvectors
     that need not be spherical: a bug trap naming the eigenvalue gap, never
-    a table."""
+    a table.  The cyclic and dihedral spaces are built from permutations,
+    untagged, so they reach the eigensolve."""
     monkeypatch.setattr(hecke, "_generic_coefficients", coefficients)
     for space in spaces():
         for _ in range(2):
