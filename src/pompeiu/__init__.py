@@ -20,7 +20,7 @@ from .hecke import (BiinvariantMeasure, SphericalFunction, NotGelfandPairError,
 from .finite_pompeiu import (EmptySetError, PompeiuInstance, DecisionReport,
                              pompeiu_oracle, pompeiu_spectral,
                              pompeiu_convolution, radial_shortcut,
-                             enumerate_all, recheck_witness)
+                             zero_set_vector, enumerate_all, recheck_witness)
 from .shapes import Ball, Annulus, Polytope, DisjointUnion, parse_set, load_set_spec
 from .euclidean import (RigidMotion, spherical_phi,
                         fourier_laplace, radial_profile,

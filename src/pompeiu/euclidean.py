@@ -8,11 +8,14 @@ vanishing on the full complex quadric z.z = lambda^2), sign-change root
 searches on radial profiles, and direct convolution / rigid-motion
 integral checks that re-verify every candidate failure frequency.
 
-Transforms are evaluated in batches.  A polytope's divided differences run
-on t = -z.v over simplices fanned from one vertex, in real arithmetic at a
-real z.  The orbit scan writes t = lam q, q = -u.v fixed per direction u and
-simplex, and forms series coefficients, Lagrange weights and splits once per
-such column for all frequencies of a block of at most SCAN_CHUNK triples.
+Transforms are evaluated in batches, by one dispatcher over the shapes,
+`_orbit_values`, which both `fourier_laplace` (at lam = 1) and the orbit
+scan call: a radial member is its signed balls' profile, summed member by
+member.  A polytope's divided differences run on t = -z.v over simplices
+fanned from one vertex, in real arithmetic at a real z.  The orbit scan
+writes t = lam q, q = -u.v fixed per direction u and simplex, and forms
+series coefficients, Lagrange weights and splits once per such column for
+all frequencies of a block of at most SCAN_CHUNK triples.
 It takes one direction per antipodal pair at a real frequency (|F(-z)| =
 |F(z)|) and keeps a running maximum per frequency: memory stays flat however
 long the grid.  A search of more than MAX_GRID_POINTS grid steps, or orbit
@@ -262,32 +265,29 @@ def _series(lam, deltas, mean, l, c):
 # Fourier-Laplace transforms
 
 
-def _radial_profile_w(shape, w):
-    """Transform of a radial shape as a function of the (complex) frequency
-    magnitude w, scalar or array; even and entire in w."""
-    if isinstance(shape, Ball):
-        r = shape.radius
-        if shape.dim == 2:
-            return 2.0 * math.pi * r * r * j1_over_z(w * r)
-        return 4.0 * math.pi * r ** 3 * ball3_profile(w * r)
-    if isinstance(shape, Annulus):
-        return (_radial_profile_w(Ball(shape.outer, shape.dim), w)
-                - _radial_profile_w(Ball(shape.inner, shape.dim), w))
-    if isinstance(shape, DisjointUnion):
-        return sum(_radial_profile_w(m, w) for m in shape.members)
-    raise ValueError("shape is not radial")
-
-
 def radial_profile(shape, lam):
     """fourier_laplace of a radial shape at any frequency vector of
     bilinear square lam^2: one complex for a scalar lam, a complex array
-    for an array of them.  Each entry of an array is bit-identical to the
-    scalar call at that lam."""
+    for an array of them.  The shape is its signed balls, summed member by
+    member from 0 in a union, where a ball of radius r gives 2 pi r^2 J1(x)/x
+    in the plane and 4 pi r^3 (sin x - x cos x)/x^3 in 3-space, x = lam r.
+    Each entry of an array is bit-identical to the scalar call at that lam."""
     if not shape.is_radial:
         raise ValueError("shape is not radial")
     w = np.asarray(lam, dtype=complex)
-    vals = _radial_profile_w(shape, w)
+    members = getattr(shape, "members", None)
+    vals = sum(_member_profile(m, w) for m in members) if members else _member_profile(shape, w)
     return complex(vals) if w.ndim == 0 else vals
+
+
+def _member_profile(member, w):
+    """A ball's profile, or an annulus's: its outer ball's less its hole's."""
+    out = None
+    for r, sign in member.balls():
+        t = (2.0 * math.pi * r * r * j1_over_z(w * r) if member.dim == 2
+             else 4.0 * math.pi * r ** 3 * ball3_profile(w * r))
+        out = t if out is None else out + t if sign > 0 else out - t
+    return out
 
 
 def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
@@ -296,27 +296,17 @@ def fourier_laplace(shape: EuclideanSet, z, imag_cap: float = DEFAULT_IMAG_CAP):
 
     Closed forms throughout: Bessel/sinc profiles for radial shapes, exact
     simplex exponential divided differences for polytopes, all simplices of
-    the whole batch in one divided-difference call.
+    the whole batch in one divided-difference call: the orbit scan's
+    `_orbit_values` at lam = 1, the rows of z as its directions.
     """
     zv = _as_array(z)    # a real z stays real
     if zv.ndim not in (1, 2) or zv.shape[-1] != shape.dim:
         raise ValueError(f"frequency must have {shape.dim} components")
     if zv.size and np.abs(zv.imag).max() > imag_cap:
         raise ValueError(f"imaginary parts exceed the cap {imag_cap}")
-    vals = _transform_rows(shape, zv.reshape(-1, shape.dim))
+    rows = zv.reshape(-1, shape.dim)
+    vals = _orbit_values(shape, np.ones(1), rows if np.imag(rows).any() else np.real(rows))[0]
     return complex(vals[0]) if zv.ndim == 1 else vals
-
-
-def _transform_rows(shape, z: np.ndarray) -> np.ndarray:
-    if shape.is_radial:
-        z = z.astype(complex, copy=False)
-        s = (z * z).sum(axis=1)            # bilinear square, not Hermitian
-        return _radial_profile_w(shape, np.sqrt(s))
-    if isinstance(shape, Polytope):     # the rows of z as directions, at lam = 1
-        return _orbit_values(shape, np.ones(1), z if np.imag(z).any() else np.real(z))[0]
-    if isinstance(shape, DisjointUnion):
-        return sum(_transform_rows(m, z) for m in shape.members)
-    raise TypeError(f"not a shape: {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +409,8 @@ def _orbit_maxima(shape, lams: np.ndarray, dirs: np.ndarray):
 def _orbit_values(shape, lams: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """The transform at lam * u, lam in lams and u a row of dirs, as L x D
     values: a polytope's nodes are t = lam q, q = -u.v for each vertex v of
-    a simplex, one kernel call for all; a radial member is its profile at lam."""
-    if shape.is_radial:
-        return np.broadcast_to(radial_profile(shape, lams)[:, None], (len(lams), len(dirs)))
+    a simplex, one kernel call for all; a radial member is its profile at
+    lam times the bilinear length sqrt(u.u); a union sums its members."""
     if isinstance(shape, Polytope):
         verts = shape.simplices()                       # S x m x dim
         s, m = verts.shape[:2]
@@ -429,7 +418,12 @@ def _orbit_values(shape, lams: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         dd = _divided_differences(lams, np.ascontiguousarray(q.reshape(-1, m).T))
         dets = shape.simplex_dets * (1, -1j, -1, 1j)[(m - 1) % 4]
         return dd.reshape(len(lams), len(dirs), s) @ dets
-    return sum(_orbit_values(m, lams, dirs) for m in shape.members)
+    if isinstance(shape, DisjointUnion):
+        return sum(_orbit_values(m, lams, dirs) for m in shape.members)
+    if not isinstance(shape, (Ball, Annulus)):
+        raise TypeError(f"not a shape: {shape!r}")
+    u = dirs.astype(complex, copy=False)        # u.u is bilinear, not Hermitian
+    return radial_profile(shape, lams[:, None] * np.sqrt((u * u).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,13 @@ class PompeiuInstance:
                 raise ValueError(f"coset index {c!r} is not an integer")
             if not 0 <= c < self.space.num_cosets:
                 raise ValueError(f"coset index {c} out of range")
+
+    @cached_property
+    def _convolution_zero_set(self) -> np.ndarray:
+        """Per spherical function, whether it convolves the reversed lifted
+        indicator of E to zero: computed once per instance, for both
+        `pompeiu_convolution` and `zero_set_vector`."""
+        return _convolution_zeros(self.space, _bits(self))[0].all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +329,7 @@ def pompeiu_convolution(space_or_instance, subset=None) -> DecisionReport:
     """E has the property iff no spherical function convolves the reversed
     lifted indicator to zero; checked exhaustively on the group."""
     inst = _instance(space_or_instance, subset)
-    zeros = _convolution_zeros(inst.space, _bits(inst))[0].all(axis=0)
-    return _spherical_report("convolution", inst.space, zeros)
+    return _spherical_report("convolution", inst.space, inst._convolution_zero_set)
 
 
 def zero_set_vector(space_or_instance, subset=None) -> np.ndarray | None:
@@ -331,7 +338,7 @@ def zero_set_vector(space_or_instance, subset=None) -> np.ndarray | None:
     Z to itself (Bannai & Ito 1984, ch. II), else a bug trap; |Z| L at K,
     and in the translate matrix's kernel iff every f_i in Z is."""
     inst = _instance(space_or_instance, subset)
-    zeros = _convolution_zeros(inst.space, _bits(inst))[0].all(axis=0)
+    zeros = inst._convolution_zero_set
     if not zeros.any():
         return None
     st = hecke_structure(inst.space)    # exact values are scaled by L already

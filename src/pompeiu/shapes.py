@@ -3,9 +3,11 @@ at the origin), convex polytopes, and disjoint unions.
 
 Every shape knows its exact volume, its bounding box, whether it is
 invariant under all rotations, and how to produce mapped tensor quadrature
-nodes of a given order for integrals over itself.  On a radial shape an
-integrand that depends only on the distance to a point has a 1-D rule in
-polar coordinates about that point, `PolarRule`.
+nodes of a given order for integrals over itself.  A ball or an annulus is
+read as its signed balls, `balls()`: the outer ball +1 and any hole -1, the
+one description that its volume, its transform profile and its polar rule
+use.  On a radial shape an integrand that depends only on the distance to
+a point has a 1-D rule in polar coordinates about that point, `PolarRule`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,83 +35,72 @@ __all__ = [
 ]
 
 
-def _check_volume(shape, what: str) -> None:
-    """ValueError naming what unless the shape's volume is positive and finite."""
-    if not 0 < shape.volume < math.inf:
-        fault = "overflows" if shape.volume else "underflows to 0"
-        raise ValueError(f"{what}: its volume {fault}")
+class _Radial:
+    """What a ball and an annulus about the origin share, each read as its
+    signed balls (`balls`).  Checks run in order: the dimension, the radii
+    (the class's `_check_radii`), then that the volume is positive and
+    finite."""
 
-
-def _ball_volume(dim: int, radius: float) -> float:
-    """The volume, inf when it overflows."""
-    try:
-        if dim == 2:
-            return math.pi * radius ** 2
-        if dim == 3:
-            return 4.0 / 3.0 * math.pi * radius ** 3
-    except OverflowError:
-        return math.inf
-    raise ValueError(f"unsupported dimension {dim}")
-
-
-@dataclass(frozen=True)
-class Ball:
-    radius: float
-    dim: int = 2
+    is_radial = True
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"unsupported dimension {self.dim}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        _check_volume(self, f"ball of radius {self.radius:g}")
+        self._check_radii()
+        if not 0 < self.volume < math.inf:
+            fault = "overflows" if self.volume else "underflows to 0"
+            raise ValueError(f"{self._name} {self.radial_interval()[1]:g}: its volume {fault}")
+
+    def balls(self) -> tuple:
+        """(radius, sign) pairs: the outer ball +1, then the hole -1 when its
+        radius is positive."""
+        inner, outer = self.radial_interval()
+        return ((outer, 1.0), (inner, -1.0)) if inner > 0 else ((outer, 1.0),)
 
     @property
     def volume(self) -> float:
-        return _ball_volume(self.dim, self.radius)
+        """The signed sum of the balls' volumes, inf when one overflows."""
+        try:
+            return sum(sign * (math.pi * r ** 2 if self.dim == 2 else 4.0 / 3.0 * math.pi * r ** 3)
+                       for r, sign in self.balls())
+        except OverflowError:
+            return math.inf
 
-    @property
-    def is_radial(self) -> bool:
-        return True
+    def bounding_box(self):
+        r = self.radial_interval()[1]
+        return (np.full(self.dim, -r), np.full(self.dim, r))
+
+
+@dataclass(frozen=True)
+class Ball(_Radial):
+    radius: float
+    dim: int = 2
+    _name = "ball of radius"
+
+    def _check_radii(self):
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
     def radial_interval(self) -> tuple:
         return (0.0, self.radius)
-
-    def bounding_box(self):
-        r = self.radius
-        return (np.full(self.dim, -r), np.full(self.dim, r))
 
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, 0.0, self.radius, order)
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Radial):
     inner: float
     outer: float
     dim: int = 2
+    _name = "annulus of outer radius"
 
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"unsupported dimension {self.dim}")
+    def _check_radii(self):
         if not 0 < self.inner < self.outer < math.inf:
             raise ValueError("need 0 < inner < outer < inf")
-        _check_volume(self, f"annulus of outer radius {self.outer:g}")
-
-    @property
-    def volume(self) -> float:
-        return _ball_volume(self.dim, self.outer) - _ball_volume(self.dim, self.inner)
-
-    @property
-    def is_radial(self) -> bool:
-        return True
 
     def radial_interval(self) -> tuple:
         return (self.inner, self.outer)
-
-    def bounding_box(self):
-        r = self.outer
-        return (np.full(self.dim, -r), np.full(self.dim, r))
 
     def quad_nodes(self, order: int):
         return _radial_nodes(self.dim, self.inner, self.outer, order)
@@ -253,9 +244,7 @@ class PolarRule:
 
     def __init__(self, shape: EuclideanSet, radii):
         self.shape = shape
-        # the shape as a signed sum of balls: (radius, sign) pairs
-        self._balls = [(r, sign) for m in getattr(shape, "members", (shape,))
-                       for r, sign in zip(m.radial_interval()[::-1], (1.0, -1.0)) if r > 0]
+        self._balls = [b for m in getattr(shape, "members", (shape,)) for b in m.balls()]
         self._a = a = np.asarray(radii, dtype=float)[:, None]
         bound = np.array([r for r, _ in self._balls])
         self.edges = np.sort(np.hstack([np.zeros_like(a), np.abs(a - bound), a + bound]), axis=1)
@@ -378,11 +367,8 @@ def load_set_spec(source) -> EuclideanSet:
 
 
 def set_to_spec(shape: EuclideanSet) -> dict:
-    if isinstance(shape, Ball):
-        return {"dim": shape.dim, "shape": "ball", "radius": shape.radius}
-    if isinstance(shape, Annulus):
-        return {"dim": shape.dim, "shape": "annulus",
-                "inner": shape.inner, "outer": shape.outer}
+    if isinstance(shape, (Ball, Annulus)):     # "ball" or "annulus", and the fields
+        return {"shape": type(shape).__name__.lower(), **asdict(shape)}
     if isinstance(shape, Polytope):
         return {"dim": shape.dim, "shape": "polytope",
                 "vertices": shape.vertices.tolist()}

@@ -1,22 +1,112 @@
 """Element-by-element references that the tests hold the package to: each
 computes from the definition, on group elements or one measure at a time,
 what the package computes on cosets, classes or batches of subsets; the
-quadrature rule of one simplex at a time; and the radial root search one
-bisection step per profile call."""
+quadrature rule of one simplex at a time; the radial profile one ball at a
+time; and the radial root search one bisection step per profile call.
+`random_coset_spaces` is the seeded corpus of random spaces that the
+deciders are held to."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from pompeiu import euclidean
+from pompeiu import finite_pompeiu as fp
+from pompeiu.bessel import ball3_profile, j1_over_z
 from pompeiu.finite_pompeiu import CONV_ZERO_TOL, PHI_ZERO_TOL, _instance
-from pompeiu.groups import CosetSpace
+from pompeiu.groups import (CosetSpace, GroupSpecError, build_group,
+                            group_from_permutations)
 from pompeiu.hecke import (BiinvariantMeasure, SphericalFunction,
                            _algebra_arrays, hecke_structure, phi_hom,
                            spherical_functions)
+from pompeiu.shapes import Ball, DisjointUnion
+
+
+# The corpus of random coset spaces: its seed and sizes are fixed.
+CORPUS_SEED = 2026
+CORPUS_PERMUTATION_SPACES, CORPUS_FAMILY_SPACES = 200, 100
+CORPUS_ORDER_CAP, CORPUS_COSET_CAP, CORPUS_SUBSETS = 720, 40, 3
+
+
+def random_coset_spaces():
+    """The seeded corpus: CORPUS_PERMUTATION_SPACES groups generated by 1-3
+    random permutations of 3-8 points, then CORPUS_FAMILY_SPACES random
+    members of the cyclic, dihedral and symmetric families, each over the
+    subgroup K that 0-2 random elements generate.  A draw of more than
+    CORPUS_ORDER_CAP elements or CORPUS_COSET_CAP cosets is drawn again.
+    Yields (space, subsets): CORPUS_SUBSETS nonempty subsets of the cosets,
+    each coset in with probability 1/2, the last a union of K-orbits."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    made = 0
+    while made < CORPUS_PERMUTATION_SPACES + CORPUS_FAMILY_SPACES:
+        if made < CORPUS_PERMUTATION_SPACES:
+            points = int(rng.integers(3, 9))
+            gens = [rng.permutation(points).tolist() for _ in range(rng.integers(1, 4))]
+            try:
+                group = group_from_permutations(gens, order_cap=CORPUS_ORDER_CAP)
+            except GroupSpecError:
+                continue
+        else:
+            family, lo, hi = [("cyclic", 1, 61), ("dihedral", 3, 31), ("symmetric", 1, 7)][
+                rng.integers(3)]
+            group = build_group({"family": family, "n": int(rng.integers(lo, hi))})
+        space = CosetSpace(group, rng.integers(group.order, size=rng.integers(0, 3)).tolist())
+        if space.num_cosets > CORPUS_COSET_CAP:
+            continue
+        made += 1
+        n, classes = space.num_cosets, space.double_cosets.class_of[list(space.transversal)]
+        subsets = []
+        while len(subsets) < CORPUS_SUBSETS:
+            last = len(subsets) == CORPUS_SUBSETS - 1
+            picked = rng.random(classes.max() + 1 if last else n) < 0.5
+            subset = np.flatnonzero(picked[classes] if last else picked)
+            if subset.size:
+                subsets.append(frozenset(subset.tolist()))
+        yield space, subsets
+
+
+def rebuilt(space: CosetSpace) -> CosetSpace:
+    """The space built again from the permutations of its group's
+    generators (its elements' one-line images, or the rows of the table of
+    a group with none), in reverse order, or from the inverse of a lone
+    generator: another numbering of the elements, and no family tag.  K's
+    generators are carried over as permutations."""
+    group = space.group
+    images = group.perms if group.perms is not None else group.mul
+    gens = [images[g] for g in group.generators][::-1]
+    if len(gens) == 1:
+        gens = [np.argsort(gens[0])]
+    again = group_from_permutations(gens, order_cap=group.order)
+    index = {row.tobytes(): i for i, row in enumerate(np.asarray(again.perms, dtype=np.int32))}
+    return CosetSpace(again, [index[np.asarray(images[k], dtype=np.int32).tobytes()]
+                              for k in space.k_generators])
+
+
+def class_convolution(space: CosetSpace, a: int, b: int) -> np.ndarray:
+    """The convolution of the indicators of the double cosets KaK and KbK
+    on G, counted on the group table: at x, the number of y in KaK with
+    y^{-1} x in KbK.  The structure constants of the algebra are its values
+    on the double cosets, so the indicators commute iff it is symmetric in
+    a and b."""
+    group, class_of = space.group, space.double_cosets.class_of
+    ys = np.flatnonzero(class_of == class_of[a])
+    return (class_of[group.mul[group.inv[ys]]] == class_of[b]).sum(axis=0)
+
+
+def zero_test_ratios(inst) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry that the spectral and the convolution decider test for 0
+    on a float space, at the scale of its tolerance: |value| / (1 + weight)
+    for row r of each decider's per-coset table summed over the cosets of
+    t_r^{-1}E, as (spectral, convolution) arrays."""
+    space, cache = inst.space, fp._cache(inst.space)
+    inside = np.isin(space.action[list(space.transversal)], sorted(inst.subset)).astype(float)
+    return tuple(np.abs((inside @ table).view(complex)) / (1.0 + inside @ weight)[:, None]
+                 for table, weight in ((cache.phi, cache.phi_weight),
+                                       (cache.conv, cache.conv_weight)))
 
 
 def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
@@ -159,6 +249,25 @@ def convolution_zero_set(space: CosetSpace, subset) -> frozenset:
     else:
         zeros = np.abs(conv) < CONV_ZERO_TOL * (1 + len(lifted))
     return frozenset(np.flatnonzero(zeros.all(axis=1)).tolist())
+
+
+def radial_profile(shape, lam):
+    """The transform of a radial shape at frequency magnitudes lam, each
+    ball's closed form on its own: 2 pi r^2 J1(x)/x in the plane and 4 pi
+    r^3 (sin x - x cos x)/x^3 in 3-space at x = lam r.  A ball is its term,
+    an annulus its outer ball's term less its inner ball's, and a union the
+    sum of its members' from 0, in order."""
+    w = np.asarray(lam, dtype=complex)
+
+    def ball(r):
+        if shape.dim == 2:
+            return 2.0 * math.pi * r * r * j1_over_z(w * r)
+        return 4.0 * math.pi * r ** 3 * ball3_profile(w * r)
+
+    def member(m):
+        return ball(m.radius) if isinstance(m, Ball) else ball(m.outer) - ball(m.inner)
+    return sum(map(member, shape.members)) if isinstance(shape, DisjointUnion) else member(shape)
+
 
 def bisect_brackets(shape, a: np.ndarray, b: np.ndarray,
                     fa: np.ndarray) -> np.ndarray:

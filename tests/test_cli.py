@@ -125,6 +125,30 @@ def test_finite_check_needs_no_exact_kernel(spec, subset, tmp_path, monkeypatch)
     assert (tmp_path / "proved.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
+def test_finite_check_computes_the_convolution_zero_set_once(tmp_path, monkeypatch):
+    """On a NotPompeiu subset the convolution decider and the zero-set
+    vector share one convolution zero set: `finite check` of the Z24
+    periodic subset runs `_convolution_zeros` once, and writes the bytes of
+    a run where each reader computes it afresh."""
+    group = tmp_path / "z24.json"
+    group.write_text(json.dumps({"family": "cyclic", "n": 24}))
+    argv = ["finite", "check", "--group", str(group), "--set", "0,2,6,8,12,14,18,20", "--out"]
+    convolution_zeros, calls = finite_pompeiu._convolution_zeros, []
+
+    def counted(space, bits):
+        calls.append(len(bits))
+        return convolution_zeros(space, bits)
+    monkeypatch.setattr(finite_pompeiu, "_convolution_zeros", counted)
+    assert main(argv + [str(tmp_path / "shared.json")]) == 0
+    assert calls == [1]
+    fresh = finite_pompeiu.PompeiuInstance._convolution_zero_set.func
+    monkeypatch.setattr(finite_pompeiu.PompeiuInstance, "_convolution_zero_set", property(fresh))
+    assert main(argv + [str(tmp_path / "fresh.json")]) == 0
+    assert calls == [1, 1, 1]
+    report = (tmp_path / "shared.json").read_bytes()
+    assert b'"NotPompeiu"' in report and report == (tmp_path / "fresh.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", [["check", "--set", "0,1,2,3,4,5"], ["sweep"]])
 def test_finite_commands_read_no_group_table(command, tmp_path, monkeypatch):
     """Once the coset space is built, neither finite command reads the

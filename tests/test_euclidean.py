@@ -18,6 +18,7 @@ from pompeiu.euclidean import (RigidMotion, complex_sphere_vanishes,
 import pompeiu.shapes as shapes
 from pompeiu.quadrature import QuadratureError, integrate_over
 from pompeiu.shapes import Annulus, Ball, DisjointUnion, Polytope
+import references
 from references import bisect_brackets
 
 J1_1 = 3.8317059702075123
@@ -1102,6 +1103,81 @@ def test_large_complex_radial_profile_is_bit_identical_to_scalar_calls(shape):
     sample = np.arange(0, len(lams), 10)
     scalar = [radial_profile(shape, complex(x)) for x in lams[sample]]
     assert np.array_equal(_bits(batch[sample]), _bits(scalar))
+
+
+RINGS3 = DisjointUnion([BALL3, Annulus(2.0, 3.0, 3)])
+
+
+@pytest.mark.parametrize("shape", [DISK, BALL3, Annulus(1.0, 2.0, 2), Annulus(2.0, 3.0, 3),
+                                   RINGS, RINGS3],
+                         ids=["disk", "ball3", "annulus", "annulus3", "rings", "rings3"])
+def test_radial_profile_is_bit_identical_to_the_ball_by_ball_reference(shape, monkeypatch):
+    """On the grid of 0:20 at 0.05, its negatives, a complex line and the
+    imaginary axis, the profile has the bits of the reference that writes
+    each ball's term out, array and scalar calls alike, and builds no shape
+    on the way."""
+    def built(self):
+        raise AssertionError("radial_profile built a shape")
+    monkeypatch.setattr(shapes._Radial, "__post_init__", built)
+    monkeypatch.setattr(DisjointUnion, "__init__", built)
+    xs = euclidean._frequency_grid((0.0, 20.0), euclidean.DEFAULT_GRID)
+    lams = np.concatenate([xs, -xs, [0.0, 1e-9, 600000.3], xs + 0.7j, xs - 0.7j,
+                           1j * xs[::20]])
+    assert np.array_equal(_bits(radial_profile(shape, lams)),
+                          _bits(references.radial_profile(shape, lams)))
+    for lam in lams[::37]:
+        assert np.array_equal(_bits([radial_profile(shape, lam)]),
+                              _bits([references.radial_profile(shape, lam)]))
+
+
+MIXED_2D = DisjointUnion([Ball(0.5, 2), Polytope([[2, 2], [3, 2], [3, 3], [2, 3]])])
+MIXED_3D = DisjointUnion([BALL3, Polytope([[3, 3, 3], [4, 3, 3], [3, 4, 3], [3, 3, 4]])])
+
+
+@pytest.mark.parametrize("shape", [MIXED_2D, MIXED_3D], ids=["disk+square", "ball3+tetrahedron"])
+def test_mixed_union_transform_is_the_sum_of_its_members(shape):
+    """fourier_laplace of a union of a radial member and a polytope equals
+    the sum of its members' transforms to 1e-14 relative, at real and at
+    complex frequencies, batched and one at a time."""
+    rng = np.random.default_rng(11)
+    real = rng.uniform(-8, 8, (200, shape.dim))
+    for z in (real, real + 1j * rng.uniform(-2, 2, real.shape)):
+        total = sum(fourier_laplace(m, z) for m in shape.members)
+        np.testing.assert_allclose(fourier_laplace(shape, z), total, rtol=1e-14, atol=0)
+        for row, want in zip(z[:5], total):
+            assert abs(fourier_laplace(shape, row) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("shape", [DISK, Annulus(1.0, 2.0, 2), RINGS3],
+                         ids=["disk", "annulus", "rings3"])
+def test_orbit_values_of_a_radial_shape_are_its_profile_at_each_bilinear_length(shape):
+    """On a radial shape the orbit scan takes the profile at lam sqrt(u.u)
+    per direction u, one ulp or so off lam on a unit u: the orbit maximum
+    is within 1e-12 relative of the profile's modulus at lam."""
+    dirs = rotation_directions(shape.dim, 64)
+    lams = np.array([1.3, 2.7 + 0.4j, 5.0])
+    u = dirs.astype(complex)
+    want = radial_profile(shape, lams[:, None] * np.sqrt((u * u).sum(axis=1)))
+    assert np.array_equal(_bits(euclidean._orbit_values(shape, lams, dirs)), _bits(want))
+    for lam in lams:
+        check = complex_sphere_vanishes(shape, lam, 64)
+        assert abs(check.max_magnitude - abs(radial_profile(shape, lam))) \
+            <= 1e-12 * abs(radial_profile(shape, lam))
+
+
+class _Impostor:
+    """Has a dimension and a radial flag, but is none of the four shapes."""
+
+    def __init__(self, is_radial):
+        self.dim, self.is_radial = 2, is_radial
+
+
+@pytest.mark.parametrize("is_radial", [False, True])
+def test_transform_of_an_object_that_is_no_shape_is_a_type_error(is_radial):
+    with pytest.raises(TypeError, match="not a shape"):
+        fourier_laplace(_Impostor(is_radial), [1.0, 2.0])
+    with pytest.raises(TypeError, match="not a shape"):
+        complex_sphere_vanishes(_Impostor(is_radial), 1.5)
 
 
 def _scalar_roots(profile, lam_range, grid, count=None):

@@ -68,13 +68,21 @@ def test_quick_tour_measure_algebra(s3_space):
 
 
 def test_readme_names_every_export():
-    """Every name that `pompeiu/__init__.py` imports is named in the README."""
+    """Every name that `pompeiu/__init__.py` imports is named in the README,
+    and every name that its Public API section cites, other than the
+    modules, imports from `pompeiu`."""
     tree = ast.parse(Path(pompeiu.__file__).read_text())
     exported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
-    assert len(exported) == 50
+    modules = ["pompeiu"] + [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert len(exported) == 51 and len(modules) == 7
     text = README.read_text()
     assert [name for name in exported if f"`{name}`" not in text] == []
+    section = re.search(r"## Public API\n(.*?)\n## ", text, re.S).group(1)
+    cited = set(re.findall(r"`(\w+)`", section)) - set(modules)
+    assert len(cited) == 51
+    for name in cited:
+        exec(f"from pompeiu import {name}", {})
 
 
 @pytest.mark.parametrize("name", NOT_EXPORTED)

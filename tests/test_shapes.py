@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +36,71 @@ def test_shape_invariants_rejected():
     for make in (lambda: Ball(1e155, 2), lambda: Ball(1e103, 3), lambda: Annulus(1.0, 1e155, 2)):
         with pytest.raises(ValueError, match="volume overflows"):
             make()
+
+
+def test_ball_and_annulus_are_frozen_values():
+    """Fields, equality, hash and repr of the two radial dataclasses: a ball
+    is (radius, dim), an annulus (inner, outer, dim), dim 2 by default."""
+    assert [f.name for f in dataclasses.fields(Ball)] == ["radius", "dim"]
+    assert [f.name for f in dataclasses.fields(Annulus)] == ["inner", "outer", "dim"]
+    assert repr(Ball(1.5)) == "Ball(radius=1.5, dim=2)"
+    assert repr(Annulus(1.0, 2.0, 3)) == "Annulus(inner=1.0, outer=2.0, dim=3)"
+    assert Ball(1.0) == Ball(1.0, 2) and hash(Ball(1.0)) == hash(Ball(1.0, 2))
+    assert Annulus(1.0, 2.0) == Annulus(1.0, 2.0, 2)
+    assert hash(Annulus(1.0, 2.0)) == hash(Annulus(1.0, 2.0, 2))
+    assert Ball(1.0, 2) != Ball(1.0, 3) and Ball(1.0, 2) != Ball(2.0, 2)
+    assert Annulus(1.0, 2.0, 2) != Annulus(1.0, 3.0, 2)
+    assert len({Ball(1.0), Ball(1.0, 2), Annulus(1.0, 2.0), Annulus(1.0, 2.0)}) == 2
+    for shape, field in ((Ball(1.0), "radius"), (Annulus(1.0, 2.0), "inner")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shape, field, 3.0)
+    assert Ball(1.0).is_radial and Annulus(1.0, 2.0, 3).is_radial
+
+
+@pytest.mark.parametrize("make,message", [
+    # the dimension first, even where the radii or the volume are bad too
+    (lambda: Ball(-1.0, 4), "unsupported dimension 4"),
+    (lambda: Ball(1e155, 1), "unsupported dimension 1"),
+    (lambda: Annulus(2.0, 1.0, 4), "unsupported dimension 4"),
+    # then the radii, even where the volume is bad too
+    (lambda: Ball(math.inf, 2), "radius must be positive and finite"),
+    (lambda: Ball(0.0, 3), "radius must be positive and finite"),
+    (lambda: Ball(math.nan, 2), "radius must be positive and finite"),
+    (lambda: Annulus(0.0, 1e155, 2), "need 0 < inner < outer < inf"),
+    (lambda: Annulus(2.0, 2.0, 3), "need 0 < inner < outer < inf"),
+    (lambda: Annulus(1.0, math.inf, 2), "need 0 < inner < outer < inf"),
+    # then the volume
+    (lambda: Ball(1e155, 2), "ball of radius 1e+155: its volume overflows"),
+    (lambda: Ball(1e-200, 3), "ball of radius 1e-200: its volume underflows to 0"),
+    (lambda: Annulus(1.0, 1e155, 2), "annulus of outer radius 1e+155: its volume overflows"),
+    (lambda: Annulus(1e300, 1e301, 3), "annulus of outer radius 1e+301: its volume overflows"),
+    (lambda: Annulus(1e-200, 2e-200, 2),
+     "annulus of outer radius 2e-200: its volume underflows to 0"),
+])
+def test_radial_checks_keep_their_messages_and_order(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_radial_volumes_are_their_signed_balls():
+    """A ball's volume is its closed form, an annulus's the outer ball's
+    less the inner one's, bit for bit."""
+    assert Ball(2.0, 3).volume == 4.0 / 3.0 * math.pi * 2.0 ** 3
+    assert Annulus(1.0, 2.0, 2).volume == math.pi * 2.0 ** 2 - math.pi * 1.0 ** 2
+    assert Annulus(2.0, 3.0, 3).volume == Ball(3.0, 3).volume - Ball(2.0, 3).volume
+
+
+def test_radial_shapes_are_their_signed_balls():
+    """`balls()` of a ball, of an annulus and of each member of a union:
+    the outer radius with sign +1, then the inner one with sign -1 when
+    there is a hole."""
+    assert Ball(2.5, 3).balls() == ((2.5, 1.0),)
+    assert Annulus(1.0, 2.0, 2).balls() == ((2.0, 1.0), (1.0, -1.0))
+    rings = DisjointUnion([Ball(1.0, 3), Annulus(2.0, 3.0, 3)])
+    assert [m.balls() for m in rings.members] == [((1.0, 1.0),), ((3.0, 1.0), (2.0, -1.0))]
+    mixed = DisjointUnion([Annulus(0.5, 1.0, 2), Polytope([[2, 2], [3, 2], [3, 3], [2, 3]])])
+    assert mixed.members[0].balls() == ((1.0, 1.0), (0.5, -1.0))
+    assert not hasattr(mixed.members[1], "balls")
 
 
 def test_union_disjointness():
