@@ -69,7 +69,7 @@ def cmd_finite_check(args: argparse.Namespace) -> int:
     inst = PompeiuInstance(space, frozenset(args.set))
     spectral = pompeiu_spectral(inst)
     conv = pompeiu_convolution(inst)
-    oracle = pompeiu_oracle(inst, kernel=None if conv.has_property else zero_set_vector(inst))
+    oracle = pompeiu_oracle(inst, kernel=zero_set_vector(inst))
     agreement = oracle.verdict == spectral.verdict == conv.verdict
     shown = spectral if spectral.witness is not None else oracle
     witness = shown.witness

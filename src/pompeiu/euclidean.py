@@ -8,6 +8,8 @@ vanishing on the full complex quadric z.z = lambda^2), sign-change root
 searches on radial profiles, and direct convolution / rigid-motion
 integral checks that re-verify every candidate failure frequency.
 
+Every shape's search reads one landscape, lam -> the largest |F| on the
+orbit of lam e1 (|profile(lam)| if radial), for its witnesses and CSV.
 Transforms are evaluated in batches, by one dispatcher over the shapes,
 `_orbit_values`, which both `fourier_laplace` (at lam = 1) and the orbit
 scan call: a radial member is its signed balls' profile, summed member by
@@ -540,13 +542,16 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
     phi_lam(x + y) dy|; zero exactly at failure frequencies.  One float for
     a scalar lam, one per entry for a 1-D array, each bit-identical to the
     scalar call, from one integration (see the module docstring).  A
-    frequency or sample point that is not finite raises ValueError."""
+    frequency or sample point that is not finite, or no sample point at
+    all, raises ValueError."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
     lams = np.asarray(lam, dtype=complex)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if not (np.isfinite(lams).all() and np.isfinite(pts).all()):
         raise ValueError("frequencies and sample points must be finite")
+    if not pts.size:
+        raise ValueError("no sample points: a residual over none would read as 0")
     # real frequencies first, so that a block never mixes the two kinds
     order = np.argsort(lams.ravel().imag != 0, kind="stable")
     freqs = lams.ravel()[order]
@@ -585,7 +590,7 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
         vals = np.reshape(integrate_over(rule, polar_rows, tol, n * m), (n, m))
     else:
         vals = np.reshape(integrate_over(shape, rows, tol, m * n), (m, n)).T
-    res = np.abs(vals).max(axis=1, initial=0.0)[np.argsort(order)]
+    res = np.abs(vals).max(axis=1)[np.argsort(order)]
     return float(res[0]) if lams.ndim == 0 else res
 
 
@@ -597,7 +602,7 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
     """Max over rigid motions of |integral of f over the moved shape| for
     both test functions: the spherical average phi_lam and the plane wave
     exp(i lam x_1).  One adaptive integration serves every motion and
-    test function, on shared rules."""
+    test function, on shared rules.  No motion at all raises ValueError."""
     if motions is None:
         if count is None:
             raise ValueError("give either motions or a seeded count")
@@ -605,6 +610,8 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
             raise ValueError("random motions require a seed")
         motions = random_motions(shape.dim, count, seed, translation_scale)
     motions, lam = list(motions), complex(lam)
+    if not motions:
+        raise ValueError("no rigid motions: a check over none would read as 0")
     tests = (lambda p: spherical_phi(lam, p, shape.dim),
              lambda p: np.exp(1j * lam * p[:, 0]))
     def rows(p, idx):   # integrand 2m + f: test function f on the shape moved by motion m
@@ -616,6 +623,8 @@ def pompeiu_integral_check(shape: EuclideanSet, lam: complex,
 def random_motions(dim: int, count: int, seed: int,
                    translation_scale: float = 2.0) -> list[RigidMotion]:
     """Seeded rigid motions: Haar-uniform rotations, uniform box translations."""
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -623,7 +632,7 @@ def random_motions(dim: int, count: int, seed: int,
             a = rng.uniform(0.0, 2.0 * math.pi)
             rot = np.array([[math.cos(a), -math.sin(a)],
                             [math.sin(a), math.cos(a)]])
-        elif dim == 3:
+        else:
             q = rng.standard_normal(4)
             q /= np.linalg.norm(q)
             w, x, y, z = q
@@ -632,8 +641,6 @@ def random_motions(dim: int, count: int, seed: int,
                 [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ])
-        else:
-            raise ValueError(f"unsupported dimension {dim}")
         t = rng.uniform(-translation_scale, translation_scale, dim)
         out.append(RigidMotion(rot, t))
     return out
@@ -668,14 +675,14 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
                   quad_tol: float = DEFAULT_TOL,
                   extra_lambdas=(),
                   collect_landscape: bool = False) -> EuclidReport:
-    """Search the range for failure frequencies.
-
-    Radial shapes: bracketed root finding on the closed-form profile.
-    Other shapes: rotation-orbit vanishing scan over the frequency grid,
-    with any candidate confirmed by the convolution test.  A verdict of
+    """Search the range for failure frequencies on one grid, reading one
+    array of orbit maxima, which is also the landscape.  Radial shapes: the
+    maxima are |profile|, the witnesses the roots bracketed on the real
+    profile.  Other shapes: the grid points whose maxima are below
+    vanish_tol times the volume and that the convolution test confirms.
+    Extra frequencies follow, in the order given.  A verdict of
     NoFailureFoundInRange is deliberately weaker than "has the property".
-    The scan runs in one thread.
-    """
+    The scan runs in one thread."""
     for name, tol in (("vanishing", vanish_tol), ("quadrature", quad_tol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} tolerance must be finite and positive, got {tol}")
@@ -685,27 +692,18 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
     extra_lambdas = [complex(lam) for lam in extra_lambdas]
     if not all(map(cmath.isfinite, extra_lambdas)):
         raise ValueError(f"extra frequencies must be finite, got {extra_lambdas}")
-    landscape = [] if collect_landscape else None
-    witnesses: list = []
+    xs = _frequency_grid(lam_range, grid)
     if shape.is_radial:
-        xs = _frequency_grid(lam_range, grid)
         vals = radial_profile(shape, xs)
+        mags = np.abs(vals)
         witnesses = _bracketed_roots(shape, xs, vals.real, None)
-        if collect_landscape:
-            landscape.extend(zip(xs.tolist(), np.abs(vals).tolist()))
     else:
-        xs = _frequency_grid(lam_range, grid)
-        maxima, _ = _orbit_maxima(shape, xs, rotation_directions(shape.dim, count))
-        threshold = vanish_tol * shape.volume
-        for x, mag in zip(xs.tolist(), maxima.tolist()):
-            if collect_landscape:
-                landscape.append((x, mag))
-            if mag < threshold and _confirm_candidate(shape, x, quad_tol, vanish_tol):
-                witnesses.append(x)
-    for lam in extra_lambdas:
-        check = complex_sphere_vanishes(shape, lam, count, vanish_tol)
-        if check.vanishes and _confirm_candidate(shape, lam, quad_tol, vanish_tol):
-            witnesses.append(lam if lam.imag else lam.real)
+        mags, _ = _orbit_maxima(shape, xs, rotation_directions(shape.dim, count))
+        witnesses = [x for x in xs[mags < vanish_tol * shape.volume].tolist()
+                     if _confirm_candidate(shape, x, quad_tol, vanish_tol)]
+    witnesses += [lam if lam.imag else lam.real for lam in extra_lambdas
+                  if complex_sphere_vanishes(shape, lam, count, vanish_tol).vanishes
+                  and _confirm_candidate(shape, lam, quad_tol, vanish_tol)]
     if any(complex(w) == 0 for w in witnesses):
         raise BugTrapError("a zero frequency leaked into the witness list")
     verdict = "NotPompeiu" if witnesses else "NoFailureFoundInRange"
@@ -713,14 +711,12 @@ def euclid_decide(shape: EuclideanSet, lam_range: tuple = DEFAULT_LAMBDA_RANGE,
                   ("bisect", BISECT_TOL))
     return EuclidReport(verdict, tuple(witnesses), tuple(lam_range), grid, count,
                         tolerances, _CAVEAT,
-                        None if landscape is None else tuple(landscape))
+                        tuple(zip(xs.tolist(), mags.tolist())) if collect_landscape else None)
 
 
 def _confirm_candidate(shape, lam, quad_tol: float, vanish_tol: float) -> bool:
     lo, hi = shape.bounding_box()
     diam = float(np.linalg.norm(hi - lo))
-    pts = [np.zeros(shape.dim)]
-    for u in rotation_directions(shape.dim, 8 if shape.dim == 2 else 12):
-        pts.append(u * 0.75 * diam)
-    worst = convolution_test(shape, lam, np.asarray(pts), quad_tol)
-    return worst < vanish_tol * shape.volume
+    dirs = rotation_directions(shape.dim, 8 if shape.dim == 2 else 12)
+    pts = np.concatenate([np.zeros((1, shape.dim)), dirs * 0.75 * diam])
+    return convolution_test(shape, lam, pts, quad_tol) < vanish_tol * shape.volume

@@ -307,6 +307,19 @@ def test_finite_check_empty_set(z8_file):
     assert main(["finite", "check", "--group", z8_file, "--set", ""]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["euclid", "decide", "--set", "disk.json", "--lambda-range", "abc"],
+     "range must look like 0:20, got 'abc'"),
+    (["finite", "check", "--group", "z8.json", "--set", "0,x"],
+     "subset must be comma-separated coset indices, got '0,x'"),
+], ids=["lambda-range", "subset"])
+def test_unparsable_arguments_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_finite_check_reports_the_decided_subset(z8_file, tmp_path):
     """A repeated index is decided once, and the report names the subset
     that was decided: --set 1,1,3 gives the report of --set 1,3."""

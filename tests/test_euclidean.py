@@ -830,6 +830,17 @@ def test_imag_cap_enforced():
     assert np.isfinite(abs(val))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: RigidMotion(np.eye(2), np.zeros(3)), "dimensions disagree"),
+    (lambda: radial_profile(SQUARE, 1.0), "shape is not radial"),
+    (lambda: fourier_laplace(SQUARE, [1.0, 2.0, 3.0]), "frequency must have 2 components"),
+    (lambda: rotation_directions(4, 8), "unsupported dimension 4"),
+], ids=["motion-shapes", "radial-profile-of-polytope", "frequency-width", "direction-dimension"])
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # orbit vanishing
 
@@ -983,6 +994,20 @@ def test_integral_check_requires_seed():
         pompeiu_integral_check(DISK, 1.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: pompeiu_integral_check(SQUARE, 3.0, count=0, seed=1), "no rigid motions"),
+    (lambda: pompeiu_integral_check(SQUARE, 3.0, motions=[]), "no rigid motions"),
+    (lambda: convolution_test(SQUARE, 3.0, np.zeros((0, 2))), "no sample points"),
+    (lambda: random_motions(4, 0, 1), "unsupported dimension 4"),
+], ids=["no-motion-drawn", "empty-motion-list", "no-sample-point", "no-motion-in-4-d"])
+def test_a_check_over_nothing_raises(call, message):
+    """Each would read 0, "vanishes", on the square, which has the property
+    at 3.0 (three seeded motions read above 0.5)."""
+    assert pompeiu_integral_check(SQUARE, 3.0, count=3, seed=1) > 0.5
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_random_motions_deterministic():
     a = random_motions(3, 4, seed=11)
     b = random_motions(3, 4, seed=11)
@@ -1081,6 +1106,63 @@ RADIAL_WORKLOAD = [(DISK, 20.0), (BALL3, 20.0), (Annulus(1.0, 2.0, 2), 20.0),
 
 def _bits(values):
     return np.asarray(values, dtype=complex).view(np.int64)
+
+
+# one landscape for every shape: the witnesses and the landscape read one
+# array of orbit maxima on the grid
+
+
+def test_orbit_scan_confirms_every_candidate_in_grid_order():
+    """At vanish_tol 10 every grid point of the square is a candidate (|F|
+    is at most the volume) and every candidate is confirmed (a residual is
+    at most the volume); the landscape does not depend on the tolerance."""
+    loose = euclid_decide(SQUARE, (0, 2), grid=0.5, vanish_tol=10, collect_landscape=True)
+    assert loose.verdict == "NotPompeiu"
+    assert loose.lambda_witnesses == (0.5, 1.0, 1.5, 2.0)
+    assert all(type(w) is float for w in loose.lambda_witnesses)
+    default = euclid_decide(SQUARE, (0, 2), grid=0.5, collect_landscape=True)
+    assert default.lambda_witnesses == ()
+    assert loose.landscape == default.landscape
+    assert [lam for lam, _ in loose.landscape] == [0.5, 1.0, 1.5, 2.0]
+
+
+def test_orbit_scan_keeps_only_confirmed_candidates(monkeypatch):
+    """A candidate that the convolution test refuses is dropped; the others
+    stay, confirmed one by one in ascending order."""
+    confirm, calls = euclidean._confirm_candidate, []
+
+    def refuse_one(shape, lam, quad_tol, vanish_tol):
+        calls.append(lam)
+        return lam != 1.0 and confirm(shape, lam, quad_tol, vanish_tol)
+
+    monkeypatch.setattr(euclidean, "_confirm_candidate", refuse_one)
+    report = euclid_decide(SQUARE, (0, 2), grid=0.5, vanish_tol=10)
+    assert calls == [0.5, 1.0, 1.5, 2.0]
+    assert report.lambda_witnesses == (0.5, 1.5, 2.0)
+
+
+def test_a_zero_frequency_witness_is_a_bug(monkeypatch):
+    monkeypatch.setattr(euclidean, "_bracketed_roots", lambda *args: [0.0])
+    with pytest.raises(euclidean.BugTrapError, match="zero frequency leaked"):
+        euclid_decide(DISK, (0, 5))
+
+
+@pytest.mark.parametrize("shape,hi", RADIAL_WORKLOAD)
+def test_radial_landscape_is_the_profile_magnitude_and_the_orbit_maximum(shape, hi):
+    """Each landscape value is |profile| bit for bit, and the largest |F|
+    on the rotation orbit of lam e1 to 1e-12."""
+    report = euclid_decide(shape, (0, hi), grid=hi / 10, collect_landscape=True)
+    assert len(report.landscape) == 10
+    for lam, mag in report.landscape:
+        assert mag == abs(radial_profile(shape, lam))
+        assert mag == pytest.approx(complex_sphere_vanishes(shape, lam).max_magnitude, rel=1e-12)
+
+
+def test_polytope_landscape_is_the_orbit_maximum():
+    report = euclid_decide(SQUARE, (0, 20), grid=2.0, collect_landscape=True)
+    assert len(report.landscape) == 10
+    for lam, mag in report.landscape:
+        assert mag == pytest.approx(complex_sphere_vanishes(SQUARE, lam).max_magnitude, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape,hi", RADIAL_WORKLOAD)

@@ -828,6 +828,29 @@ def test_certified_deficiency_with_trivial_kernel_raises(monkeypatch):
         pompeiu_oracle(cyclic_space(8), {0, 4})
 
 
+def test_empty_exact_kernel_past_22_columns_decides_pompeiu(monkeypatch):
+    """Past 22 columns a deficiency modulo PRIME proves nothing, so an
+    empty exact kernel there is a Pompeiu verdict: Z24 with E = {0}, the
+    translate test made to report a deficiency."""
+    monkeypatch.setattr(fp, "_translate_full_rank", lambda space, bits: np.array([False]))
+    assert not fp._rank_exact(24)
+    assert pompeiu_oracle(cyclic_space(24), {0}) == DecisionReport("Pompeiu", "oracle", None)
+
+
+def test_kernel_witness_that_fails_its_recheck_raises(monkeypatch):
+    """On Z6 with E = {0, 3} an exact kernel of e_0 sums to 1 over E."""
+    monkeypatch.setattr(exact_linalg, "nullspace",
+                        lambda matrix: [[Fraction(1)] + [Fraction(0)] * 5])
+    with pytest.raises(BugTrapError, match="^oracle kernel witness failed recheck$"):
+        pompeiu_oracle(cyclic_space(6), {0, 3})
+
+
+def test_recheck_of_a_report_without_witness_is_false():
+    inst = PompeiuInstance(cyclic_space(6), frozenset({0}))
+    report = pompeiu_oracle(inst)
+    assert report.witness is None and not recheck_witness(inst, report)
+
+
 def _raise_on_call(matrix):
     raise AssertionError("nullspace called on a certified subset")
 

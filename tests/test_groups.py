@@ -574,3 +574,21 @@ def test_s7_table_is_composition():
     assert np.array_equal(perms[g.mul[a, b]],
                           np.take_along_axis(perms[a], perms[b], axis=1))
     assert np.array_equal(perms[g.inv], np.argsort(perms, axis=1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FiniteGroup([[0, 1], [1, 2]], "bad", None, [1]), "^group table entries out of range$"),
+    (lambda: FiniteGroup([[0, 1], [1, -1]], "bad", None, [1]), "^group table entries out of range$"),
+    (lambda: FiniteGroup(np.zeros((2, 3)), "bad", None, [1]), "^multiplication table must be square$"),
+    (lambda: FiniteGroup([[0, 1], [1, 0]], "Z2", ["e"], [1]), "^element_labels length != order$"),
+    (lambda: groups.CosetSpace(groups.cyclic_group(4), [4]), "^generator index 4 out of range$"),
+    (lambda: groups.CosetSpace(groups.cyclic_group(4), [-1]), "^generator index -1 out of range$"),
+    (lambda: groups.cyclic_group(0), "^cyclic order must be >= 1$"),
+    (lambda: groups.dihedral_group(2), "^dihedral parameter must be >= 3$"),
+    (lambda: groups.symmetric_group(0), "^symmetric parameter must be >= 1$"),
+    (lambda: groups.group_from_permutations([]), "^at least one generator required$"),
+], ids=["entry-too-large", "entry-negative", "non-square", "label-count", "k-index-too-large",
+        "k-index-negative", "cyclic-0", "dihedral-2", "symmetric-0", "no-permutations"])
+def test_malformed_groups_are_refused(call, message):
+    with pytest.raises(GroupSpecError, match=message):
+        call()

@@ -87,6 +87,12 @@ def test_projection_self_adjoint(d6_space):
         assert abs(lhs - rhs) < 1e-12
 
 
+def test_measure_with_the_wrong_coefficient_count_is_refused(s3_space):
+    d = s3_space.double_cosets.num_classes
+    with pytest.raises(ValueError, match="coefficient count != double-coset class count"):
+        BiinvariantMeasure(s3_space, tuple(Fraction(1) for _ in range(d + 1)))
+
+
 def test_unit_is_convolution_identity(s3_space):
     unit = unit_measure(s3_space)
     rng = np.random.default_rng(1)
@@ -331,6 +337,11 @@ def test_check_spherical_trivial_cases(s3_space):
     assert check_spherical(s3_space, [0] * n) == 0  # zero solves the equation
     # ... but is not spherical: every spherical function has f(e) = 1
     assert all(complex(f.values[0]) == 1 for f in spherical_functions(s3_space))
+
+
+def test_check_spherical_refuses_a_table_of_the_wrong_length(s3_space):
+    with pytest.raises(ValueError, match="value table length != group order"):
+        check_spherical(s3_space, [1] * (s3_space.group.order + 1))
 
 
 def test_check_spherical_exact_beyond_int64(s3_space):

@@ -317,3 +317,18 @@ def test_parse_set_takes_tuples_and_numpy_numbers():
 def test_spec_fields_of_the_wrong_type_are_refused(spec, field):
     with pytest.raises(ValueError, match=field):
         parse_set(spec)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Polytope(np.zeros((5, 4))), "vertices must be an N x 2 or N x 3 array"),
+    (lambda: Polytope([[0, 0], [1, 0], [0, 1]], dim=3), "dim does not match vertex width"),
+    (lambda: DisjointUnion([]), "union needs at least one member"),
+], ids=["four-columns", "dim-disagrees", "empty-union"])
+def test_malformed_shapes_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_spec_of_a_non_shape_is_a_type_error():
+    with pytest.raises(TypeError, match="not a shape"):
+        set_to_spec("disk")
