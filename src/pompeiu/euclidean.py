@@ -542,8 +542,8 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
     phi_lam(x + y) dy|; zero exactly at failure frequencies.  One float for
     a scalar lam, one per entry for a 1-D array, each bit-identical to the
     scalar call, from one integration (see the module docstring).  A
-    frequency or sample point that is not finite, or no sample point at
-    all, raises ValueError."""
+    frequency or sample point that is not finite, no sample point at all, or
+    one of another width than the shape's dimension raises ValueError."""
     if shape.dim not in (2, 3):
         raise ValueError(f"unsupported dimension {shape.dim}")
     lams = np.asarray(lam, dtype=complex)
@@ -552,6 +552,8 @@ def convolution_test(shape: EuclideanSet, lam, sample_points,
         raise ValueError("frequencies and sample points must be finite")
     if not pts.size:
         raise ValueError("no sample points: a residual over none would read as 0")
+    if pts.shape[1:] != (shape.dim,):
+        raise ValueError(f"sample points must have {shape.dim} components, got shape {pts.shape}")
     # real frequencies first, so that a block never mixes the two kinds
     order = np.argsort(lams.ravel().imag != 0, kind="stable")
     freqs = lams.ravel()[order]

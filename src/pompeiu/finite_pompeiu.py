@@ -14,14 +14,16 @@ Each decider is one array kernel over a B x n 0/1 matrix of subsets, one
 row per subset; the single-subset functions (`pompeiu_oracle`,
 `pompeiu_spectral`, `pompeiu_convolution`) run them with B = 1.  Both
 spherical kernels gather the indicators of t^{-1}E over the transversal
-elements t and multiply them by one table with a row per coset.  The
-oracle's one test, the translate test, eliminates the translate matrix M
-modulo PRIME = 2^31 - 1: full rank there proves full rational rank (a
-minor nonzero modulo PRIME is nonzero), and up to 22 columns a deficiency
-there is rational too (`_rank_exact`).  A sweep runs one elimination per
-batch and computes no kernel; `pompeiu_oracle` tries a candidate kernel
-(`zero_set_vector`), then takes its witness from `exact_linalg.nullspace`
-when the test finds a deficiency.
+elements t, multiply them by one table with a row per coset and test the
+sums in `_vanishing`, the one zero test (`recheck_witness` uses it too):
+exact on an exact space, else below ZERO_TOL (1 + m |E|), m the mass of a
+row.  The oracle's one test, the translate test, eliminates the translate
+matrix M modulo PRIME = 2^31 - 1: full rank there proves full rational
+rank (a minor nonzero modulo PRIME is nonzero), and up to 22 columns a
+deficiency there is rational too (`_rank_exact`).  A sweep runs one
+elimination per batch and computes no kernel; `pompeiu_oracle` tries a
+candidate kernel (`zero_set_vector`), then takes its witness from
+`exact_linalg.nullspace` when the test finds a deficiency.
 
 The three criteria are invariant under translation, so `enumerate_all`
 decides only the least mask of each G-orbit, found by walking the
@@ -49,8 +51,7 @@ from . import exact_linalg as xla
 from .groups import BugTrapError, CosetSpace, check_work_budget, orbit_minima
 from .hecke import hecke_structure, spherical_functions
 
-PHI_ZERO_TOL = 1e-9
-CONV_ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9
 SWEEP_COSET_CAP = 20
 # Elements in the B x |G| x n translate matrices of one batch of a sweep,
 # and in the B x n masks of one chunk that the sweep hands to its sink.
@@ -88,7 +89,7 @@ class PompeiuInstance:
         if not self.subset:
             raise EmptySetError("subset of cosets must be nonempty")
         for c in self.subset:
-            if not isinstance(c, numbers.Integral):     # numpy integers too
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):  # numpy integers too
                 raise ValueError(f"coset index {c!r} is not an integer")
             if not 0 <= c < self.space.num_cosets:
                 raise ValueError(f"coset index {c} out of range")
@@ -212,9 +213,7 @@ def pompeiu_oracle(space_or_instance, subset=None, kernel=None) -> DecisionRepor
             raise BugTrapError("exact kernel is trivial on a certified rank deficiency")
         return DecisionReport("Pompeiu", "oracle", None)
     h = kernel[0]
-    scale = math.lcm(*(x.denominator for x in h))
-    scaled = np.asarray([int(x * scale) for x in h], dtype=object)
-    if np.any(scaled[translates].sum(axis=1)):
+    if np.any(np.asarray(h, dtype=object)[translates].sum(axis=1)):
         raise BugTrapError("oracle kernel witness failed recheck")
     return DecisionReport("NotPompeiu", "oracle", {"kernel": [float(x) for x in h]})
 
@@ -225,13 +224,13 @@ def pompeiu_oracle(space_or_instance, subset=None, kernel=None) -> DecisionRepor
 class _DecisionCache:
     """The per-coset tables of the two spherical deciders, rows c in G/K:
     phi[c], the Phi values of the ideal generator of coset c for the
-    identity, generators[c] @ phi_matrix.T, with its mass phi_weight[c] =
-    generators[c] @ class_sizes; and conv[c], |K| times the values of the
-    spherical functions on the class of c, class_values[:, orbitals[0]].T,
-    with its mass conv_weight[c] = |K|.  A complex table is kept as
-    interleaved real and imaginary columns: real rows times it, viewed as
-    complex, give the complex product, which numpy would hand to several
-    BLAS threads at a sweep batch's size.
+    identity, generators[c] @ phi_matrix.T, and conv[c], |K| times the
+    spherical functions on the class of c, class_values[:, orbitals[0]].T.
+    A row's mass, its value at f = 1, is |K| in conv and |K|^2 in phi:
+    sum_j generators[c, j] |C_j| = |K| sum_u #{k in K : k u = c} = |K|^2.
+    A complex table is kept as interleaved real and imaginary columns: real
+    rows times it, viewed as complex, give the complex product, which numpy
+    would hand to several BLAS threads at a sweep batch's size.
 
     generators[c, j] = #{k in K : k rep_j^{-1} lies in coset c} is the
     ideal generator of coset c for the identity, on the double-coset
@@ -255,36 +254,33 @@ class _DecisionCache:
                   space.k_size * structure.class_values[:, space.orbitals[0]].T)
         self.phi, self.conv = (np.ascontiguousarray(t).view(float) if t.dtype.kind == "c"
                                else t for t in tables)
-        self.phi_weight = self.generators @ np.asarray(space.double_cosets.class_sizes)
-        self.conv_weight = np.full(n, space.k_size)
 
 
-def _vanishing(values: np.ndarray, tol) -> np.ndarray:
-    """Elementwise zero test: exact on the int64 tables of an exact space,
-    below tol on complex ones."""
+def _vanishing(values: np.ndarray, mass, size) -> np.ndarray:
+    """The one zero test, elementwise: exact on int64 values, else below
+    ZERO_TOL (1 + mass size), mass the value of a row at f = 1, size |E|."""
     if values.dtype.kind == "i":
         return values == 0
-    return np.abs(values) < tol
+    return np.abs(values) < ZERO_TOL * (1.0 + mass * size)
 
 
 def _cache(space: CosetSpace) -> _DecisionCache:
     return space.cached("decision", _DecisionCache)
 
 
-def _row_zeros(space: CosetSpace, bits: np.ndarray, table: np.ndarray,
-               weight: np.ndarray, tol: float) -> np.ndarray:
+def _row_zeros(space: CosetSpace, bits: np.ndarray, table: np.ndarray, mass: int) -> np.ndarray:
     """B x transversal x spherical functions: whether row r of subset E,
-    the sum of the rows of a per-coset table over the cosets of t_r^{-1}E,
-    vanishes (within tol times one plus the same sum of weight).
-    translates[b, r] is the indicator of t_r^{-1}E: c lies there exactly
-    when t_r c lies in E.  The product needs no blocks: a sweep batch's
-    translates hold B n n <= B |G| n <= SCAN_CHUNK entries, its products
-    at most twice as many (two columns a spherical function, at most n)."""
+    the sum of the rows of a per-coset table of the given mass over the
+    cosets of t_r^{-1}E, vanishes.  translates[b, r] is the indicator of
+    t_r^{-1}E: c lies there exactly when t_r c lies in E.  The product
+    needs no blocks: a sweep batch's translates hold B n n <= B |G| n <=
+    SCAN_CHUNK entries, its products at most twice as many (two columns a
+    spherical function, at most n)."""
     translates = bits[:, space.action[list(space.transversal)]]
     values = translates @ table
     if table.dtype.kind == "f":
         values = values.view(complex)
-    return _vanishing(values, tol * (1.0 + translates @ weight)[..., None])
+    return _vanishing(values, mass, bits.sum(axis=1)[:, None, None])
 
 
 def _spectral_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
@@ -293,8 +289,7 @@ def _spectral_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     Translating by t_r^{-1} carries that onto the generator of coset
     t_r^{-1}c for the identity, so its Phi values are row r of the phi
     table.  E fails exactly when some f_i kills every row."""
-    cache = _cache(space)
-    return _row_zeros(space, bits, cache.phi, cache.phi_weight, PHI_ZERO_TOL)
+    return _row_zeros(space, bits, _cache(space).phi, space.k_size ** 2)
 
 
 def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
@@ -303,8 +298,7 @@ def _convolution_zeros(space: CosetSpace, bits: np.ndarray) -> np.ndarray:
     sum_{z in lifted E} f(xz) is |K| f_i(x t_c), |K| times f_i on the class
     orb[r, c] = orb[0, t_r^{-1}c]: the sum is row r of the conv table, and
     it vanishes on G exactly when it does at every r."""
-    cache = _cache(space)
-    return _row_zeros(space, bits, cache.conv, cache.conv_weight, CONV_ZERO_TOL)
+    return _row_zeros(space, bits, _cache(space).conv, space.k_size)
 
 
 def _spherical_report(method: str, space: CosetSpace, zeros: np.ndarray) -> DecisionReport:
@@ -487,31 +481,28 @@ def recheck_witness(inst: PompeiuInstance, report: DecisionReport) -> bool:
     as a function h on the cosets, nonzero, it sums to zero over every
     translate gE (exactly on integers).  A kernel is h as printed; a
     spherical f gives h(c) = f on the class of c, and sum_{z in lifted E}
-    f(xz), |K| times the sum of h over xE, is held to CONV_ZERO_TOL, as are
-    its printed values against f's.  A malformed witness is refused."""
+    f(xz), |K| times the sum of h over xE, is tested at mass |K|, and its
+    printed values to ZERO_TOL against f's.  A malformed witness is refused."""
     if report.witness is None:
         return False
     space, size, witness = inst.space, len(inst.subset), report.witness
     try:
         kernel = "kernel" in witness
         h = np.asarray(witness["kernel" if kernel else "values"], dtype=float)
-        idx = None if kernel else witness["spherical_index"]
+        idx, mass = (None, 1) if kernel else (witness["spherical_index"], space.k_size)
     except (KeyError, TypeError, ValueError):
         return False
-    if kernel:
-        scale, tol = 1, 1e-9 * (1 + size)
-    else:
+    if not kernel:
         values = hecke_structure(space).class_values
-        if not (isinstance(idx, numbers.Integral) and 0 <= idx < len(values)
-                and h.shape == (len(values), 2)
-                and (abs(h @ [1, 1j] - values[idx] / values[0, 0]) < CONV_ZERO_TOL).all()):
+        if not (isinstance(idx, numbers.Integral) and not isinstance(idx, bool)
+                and 0 <= idx < len(values) and h.shape == (len(values), 2)
+                and (abs(h @ [1, 1j] - values[idx] / values[0, 0]) < ZERO_TOL).all()):
             return False
         h = values[idx, space.orbitals[0]]
-        scale, tol = space.k_size, CONV_ZERO_TOL * (1 + space.k_size * size)
     if h.shape != (space.num_cosets,) or not h.any():
         return False
     sums = h[space.action[:, sorted(inst.subset)]].sum(axis=1)
-    return bool(_vanishing(scale * sums, tol).all())
+    return bool(_vanishing(mass * sums, mass, size).all())
 
 
 def _c2pair(v) -> list:

@@ -337,12 +337,16 @@ def unit_measure(space: CosetSpace) -> BiinvariantMeasure:
 
 def class_indicator(space: CosetSpace, class_index: int) -> BiinvariantMeasure:
     coeffs = [Fraction(0)] * space.double_cosets.num_classes
+    if not 0 <= class_index < len(coeffs):
+        raise ValueError(f"class index {class_index} out of range")
     coeffs[class_index] = Fraction(1)
     return BiinvariantMeasure(space, tuple(coeffs))
 
 
 def delta_sharp(space: CosetSpace, g: int) -> BiinvariantMeasure:
     """Biinvariant average of the point mass at g: density 1/|KgK| there."""
+    if not 0 <= g < space.group.order:
+        raise ValueError(f"group element {g} out of range")
     dcp = space.double_cosets
     c = int(dcp.class_of[g])
     coeffs = [Fraction(0)] * dcp.num_classes
@@ -354,10 +358,12 @@ def measure_from_function(space: CosetSpace, values: Sequence,
                           tol: float = 0.0) -> BiinvariantMeasure:
     """Interpret a density table on the group as a biinvariant measure.
 
-    Raises ValueError if the table is not constant on double cosets
-    (to within tol; default exact)."""
+    Raises ValueError if the table is not one entry per group element, or
+    not constant on double cosets (to within tol; default exact)."""
     dcp = space.double_cosets
     table, = _algebra_arrays(values)
+    if table.shape != (space.group.order,):
+        raise ValueError(f"density table of shape {table.shape}, not ({space.group.order},)")
     reps = np.asarray(dcp.representatives)
     ref = table[reps[dcp.class_of]]
     ok = table == ref if tol == 0.0 else np.abs(table - ref) <= tol

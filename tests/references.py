@@ -17,7 +17,7 @@ import numpy as np
 from pompeiu import euclidean
 from pompeiu import finite_pompeiu as fp
 from pompeiu.bessel import ball3_profile, j1_over_z
-from pompeiu.finite_pompeiu import CONV_ZERO_TOL, PHI_ZERO_TOL, _instance
+from pompeiu.finite_pompeiu import ZERO_TOL, _instance
 from pompeiu.groups import (CosetSpace, GroupSpecError, build_group,
                             group_from_permutations)
 from pompeiu.hecke import (BiinvariantMeasure, SphericalFunction,
@@ -99,14 +99,36 @@ def class_convolution(space: CosetSpace, a: int, b: int) -> np.ndarray:
 
 def zero_test_ratios(inst) -> tuple[np.ndarray, np.ndarray]:
     """Every entry that the spectral and the convolution decider test for 0
-    on a float space, at the scale of its tolerance: |value| / (1 + weight)
-    for row r of each decider's per-coset table summed over the cosets of
-    t_r^{-1}E, as (spectral, convolution) arrays."""
+    on a float space, at the scale of its tolerance: |value| / (1 + mass
+    |E|) for row r of each decider's per-coset table summed over the cosets
+    of t_r^{-1}E, the rows of mass |K|^2 and |K|, as (spectral, convolution)
+    arrays."""
     space, cache = inst.space, fp._cache(inst.space)
     inside = np.isin(space.action[list(space.transversal)], sorted(inst.subset)).astype(float)
-    return tuple(np.abs((inside @ table).view(complex)) / (1.0 + inside @ weight)[:, None]
-                 for table, weight in ((cache.phi, cache.phi_weight),
-                                       (cache.conv, cache.conv_weight)))
+    return tuple(np.abs((inside @ table).view(complex)) / (1.0 + mass * len(inst.subset))
+                 for table, mass in ((cache.phi, space.k_size ** 2),
+                                     (cache.conv, space.k_size)))
+
+
+def table_identity_faults(space: CosetSpace) -> list[str]:
+    """The identities behind the one zero test of the spherical deciders,
+    on every coset of a Gelfand pair: each ideal generator row has mass
+    generators @ class_sizes = |K|^2, and the spectral table is |K| times
+    the convolution table, exactly on integer tables (phi L = |K| conv, L
+    the lcm of the class sizes, by which the integer class values are
+    scaled) and to 1e-12 of the largest entry on float ones.  The faults
+    found, named by the space."""
+    cache, k, sizes = fp._cache(space), space.k_size, space.double_cosets.class_sizes
+    faults = []
+    if not (cache.generators @ np.asarray(sizes) == k * k).all():
+        faults.append(f"{space.name}: an ideal generator row's mass is not |K|^2")
+    if cache.phi.dtype.kind == "i":
+        same = np.array_equal(cache.phi * math.lcm(*sizes), k * cache.conv)
+    else:
+        same = np.abs(cache.phi - k * cache.conv).max() <= 1e-12 * np.abs(cache.phi).max()
+    if not same:
+        faults.append(f"{space.name}: the spectral table is not |K| times the convolution table")
+    return faults
 
 
 def lift_set(space: CosetSpace, cosets: Iterable[int]) -> frozenset:
@@ -216,12 +238,12 @@ def ideal_generators(space_or_instance, subset=None) -> list[BiinvariantMeasure]
 def zero_set(mu: BiinvariantMeasure,
              funcs: Sequence[SphericalFunction] | None = None) -> frozenset:
     """Indices of spherical functions whose homomorphism kills mu: exactly,
-    when Phi_f(mu) is a Fraction, else to within PHI_ZERO_TOL times one
+    when Phi_f(mu) is a Fraction, else to within ZERO_TOL times one
     plus the one-norm of mu."""
     if funcs is None:
         funcs = spherical_functions(mu.space)
     sizes = mu.space.double_cosets.class_sizes
-    tol = PHI_ZERO_TOL * (1.0 + sum(abs(complex(c)) * s for c, s in zip(mu.coeffs, sizes)))
+    tol = ZERO_TOL * (1.0 + sum(abs(complex(c)) * s for c, s in zip(mu.coeffs, sizes)))
     phi = [phi_hom(f, mu) for f in funcs]
     return frozenset(i for i, v in enumerate(phi)
                      if (v == 0 if isinstance(v, Fraction) else abs(v) < tol))
@@ -239,7 +261,7 @@ def convolution_zero_set(space: CosetSpace, subset) -> frozenset:
     """Indices of the spherical functions f that convolve the reversed
     lifted indicator of E to zero: x -> sum_{z in lifted E} f(xz) vanishes
     at every x in G, counted on the group table; exactly on the integer
-    tables of an exact space, else to within CONV_ZERO_TOL times one plus
+    tables of an exact space, else to within ZERO_TOL times one plus
     the number of lifted elements."""
     table = hecke_structure(space).class_values[:, space.double_cosets.class_of]
     lifted = sorted(lift_set(space, subset))
@@ -247,7 +269,7 @@ def convolution_zero_set(space: CosetSpace, subset) -> frozenset:
     if conv.dtype.kind == "i":
         zeros = conv == 0
     else:
-        zeros = np.abs(conv) < CONV_ZERO_TOL * (1 + len(lifted))
+        zeros = np.abs(conv) < ZERO_TOL * (1 + len(lifted))
     return frozenset(np.flatnonzero(zeros.all(axis=1)).tolist())
 
 

@@ -1008,6 +1008,20 @@ def test_a_check_over_nothing_raises(call, message):
         call()
 
 
+@pytest.mark.parametrize("shape,points", [
+    (DISK, [[0.3, 0.0, 0.4]]),
+    (SQUARE, [[0.3, 0.0, 0.4]]),
+    (SQUARE, [[0.3]]),
+], ids=["3-components-on-the-disk", "3-components-on-the-square", "1-component-on-the-square"])
+def test_sample_points_of_another_width_raise(shape, points):
+    """A sample point must have the shape's dim components: on the disk a
+    3-component point would give the residual at its 3-D norm, on the
+    square its third coordinate would be dropped, and a 1-component point
+    would index past its end."""
+    with pytest.raises(ValueError, match="sample points must have 2 components"):
+        convolution_test(shape, 3.0, points)
+
+
 def test_random_motions_deterministic():
     a = random_motions(3, 4, seed=11)
     b = random_motions(3, 4, seed=11)

@@ -24,7 +24,8 @@ from pompeiu.hecke import (BiinvariantMeasure, check_spherical, convolve,
 from conftest import (NoTable, acceptance_suite, cyclic_space, dihedral_space,
                       orbital_test_spaces, symmetric_space)
 from references import (check_function_invariance, convolution_zero_set,
-                        ideal_generators, lift_set, zero_set, zero_set_ideal)
+                        ideal_generators, lift_set, table_identity_faults, zero_set,
+                        zero_set_ideal)
 
 
 def _dft_pompeiu(n, subset):
@@ -75,14 +76,14 @@ def test_empty_set_rejected(z8_space):
 
 def test_non_integer_coset_index_rejected():
     """A coset index that is not an integer is a ValueError, in the
-    single-subset deciders and in PompeiuInstance: 3.7 is not read as 3.
-    numpy integers are indices."""
+    single-subset deciders and in PompeiuInstance: 3.7 is not read as 3,
+    nor True as 1.  numpy integers are indices."""
     space = cyclic_space(6)
     for subset in ([0, 3.7], [0, "1"], [np.float64(3.0)]):
         for decide in (pompeiu_oracle, pompeiu_spectral, pompeiu_convolution):
             with pytest.raises(ValueError, match="not an integer"):
                 decide(space, subset)
-    for subset in ({1.5}, {"1"}):
+    for subset in ({1.5}, {"1"}, {True, 3}):
         with pytest.raises(ValueError, match="not an integer"):
             PompeiuInstance(space, frozenset(subset))
     assert pompeiu_oracle(space, np.array([0, 3])).verdict == "NotPompeiu"
@@ -270,6 +271,17 @@ def test_spherical_deciders_peak_under_5_mb_on_z215():
             tracemalloc.stop()
         assert report.has_property == _dft_pompeiu(215, subset)
         assert peak < 5 * 2 ** 20, (decide.__name__, peak / 2 ** 20)
+
+
+def test_the_spherical_tables_keep_the_identities_of_their_zero_test():
+    """Every ideal generator row has mass |K|^2, and the spectral table is
+    |K| times the convolution table, on every coset
+    (`references.table_identity_faults`): on `orbital_test_spaces()`, the
+    acceptance suite and S7/S6 among them, on Z215, on D200 and D201 over a
+    reflection and on S6/(S3xS3)."""
+    spaces = [cyclic_space(215), dihedral_space(200), dihedral_space(201), _s6_on_3_sets()]
+    assert [f for space in (*orbital_test_spaces(), *spaces)
+            for f in table_identity_faults(space)] == []
 
 
 def test_generator_table_matches_its_definition():
@@ -544,11 +556,11 @@ def _reference_rows(space, oracle=None):
         indicator[subset] = 1
         full = oracle(subset) if oracle else not nullspace(indicator[space.action[inv]])
         gens = per_coset[subset].sum(axis=0)
-        tol = fp.PHI_ZERO_TOL * (1 + (gens * sizes).sum(axis=1))
+        tol = fp.ZERO_TOL * (1 + (gens * sizes).sum(axis=1))
         spectral = np.flatnonzero(zero(structure.phi_matrix @ gens.T, tol).all(axis=1))
         lifted = np.flatnonzero(indicator[space.coset_of])
         conv = on_group[:, mul[:, lifted]].sum(axis=2)
-        conv_zero = zero(conv, fp.CONV_ZERO_TOL * (1 + len(lifted))).all(axis=1)
+        conv_zero = zero(conv, fp.ZERO_TOL * (1 + len(lifted))).all(axis=1)
         witness = (f"spherical:{spectral[0]}" if spectral.size
                    else "" if full else "kernel")
         rows.append((mask, full, not spectral.size, not conv_zero.any(), witness))
@@ -1075,6 +1087,8 @@ _Z6_WITNESS = _spherical_witness(cyclic_space(6), 0)
     {},
     {"spherical_index": "x", "values": _Z6_WITNESS["values"]},
     {"spherical_index": None, "values": _Z6_WITNESS["values"]},
+    {"spherical_index": False, "values": _Z6_WITNESS["values"]},
+    {"spherical_index": True, "values": _Z6_WITNESS["values"]},
     {"spherical_index": 0},
     {"spherical_index": 0, "values": _Z6_WITNESS["values"][:5]},
     {"spherical_index": 0, "values": _Z6_WITNESS["values"] + [[1.0, 0.0]]},
@@ -1090,8 +1104,9 @@ _Z6_WITNESS = _spherical_witness(cyclic_space(6), 0)
     {"kernel": None},
     [0.0] * 6,
     7,
-], ids=["index-float", "empty", "index-str", "index-none", "no-values", "values-short",
-        "values-long", "values-real-only", "values-triples", "values-ragged", "values-str",
+], ids=["index-float", "empty", "index-str", "index-none", "index-false", "index-true",
+        "no-values", "values-short", "values-long", "values-real-only", "values-triples",
+        "values-ragged", "values-str",
         "kernel-short", "kernel-long", "kernel-column", "kernel-ragged", "kernel-str",
         "kernel-none", "list", "int"])
 def test_recheck_returns_false_on_a_malformed_witness(witness):

@@ -440,6 +440,24 @@ def test_measure_from_function_rejects_non_biinvariant(s3_space):
         measure_from_function(s3_space, table)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda space: class_indicator(space, -1), "class index -1 out of range"),
+    (lambda space: class_indicator(space, 5), "class index 5 out of range"),
+    (lambda space: delta_sharp(space, -1), "group element -1 out of range"),
+    (lambda space: delta_sharp(space, 99), "group element 99 out of range"),
+    (lambda space: measure_from_function(space, [[1]] * 6), r"shape \(6, 1\), not \(6,\)"),
+    (lambda space: measure_from_function(space, []), r"shape \(0,\), not \(6,\)"),
+], ids=["class-minus-1", "class-5", "element-minus-1", "element-99", "table-of-columns",
+        "empty-table"])
+def test_measure_constructors_refuse_bad_input(s3_space, build, message):
+    """On S3/<(1 2)>, two classes and six elements, an index out of range or
+    a density table that is not one entry per element is a ValueError: -1
+    is not read as the last class or element, and no measure gets array
+    coefficients."""
+    with pytest.raises(ValueError, match=message):
+        build(s3_space)
+
+
 def test_delta_sharp_density(s3_space):
     g = s3_space.group.element_labels.index("(1 2 3)")
     mu = delta_sharp(s3_space, g)

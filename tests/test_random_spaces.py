@@ -1,10 +1,12 @@
 """The deciders on the seeded corpus of random coset spaces
 (`references.random_coset_spaces`): on every Gelfand pair the three agree,
 every NotPompeiu witness passes its recheck, the radial shortcut agrees
-wherever it applies, and the exact flag survives a rebuild of the space
-from its permutations; every other space is refused with a witness pair
-whose double-coset indicators do not commute.  On a float space no zero
-test of a spherical decider comes within MARGIN of its tolerance."""
+wherever it applies, the exact flag survives a rebuild of the space from
+its permutations, and the two spherical tables keep the identities of
+`references.table_identity_faults`; every other space is refused with a
+witness pair whose double-coset indicators do not commute.  On a float
+space no zero test of a spherical decider comes within MARGIN of its
+tolerance."""
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from pompeiu.finite_pompeiu import (PompeiuInstance, pompeiu_convolution, pompei
 from pompeiu.hecke import NotGelfandPairError, hecke_structure, spherical_functions
 
 from references import (CORPUS_SUBSETS, class_convolution, random_coset_spaces, rebuilt,
-                        zero_test_ratios)
+                        table_identity_faults, zero_test_ratios)
 
 # On the corpus the float zero tests read below 8.5e-16 or above 2.5e-4 of
 # their scale, against tolerances of 1e-9.
@@ -38,13 +40,14 @@ def test_the_corpus_of_random_spaces():
         floats += not exact
         if hecke_structure(rebuilt(space)).exact != exact:
             faults.append(f"{space.name}: the exact flag moved on a rebuild")
+        faults += table_identity_faults(space)
         for subset in subsets:
             inst, decided = PompeiuInstance(space, subset), decided + 1
             if not exact:
-                for ratios, tol in zip(zero_test_ratios(inst), (fp.PHI_ZERO_TOL, fp.CONV_ZERO_TOL)):
-                    if ((tol / MARGIN <= ratios) & (ratios <= tol * MARGIN)).any():
+                for ratios in zero_test_ratios(inst):
+                    if ((fp.ZERO_TOL / MARGIN <= ratios) & (ratios <= fp.ZERO_TOL * MARGIN)).any():
                         faults.append(f"{space.name} {sorted(subset)}: a zero test within "
-                                      f"{MARGIN:g} of its tolerance {tol:g}")
+                                      f"{MARGIN:g} of its tolerance {fp.ZERO_TOL:g}")
             spectral, conv = pompeiu_spectral(inst), pompeiu_convolution(inst)
             candidate = None if conv.has_property else zero_set_vector(inst)
             oracle = pompeiu_oracle(inst, kernel=candidate)
